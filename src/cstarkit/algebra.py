@@ -1,13 +1,18 @@
 """Finite-dimensional subalgebras of complex matrices.
 
-An Algebra is stored as an orthonormal basis under the trace pairing
-<x, y> = trace(y* x) (i.e. Frobenius inner product), together with cached
-structure flags: unitality (identity coordinates), commutativity, closure
-under the adjoint, and the scalar field (real or complex coefficients).
+An Algebra is stored as one stacked orthonormal basis, a (d, n, n) array
+under the trace pairing <x, y> = trace(y* x) (the Frobenius inner
+product), plus its structure constants C[i, j, l] = <b_i b_j, b_l>.
+Coordinates, products, left-regular matrices, Gram matrices of
+functionals and the structure flags (unitality via the identity
+coordinates, commutativity, closure under the adjoint) are all matmuls
+or contractions of these two arrays.  The scalar field (real or complex
+coefficients) is a flag.
 
-Quotients keep a coset basis orthogonal to the ideal plus the structure
-constants of coset multiplication, so quotient arithmetic never touches
-representatives again.
+Orthonormal bases are grown by one routine, classical Gram-Schmidt run
+twice per candidate.  Quotients keep a coset basis orthogonal to the
+ideal plus the structure constants of coset multiplication, so quotient
+arithmetic never touches representatives again.
 """
 
 from __future__ import annotations
@@ -33,32 +38,60 @@ from .errors import (
 MEMBERSHIP_TOL = 1e-9
 
 
-def _trace_ip(x: np.ndarray, y: np.ndarray) -> complex:
-    """Trace pairing <x, y> = trace(y* x)."""
-    return complex(np.vdot(y, x))
+def _pairing(m, rows: np.ndarray) -> np.ndarray:
+    """<m, r_k> = trace(r_k* m) for each r_k of a (k, n, n) stack; m may be a stack."""
+    m = np.asarray(m, dtype=complex)
+    k, n = rows.shape[0], rows.shape[-1]
+    flat = m.reshape(*m.shape[:-2], n * n)
+    return (flat.conj() @ rows.reshape(k, n * n).T).conj()
 
 
-def _mgs_insert(basis: list[np.ndarray], cand: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Insert cand into the orthonormal list if its residual exceeds tol * ||cand||."""
-    scale = float(np.linalg.norm(cand))
-    if scale == 0.0:
-        return False
-    v = cand.astype(complex)
-    for _ in range(2):  # two MGS passes for orthogonality at roundoff level
-        for b in basis:
-            v = v - _trace_ip(v, b) * b
-    rem = float(np.linalg.norm(v))
-    if rem <= tol * scale:
-        return False
-    basis.append(v / rem)
-    return True
+def _product_coords(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """P[i, j, l] = <left_i right_j, rows_l>, one stacked product per row of left."""
+    out = np.zeros((len(left), len(right), len(rows)), dtype=complex)
+    for i, a in enumerate(left):
+        out[i] = _pairing(a @ right, rows)
+    return out
+
+
+def _project_out(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x minus its projection on the span of orthonormal rows, in two passes."""
+    for _ in range(2):
+        x = x - (x @ rows.conj().T) @ rows
+    return x
+
+
+def _extend_rows(rows: np.ndarray, cands, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Append each candidate, in order, whose residual exceeds tol * its norm.
+
+    rows is a (k, N) array of orthonormal rows and cands a stack of m
+    candidates of N entries each.  Every candidate is orthogonalized by
+    classical Gram-Schmidt run twice against the rows accepted before it,
+    which is as orthogonal as modified Gram-Schmidt.  A candidate already
+    inside span(rows) stays inside the larger span, so those are dropped
+    in one block before the sequential pass.
+    """
+    cands = np.asarray(cands, dtype=complex).reshape(len(cands), rows.shape[1])
+    scale = np.linalg.norm(cands, axis=1)
+    resid = _project_out(rows, cands)
+    live = np.linalg.norm(resid, axis=1) > tol * scale
+    out = np.concatenate([rows, resid[live]])
+    k = len(rows)
+    for v, s in zip(resid[live], scale[live]):
+        v = _project_out(out[:k], v)
+        rem = float(np.linalg.norm(v))
+        if rem > tol * s:
+            out[k] = v / rem
+            k += 1
+    return out[:k]
 
 
 @dataclass(frozen=True)
 class Algebra:
-    """A subalgebra of M_n given by an orthonormal basis under the trace pairing."""
+    """A subalgebra of M_n: a (d, n, n) orthonormal basis and its structure constants."""
 
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
+    structure: np.ndarray  # [i, j, l] = <b_i b_j, b_l>
     identity_coords: np.ndarray | None
     abelian: bool
     star_closed: bool
@@ -66,26 +99,22 @@ class Algebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis[0].shape[0] if self.basis else 0
+        return self.basis.shape[1]
 
     @property
     def unital(self) -> bool:
         return self.identity_coords is not None
 
-    def coords(self, m: np.ndarray) -> np.ndarray:
-        """Coordinates of m in the orthonormal basis (valid for members)."""
-        return np.array([_trace_ip(m, b) for b in self.basis])
+    def coords(self, m) -> np.ndarray:
+        """Coordinates of m, or of each matrix of a stack (valid for members)."""
+        return _pairing(m, self.basis)
 
     def from_coords(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=complex)
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for ck, b in zip(c, self.basis):
-            out += ck * b
-        return out
+        return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=1)
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.from_coords(self.coords(m))
@@ -106,51 +135,34 @@ class Algebra:
         return self.from_coords(self.identity_coords)
 
 
-def _solve_identity(basis: list[np.ndarray], tol: float) -> np.ndarray | None:
-    """Least-squares solve for coordinates of a two-sided identity, or None."""
-    d = len(basis)
-    if d == 0:
-        return None
-    n = basis[0].shape[0]
-    rows = []
-    rhs = []
-    for b in basis:
-        left = np.stack([(ej @ b).ravel() for ej in basis], axis=1)
-        right = np.stack([(b @ ej).ravel() for ej in basis], axis=1)
-        rows.extend([left, right])
-        rhs.extend([b.ravel(), b.ravel()])
-    a = np.vstack(rows)
-    y = np.concatenate(rhs)
-    x, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = float(np.linalg.norm(a @ x - y))
-    if resid > tol * max(1.0, float(np.linalg.norm(y))):
-        return None
-    e = sum(xk * b for xk, b in zip(x, basis))
-    if float(np.linalg.norm(e)) == 0.0:
-        return None
-    return x
+def _build_algebra(candidates, real_field: bool, tol: float = MEMBERSHIP_TOL) -> Algebra:
+    """Orthonormalize an already multiplication-closed (m, n, n) spanning stack.
 
-
-def _build_algebra(
-    candidates: list[np.ndarray], real_field: bool, tol: float = MEMBERSHIP_TOL
-) -> Algebra:
-    """Orthonormalize an already multiplication-closed spanning set and cache flags."""
-    basis: list[np.ndarray] = []
-    for cand in candidates:
-        _mgs_insert(basis, cand, tol)
-    abelian = True
-    star_closed = True
-    for i, bi in enumerate(basis):
-        adj = linalg.adjoint(bi)
-        rem = adj - sum(_trace_ip(adj, b) * b for b in basis)
-        if float(np.linalg.norm(rem)) > tol:
-            star_closed = False
-        for bj in basis[: i + 1]:
-            if float(np.linalg.norm(bi @ bj - bj @ bi)) > tol:
-                abelian = False
-    ident = _solve_identity(basis, tol)
+    The structure constants give the flags: abelian when C[i, j] = C[j, i],
+    and the identity coordinates x solve sum_k x_k C[k, j, :] = e_j =
+    sum_k x_k C[j, k, :] for every j in the least-squares sense.
+    """
+    cands = np.asarray(candidates, dtype=complex)
+    n = cands.shape[-1]
+    flat = _extend_rows(np.zeros((0, n * n), dtype=complex), cands, tol)
+    d = len(flat)
+    basis = flat.reshape(d, n, n)
+    c = _product_coords(basis, basis, basis)
+    abelian = not np.any(np.linalg.norm(c - c.swapaxes(0, 1), axis=2) > tol)
+    adjoints = basis.conj().swapaxes(1, 2).reshape(d, n * n)
+    star_closed = not np.any(np.linalg.norm(_project_out(flat, adjoints), axis=1) > tol)
+    ident = None
+    if d:
+        system = np.concatenate(
+            [c.transpose(1, 2, 0).reshape(d * d, d), c.transpose(0, 2, 1).reshape(d * d, d)]
+        )
+        units = np.tile(np.eye(d).ravel(), 2)
+        x, *_ = np.linalg.lstsq(system, units, rcond=None)
+        if float(np.linalg.norm(system @ x - units)) <= tol * np.sqrt(2 * d):
+            ident = x
     return Algebra(
-        basis=tuple(basis),
+        basis=basis,
+        structure=c,
         identity_coords=ident,
         abelian=abelian,
         star_closed=star_closed,
@@ -169,8 +181,8 @@ def algebra_from_generators(
 
     With include_adjoints the closure is taken under the * operation as
     well, and with include_identity the ambient identity is adjoined.
-    Closure alternates product and adjoint passes, orthonormalizing by
-    modified Gram-Schmidt, until the dimension stabilizes.
+    Closure alternates adjoint and product passes, extending the
+    orthonormal basis by Gram-Schmidt, until the dimension stabilizes.
     """
     mats = [linalg.require_square(linalg.as_matrix(g)) for g in gens]
     if not mats:
@@ -181,36 +193,26 @@ def algebra_from_generators(
     if real_field and any(np.max(np.abs(m.imag)) > 0 for m in mats):
         raise NotRealAlgebra("real-field algebra requires real generators")
 
-    basis: list[np.ndarray] = []
-    if include_identity:
-        _mgs_insert(basis, np.eye(n, dtype=complex), tol)
-    for m in mats:
-        _mgs_insert(basis, m, tol)
+    n2 = n * n
+    start = [np.eye(n, dtype=complex)] if include_identity else []
+    rows = _extend_rows(np.zeros((0, n2), dtype=complex), [*start, *mats], tol)
 
     max_rounds = n * n + 1
     for _ in range(max_rounds):
-        grew = False
+        size = len(rows)
         if include_adjoints:
-            for b in list(basis):
-                grew |= _mgs_insert(basis, linalg.adjoint(b), tol)
-        current = list(basis)
-        for bi in current:
-            for bj in current:
-                grew |= _mgs_insert(basis, bi @ bj, tol)
-        if not grew:
+            rows = _extend_rows(rows, rows.reshape(-1, n, n).conj().swapaxes(1, 2), tol)
+        current = rows.reshape(-1, n, n)
+        for b in current:
+            rows = _extend_rows(rows, b @ current, tol)
+        if len(rows) == size:
             break
-    return _build_algebra(basis, real_field, tol)
+    return _build_algebra(rows.reshape(-1, n, n), real_field, tol)
 
 
 def full_matrix_algebra(n: int) -> Algebra:
     """All of M_n, with the matrix units as orthonormal basis."""
-    units = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return _build_algebra(units, real_field=False)
+    return _build_algebra(np.eye(n * n).reshape(n * n, n, n), real_field=False)
 
 
 @dataclass(frozen=True)
@@ -299,27 +301,25 @@ class SubspaceBasis:
 
     algebra: Algebra
     matrices: tuple[np.ndarray, ...]
-    onb: tuple[np.ndarray, ...] = field(default=(), compare=False)
+    onb: np.ndarray = field(default=None, compare=False)  # (k, n, n)
 
     def __post_init__(self):
-        onb: list[np.ndarray] = []
-        for m in self.matrices:
-            mm = linalg.as_matrix(m)
-            if not self.algebra.contains(mm, 1e-8):
-                raise NotSubspace("matrix outside the algebra span")
-            if not _mgs_insert(onb, mm):
-                raise NotSubspace("matrices are linearly dependent")
-        object.__setattr__(self, "onb", tuple(onb))
+        mats = [linalg.as_matrix(m) for m in self.matrices]
+        if not all(self.algebra.contains(m, 1e-8) for m in mats):
+            raise NotSubspace("matrix outside the algebra span")
+        n = self.algebra.ambient_dim
+        onb = _extend_rows(np.zeros((0, n * n), dtype=complex), mats)
+        if len(onb) < len(mats):
+            raise NotSubspace("matrices are linearly dependent")
+        object.__setattr__(self, "onb", onb.reshape(-1, n, n))
 
     @property
     def dim(self) -> int:
         return len(self.onb)
 
     def residual(self, m: np.ndarray) -> float:
-        rem = m.astype(complex)
-        for b in self.onb:
-            rem = rem - _trace_ip(rem, b) * b
-        return float(np.linalg.norm(rem))
+        rows = self.onb.reshape(self.dim, m.size)
+        return float(np.linalg.norm(_project_out(rows, m.ravel())))
 
 
 def subspace(alg: Algebra, mats) -> SubspaceBasis:
@@ -330,14 +330,16 @@ def ideal_check(alg: Algebra, s: SubspaceBasis, tol: float = MEMBERSHIP_TOL) -> 
     """Classify s as 'two_sided', 'left_only', 'right_only' or 'not_ideal'."""
     if s.algebra is not alg:
         raise NotSubspace("subspace was built over a different algebra")
-    left = True
-    right = True
-    for b in alg.basis:
-        for m in s.onb:
-            if s.residual(b @ m) > tol * (1.0 + float(np.linalg.norm(b @ m))):
-                left = False
-            if s.residual(m @ b) > tol * (1.0 + float(np.linalg.norm(m @ b))):
-                right = False
+    n2 = alg.ambient_dim ** 2
+    onb = s.onb.reshape(s.dim, n2)
+
+    def closed(prods: np.ndarray) -> bool:
+        prods = prods.reshape(-1, n2)
+        resid = np.linalg.norm(_project_out(onb, prods), axis=1)
+        return bool(np.all(resid <= tol * (1.0 + np.linalg.norm(prods, axis=1))))
+
+    left = closed(alg.basis[:, None] @ s.onb[None])
+    right = closed(s.onb[None] @ alg.basis[:, None])
     if left and right:
         return "two_sided"
     if left:
@@ -353,7 +355,7 @@ class QuotientAlgebra:
 
     parent: Algebra
     ideal: SubspaceBasis
-    coset_basis: tuple[np.ndarray, ...]
+    coset_basis: np.ndarray  # (k, n, n), orthogonal to the ideal
     mult_table: np.ndarray  # [i, j, l] = <c_i c_j, c_l>
     identity_coset: np.ndarray | None
 
@@ -362,7 +364,7 @@ class QuotientAlgebra:
         return len(self.coset_basis)
 
     def coset_coords(self, m: np.ndarray) -> np.ndarray:
-        return np.array([_trace_ip(m, c) for c in self.coset_basis])
+        return _pairing(m, self.coset_basis)
 
     def coset_multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijl->l", x, y, self.mult_table)
@@ -375,21 +377,13 @@ def quotient(alg: Algebra, ideal: SubspaceBasis, tol: float = MEMBERSHIP_TOL) ->
         raise NotTwoSided(f"ideal_check returned {kind!r}")
     if ideal.dim >= alg.dim:
         raise NotProper("ideal must have dimension below the algebra's")
-    coset: list[np.ndarray] = list(ideal.onb)
-    k0 = len(coset)
-    for b in alg.basis:
-        _mgs_insert(coset, b, tol)
-    coset_basis = tuple(coset[k0:])
-    k = len(coset_basis)
-    table = np.zeros((k, k, k), dtype=complex)
-    for i, ci in enumerate(coset_basis):
-        for j, cj in enumerate(coset_basis):
-            prod = ci @ cj
-            table[i, j, :] = [_trace_ip(prod, cl) for cl in coset_basis]
+    n = alg.ambient_dim
+    rows = _extend_rows(ideal.onb.reshape(ideal.dim, n * n), alg.basis, tol)
+    coset_basis = rows[ideal.dim :].reshape(-1, n, n)
+    table = _product_coords(coset_basis, coset_basis, coset_basis)
     ident = None
     if alg.unital:
-        e = alg.identity_matrix
-        ident = np.array([_trace_ip(e, cl) for cl in coset_basis])
+        ident = _pairing(alg.identity_matrix, coset_basis)
     return QuotientAlgebra(alg, ideal, coset_basis, table, ident)
 
 
@@ -415,11 +409,9 @@ def quotient_norm(
     onb = q.ideal.onb
 
     def objective(t: np.ndarray) -> float:
-        coef = t[:k] + 1j * t[k:]
-        m = base + sum(c * b for c, b in zip(coef, onb))
-        return linalg.op_norm(m)
+        return linalg.op_norm(base + np.tensordot(t[:k] + 1j * t[k:], onb, axes=1))
 
-    frob = np.array([-_trace_ip(base, b) for b in onb])
+    frob = -_pairing(base, onb)
     starts = [np.zeros(2 * k), np.concatenate([frob.real, frob.imag])]
     rng = np.random.default_rng(seed)
     scale = linalg.op_norm(base) + 1.0
@@ -485,7 +477,7 @@ def complexify(alg: Algebra) -> Algebra:
     """Extend a real algebra to complex scalars; pairs (a, b) become a + i b."""
     if not alg.real_field:
         raise NotRealAlgebra("complexify expects an algebra flagged real")
-    return _build_algebra([b.copy() for b in alg.basis], real_field=False)
+    return _build_algebra(alg.basis, real_field=False)
 
 
 def pair_element(calg: Algebra, a, b) -> Element:
@@ -495,8 +487,7 @@ def pair_element(calg: Algebra, a, b) -> Element:
 
 def left_regular_matrix(alg: Algebra, m: np.ndarray) -> np.ndarray:
     """Coordinate matrix of left multiplication by m on the algebra."""
-    cols = [alg.coords(m @ b) for b in alg.basis]
-    return np.stack(cols, axis=1)
+    return alg.coords(m @ alg.basis).T
 
 
 def pair_regular_norm(calg: Algebra, a, b) -> float:
@@ -512,13 +503,7 @@ def pair_regular_norm(calg: Algebra, a, b) -> float:
 def direct_sum_algebras(a: Algebra, b: Algebra) -> Algebra:
     """Block-diagonal sum; the block norm is the max of the block norms."""
     na, nb = a.ambient_dim, b.ambient_dim
-    cands = []
-    for x in a.basis:
-        m = np.zeros((na + nb, na + nb), dtype=complex)
-        m[:na, :na] = x
-        cands.append(m)
-    for y in b.basis:
-        m = np.zeros((na + nb, na + nb), dtype=complex)
-        m[na:, na:] = y
-        cands.append(m)
+    cands = np.zeros((a.dim + b.dim, na + nb, na + nb), dtype=complex)
+    cands[: a.dim, :na, :na] = a.basis
+    cands[a.dim :, na:, na:] = b.basis
     return _build_algebra(cands, a.real_field and b.real_field)

@@ -88,6 +88,8 @@ def _square_input(args) -> np.ndarray:
     m = parse_matrix(args.input)
     if m.shape[0] != m.shape[1]:
         raise MalformedInput(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise MalformedInput("expected a non-empty matrix, got shape (0, 0)")
     return m
 
 
@@ -112,6 +114,8 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_radius(args) -> dict:
     m = _square_input(args)
+    if args.n_max < 1:
+        raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
     trace = spectral.spectral_radius_limit(algebra.ambient_element(m), n_max=args.n_max)
     return {
         "inputs": {"input": matrix_to_json(m), "n_max": args.n_max},

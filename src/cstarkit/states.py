@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element, left_regular_matrix
+from .algebra import Algebra, Element
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -45,6 +45,11 @@ class Functional:
         m = a.matrix if isinstance(a, Element) else linalg.as_matrix(a)
         return complex(np.dot(self.values, self.algebra.coords(m)))
 
+    def multiplicativity_residual(self) -> float:
+        """max |f(b_i b_j) - f(b_i) f(b_j)| over basis pairs: 0 for characters."""
+        v = np.asarray(self.values, dtype=complex)
+        return float(np.max(np.abs(self.algebra.structure @ v - np.outer(v, v)), initial=0.0))
+
 
 @dataclass(frozen=True)
 class State(Functional):
@@ -68,13 +73,8 @@ def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
     """G[i, j] = f(e_i* e_j); Hermitian PSD exactly when f is positive on the span."""
     if not alg.star_closed:
         raise NotStarClosed("positivity needs a *-closed algebra (e_i* e_j must stay inside)")
-    d = alg.dim
-    g = np.zeros((d, d), dtype=complex)
-    for i, bi in enumerate(alg.basis):
-        bi_adj = linalg.adjoint(bi)
-        for j, bj in enumerate(alg.basis):
-            g[i, j] = f(bi_adj @ bj)
-    return g
+    adjoint_coords = alg.coords(alg.basis.conj().swapaxes(1, 2))
+    return adjoint_coords @ (alg.structure @ np.asarray(f.values, dtype=complex))
 
 
 def is_positive_functional(alg: Algebra, f: Functional, tol: float = 1e-9) -> PositivityReport:
@@ -111,8 +111,7 @@ def vector_state(alg: Algebra, x, tol: float = 1e-9) -> State:
         )
     if abs(float(np.linalg.norm(xv)) - 1.0) > tol:
         raise NotUnitVector(f"vector norm {np.linalg.norm(xv):.12f} is not 1")
-    values = tuple(complex(np.vdot(xv, b @ xv)) for b in alg.basis)
-    return make_state(alg, values, tol)
+    return make_state(alg, alg.basis @ xv @ xv.conj(), tol)
 
 
 def functional_norm(alg: Algebra, f: Functional, tol: float = 1e-9) -> float:
@@ -155,16 +154,12 @@ class Representation:
     """A *-homomorphism into matrices, given per algebra basis element."""
 
     algebra: Algebra
-    rep_matrices: tuple[np.ndarray, ...]
+    rep_matrices: np.ndarray  # (d, k, k), or any sequence of d k x k matrices
     hilbert_dim: int
 
     def apply(self, a) -> np.ndarray:
         m = a.matrix if isinstance(a, Element) else linalg.as_matrix(a)
-        coords = self.algebra.coords(m)
-        out = np.zeros((self.hilbert_dim, self.hilbert_dim), dtype=complex)
-        for c, r in zip(coords, self.rep_matrices):
-            out += c * r
-        return out
+        return np.tensordot(self.algebra.coords(m), self.rep_matrices, axes=1)
 
 
 @dataclass(frozen=True)
@@ -197,16 +192,14 @@ def gns(alg: Algebra, state: Functional, tol: float = 1e-9) -> GnsRepresentation
     k = int(np.sum(keep))
     coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
     pinv = vk / np.sqrt(wk)[None, :]  # d x k
-    reps = []
-    for b in alg.basis:
-        lmat = left_regular_matrix(alg, b)
-        reps.append(coset_map @ lmat @ pinv)
+    # left multiplication by b_i has coordinate matrix C[i].T
+    reps = coset_map @ alg.structure.swapaxes(1, 2) @ pinv
     cyclic = None
     if alg.unital:
         cyclic = coset_map @ alg.identity_coords
     return GnsRepresentation(
         algebra=alg,
-        rep_matrices=tuple(reps),
+        rep_matrices=reps,
         hilbert_dim=k,
         coset_map=coset_map,
         state=f,
@@ -223,16 +216,13 @@ def direct_sum_reps(reps) -> Representation:
     if any(r.algebra is not alg for r in reps):
         raise AlgebraMismatch("representations must share one algebra")
     total = sum(r.hilbert_dim for r in reps)
-    out = []
-    for i in range(alg.dim):
-        block = np.zeros((total, total), dtype=complex)
-        at = 0
-        for r in reps:
-            k = r.hilbert_dim
-            block[at : at + k, at : at + k] = r.rep_matrices[i]
-            at += k
-        out.append(block)
-    return Representation(alg, tuple(out), total)
+    out = np.zeros((alg.dim, total, total), dtype=complex)
+    at = 0
+    for r in reps:
+        k = r.hilbert_dim
+        out[:, at : at + k, at : at + k] = r.rep_matrices
+        at += k
+    return Representation(alg, out, total)
 
 
 def trace_state(alg: Algebra) -> State:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_matrix
-from cstarkit import algebra, linalg
+from cstarkit import algebra, gelfand, linalg, states
 from cstarkit.errors import NotProper, NotRealAlgebra, NotSubspace, NotTwoSided
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -344,3 +344,98 @@ class TestElementInvariants:
         rng = np.random.default_rng(15)
         a = algebra.random_element(alg, rng)
         assert np.allclose(alg.from_coords(a.coords), a.matrix, atol=1e-12)
+
+
+def _normal_matrix(rng, n):
+    q, _ = np.linalg.qr(rand_matrix(rng, n))
+    return (q * np.array([1.0, -2.0, 0.5j, 3.0 + 1.0j])[:n]) @ q.conj().T
+
+
+REFERENCE_ALGEBRAS = {
+    "random-n1": lambda rng: algebra.algebra_from_generators([rand_matrix(rng, 1)]),
+    "random-n2": lambda rng: algebra.algebra_from_generators([rand_matrix(rng, 2)]),
+    "random-n3": lambda rng: algebra.algebra_from_generators([rand_matrix(rng, 3)]),
+    "normal": lambda rng: algebra.algebra_from_generators([_normal_matrix(rng, 4)]),
+    "cyclic-5": lambda rng: gelfand.cyclic_group_algebra(5),
+    "m2+m2": lambda rng: algebra.direct_sum_algebras(
+        algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(2)
+    ),
+    "unitized-nilpotent": lambda rng: algebra.unitize(
+        algebra.algebra_from_generators([E12], include_identity=False, include_adjoints=False)
+    ),
+    "nilpotent": lambda rng: algebra.algebra_from_generators(
+        [E12], include_identity=False, include_adjoints=False
+    ),
+    "left-unit-only": lambda rng: algebra.algebra_from_generators(
+        [E11, E12], include_identity=False, include_adjoints=False
+    ),
+    "zero": lambda rng: algebra.algebra_from_generators(
+        [np.zeros((2, 2))], include_identity=False
+    ),
+}
+
+
+def _pair_coords(alg, m):
+    return np.array([np.vdot(b, m) for b in alg.basis])
+
+
+class TestStructureReference:
+    """The stacked core against per-pair loops over the basis, to 1e-12."""
+
+    @pytest.fixture(params=sorted(REFERENCE_ALGEBRAS))
+    def alg(self, request):
+        return REFERENCE_ALGEBRAS[request.param](np.random.default_rng(31))
+
+    def test_structure_constants(self, alg):
+        d = alg.dim
+        ref = np.zeros((d, d, d), dtype=complex)
+        for i, bi in enumerate(alg.basis):
+            for j, bj in enumerate(alg.basis):
+                ref[i, j] = _pair_coords(alg, bi @ bj)
+        assert alg.structure.shape == (d, d, d)
+        assert np.max(np.abs(alg.structure - ref), initial=0.0) <= 1e-12
+
+    def test_abelian_flag(self, alg):
+        commute = all(
+            np.linalg.norm(bi @ bj - bj @ bi) <= algebra.MEMBERSHIP_TOL
+            for bi in alg.basis
+            for bj in alg.basis
+        )
+        assert alg.abelian == commute
+
+    def test_identity_coords(self, alg):
+        rows, rhs = [], []
+        for b in alg.basis:
+            rows.append(np.stack([(e @ b).ravel() for e in alg.basis], axis=1))
+            rows.append(np.stack([(b @ e).ravel() for e in alg.basis], axis=1))
+            rhs += [b.ravel(), b.ravel()]
+        ref = None
+        if rows:
+            a, y = np.vstack(rows), np.concatenate(rhs)
+            x, *_ = np.linalg.lstsq(a, y, rcond=None)
+            if np.linalg.norm(a @ x - y) <= algebra.MEMBERSHIP_TOL * max(1.0, np.linalg.norm(y)):
+                ref = x
+        if ref is None:
+            assert alg.identity_coords is None
+        else:
+            assert np.max(np.abs(alg.identity_coords - ref)) <= 1e-12
+
+    def test_left_regular_matrix(self, alg):
+        m = algebra.random_element(alg, np.random.default_rng(32)).matrix
+        ref = np.zeros((alg.dim, alg.dim), dtype=complex)
+        for j, bj in enumerate(alg.basis):
+            ref[:, j] = _pair_coords(alg, m @ bj)
+        got = algebra.left_regular_matrix(alg, m)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
+
+    def test_multiplicativity_residual(self, alg):
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        worst = 0.0
+        for i, bi in enumerate(alg.basis):
+            for j, bj in enumerate(alg.basis):
+                prod = np.dot(v, _pair_coords(alg, bi @ bj))
+                worst = max(worst, abs(prod - v[i] * v[j]))
+        got = states.functional(alg, v).multiplicativity_residual()
+        assert abs(got - worst) <= 1e-12

@@ -192,6 +192,20 @@ class TestCliContract:
     def test_missing_file_exit_2(self):
         assert cli.run(["spectrum", "--input", "/nonexistent/path.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, extra, matrix",
+        [
+            ("characters", [], np.zeros((0, 0))),
+            ("gelfand", [], np.zeros((0, 0))),
+            ("universal", [], np.zeros((0, 0))),
+            ("radius", ["--n-max", "0"], np.eye(2)),
+        ],
+    )
+    def test_degenerate_input_exit_2(self, tmp_path, capsys, command, extra, matrix):
+        path = write_matrix(tmp_path / "m.json", matrix)
+        assert cli.run([command, "--input", path, *extra]) == 2
+        assert "MalformedInput" in capsys.readouterr().err
+
     def test_stdout_emission(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", np.eye(2))
         rc = cli.run(["spectrum", "--input", path])
