@@ -394,10 +394,20 @@ def quotient_norm(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> float:
-    """Numerical inf over the ideal of ||a + b||, the quotient (coset) norm.
+    """The quotient (coset) norm ||a + I|| = inf over b in I of ||a + b||.
 
-    Nelder-Mead over the real/imaginary ideal coordinates, warm-started at
-    zero and at the Frobenius-optimal offset, with 8 seeded random restarts.
+    When the parent is *-closed it is a finite-dimensional C*-algebra, so
+    every closed two-sided ideal is I = A p for a central projection p, and
+    the trace-pairing projection of a onto I is P_I a = a p.  The value is
+    then exact, ||a + I|| = ||a - P_I a|| = ||a (1 - p)||:
+      - for b in I, (a + b)(1 - p) = a (1 - p), since b = b p;
+      - ||1 - p|| <= 1, so ||a + b|| >= ||(a + b)(1 - p)|| = ||a (1 - p)||;
+      - equality holds at b = -a p, which lies in I.
+    No optimiser runs on that path, and budget, seed and tol are unused.
+
+    Otherwise Nelder-Mead searches the real/imaginary ideal coordinates,
+    warm-started at zero and at the Frobenius-optimal offset -P_I a, with 8
+    restarts drawn from seed and budget evaluations shared among the runs.
     The objective (largest singular value over an affine subspace) is convex.
     """
     if a.algebra is not q.parent:
@@ -407,11 +417,13 @@ def quotient_norm(
     if k == 0:
         return linalg.op_norm(base)
     onb = q.ideal.onb
+    frob = -_pairing(base, onb)
+    if q.parent.star_closed:
+        return linalg.op_norm(base + np.tensordot(frob, onb, axes=1))
 
     def objective(t: np.ndarray) -> float:
         return linalg.op_norm(base + np.tensordot(t[:k] + 1j * t[k:], onb, axes=1))
 
-    frob = -_pairing(base, onb)
     starts = [np.zeros(2 * k), np.concatenate([frob.real, frob.imag])]
     rng = np.random.default_rng(seed)
     scale = linalg.op_norm(base) + 1.0

@@ -84,8 +84,8 @@ def _residual(value: float, tolerance: float) -> dict:
     return {"value": float(value), "tolerance": float(tolerance)}
 
 
-def _square_input(args) -> np.ndarray:
-    m = parse_matrix(args.input)
+def _square_input(m: np.ndarray) -> np.ndarray:
+    """m itself when it is square and non-empty; MalformedInput otherwise."""
     if m.shape[0] != m.shape[1]:
         raise MalformedInput(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -94,14 +94,15 @@ def _square_input(args) -> np.ndarray:
 
 
 def cmd_spectrum(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     rep = spectral.spectrum(algebra.ambient_element(m), field_mode=args.field)
     radius = spectral.clustering_radius(np.array(rep.points if rep.points else [0.0]))
+    scale = max(1.0, linalg.op_norm(m))
     eig_resid = 0.0
     for z in rep.points:
         shifted = m - z * np.eye(m.shape[0])
         svals = np.linalg.svd(shifted, compute_uv=False)
-        eig_resid = max(eig_resid, float(svals[-1]) / max(1.0, linalg.op_norm(m)))
+        eig_resid = max(eig_resid, float(svals[-1]) / scale)
     return {
         "inputs": {"input": matrix_to_json(m), "field": args.field},
         "results": {
@@ -113,7 +114,7 @@ def cmd_spectrum(args) -> dict:
 
 
 def cmd_radius(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     if args.n_max < 1:
         raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
     trace = spectral.spectral_radius_limit(algebra.ambient_element(m), n_max=args.n_max)
@@ -129,7 +130,7 @@ def cmd_radius(args) -> dict:
 
 
 def cmd_exp(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     a = algebra.ambient_element(m)
     em = spectral.exp_element(a).matrix
     em_neg = spectral.exp_element(algebra.ambient_element(-m)).matrix
@@ -146,7 +147,7 @@ def cmd_exp(args) -> dict:
 
 
 def cmd_sqrt(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     root = spectral.sqrt_positive(algebra.ambient_element(m), tol=args.tol).matrix
     square_resid = linalg.op_norm(root @ root - m) / max(1.0, linalg.op_norm(m))
     return {
@@ -157,7 +158,7 @@ def cmd_sqrt(args) -> dict:
 
 
 def cmd_neumann(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     a = algebra.ambient_element(m)
     series = spectral.neumann_inverse(a, tol=args.tol).matrix
     direct = linalg.invert(np.eye(m.shape[0]) - m)
@@ -174,7 +175,7 @@ def _abelian_algebra_from(m: np.ndarray) -> algebra.Algebra:
 
 
 def cmd_characters(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     alg = _abelian_algebra_from(m)
     spec = gelfand.characters(alg, seed=args.seed)
     a = algebra.Element(alg, m)
@@ -191,7 +192,7 @@ def cmd_characters(args) -> dict:
 
 
 def cmd_gelfand(args) -> dict:
-    m = _square_input(args)
+    m = _square_input(parse_matrix(args.input))
     alg = _abelian_algebra_from(m)
     report = gelfand.gelfand_isometry_report(alg, samples=20, seed=args.seed)
     return {
@@ -212,7 +213,7 @@ def cmd_gelfand(args) -> dict:
 
 
 def cmd_gkz(args) -> dict:
-    g = _square_input(args)
+    g = _square_input(parse_matrix(args.input))
     n = g.shape[0]
     alg = algebra.full_matrix_algebra(n)
     values = [complex(np.trace(g @ b)) for b in alg.basis]
@@ -232,7 +233,7 @@ def cmd_gkz(args) -> dict:
 
 
 def cmd_gns(args) -> dict:
-    rho = _square_input(args)
+    rho = _square_input(parse_matrix(args.input))
     n = rho.shape[0]
     if linalg.hermitian_residual(rho) > 1e-8 or abs(complex(np.trace(rho)) - 1.0) > 1e-8:
         raise MalformedInput("gns expects a density matrix (Hermitian, trace 1)")
@@ -268,7 +269,7 @@ def cmd_gns(args) -> dict:
 
 
 def cmd_universal(args) -> dict:
-    g = _square_input(args)
+    g = _square_input(parse_matrix(args.input))
     alg = algebra.algebra_from_generators([g], include_identity=True, include_adjoints=True)
     report = states.universal_rep(alg, seed=args.seed)
     return {
@@ -286,8 +287,12 @@ def cmd_quotient_norm(args) -> dict:
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "element" not in doc or "ideal" not in doc:
         raise MalformedInput('quotient-norm input must be {"element": ..., "ideal": [...]}')
-    m = matrix_from_json(doc["element"])
+    m = _square_input(matrix_from_json(doc["element"]))
+    if not isinstance(doc["ideal"], list):
+        raise MalformedInput('quotient-norm "ideal" must be a list of matrices')
     ideal_mats = [matrix_from_json(d) for d in doc["ideal"]]
+    if any(g.shape != m.shape for g in ideal_mats):
+        raise MalformedInput(f"every ideal matrix must have the element's shape {m.shape}")
     alg = algebra.algebra_from_generators(
         [m, *ideal_mats], include_identity=True, include_adjoints=True
     )

@@ -212,6 +212,61 @@ class TestQuotientNorm:
             assert qab <= qa * qb + 1e-4
 
 
+def _no_optimiser(*args, **kwargs):
+    raise AssertionError("optimiser ran on a *-closed parent")
+
+
+def _m2_plus_m3():
+    """M_2 + M_3 with the ideal 0 + M_3, whose central unit is p = 0 + I_3."""
+    m2, m3 = algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(3)
+    alg = algebra.direct_sum_algebras(m2, m3)
+    units = np.zeros((9, 5, 5), dtype=complex)
+    units[:, 2:, 2:] = np.eye(9).reshape(9, 3, 3)
+    return alg, algebra.subspace(alg, list(units)), np.diag([0.0, 0, 1, 1, 1])
+
+
+def _diagonal():
+    """The diagonal algebra of TestQuotientNorm with the ideal {f : f_1 = 0}."""
+    alg = diag_algebra([3.0, 1.0, 2.0])
+    ideal = [np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
+    return alg, algebra.subspace(alg, ideal), np.diag([0.0, 1, 1])
+
+
+class TestQuotientNormPaths:
+    """The closed form on *-closed parents, Nelder-Mead on the rest."""
+
+    @pytest.mark.parametrize("case", [_m2_plus_m3, _diagonal], ids=["m2+m3", "diagonal"])
+    def test_star_closed_is_exact(self, monkeypatch, case):
+        alg, ideal, p = case()
+        assert alg.star_closed
+        q = algebra.quotient(alg, ideal)
+        monkeypatch.setattr(algebra.optimize, "minimize", _no_optimiser)
+        rng = np.random.default_rng(31)
+        one = np.eye(alg.ambient_dim)
+        for _ in range(5):
+            a = algebra.random_element(alg, rng)
+            value = algebra.quotient_norm(q, a)
+            exact = linalg.op_norm(a.matrix @ (one - p))
+            assert abs(value - exact) <= 1e-12 * max(1.0, exact)
+            for _ in range(20):
+                t = rng.standard_normal(ideal.dim) + 1j * rng.standard_normal(ideal.dim)
+                b = np.tensordot(t, ideal.onb, axes=1)
+                assert value <= linalg.op_norm(a.matrix + b) + 1e-12
+
+    def test_upper_triangular_matches_parrott(self):
+        units = [np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i in range(3) for j in range(i, 3)]
+        tri = algebra.algebra_from_generators(units, include_adjoints=False)
+        assert not tri.star_closed
+        q = algebra.quotient(tri, algebra.subspace(tri, [units[2]]))
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            a = algebra.random_element(tri, rng)
+            x = a.matrix.copy()
+            x[0, 2] = 0.0
+            parrott = max(linalg.op_norm(x[:, :2]), linalg.op_norm(x[1:, :]))
+            assert abs(algebra.quotient_norm(q, a) - parrott) <= 1e-8 * parrott
+
+
 class TestUnitize:
     def nil_algebra(self):
         return algebra.algebra_from_generators(

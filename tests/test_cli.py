@@ -206,6 +206,27 @@ class TestCliContract:
         assert cli.run([command, "--input", path, *extra]) == 2
         assert "MalformedInput" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "element, ideal",
+        [
+            (np.ones((2, 3)), []),
+            (np.zeros((0, 0)), []),
+            (np.eye(2), 5),
+            (np.eye(2), [np.eye(3)]),
+        ],
+        ids=["non-square", "empty", "ideal-not-list", "ideal-size"],
+    )
+    def test_quotient_norm_malformed_exit_2(self, tmp_path, capsys, element, ideal):
+        doc = {"element": cli.matrix_to_json(np.asarray(element, dtype=complex))}
+        if isinstance(ideal, list):
+            doc["ideal"] = [cli.matrix_to_json(np.asarray(g, dtype=complex)) for g in ideal]
+        else:
+            doc["ideal"] = ideal
+        path = tmp_path / "qn.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["quotient-norm", "--input", str(path)]) == 2
+        assert "MalformedInput" in capsys.readouterr().err
+
     def test_stdout_emission(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", np.eye(2))
         rc = cli.run(["spectrum", "--input", path])

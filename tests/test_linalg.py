@@ -56,6 +56,22 @@ class TestOpNorm:
         assert linalg.op_norm([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(1.0)
 
 
+class TestHermitianResidual:
+    def test_exactly_hermitian_needs_no_norm(self, monkeypatch):
+        def no_norm(m):
+            raise AssertionError("op_norm called on exactly Hermitian input")
+
+        herm = rand_hermitian(np.random.default_rng(5), 50)
+        monkeypatch.setattr(linalg, "op_norm", no_norm)
+        for m in (herm, np.zeros((5, 5), dtype=complex), np.zeros((0, 0), dtype=complex)):
+            assert linalg.hermitian_residual(m) == 0.0
+
+    def test_non_hermitian_value(self):
+        m = rand_matrix(np.random.default_rng(6), 7)
+        expect = linalg.op_norm(m - m.conj().T) / linalg.op_norm(m)
+        assert linalg.hermitian_residual(m) == expect
+
+
 class TestInvert:
     def test_identity(self):
         assert np.allclose(linalg.invert(np.eye(2)), np.eye(2))
