@@ -18,14 +18,17 @@ from scipy import linalg as sla
 from . import linalg
 from .algebra import Element
 from .errors import (
+    BudgetExceeded,
     NotContractive,
     NotNormal,
     NotPositive,
     NotUnital,
+    Overflow,
     SingularResolvent,
 )
 
 CLUSTER_SCALE = 1e-7
+NEUMANN_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,9 @@ def neumann_inverse(a: Element, tol: float = 1e-12) -> Element:
     """(1 - a)^{-1} by partial geometric sums; requires ||a|| < 1.
 
     Terms accumulate until the term norm drops below tol * (1 - ||a||),
-    bounding the series tail by tol.
+    bounding the series tail by tol.  Since ||a^k|| <= ||a||^k, that takes
+    at most ceil(log(cutoff) / log ||a||) terms; BudgetExceeded is raised
+    when a^NEUMANN_MAX_TERMS is still above the cutoff.
     """
     m = a.matrix
     nrm = linalg.op_norm(m)
@@ -192,9 +197,15 @@ def neumann_inverse(a: Element, tol: float = 1e-12) -> Element:
     term = e.copy()
     total = e.copy()
     cutoff = tol * (1.0 - nrm)
+    k = 0
     while linalg.op_norm(term) > cutoff:
+        if k == NEUMANN_MAX_TERMS:
+            raise BudgetExceeded(
+                f"Neumann series needs more than {NEUMANN_MAX_TERMS} terms at norm {nrm!r}"
+            )
         term = term @ m
         total += term
+        k += 1
     alg = a.algebra if (a.algebra is not None and a.algebra.unital) else None
     return Element(alg, total)
 
@@ -203,10 +214,13 @@ def exp_element(a) -> Element:
     """Power-series exponential, computed by scaling and squaring.
 
     The input is scaled by 2^{-s} so its norm is at most 0.5, summed with
-    20 series terms, then squared s times.
+    20 series terms, then squared s times.  Overflow is raised when 2^s is
+    beyond the float range or the squared result is not finite.
     """
     m = _matrix_of(a)
     nrm = linalg.op_norm(m)
+    if not nrm <= 2.0**1022:
+        raise Overflow(f"operator norm {nrm:.3g} is too large to scale below 0.5")
     s = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0
     x = m / (2**s)
     n = m.shape[0]
@@ -215,8 +229,11 @@ def exp_element(a) -> Element:
     for k in range(1, 21):
         term = term @ x / k
         acc = acc + term
-    for _ in range(s):
-        acc = acc @ acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            acc = acc @ acc
+    if not np.isfinite(acc).all():
+        raise Overflow(f"exp overflows the float range at operator norm {nrm:.3g}")
     alg = None
     if isinstance(a, Element) and a.algebra is not None and a.algebra.unital:
         alg = a.algebra

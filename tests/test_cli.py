@@ -1,12 +1,15 @@
 """CLI: JSON round-trips, subcommand reports, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_matrix
-from cstarkit import cli
+from cstarkit import cli, linalg
 
 
 def write_matrix(path, m):
@@ -234,3 +237,187 @@ class TestCliContract:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["command"] == "spectrum"
+
+
+def _seeded_argvs(tmp_path):
+    """One seeded input per subcommand."""
+    rng = np.random.default_rng(2024)
+    m = rand_matrix(rng, 4)
+    u, _ = np.linalg.qr(rand_matrix(rng, 4))
+    normal = (u * np.array([1.0, 2.0, 1j, -1.5])) @ u.conj().T
+    g = rand_matrix(rng, 3)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    qn = tmp_path / "qn.json"
+    qn.write_text(
+        json.dumps(
+            {
+                "element": cli.matrix_to_json(np.diag([3.0, 1.0, 2.0]).astype(complex)),
+                "ideal": [cli.matrix_to_json(np.diag([0.0, 1.0, 0.0]).astype(complex))],
+            }
+        )
+    )
+
+    def path(name, a):
+        return write_matrix(tmp_path / f"{name}.json", a)
+
+    return {
+        "spectrum": ["--input", path("m", m)],
+        "radius": ["--input", path("m", m), "--n-max", "64"],
+        "exp": ["--input", path("m", m)],
+        "sqrt": ["--input", path("pos", m @ m.conj().T)],
+        "neumann": ["--input", path("small", 0.5 * m / linalg.op_norm(m))],
+        "gelfand": ["--input", path("normal", normal), "--seed", "5"],
+        "characters": ["--input", path("normal", normal), "--seed", "5"],
+        "gkz": ["--input", path("rho", rho), "--seed", "5"],
+        "gns": ["--input", path("rho", rho), "--seed", "5"],
+        "universal": ["--input", path("g", g[:2, :2]), "--seed", "5"],
+        "quotient-norm": ["--input", str(qn), "--seed", "5"],
+        "qm": ["--grid", "200", "--levels", "3"],
+    }
+
+
+def _json_layout(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportEncoder:
+    """emit_report writes exactly json.dumps(indent=2, sort_keys=True) plus a newline."""
+
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_subcommand_bytes(self, tmp_path, capsys, monkeypatch, command):
+        argv = [command, *_seeded_argvs(tmp_path)[command]]
+        reports = []
+        emit = cli.emit_report
+
+        def spy(report, out):
+            reports.append(report)
+            emit(report, out)
+
+        monkeypatch.setattr(cli, "emit_report", spy)
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == _json_layout(reports[-1])
+        out = tmp_path / "report.json"
+        assert cli.run([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == _json_layout(reports[-1]).encode()
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"specials": [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]},
+            {"data": [[1.0, float("nan")], [float("inf"), -0.0]]},
+            {"data": [[1e300, -5e-324], [-0.0, 1e16], [0.1, -2.5e-7]]},
+            {"tolerance": float("inf"), "value": 0.0},
+            {"trace": [[1, 2.5], [2, 1.25]], "flags": [[True, False], [1.0, 2.0]]},
+            {"np": [[np.float64(0.5), 1.5], [2.5, 3.5]], "scalar": np.float64(-1e-300)},
+            {"tuple": (1.0, 2.0), "pairs": ([1.0, 2.0], [3.0, 4.0]), "tuple_pairs": [(1.0, 2.0)]},
+            {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]], [[1.0, 2.0], []]]},
+            {"text": 'é ∑ "quoted" \\ back\tslash\n\x00', "ünï": [" ", "😀"]},
+            {"mixed": [[1.0, 2.0], [3.0]], "triple": [[1.0, 2.0, 3.0]], "null": [None, 0]},
+            {"z": 1, "a": {"b": [1]}},
+            [[0.1, 0.2]] * 3,
+            "top-level string",
+            1.0,
+        ],
+    )
+    def test_synthetic_reports(self, tmp_path, capsys, report):
+        cli.emit_report(report, None)
+        assert capsys.readouterr().out == _json_layout(report)
+        out = tmp_path / "r.json"
+        cli.emit_report(report, str(out))
+        assert out.read_bytes() == _json_layout(report).encode()
+
+    @pytest.mark.parametrize("report", [{"x": object()}, {"x": np.int64(1)}, {(1, 2): 0}])
+    def test_unserialisable_raises_type_error(self, report):
+        with pytest.raises(TypeError):
+            json.dumps(report, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli.emit_report(report, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.text()
+            | st.lists(st.lists(st.floats(), min_size=2, max_size=2)),
+            lambda children: st.lists(children)
+            | st.tuples(children, children)
+            | st.dictionaries(st.text(), children),
+            max_leaves=30,
+        )
+    )
+    def test_random_trees(self, tree):
+        assert cli._encode(tree, "\n") + "\n" == _json_layout(tree)
+
+    def test_matrix_to_json_non_contiguous(self):
+        rng = np.random.default_rng(7)
+        m = rand_matrix(rng, 5)[:, :3].T
+        m[0, 0] = -0.0
+        assert not m.flags.c_contiguous
+        doc = cli.matrix_to_json(m)
+        assert doc["data"] == [[float(z.real), float(z.imag)] for z in m.ravel()]
+        assert (doc["rows"], doc["cols"]) == (3, 5)
+        assert cli.matrix_to_json(np.zeros((0, 0)))["data"] == []
+
+
+class TestSpectrumResidual:
+    """The eigenvector residual bounds the old sigma_min(m - zI) / scale from above."""
+
+    @staticmethod
+    def _svd_residual(m, points):
+        scale = max(1.0, linalg.op_norm(m))
+        eye = np.eye(m.shape[0])
+        return max(
+            (np.linalg.svd(m - complex(*z) * eye, compute_uv=False)[-1] / scale for z in points),
+            default=0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("n1", "complex"),
+            ("n2", "complex"),
+            ("n8", "complex"),
+            ("jordan", "complex"),
+            ("triangular", "complex"),
+            ("complex_pairs", "real"),
+        ],
+    )
+    def test_residual_bounds_svd_value(self, tmp_path, name, field):
+        rng = np.random.default_rng(31)
+        m = {
+            "n1": rand_matrix(rng, 1),
+            "n2": rand_matrix(rng, 2),
+            "n8": rand_matrix(rng, 8),
+            "jordan": 2.0 * np.eye(6) + np.eye(6, k=1),
+            "triangular": np.triu(rand_matrix(rng, 6)),
+            "complex_pairs": np.array([[0.0, -2.0, 1.0], [2.0, 0.0, 1.0], [0.0, 0.0, 3.0]]),
+        }[name]
+        path = write_matrix(tmp_path / "m.json", m)
+        report = run_to_file(tmp_path, ["spectrum", "--input", path, "--field", field])
+        resid = report["residuals"]["max_eigenvalue_residual"]
+        assert resid["value"] <= 1e-12
+        assert resid["value"] <= resid["tolerance"]
+        old = self._svd_residual(m, report["results"]["points"])
+        assert old <= resid["value"] + 4 * np.finfo(float).eps  # equal up to rounding
+        if name == "complex_pairs":
+            assert report["results"]["points"] == [[3.0, 0.0]]
+
+
+class TestRobustnessExits:
+    def test_exp_overflow_exit_1(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "big.json", [[1e300, 0.0], [1e300, 2e300]])
+        assert cli.run(["exp", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert "Overflow" in err
+        assert "Traceback" not in err
+
+    def test_neumann_near_contraction_exit_1(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "near.json", np.diag([1.0 - 1e-7, 0.5]))
+        t0 = time.perf_counter()
+        assert cli.run(["neumann", "--input", path]) == 1
+        assert time.perf_counter() - t0 < 10.0
+        assert "BudgetExceeded" in capsys.readouterr().err

@@ -1,13 +1,21 @@
 """Spectra, radius limits, exponentials, functional calculus, spectral identities."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conftest import exp_series_oracle, match_multisets, rand_hermitian, rand_matrix
 from cstarkit import algebra, linalg, spectral
-from cstarkit.errors import NotContractive, NotNormal, NotPositive, SingularResolvent
+from cstarkit.errors import (
+    BudgetExceeded,
+    NotContractive,
+    NotNormal,
+    NotPositive,
+    Overflow,
+    SingularResolvent,
+)
 
 
 def amb(m):
@@ -120,6 +128,21 @@ class TestNeumann:
         with pytest.raises(NotContractive):
             spectral.neumann_inverse(amb(np.eye(2)))
 
+    def test_near_contraction_hits_term_cap(self):
+        # ||a|| = 1 - 1e-7 needs about 4e8 terms at tol 1e-12.
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            spectral.neumann_inverse(amb(np.diag([1.0 - 1e-7, 0.5])))
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_bound_below_cap_does_not_raise(self):
+        # ceil(log(cutoff) / log||a||) terms suffice; keep that just below the cap.
+        tol = 1e-12
+        nrm = 0.9966
+        assert math.ceil(math.log(tol * (1.0 - nrm)) / math.log(nrm)) < spectral.NEUMANN_MAX_TERMS
+        out = spectral.neumann_inverse(amb(nrm * np.eye(2)), tol=tol)
+        assert np.allclose(out.matrix, np.eye(2) / (1.0 - nrm), rtol=1e-9)
+
 
 class TestExp:
     def test_triangular_closed_form(self):
@@ -141,6 +164,13 @@ class TestExp:
         assert np.allclose(lhs, [[e, e - 1.0], [0.0, 1.0]], atol=1e-10)
         assert np.allclose(rhs, [[e, e], [0.0, 1.0]], atol=1e-10)
         assert linalg.op_norm(lhs - rhs) > 0.5
+
+    @pytest.mark.parametrize(
+        "m", [[[1e300, 0.0], [1e300, 2e300]], [[1.7e308, 0.0], [1.7e308, 1.7e308]]]
+    )
+    def test_overflow_raises(self, m):
+        with pytest.raises(Overflow):
+            spectral.exp_element(amb(m))
 
     def test_matches_series_oracle(self):
         rng = np.random.default_rng(24)
