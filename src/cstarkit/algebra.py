@@ -10,9 +10,12 @@ or contractions of these two arrays.  The scalar field (real or complex
 coefficients) is a flag.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
-twice per candidate.  Quotients keep a coset basis orthogonal to the
-ideal plus the structure constants of coset multiplication, so quotient
-arithmetic never touches representatives again.
+twice per candidate.  The algebra generated by a set S is the span of
+the words in S, grown by left-multiplying each newly added basis row by
+every generator until no row is added.  Quotients keep a coset basis
+orthogonal to the ideal plus the structure constants of coset
+multiplication, so quotient arithmetic never touches representatives
+again.
 """
 
 from __future__ import annotations
@@ -179,10 +182,13 @@ def algebra_from_generators(
 ) -> Algebra:
     """Smallest subalgebra of M_n containing the generators.
 
-    With include_adjoints the closure is taken under the * operation as
-    well, and with include_identity the ambient identity is adjoined.
-    Closure alternates adjoint and product passes, extending the
-    orthonormal basis by Gram-Schmidt, until the dimension stabilizes.
+    S is the generators, plus their adjoints with include_adjoints, and
+    include_identity adjoins the identity.  Each pass left-multiplies the
+    rows added by the previous pass by every g in S, until a pass adds none.
+    The generated algebra is the span of all words in S.  A word of length
+    k + 1 is g times a word of length k, so a span that contains S and is
+    closed under left multiplication by S contains every word, and a
+    product of two words is a word.
     """
     mats = [linalg.require_square(linalg.as_matrix(g)) for g in gens]
     if not mats:
@@ -193,20 +199,15 @@ def algebra_from_generators(
     if real_field and any(np.max(np.abs(m.imag)) > 0 for m in mats):
         raise NotRealAlgebra("real-field algebra requires real generators")
 
-    n2 = n * n
+    if include_adjoints:
+        mats += [m.conj().T for m in mats]
+    gens = np.stack(mats)
     start = [np.eye(n, dtype=complex)] if include_identity else []
-    rows = _extend_rows(np.zeros((0, n2), dtype=complex), [*start, *mats], tol)
-
-    max_rounds = n * n + 1
-    for _ in range(max_rounds):
-        size = len(rows)
-        if include_adjoints:
-            rows = _extend_rows(rows, rows.reshape(-1, n, n).conj().swapaxes(1, 2), tol)
-        current = rows.reshape(-1, n, n)
-        for b in current:
-            rows = _extend_rows(rows, b @ current, tol)
-        if len(rows) == size:
-            break
+    rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens], tol)
+    done = 0  # rows already multiplied by every g in S
+    while done < len(rows):
+        words = gens[:, None] @ rows[done:].reshape(1, -1, n, n)
+        done, rows = len(rows), _extend_rows(rows, words.reshape(-1, n * n), tol)
     return _build_algebra(rows.reshape(-1, n, n), real_field, tol)
 
 

@@ -37,30 +37,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(doc) -> np.ndarray:
     try:
         rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"matrix document needs rows/cols/data: {exc}") from exc
-    if len(data) != rows * cols:
-        raise MalformedInput(f"data length {len(data)} != rows*cols = {rows * cols}")
-    try:
-        flat = [complex(float(re), float(im)) for re, im in data]
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"entries must be [re, im] pairs: {exc}") from exc
-    m = np.array(flat, dtype=complex).reshape(rows, cols)
+        pairs = np.array(data if len(data) else np.zeros((0, 2)), dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"matrix document needs rows/cols and [re, im] pairs: {exc}") from exc
+    if min(rows, cols) < 0 or pairs.shape != (rows * cols, 2):
+        raise MalformedInput(f"a {rows} x {cols} matrix needs {rows * cols} [re, im] pairs")
+    m = pairs.view(complex).reshape(rows, cols)
     try:
         return linalg.as_matrix(m)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-
-
-def parse_matrix(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON in {path}: {exc}") from exc
-    return matrix_from_json(doc)
 
 
 def _load_json(path: str):
@@ -69,8 +55,12 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, and the integer digit limit
         raise MalformedInput(f"invalid JSON in {path}: {exc}") from exc
+
+
+def parse_matrix(path: str) -> np.ndarray:
+    return matrix_from_json(_load_json(path))
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -449,8 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "qm":
             p.add_argument("--input", required=True, help="path to the JSON input file")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-9 if name != "neumann" else 1e-12)
         p.add_argument("--seed", type=int, default=0)
+        if name in ("sqrt", "neumann"):
+            p.add_argument("--tol", type=float, default=1e-9 if name == "sqrt" else 1e-12)
         if name == "spectrum":
             p.add_argument("--field", choices=["real", "complex"], default="complex")
         if name == "radius":

@@ -1,11 +1,11 @@
 """Characters of abelian algebras, the Gelfand transform, and the GKZ search.
 
 Characters are found from joint eigenvectors of the algebra acting on the
-ambient space: a generic (seeded) combination of a Hermitian spanning set
-is diagonalized and each eigenvector yields a candidate functional
-a -> (v* a v) / (v* v).  Candidates failing multiplicativity are dropped;
-for *-closed algebras a deterministic recursive simultaneous-splitting
-pass guarantees the list is maximal even under eigenvalue collisions.
+ambient space: each eigenvector v yields a candidate functional
+a -> (v* a v) / (v* v), and candidates failing multiplicativity are
+dropped.  On a *-closed algebra, a C*-algebra, the characters are the
+joint eigenspaces, found by deterministic recursive splitting; otherwise
+eigenvectors of seeded generic elements are tried.
 Characters are ``states.Functional`` values.
 """
 
@@ -102,6 +102,9 @@ def characters(alg: Algebra, seed: int = 0, tol: float = 1e-8) -> GelfandSpectru
     real-field algebras (complexify them first).  The list may be empty
     for nilpotent non-unital algebras and shorter than dim(alg) when the
     Gelfand transform has a kernel.
+
+    On *-closed algebras one vector per joint eigenspace gives them all and
+    seed is unused; otherwise seed draws up to ten generic elements.
     """
     if alg.real_field:
         raise ComplexFieldRequired("characters are computed over the complex field")
@@ -119,27 +122,22 @@ def characters(alg: Algebra, seed: int = 0, tol: float = 1e-8) -> GelfandSpectru
         found.append(vals)
         return True
 
-    rng = np.random.default_rng(seed)
-    herm = _hermitian_spanning_set(alg) if alg.star_closed else None
-    for _ in range(10):
-        if herm:
-            g = sum(rng.standard_normal() * h for h in herm)
-            _, vecs = np.linalg.eigh(g)
-        else:
+    if alg.star_closed:
+        for blk in _joint_eigvec_blocks(alg):
+            consider(blk[:, 0])
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
             c = rng.standard_normal(alg.dim)
             g = alg.from_coords(c)
             _, vecs = np.linalg.eig(g)
-        added = False
-        for k in range(vecs.shape[1]):
-            added |= consider(vecs[:, k])
-        if not added and found:
-            break
-        if len(found) == alg.dim:
-            break
-    if alg.star_closed:
-        # deterministic completion pass: one candidate per joint eigenspace
-        for blk in _joint_eigvec_blocks(alg):
-            consider(blk[:, 0])
+            added = False
+            for k in range(vecs.shape[1]):
+                added |= consider(vecs[:, k])
+            if not added and found:
+                break
+            if len(found) == alg.dim:
+                break
     found.sort(key=lambda v: tuple((round(z.real, 6), round(z.imag, 6)) for z in v))
     chars = tuple(Character(alg, tuple(v)) for v in found)
     return GelfandSpectrumData(alg, chars)

@@ -12,6 +12,13 @@ def rand_hermitian(rng, n, scale=1.0):
     return (m + m.conj().T) / 2.0
 
 
+def doubled_normal(rng, n):
+    """A normal n x n matrix with n // 2 + 1 distinct eigenvalues, most of them repeated."""
+    q, _ = np.linalg.qr(rand_matrix(rng, n))
+    eig = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    return (q * np.resize(eig, n)) @ q.conj().T
+
+
 def rand_unit_norm(rng, n):
     m = rand_matrix(rng, n)
     return m / np.linalg.norm(m, 2)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rand_matrix
+from conftest import doubled_normal, rand_matrix
 from cstarkit import algebra, gelfand, linalg, states
 from cstarkit.errors import NotProper, NotRealAlgebra, NotSubspace, NotTwoSided
 
@@ -494,3 +494,75 @@ class TestStructureReference:
                 worst = max(worst, abs(prod - v[i] * v[j]))
         got = states.functional(alg, v).multiplicativity_residual()
         assert abs(got - worst) <= 1e-12
+
+
+def _all_pairs_closure(gens, include_identity=True, include_adjoints=True):
+    """Reference closure: an adjoint pass, then every basis pair's product, per round."""
+    n = gens[0].shape[0]
+    start = [np.eye(n, dtype=complex)] if include_identity else []
+    rows = algebra._extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
+    for _ in range(n * n + 1):
+        size = len(rows)
+        if include_adjoints:
+            rows = algebra._extend_rows(rows, rows.reshape(-1, n, n).conj().swapaxes(1, 2))
+        current = rows.reshape(-1, n, n)
+        for b in current:
+            rows = algebra._extend_rows(rows, b @ current)
+        if len(rows) == size:
+            break
+    return rows.reshape(-1, n, n)
+
+
+def _units(n, pairs):
+    out = []
+    for i, j in pairs:
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = 1.0
+        out.append(e)
+    return out
+
+
+def _m2_plus_m1_gens():
+    gens = _units(3, [(0, 1), (1, 0), (0, 0)])
+    gens.append(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    return gens
+
+
+CLOSURE_FAMILIES = {
+    **{
+        f"random-pair-n{n}": (lambda rng, n=n: [rand_matrix(rng, n), rand_matrix(rng, n)], {})
+        for n in range(2, 6)
+    },
+    **{
+        f"doubled-normal-n{n}": (lambda rng, n=n: [doubled_normal(rng, n)], {})
+        for n in (3, 4, 6)
+    },
+    "real": (lambda rng: [rng.standard_normal((4, 4))], {"real_field": True}),
+    "e12-bare": (
+        lambda rng: [E12],
+        {"include_identity": False, "include_adjoints": False},
+    ),
+    "upper-units": (
+        lambda rng: _units(3, [(0, 1), (1, 2), (0, 0), (2, 2)]),
+        {"include_adjoints": False},
+    ),
+    "m2+m1": (lambda rng: _m2_plus_m1_gens(), {"include_identity": False}),
+    "zero": (lambda rng: [np.zeros((3, 3))], {"include_identity": False}),
+}
+
+
+class TestClosureReference:
+    """The closure by words spans what the all-pairs closure spans."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_FAMILIES))
+    def test_matches_all_pairs_closure(self, name):
+        make, flags = CLOSURE_FAMILIES[name]
+        gens = [np.asarray(g, dtype=complex) for g in make(np.random.default_rng(41))]
+        alg = algebra.algebra_from_generators(gens, **flags)
+        closure_flags = {k: v for k, v in flags.items() if k != "real_field"}
+        ref = algebra._build_algebra(_all_pairs_closure(gens, **closure_flags), False)
+        assert alg.dim == ref.dim
+        for b in ref.basis:
+            assert alg.membership_residual(b) <= 1e-9
+        for b in alg.basis:
+            assert ref.membership_residual(b) <= 1e-9

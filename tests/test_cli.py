@@ -230,6 +230,32 @@ class TestCliContract:
         assert cli.run(["quotient-norm", "--input", str(path)]) == 2
         assert "MalformedInput" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}",
+            '{"rows": 1, "cols": 1, "data": [[1' + "0" * 5000 + ", 0]]}",
+            '{"rows": -1, "cols": -1, "data": [[1, 0]]}',
+            '{"rows": 1, "cols": 1, "data": null}',
+        ],
+        ids=["400-digit-entry", "5000-digit-entry", "negative-shape", "null-data"],
+    )
+    def test_malformed_matrix_document_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert cli.run(["spectrum", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedInput" in err
+        assert "Traceback" not in err
+
+    def test_tol_only_where_read(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
+        assert cli.run(["spectrum", "--input", path, "--tol", "1e-3"]) == 2
+        assert "--tol" in capsys.readouterr().err
+        for command in ("sqrt", "neumann"):
+            report = run_to_file(tmp_path, [command, "--input", path, "--tol", "1e-6"])
+            assert report["command"] == command
+
     def test_stdout_emission(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", np.eye(2))
         rc = cli.run(["spectrum", "--input", path])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import match_multisets
+from conftest import doubled_normal, match_multisets
 from cstarkit import algebra, gelfand, linalg, spectral
 from cstarkit.errors import ComplexFieldRequired, NonAbelian
 
@@ -279,3 +279,55 @@ class TestGelfandInvariants:
             assert np.max(np.abs(hat_ab - hat_a * hat_b)) <= 1e-10 * max(
                 1.0, float(np.max(np.abs(hat_a * hat_b)))
             )
+
+
+def _generic_hermitian(alg, rng):
+    coef = rng.standard_normal((2, alg.dim))
+    herm = (alg.basis + alg.basis.conj().swapaxes(1, 2)) / 2.0
+    skew = (alg.basis - alg.basis.conj().swapaxes(1, 2)) / 2.0j
+    return np.tensordot(coef[0], herm, axes=1) + np.tensordot(coef[1], skew, axes=1)
+
+
+def _distinct(values, radius=1e-6):
+    out = []
+    for x in np.sort(values):
+        if not out or x - out[-1] > radius:
+            out.append(x)
+    return np.array(out)
+
+
+STAR_ABELIAN = {
+    **{
+        f"diagonal-{i}": (lambda rng, e=e: diag_algebra(e))
+        for i, e in enumerate(([1.0, 2.0, 2.0, 3.0, 1.0], [0.0, 0.0, 5.0], [4.0, 4.0, 4.0, 4.0]))
+    },
+    **{
+        f"doubled-normal-n{n}": (
+            lambda rng, n=n: algebra.algebra_from_generators([doubled_normal(rng, n)])
+        )
+        for n in (2, 4, 5, 7)
+    },
+    **{f"cyclic-{n}": (lambda rng, n=n: gelfand.cyclic_group_algebra(n)) for n in range(1, 13)},
+}
+
+
+class TestStarClosedCharacters:
+    """*-closed algebras take only the deterministic joint-eigenspace path."""
+
+    @pytest.mark.parametrize("name", sorted(STAR_ABELIAN))
+    def test_distinct_joint_eigenvalues_without_rng(self, monkeypatch, name):
+        rng = np.random.default_rng(77)
+        alg = STAR_ABELIAN[name](rng)
+        assert alg.star_closed and alg.abelian
+        h = _generic_hermitian(alg, rng)
+        expected = _distinct(np.linalg.eigh(h)[0])
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("characters drew random numbers on a *-closed algebra")
+
+        monkeypatch.setattr(gelfand.np.random, "default_rng", no_rng)
+        spec = gelfand.characters(alg, seed=3)
+        values = np.array([chi(algebra.Element(alg, h)) for chi in spec])
+        assert len(spec) == len(expected)
+        assert np.max(np.abs(values.imag), initial=0.0) <= 1e-9
+        assert np.max(np.abs(np.sort(values.real) - expected)) <= 1e-9
