@@ -1,13 +1,13 @@
 """Finite-dimensional subalgebras of complex matrices.
 
-An Algebra is stored as one stacked orthonormal basis, a (d, n, n) array
-under the trace pairing <x, y> = trace(y* x) (the Frobenius inner
-product), plus its structure constants C[i, j, l] = <b_i b_j, b_l>.
-Coordinates, products, left-regular matrices, Gram matrices of
-functionals and the structure flags (unitality via the identity
-coordinates, commutativity, closure under the adjoint) are all matmuls
-or contractions of these two arrays.  The scalar field (real or complex
-coefficients) is a flag.
+An Algebra is its basis: one stacked orthonormal, multiplication-closed
+(d, n, n) array under the trace pairing <x, y> = trace(y* x) (the
+Frobenius inner product), plus a flag for the scalar field (real or
+complex coefficients).  Everything else is derived from the basis on
+first use and cached: the unit, the commutativity and *-closure flags,
+and the structure constants C[i, j, l] = <b_i b_j, b_l>, which only Gram,
+GNS and multiplicativity computations read.  Coordinates, products and
+left-regular matrices are matmuls or contractions of the basis.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -91,13 +92,9 @@ def _extend_rows(rows: np.ndarray, cands, tol: float = MEMBERSHIP_TOL) -> np.nda
 
 @dataclass(frozen=True)
 class Algebra:
-    """A subalgebra of M_n: a (d, n, n) orthonormal basis and its structure constants."""
+    """A subalgebra of M_n: an orthonormal, multiplication-closed (d, n, n) basis."""
 
     basis: np.ndarray
-    structure: np.ndarray  # [i, j, l] = <b_i b_j, b_l>
-    identity_coords: np.ndarray | None
-    abelian: bool
-    star_closed: bool
     real_field: bool = False
 
     @property
@@ -107,6 +104,56 @@ class Algebra:
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """C[i, j, l] = <b_i b_j, b_l>."""
+        return _product_coords(self.basis, self.basis, self.basis)
+
+    @cached_property
+    def abelian(self) -> bool:
+        """Whether the generic element z = sum_k cos(k) b_k commutes with every b_k.
+
+        z commutes with every b_k exactly when z lies in the centre.  If A is
+        not commutative its centre is a proper subspace, which z, with its
+        distinct nonzero coefficients, lies off.
+        """
+        c = np.cos(np.arange(1, self.dim + 1))
+        z = self.from_coords(c)
+        comm = np.linalg.norm(z @ self.basis - self.basis @ z, axis=(1, 2))
+        return bool(np.all(comm <= MEMBERSHIP_TOL * np.linalg.norm(c)))
+
+    @cached_property
+    def star_closed(self) -> bool:
+        d, n = self.dim, self.ambient_dim
+        adjoints = self.basis.conj().swapaxes(1, 2).reshape(d, n * n)
+        resid = _project_out(self.basis.reshape(d, n * n), adjoints)
+        return not np.any(np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL)
+
+    @cached_property
+    def identity_coords(self) -> np.ndarray | None:
+        """Coordinates of the two-sided unit, or None (also for d = 0).
+
+        With G = sum_k b_k b_k* and H = sum_k b_k* b_k, x in A is the unit
+        exactly when x G = G and H x = H:
+          - x G = G says x is the identity on range(G), the sum of the
+            ranges of the b_k, so x a = a for every a in A;
+          - H x = H says x* is the identity on range(H), the sum of the
+            ranges of the b_k*, so a x = a for every a in A;
+          - the unit satisfies both, and a unit is unique.
+        The coordinates of x solve these 2 n^2 equations by least squares.
+        """
+        d, b = self.dim, self.basis
+        if not d:
+            return None
+        adj = b.conj().swapaxes(1, 2)
+        g, h = np.sum(b @ adj, axis=0), np.sum(adj @ b, axis=0)
+        system = np.concatenate([(b @ g).reshape(d, -1), (h @ b).reshape(d, -1)], axis=1).T
+        rhs = np.concatenate([g.ravel(), h.ravel()])
+        x, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        if np.linalg.norm(system @ x - rhs) > MEMBERSHIP_TOL * np.linalg.norm(rhs):
+            return None
+        return x
 
     @property
     def unital(self) -> bool:
@@ -138,47 +185,11 @@ class Algebra:
         return self.from_coords(self.identity_coords)
 
 
-def _build_algebra(candidates, real_field: bool, tol: float = MEMBERSHIP_TOL) -> Algebra:
-    """Orthonormalize an already multiplication-closed (m, n, n) spanning stack.
-
-    The structure constants give the flags: abelian when C[i, j] = C[j, i],
-    and the identity coordinates x solve sum_k x_k C[k, j, :] = e_j =
-    sum_k x_k C[j, k, :] for every j in the least-squares sense.
-    """
-    cands = np.asarray(candidates, dtype=complex)
-    n = cands.shape[-1]
-    flat = _extend_rows(np.zeros((0, n * n), dtype=complex), cands, tol)
-    d = len(flat)
-    basis = flat.reshape(d, n, n)
-    c = _product_coords(basis, basis, basis)
-    abelian = not np.any(np.linalg.norm(c - c.swapaxes(0, 1), axis=2) > tol)
-    adjoints = basis.conj().swapaxes(1, 2).reshape(d, n * n)
-    star_closed = not np.any(np.linalg.norm(_project_out(flat, adjoints), axis=1) > tol)
-    ident = None
-    if d:
-        system = np.concatenate(
-            [c.transpose(1, 2, 0).reshape(d * d, d), c.transpose(0, 2, 1).reshape(d * d, d)]
-        )
-        units = np.tile(np.eye(d).ravel(), 2)
-        x, *_ = np.linalg.lstsq(system, units, rcond=None)
-        if float(np.linalg.norm(system @ x - units)) <= tol * np.sqrt(2 * d):
-            ident = x
-    return Algebra(
-        basis=basis,
-        structure=c,
-        identity_coords=ident,
-        abelian=abelian,
-        star_closed=star_closed,
-        real_field=real_field,
-    )
-
-
 def algebra_from_generators(
     gens,
     include_identity: bool = True,
     include_adjoints: bool = True,
     real_field: bool = False,
-    tol: float = MEMBERSHIP_TOL,
 ) -> Algebra:
     """Smallest subalgebra of M_n containing the generators.
 
@@ -203,17 +214,17 @@ def algebra_from_generators(
         mats += [m.conj().T for m in mats]
     gens = np.stack(mats)
     start = [np.eye(n, dtype=complex)] if include_identity else []
-    rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens], tol)
+    rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
     done = 0  # rows already multiplied by every g in S
     while done < len(rows):
         words = gens[:, None] @ rows[done:].reshape(1, -1, n, n)
-        done, rows = len(rows), _extend_rows(rows, words.reshape(-1, n * n), tol)
-    return _build_algebra(rows.reshape(-1, n, n), real_field, tol)
+        done, rows = len(rows), _extend_rows(rows, words.reshape(-1, n * n))
+    return Algebra(rows.reshape(-1, n, n), real_field)
 
 
 def full_matrix_algebra(n: int) -> Algebra:
     """All of M_n, with the matrix units as orthonormal basis."""
-    return _build_algebra(np.eye(n * n).reshape(n * n, n, n), real_field=False)
+    return Algebra(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
 @dataclass(frozen=True)
@@ -462,9 +473,10 @@ def unitize(alg: Algebra) -> Algebra:
         warnings.warn("algebra is already unital; returning it unchanged", stacklevel=2)
         return alg
     n = alg.ambient_dim
-    cands = [unitize_embed(b, 0.0, n) for b in alg.basis]
-    cands.append(np.eye(n + 1, dtype=complex))
-    return _build_algebra(cands, alg.real_field)
+    rows = np.zeros((alg.dim, n + 1, n + 1), dtype=complex)
+    rows[:, :n, :n] = alg.basis  # unitize_embed(b, 0), still orthonormal
+    rows = _extend_rows(rows.reshape(alg.dim, -1), np.eye(n + 1, dtype=complex)[None])
+    return Algebra(rows.reshape(-1, n + 1, n + 1), alg.real_field)
 
 
 def unitize_embed(a, x, n: int | None = None) -> np.ndarray:
@@ -490,7 +502,7 @@ def complexify(alg: Algebra) -> Algebra:
     """Extend a real algebra to complex scalars; pairs (a, b) become a + i b."""
     if not alg.real_field:
         raise NotRealAlgebra("complexify expects an algebra flagged real")
-    return _build_algebra(alg.basis, real_field=False)
+    return Algebra(alg.basis)
 
 
 def pair_element(calg: Algebra, a, b) -> Element:
@@ -519,4 +531,4 @@ def direct_sum_algebras(a: Algebra, b: Algebra) -> Algebra:
     cands = np.zeros((a.dim + b.dim, na + nb, na + nb), dtype=complex)
     cands[: a.dim, :na, :na] = a.basis
     cands[a.dim :, na:, na:] = b.basis
-    return _build_algebra(cands, a.real_field and b.real_field)
+    return Algebra(cands, a.real_field and b.real_field)

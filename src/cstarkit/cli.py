@@ -16,6 +16,7 @@ whenever ``indent`` is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -428,6 +429,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstarkit",

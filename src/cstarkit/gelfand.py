@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import linalg
-from .algebra import Algebra, Element, SubspaceBasis, _build_algebra, subspace
+from .algebra import Algebra, Element, SubspaceBasis, subspace
 from .errors import (
     AlgebraMismatch,
     ComplexFieldRequired,
@@ -303,7 +303,7 @@ def cyclic_group_algebra(n: int) -> Algebra:
         raise ValueError("the cyclic order must be at least 1")
     # the k-th power of the shift is the circulant of the k-th unit vector
     powers = np.stack([circulant(e) for e in np.eye(n)])
-    return _build_algebra(powers / np.sqrt(n), real_field=False)
+    return Algebra(powers / np.sqrt(n))
 
 
 def circulant_element(alg: Algebra, c) -> Element:

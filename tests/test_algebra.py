@@ -21,6 +21,19 @@ def diag_algebra(entries):
     )
 
 
+def _corner():
+    """Generated by diag(1, 2, 0) without the identity: *-closed, unit diag(1, 1, 0)."""
+    return algebra.algebra_from_generators([np.diag([1.0, 2.0, 0.0])], include_identity=False)
+
+
+def _upper_corner():
+    """span{E11, E12, E22} in M_3: not *-closed, unit E11 + E22."""
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    return algebra.algebra_from_generators(
+        [units[0], units[1], units[4]], include_identity=False, include_adjoints=False
+    )
+
+
 class TestFromGenerators:
     def test_identity_alone_is_scalars(self):
         alg = algebra.algebra_from_generators([np.eye(2)], include_identity=True)
@@ -85,6 +98,19 @@ class TestFindIdentity:
         )
         e = algebra.find_identity(alg)
         assert np.allclose(e.matrix, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "make, star, unit",
+        [
+            (_corner, True, np.diag([1.0, 1.0, 0.0])),
+            (_upper_corner, False, np.diag([1.0, 1.0, 0.0])),
+        ],
+        ids=["corner", "upper-corner"],
+    )
+    def test_unit_below_the_identity(self, make, star, unit):
+        alg = make()
+        assert alg.star_closed == star
+        assert np.max(np.abs(alg.identity_matrix - unit)) <= 1e-12
 
     def test_identity_is_selfadjoint_when_star_closed(self):
         for alg in (algebra.full_matrix_algebra(2), diag_algebra([1.0, 5.0, 2.0])):
@@ -424,10 +450,30 @@ REFERENCE_ALGEBRAS = {
     "left-unit-only": lambda rng: algebra.algebra_from_generators(
         [E11, E12], include_identity=False, include_adjoints=False
     ),
+    "right-unit-only": lambda rng: algebra.algebra_from_generators(
+        [E11, E21], include_identity=False, include_adjoints=False
+    ),
     "zero": lambda rng: algebra.algebra_from_generators(
         [np.zeros((2, 2))], include_identity=False
     ),
+    "corner": lambda rng: _corner(),
+    "upper-corner": lambda rng: _upper_corner(),
+    "m2+diag5": lambda rng: algebra.direct_sum_algebras(
+        algebra.full_matrix_algebra(2), diag_algebra([1.0, 2.0, 3.0, 4.0, 5.0])
+    ),
 }
+
+
+class TestDerivedOnFirstUse:
+    def test_flags_without_structure_constants(self):
+        rng = np.random.default_rng(61)
+        alg = algebra.algebra_from_generators([rand_matrix(rng, 12)])
+        assert alg.dim == 144
+        assert np.max(np.abs(alg.identity_matrix - np.eye(12))) <= 1e-12
+        assert not alg.abelian
+        assert alg.star_closed
+        assert alg.contains(rand_matrix(rng, 12))
+        assert "structure" not in alg.__dict__
 
 
 def _pair_coords(alg, m):
@@ -560,7 +606,7 @@ class TestClosureReference:
         gens = [np.asarray(g, dtype=complex) for g in make(np.random.default_rng(41))]
         alg = algebra.algebra_from_generators(gens, **flags)
         closure_flags = {k: v for k, v in flags.items() if k != "real_field"}
-        ref = algebra._build_algebra(_all_pairs_closure(gens, **closure_flags), False)
+        ref = algebra.Algebra(_all_pairs_closure(gens, **closure_flags))
         assert alg.dim == ref.dim
         for b in ref.basis:
             assert alg.membership_residual(b) <= 1e-9

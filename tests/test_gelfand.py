@@ -331,3 +331,22 @@ class TestStarClosedCharacters:
         assert len(spec) == len(expected)
         assert np.max(np.abs(values.imag), initial=0.0) <= 1e-9
         assert np.max(np.abs(np.sort(values.real) - expected)) <= 1e-9
+
+
+class TestFlagsDrawNoRandomNumbers:
+    """The flags characters() reads first are derived without np.random."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: diag_algebra([1.0, 2.0, 2.0, 3.0]), lambda: gelfand.cyclic_group_algebra(6)],
+        ids=["diagonal", "cyclic-6"],
+    )
+    def test_characters_on_fresh_algebra(self, monkeypatch, make):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a flag or characters() drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        alg = make()
+        spec = gelfand.characters(alg)
+        assert len(spec) == alg.dim
+        assert alg.star_closed and alg.abelian
