@@ -307,6 +307,49 @@ def random_element(alg: Algebra, rng: np.random.Generator, scale: float = 1.0) -
     return Element(alg, alg.from_coords(scale * c))
 
 
+# Stacked forms of per-sample calls, equal to them bit for bit.  A stack is
+# processed as one product per matrix (vector-matrix or vector-vector), as the
+# single calls are; one matrix-matrix product over the stack rounds differently.
+
+
+def _random_matrices(alg: Algebra, rng: np.random.Generator, k: int) -> np.ndarray:
+    """The (k, n, n) matrices of k successive random_element(alg, rng) calls.
+
+    One draw of (k, 2, d) normals consumes the stream as k elements do:
+    the real parts, then the imaginary parts, of each element in turn.
+    """
+    if alg.real_field:
+        c = rng.standard_normal((k, alg.dim)).astype(complex)
+    else:
+        re_im = rng.standard_normal((k, 2, alg.dim))
+        c = re_im[:, 0] + 1j * re_im[:, 1]
+    return _combine_each(c, alg.basis)
+
+
+def _combine_each(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """tensordot(c_i, mats, axes=1) for each row c_i of a (k, d) array."""
+    d, p, q = mats.shape
+    return (c[:, None, :] @ mats.reshape(d, p * q)).reshape(len(c), p, q)
+
+
+def _pairing_each(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_pairing(m_i, rows) for each matrix m_i of a (k, n, n) stack."""
+    k, n2 = len(m), m.shape[-1] ** 2
+    return (m.reshape(k, 1, n2).conj() @ rows.reshape(len(rows), n2).T).conj()[:, 0]
+
+
+def _op_norm_each(mats: np.ndarray) -> np.ndarray:
+    """linalg.op_norm of each matrix of a (k, p, p) stack."""
+    if not mats.size:
+        return np.zeros(len(mats))
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def _dot_each(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.dot(x_i, y_i) over the broadcast leading axes of two vector stacks."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A linearly independent subset of an algebra, kept with an orthonormal copy."""

@@ -17,7 +17,16 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import linalg
-from .algebra import Algebra, Element, SubspaceBasis, subspace
+from .algebra import (
+    Algebra,
+    Element,
+    SubspaceBasis,
+    _dot_each,
+    _op_norm_each,
+    _pairing_each,
+    _random_matrices,
+    subspace,
+)
 from .errors import (
     AlgebraMismatch,
     ComplexFieldRequired,
@@ -172,18 +181,22 @@ def gelfand_isometry_report(
     sup|a-hat| - ||a|| vanishes exactly when the algebra is a *-closed
     C*-subalgebra.  A nonzero transform kernel (the radical) is flagged.
     """
-    from .algebra import random_element
-    from .spectral import spectrum
+    from .spectral import _spectrum_report
 
     spec = characters(alg, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    sups, radii, norms = [], [], []
-    for _ in range(samples):
-        a = random_element(alg, rng)
-        hat = gelfand_transform(a, spec)
-        sups.append(float(np.max(np.abs(hat))) if len(hat) else 0.0)
-        radii.append(spectrum(a).radius)
-        norms.append(a.norm())
+    mats = _random_matrices(alg, rng, samples)
+    values = np.array([chi.values for chi in spec.characters]).reshape(len(spec), alg.dim)
+    hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
+    sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
+    # spectrum()'s eigenvalues: the diagonal of a triangular sample, else eigvals
+    tri = linalg.is_triangular(mats)
+    eigs = np.empty(mats.shape[:2], dtype=complex)
+    eigs[tri] = np.diagonal(mats[tri], axis1=1, axis2=2)
+    if not tri.all():
+        eigs[~tri] = np.linalg.eigvals(mats[~tri])
+    radii = [_spectrum_report(e, "complex").radius for e in eigs]
+    norms = _op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:
         kernel_detected = alg.dim > 0

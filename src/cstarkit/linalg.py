@@ -92,6 +92,14 @@ def invert(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+def is_triangular(a: np.ndarray):
+    """Whether a square matrix, or each matrix of a (k, n, n) stack, is triangular."""
+    n = a.shape[-1]
+    lower = a[(..., *np.tril_indices(n, k=-1))]
+    upper = a[(..., *np.triu_indices(n, k=1))]
+    return ~lower.any(axis=-1) | ~upper.any(axis=-1)
+
+
 def eig_general(m) -> np.ndarray:
     """All eigenvalues with multiplicity, as a complex array.
 
@@ -99,11 +107,7 @@ def eig_general(m) -> np.ndarray:
     if the underlying QR iteration gives up.
     """
     a = require_square(as_matrix(m))
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    lower = a[np.tril_indices(a.shape[0], k=-1)]
-    upper = a[np.triu_indices(a.shape[0], k=1)]
-    if not np.any(lower) or not np.any(upper):
+    if is_triangular(a):
         return np.diag(a).astype(complex)
     try:
         return np.linalg.eigvals(a)

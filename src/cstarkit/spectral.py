@@ -111,7 +111,11 @@ def spectrum(a, field_mode: str = "complex") -> SpectrumReport:
     """
     if field_mode not in ("real", "complex"):
         raise ValueError(f"field_mode must be 'real' or 'complex', got {field_mode!r}")
-    eigs = linalg.eig_general(_matrix_of(a))
+    return _spectrum_report(linalg.eig_general(_matrix_of(a)), field_mode)
+
+
+def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport:
+    """The spectrum() report of a matrix whose eigenvalues with multiplicity are eigs."""
     points, radius = _dedupe(eigs)
     if field_mode == "real":
         points = [complex(z.real, 0.0) for z in points if abs(z.imag) <= radius]
@@ -197,8 +201,10 @@ def neumann_inverse(a: Element, tol: float = 1e-12) -> Element:
     term = e.copy()
     total = e.copy()
     cutoff = tol * (1.0 - nrm)
+    # ||t|| >= ||t||_F / sqrt(n) decides most stopping tests without an SVD.
+    frob_cutoff = cutoff * math.sqrt(m.shape[0]) * (1.0 + 1e-12)
     k = 0
-    while linalg.op_norm(term) > cutoff:
+    while np.linalg.norm(term) > frob_cutoff or linalg.op_norm(term) > cutoff:
         if k == NEUMANN_MAX_TERMS:
             raise BudgetExceeded(
                 f"Neumann series needs more than {NEUMANN_MAX_TERMS} terms at norm {nrm!r}"

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element
+from .algebra import (
+    Algebra,
+    Element,
+    _combine_each,
+    _op_norm_each,
+    _pairing_each,
+    _random_matrices,
+)
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -26,6 +33,9 @@ from .errors import (
 )
 
 GRAM_NULL_TOL = 1e-10
+# Complex entries in one stack of sampled representation matrices (2 MiB):
+# universal_rep takes its samples in chunks of this many entries.
+_SAMPLE_STACK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,10 @@ def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
 
 def is_positive_functional(alg: Algebra, f: Functional, tol: float = 1e-9) -> PositivityReport:
     """Positivity (f(a*a) >= 0 on the span) via the Gram matrix's eigenvalues."""
-    g = gram_matrix(alg, f)
+    return _gram_positivity(gram_matrix(alg, f), tol)
+
+
+def _gram_positivity(g: np.ndarray, tol: float) -> PositivityReport:
     scale = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
     defect = float(np.linalg.norm(g - g.conj().T)) / scale
     w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
@@ -161,6 +174,11 @@ class Representation:
         m = a.matrix if isinstance(a, Element) else linalg.as_matrix(a)
         return np.tensordot(self.algebra.coords(m), self.rep_matrices, axes=1)
 
+    def _apply_each(self, mats: np.ndarray) -> np.ndarray:
+        """apply(m_i) for each matrix m_i of a (k, n, n) stack, bit for bit."""
+        coords = _pairing_each(mats, self.algebra.basis)
+        return _combine_each(coords, np.asarray(self.rep_matrices))
+
 
 @dataclass(frozen=True)
 class GnsRepresentation(Representation):
@@ -179,10 +197,10 @@ def gns(alg: Algebra, state: Functional, tol: float = 1e-9) -> GnsRepresentation
     descends to the representing matrices.
     """
     f = state
-    report = is_positive_functional(alg, f, tol)
+    g = gram_matrix(alg, f)
+    report = _gram_positivity(g, tol)
     if not report.positive:
         raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
-    g = gram_matrix(alg, f)
     g = (g + g.conj().T) / 2.0
     w, v = np.linalg.eigh(g)
     wmax = float(w[-1]) if w.size else 0.0
@@ -247,10 +265,10 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     The family is the normalized trace, the supplied extra states, and a
     norming state of (b b*)^2 for each basis element b; it is large enough
     to make the sum isometric at finite dimension.  The report carries the
-    max over sampled elements of | ||pi(a)|| - ||a|| |.
+    max over sampled elements of | ||pi(a)|| - ||a|| |, the samples drawn as
+    successive random_element calls and taken in stacks whose size does not
+    grow with the Hilbert dimension.
     """
-    from .algebra import random_element
-
     family: list[Functional] = []
     if alg.unital:
         family.append(trace_state(alg))
@@ -261,8 +279,10 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     reps = [gns(alg, f) for f in family]
     total = direct_sum_reps(reps)
     rng = np.random.default_rng(seed)
+    chunk = max(1, _SAMPLE_STACK_ENTRIES // max(1, total.hilbert_dim) ** 2)
     worst = 0.0
-    for _ in range(samples):
-        a = random_element(alg, rng)
-        worst = max(worst, abs(linalg.op_norm(total.apply(a)) - a.norm()))
+    for start in range(0, samples, chunk):
+        mats = _random_matrices(alg, rng, min(chunk, samples - start))
+        gaps = np.abs(_op_norm_each(total._apply_each(mats)) - _op_norm_each(mats))
+        worst = max(worst, *gaps.tolist())
     return UniversalReport(total, worst, len(family))

@@ -612,3 +612,40 @@ class TestClosureReference:
             assert alg.membership_residual(b) <= 1e-9
         for b in alg.basis:
             assert ref.membership_residual(b) <= 1e-9
+
+
+class TestStackedSampleEquivalence:
+    """The stacked sample kernels equal the per-sample calls bit for bit."""
+
+    @pytest.mark.parametrize("real_field", [False, True])
+    def test_batched_draw_equals_successive_random_elements(self, real_field):
+        g = np.random.default_rng(21).standard_normal((3, 3))
+        alg = algebra.algebra_from_generators([g], real_field=real_field)
+        rng = np.random.default_rng(4)
+        single = [algebra.random_element(alg, rng).matrix for _ in range(25)]
+        rng_stacked = np.random.default_rng(4)
+        stacked = np.concatenate([algebra._random_matrices(alg, rng_stacked, k) for k in (10, 15)])
+        assert all(np.array_equal(s, m) for s, m in zip(single, stacked))
+        assert rng.standard_normal() == rng_stacked.standard_normal()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_kernels_equal_single_calls(self, n):
+        alg = algebra.full_matrix_algebra(n)
+        rng = np.random.default_rng(n)
+        mats = algebra._random_matrices(alg, rng, 12)
+        coords = algebra._pairing_each(mats, alg.basis)
+        v = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        dots = algebra._dot_each(v, coords)
+        norms = algebra._op_norm_each(mats)
+        for m, c, dot, nrm in zip(mats, coords, dots, norms):
+            assert np.array_equal(alg.coords(m), c)
+            assert complex(np.dot(v, alg.coords(m))) == dot
+            assert linalg.op_norm(m) == nrm
+
+    def test_empty_stacks(self):
+        alg = algebra.full_matrix_algebra(2)
+        mats = algebra._random_matrices(alg, np.random.default_rng(0), 0)
+        assert mats.shape == (0, 2, 2)
+        assert algebra._pairing_each(mats, alg.basis).shape == (0, 4)
+        assert algebra._op_norm_each(mats).shape == (0,)
+        assert np.array_equal(algebra._op_norm_each(np.zeros((3, 0, 0))), np.zeros(3))

@@ -1,5 +1,6 @@
 """CLI: JSON round-trips, subcommand reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import time
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_matrix
-from cstarkit import cli, linalg
+from cstarkit import algebra, cli, linalg, spectral, states
+from cstarkit.errors import MalformedInput
 
 
 def write_matrix(path, m):
@@ -447,3 +449,145 @@ class TestRobustnessExits:
         assert cli.run(["neumann", "--input", path]) == 1
         assert time.perf_counter() - t0 < 10.0
         assert "BudgetExceeded" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------
+# Reference implementations: the subcommands as they were before their
+# sampled checks were stacked and spectrum took one decomposition.  They are
+# kept verbatim, apart from the function names, so the new code is held to
+# their exact bytes.
+
+
+def _reference_gns_residuals(alg, state, rep, seed):
+    rng = np.random.default_rng(seed)
+    hom_resid = 0.0
+    contraction = 0.0
+    for _ in range(20):
+        a = algebra.random_element(alg, rng)
+        b = algebra.random_element(alg, rng)
+        pa, pb = rep.apply(a), rep.apply(b)
+        hom_resid = max(hom_resid, linalg.op_norm(rep.apply(a @ b) - pa @ pb))
+        hom_resid = max(hom_resid, linalg.op_norm(rep.apply(a.adjoint()) - pa.conj().T))
+        contraction = max(contraction, linalg.op_norm(pa) - a.norm())
+    state_resid = 0.0
+    if rep.cyclic_vector is not None:
+        for _ in range(20):
+            a = algebra.random_element(alg, rng)
+            lhs = complex(np.vdot(rep.cyclic_vector, rep.apply(a) @ rep.cyclic_vector))
+            state_resid = max(state_resid, abs(lhs - state(a)))
+    return hom_resid, contraction, state_resid
+
+
+def _reference_cmd_gns(args) -> dict:
+    rho = cli._square_input(cli.parse_matrix(args.input))
+    n = rho.shape[0]
+    if linalg.hermitian_residual(rho) > 1e-8 or abs(complex(np.trace(rho)) - 1.0) > 1e-8:
+        raise MalformedInput("gns expects a density matrix (Hermitian, trace 1)")
+    alg = algebra.full_matrix_algebra(n)
+    values = [complex(np.trace(rho @ b)) for b in alg.basis]
+    state = states.make_state(alg, values)
+    rep = states.gns(alg, state)
+    hom_resid, contraction, state_resid = _reference_gns_residuals(alg, state, rep, args.seed)
+    return {
+        "inputs": {"input": cli.matrix_to_json(rho)},
+        "results": {"hilbert_dim": rep.hilbert_dim, "algebra_dim": alg.dim},
+        "residuals": {
+            "star_homomorphism": cli._residual(hom_resid, 1e-9),
+            "contraction_excess": cli._residual(max(0.0, contraction), 1e-9),
+            "state_reproduction": cli._residual(state_resid, 1e-9),
+        },
+    }
+
+
+def _reference_cmd_spectrum(args) -> dict:
+    m = cli._square_input(cli.parse_matrix(args.input))
+    rep = spectral.spectrum(algebra.ambient_element(m), field_mode=args.field)
+    radius = spectral.clustering_radius(np.array(rep.points if rep.points else [0.0]))
+    scale = max(1.0, linalg.op_norm(m))
+    w, v = np.linalg.eig(m)
+    mv = m @ v
+    v_norms = np.linalg.norm(v, axis=0)
+    eig_resid = 0.0
+    for z in rep.points:
+        dist = np.abs(w - z)
+        near = dist <= max(radius, float(dist.min()))
+        r = np.linalg.norm(mv[:, near] - z * v[:, near], axis=0) / v_norms[near]
+        eig_resid = max(eig_resid, float(r.max()) / scale)
+    return {
+        "inputs": {"input": cli.matrix_to_json(m), "field": args.field},
+        "results": {
+            "points": [cli._cplx(z) for z in rep.points],
+            "radius": rep.radius,
+        },
+        "residuals": {"max_eigenvalue_residual": cli._residual(eig_resid, radius)},
+    }
+
+
+def _assert_bytes_match_reference(tmp_path, argv, reference):
+    """cli.run(argv) writes exactly the report that reference(args) builds."""
+    out = tmp_path / "new.json"
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    args = cli.build_parser().parse_args(argv)
+    report = {"command": args.command, "seed": args.seed, **reference(args)}
+    assert out.read_text() == _json_layout(report)
+
+
+def _density(rng, n, rank):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+class TestStackedGnsEquivalence:
+    """gns samples its checks in stacks and still writes the per-sample loop's bytes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("rank", ["full", 2])
+    def test_report_bytes(self, tmp_path, n, rank):
+        rng = np.random.default_rng([n, 0 if rank == "full" else rank])
+        rho = _density(rng, n, n if rank == "full" else min(rank, n))
+        path = write_matrix(tmp_path / "rho.json", rho)
+        for seed in (0, 981):
+            argv = ["gns", "--input", path, "--seed", str(seed)]
+            _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_gns)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_residuals_without_cyclic_vector(self, n):
+        rng = np.random.default_rng(n)
+        alg = algebra.full_matrix_algebra(n)
+        rho = _density(rng, n, min(2, n))
+        state = states.make_state(alg, [complex(np.trace(rho @ b)) for b in alg.basis])
+        rep = states.gns(alg, state)
+        for r in (rep, dataclasses.replace(rep, cyclic_vector=None)):
+            for seed in (1, 44):
+                got = cli._gns_sample_residuals(r, seed)
+                hom, contraction, state_resid = _reference_gns_residuals(alg, state, r, seed)
+                assert got == (hom, max(0.0, contraction), state_resid)
+        assert cli._gns_sample_residuals(dataclasses.replace(rep, cyclic_vector=None), 1)[2] == 0.0
+
+
+class TestOneDecompositionSpectrumEquivalence:
+    """spectrum takes points and eigenvectors from one eig, with the old bytes."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(77)
+        upper = np.triu(rand_matrix(rng, 6))
+        yield "gaussian1", rand_matrix(rng, 1)
+        yield "gaussian5", rand_matrix(rng, 5)
+        yield "gaussian32", rand_matrix(rng, 32)
+        yield "gaussian64", rand_matrix(rng, 64)
+        yield "hermitian", (lambda g: g + g.conj().T)(rand_matrix(rng, 8))
+        yield "upper", upper
+        yield "lower", upper.conj().T
+        yield "diagonal_repeated", np.diag([1.0, 2.0, 1.0, 2.0 + 1e-9, -3.0])
+        yield "jordan", np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+        yield "rotation", np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_report_bytes(self, tmp_path, field):
+        for name, m in self._inputs():
+            path = write_matrix(tmp_path / f"{name}.json", m)
+            argv = ["spectrum", "--input", path, "--field", field]
+            _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_spectrum)

@@ -350,3 +350,87 @@ class TestFlagsDrawNoRandomNumbers:
         spec = gelfand.characters(alg)
         assert len(spec) == alg.dim
         assert alg.star_closed and alg.abelian
+
+
+def _reference_isometry_report(alg, samples=100, seed=0):
+    """gelfand_isometry_report with its per-sample loop, verbatim from before
+    the samples were stacked (module names added)."""
+    from cstarkit.algebra import Element, random_element
+    from cstarkit.spectral import spectrum
+
+    spec = gelfand.characters(alg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    sups, radii, norms = [], [], []
+    for _ in range(samples):
+        a = random_element(alg, rng)
+        hat = gelfand.gelfand_transform(a, spec)
+        sups.append(float(np.max(np.abs(hat))) if len(hat) else 0.0)
+        radii.append(spectrum(a).radius)
+        norms.append(a.norm())
+    kernel_example = None
+    if len(spec) == 0:
+        kernel_detected = alg.dim > 0
+        if kernel_detected:
+            kernel_example = Element(alg, alg.basis[0])
+    else:
+        tmat = np.array([chi.values for chi in spec.characters])
+        _, svals, vh = np.linalg.svd(tmat)
+        rank = int(np.sum(svals > gelfand.DEDUPE_RADIUS * max(1.0, svals[0])))
+        kernel_detected = rank < alg.dim
+        if kernel_detected:
+            kernel_example = Element(alg, alg.from_coords(vh[-1].conj()))
+    return gelfand.IsometryReport(
+        tuple(sups),
+        tuple(radii),
+        tuple(norms),
+        max((s - r) for s, r in zip(sups, radii)) if sups else 0.0,
+        max((s - n) for s, n in zip(sups, norms)) if sups else 0.0,
+        kernel_detected,
+        kernel_example,
+    )
+
+
+def _similar_upper_triangular(n, seed):
+    """An algebra that is not *-closed and whose samples are not triangular."""
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((n, n)) + n * np.eye(n)
+    t = np.triu(rng.standard_normal((n, n)))
+    return algebra.algebra_from_generators([s @ t @ np.linalg.inv(s)], include_adjoints=False)
+
+
+class TestStackedIsometryEquivalence:
+    """gelfand_isometry_report samples in stacks and reports the loop's exact values."""
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            diag_algebra([1.0, 2.0, 3.0]),
+            algebra.algebra_from_generators([np.eye(1)]),
+            algebra.algebra_from_generators([E12], include_adjoints=False),
+            algebra.algebra_from_generators([doubled_normal(np.random.default_rng(8), 8)]),
+            algebra.algebra_from_generators([doubled_normal(np.random.default_rng(9), 7)]),
+            gelfand.cyclic_group_algebra(8),
+            _similar_upper_triangular(4, 10),
+        ],
+        ids=["diagonal", "scalars", "nilpotent", "doubled8", "doubled7", "cyclic8", "similar"],
+    )
+    def test_report_values(self, alg):
+        for samples, seed in ((20, 0), (20, 451), (3, 7), (1, 2), (0, 1)):
+            got = gelfand.gelfand_isometry_report(alg, samples=samples, seed=seed)
+            want = _reference_isometry_report(alg, samples=samples, seed=seed)
+            assert got.sup_transform == want.sup_transform
+            assert got.spectral_radius == want.spectral_radius
+            assert got.op_norm == want.op_norm
+            assert got.max_hat_minus_radius == want.max_hat_minus_radius
+            assert got.max_hat_minus_norm == want.max_hat_minus_norm
+            assert got.kernel_detected == want.kernel_detected
+            if want.kernel_example is None:
+                assert got.kernel_example is None
+            else:
+                assert np.array_equal(got.kernel_example.matrix, want.kernel_example.matrix)
+
+    def test_diagonal_samples_take_the_triangular_path(self):
+        alg = diag_algebra([1.0, 2.0, 3.0])
+        mats = algebra._combine_each(np.ones((2, alg.dim), dtype=complex), alg.basis)
+        assert linalg.is_triangular(mats).all()
+        assert not linalg.is_triangular(_similar_upper_triangular(4, 10).basis).all()

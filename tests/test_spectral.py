@@ -392,3 +392,93 @@ class TestSpectralInvariants:
                 assert decays
             if trace.eigen_radius > 1.05:
                 assert not decays
+
+
+# The spectrum and Neumann computations as they were before spectrum's tail
+# became a shared helper and the Neumann stopping test read the Frobenius
+# norm first; verbatim apart from the names.
+
+
+def _reference_eig_general(m) -> np.ndarray:
+    a = linalg.require_square(linalg.as_matrix(m))
+    if a.shape[0] == 0:
+        return np.zeros(0, dtype=complex)
+    lower = a[np.tril_indices(a.shape[0], k=-1)]
+    upper = a[np.triu_indices(a.shape[0], k=1)]
+    if not np.any(lower) or not np.any(upper):
+        return np.diag(a).astype(complex)
+    return np.linalg.eigvals(a)
+
+
+def _reference_spectrum(a, field_mode: str = "complex") -> spectral.SpectrumReport:
+    eigs = _reference_eig_general(spectral._matrix_of(a))
+    points, radius = spectral._dedupe(eigs)
+    if field_mode == "real":
+        points = [complex(z.real, 0.0) for z in points if abs(z.imag) <= radius]
+    rad = max((abs(z) for z in points), default=0.0)
+    return spectral.SpectrumReport(tuple(points), rad, field_mode)
+
+
+def _reference_neumann_terms(a, tol=1e-12) -> tuple[np.ndarray, int]:
+    """neumann_inverse's loop (without the term cap), returning the sum and its term count."""
+    m = a.matrix
+    nrm = linalg.op_norm(m)
+    e = spectral._identity_of(a)
+    term = e.copy()
+    total = e.copy()
+    cutoff = tol * (1.0 - nrm)
+    k = 0
+    while linalg.op_norm(term) > cutoff:
+        term = term @ m
+        total += term
+        k += 1
+    return total, k
+
+
+class TestSpectrumNeumannEquivalence:
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(55)
+        upper = np.triu(rand_matrix(rng, 5))
+        yield np.zeros((0, 0))
+        yield np.array([[2.0 - 1j]])
+        yield upper
+        yield upper.T
+        yield np.diag([1.0, 1.0 + 1e-9, -2.0, 3j])
+        yield np.array([[0.0, -1.0], [1.0, 0.0]])
+        for n in (2, 7, 32):
+            yield rand_matrix(rng, n)
+        yield rand_hermitian(rng, 9)
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_spectrum_matches_reference(self, field):
+        for m in self._matrices():
+            assert np.array_equal(linalg.eig_general(m), _reference_eig_general(m))
+            assert spectral.spectrum(amb(m), field) == _reference_spectrum(amb(m), field)
+
+    def test_eig_eigenvalues_equal_eigvals(self):
+        rng = np.random.default_rng(56)
+        for n in (3, 16, 48):
+            m = rand_matrix(rng, n)
+            assert np.array_equal(np.linalg.eig(m)[0], np.linalg.eigvals(m))
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    def test_neumann_sum_and_term_count(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        for norm, tol in ((0.5, 1e-12), (0.9, 1e-12), (0.3, 1e-6), (0.99, 1e-9)):
+            m = rand_matrix(rng, n)
+            a = amb(norm * m / linalg.op_norm(m))
+            want, terms = _reference_neumann_terms(a, tol)
+            assert np.array_equal(spectral.neumann_inverse(a, tol).matrix, want)
+            monkeypatch.setattr(spectral, "NEUMANN_MAX_TERMS", terms)
+            spectral.neumann_inverse(a, tol)
+            monkeypatch.setattr(spectral, "NEUMANN_MAX_TERMS", terms - 1)
+            with pytest.raises(BudgetExceeded):
+                spectral.neumann_inverse(a, tol)
+            monkeypatch.undo()
+
+    def test_neumann_inside_a_unital_algebra(self):
+        alg = algebra.algebra_from_generators([np.diag([1.0, 2.0, 0.0])], include_identity=False)
+        a = algebra.element(alg, np.diag([0.5, 0.25, 0.0]))
+        want, _ = _reference_neumann_terms(a)
+        assert np.array_equal(spectral.neumann_inverse(a).matrix, want)

@@ -386,3 +386,97 @@ class TestStateInvariants:
                 b = algebra.random_element(m2, rng)
                 ba = b @ nf
                 assert abs(f((ba.adjoint() @ ba))) <= 1e-9 * max(1.0, b.norm() ** 2)
+
+
+def _reference_universal_rep(alg, extra_states=(), seed=0, samples=100):
+    """universal_rep with its per-sample loop, verbatim from before the
+    samples were stacked (module names added)."""
+    from cstarkit.algebra import random_element
+
+    family: list[states.Functional] = []
+    if alg.unital:
+        family.append(states.trace_state(alg))
+    family.extend(extra_states)
+    for b in alg.basis:
+        bb = b @ linalg.adjoint(b)
+        family.append(states.norming_state(algebra.Element(alg, bb @ bb)))
+    reps = [states.gns(alg, f) for f in family]
+    total = states.direct_sum_reps(reps)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        a = random_element(alg, rng)
+        worst = max(worst, abs(linalg.op_norm(total.apply(a)) - a.norm()))
+    return states.UniversalReport(total, worst, len(family))
+
+
+def _generated(n, seed, real_field=False):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return algebra.algebra_from_generators([g], real_field=real_field)
+
+
+class TestStackedUniversalEquivalence:
+    """universal_rep samples in stacks and reports exactly the per-sample loop's values."""
+
+    @staticmethod
+    def assert_same(alg, **kw):
+        got, want = states.universal_rep(alg, **kw), _reference_universal_rep(alg, **kw)
+        assert got.max_isometry_residual == want.max_isometry_residual
+        assert got.state_count == want.state_count
+        assert got.representation.hilbert_dim == want.representation.hilbert_dim
+        assert np.array_equal(got.representation.rep_matrices, want.representation.rep_matrices)
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            algebra.full_matrix_algebra(1),
+            algebra.full_matrix_algebra(2),
+            _generated(2, 5),
+            _generated(3, 6),
+            _generated(3, 7, real_field=True),
+            diag_algebra([1.0, 2.0, 3.0]),
+        ],
+        ids=["M1", "M2", "gen2", "gen3", "gen3-real", "diagonal"],
+    )
+    def test_default_samples(self, alg):
+        for seed in (0, 5, 912):
+            self.assert_same(alg, seed=seed)
+
+    def test_chunk_of_twenty_at_hilbert_dim_80(self):
+        alg = _generated(4, 8)
+        assert states.universal_rep(alg, samples=0).representation.hilbert_dim == 80
+        assert states._SAMPLE_STACK_ENTRIES // 80**2 == 20
+        for samples in (1, 20, 47):
+            self.assert_same(alg, seed=3, samples=samples)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_samples_not_a_multiple_of_the_chunk(self, monkeypatch, chunk):
+        alg = _generated(2, 9)
+        k = states.universal_rep(alg, samples=0).representation.hilbert_dim
+        monkeypatch.setattr(states, "_SAMPLE_STACK_ENTRIES", chunk * k * k)
+        for samples in (0, 1, 2 * chunk + 1, 100):
+            self.assert_same(alg, seed=11, samples=samples)
+
+    def test_extra_states(self):
+        alg = diag_algebra([1.0, 2.0])
+        from cstarkit.gelfand import characters
+
+        extra = [states.make_state(alg, chi.values) for chi in characters(alg)]
+        self.assert_same(alg, extra_states=extra, seed=1)
+
+
+class TestGnsGram:
+    def test_one_gram_matrix_per_call(self, monkeypatch):
+        alg = algebra.full_matrix_algebra(3)
+        state = density_state(alg, random_density(np.random.default_rng(12), 3))
+        calls = []
+        gram = states.gram_matrix
+        monkeypatch.setattr(states, "gram_matrix", lambda *a: calls.append(1) or gram(*a))
+        states.gns(alg, state)
+        assert len(calls) == 1
+
+    def test_not_positive_still_rejected(self):
+        m2 = algebra.full_matrix_algebra(2)
+        f = states.functional(m2, [1.0, 0.0, 0.0, -1.0])
+        with pytest.raises(NotPositive):
+            states.gns(m2, f)
