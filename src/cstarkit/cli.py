@@ -4,7 +4,10 @@ Matrix files are {"rows": r, "cols": c, "data": [[re, im], ...]} in
 row-major order.  Every run emits a report {"command", "inputs",
 "results", "residuals", "seed"}; residuals always carry their tolerance.
 Exit codes: 0 success, 1 mathematical precondition failure, 2 malformed
-input or usage error.
+input or usage error: an unreadable or malformed document, an option value
+outside its domain (a negative --seed, --grid below 2, --levels below 1, a
+--length outside [1e-100, 1e100], a --tol that is not finite and positive),
+or an unwritable --out.
 
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, and the same input and ``--seed`` give byte-identical
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -131,8 +135,11 @@ def _encode(o, nl: str) -> str:
 def emit_report(report: dict, out: str | None) -> None:
     text = _encode(report, "\n") + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -191,8 +198,6 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_radius(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    if args.n_max < 1:
-        raise MalformedInput(f"--n-max must be at least 1, got {args.n_max}")
     trace = spectral.spectral_radius_limit(algebra.ambient_element(m), n_max=args.n_max)
     return {
         "inputs": {"input": matrix_to_json(m), "n_max": args.n_max},
@@ -293,9 +298,11 @@ def cmd_gkz(args) -> dict:
     n = g.shape[0]
     alg = algebra.full_matrix_algebra(n)
     values = [complex(np.trace(g @ b)) for b in alg.basis]
+    phi_one = complex(np.dot(values, alg.identity_coords))
+    if abs(phi_one - 1.0) > 1e-6:
+        raise MalformedInput(f"gkz expects a matrix of trace 1, got phi(1) = {phi_one}")
     outcome = gelfand.gkz_witness(alg, values, seed=args.seed)
     results = {"is_character": outcome.is_character, "attempts_used": outcome.attempts_used}
-    phi_one = complex(np.dot(values, alg.identity_coords))
     residuals = {"phi_at_identity_minus_one": _residual(abs(phi_one - 1.0), 1e-6)}
     if outcome.witness is not None:
         results["witness"] = matrix_to_json(outcome.witness.matrix)
@@ -447,6 +454,27 @@ _HANDLERS = {
 }
 
 
+# Each option's domain: a test of its parsed value, and the domain in words.
+# The box energies n^2 pi^2 / (2 L^2) and the sampled modes stay in the
+# float range for lengths well beyond [1e-100, 1e100].
+_OPTION_DOMAINS = {
+    "seed": (lambda v: v >= 0, "at least 0"),
+    "n_max": (lambda v: v >= 1, "at least 1"),
+    "grid": (lambda v: v >= 2, "at least 2"),
+    "levels": (lambda v: v >= 1, "at least 1"),
+    "length": (lambda v: 1e-100 <= v <= 1e100, "in [1e-100, 1e100]"),
+    "tol": (lambda v: 0.0 < v < math.inf, "finite and positive"),
+}
+
+
+def _check_options(args) -> None:
+    """MalformedInput for the first option whose value is outside its domain."""
+    for name, (ok, domain) in _OPTION_DOMAINS.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise MalformedInput(f"--{name.replace('_', '-')} must be {domain}, got {value}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -480,19 +508,15 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_options(args)
         body = _HANDLERS[args.command](args)
+        emit_report({"command": args.command, "seed": args.seed, **body}, args.out)
     except MalformedInput as exc:
         print(f"error: MalformedInput: {exc}", file=sys.stderr)
         return 2
     except CStarError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "command": args.command,
-        "seed": getattr(args, "seed", 0),
-        **body,
-    }
-    emit_report(report, args.out)
     return 0
 
 

@@ -4,9 +4,13 @@ Characters are found from joint eigenvectors of the algebra acting on the
 ambient space: each eigenvector v yields a candidate functional
 a -> (v* a v) / (v* v), and candidates failing multiplicativity are
 dropped.  On a *-closed algebra, a C*-algebra, the characters are the
-joint eigenspaces, found by deterministic recursive splitting; otherwise
-eigenvectors of seeded generic elements are tried.
-Characters are ``states.Functional`` values.
+joint eigenspaces.  They are read off one eigendecomposition of a fixed
+generic Hermitian element h: every basis element commutes with h and so
+keeps each eigenspace of h, and one stacked product checks that it acts on
+each as a scalar; an eigenspace that fails is split by the Hermitian
+spanning set.  Otherwise eigenvectors of seeded generic elements are tried.
+The candidates of each decomposition are checked for multiplicativity and
+deduplicated as one stack.  Characters are ``states.Functional`` values.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .states import Functional, functional
+from .states import Functional
 
 DEDUPE_RADIUS = 1e-7
 
@@ -71,22 +75,25 @@ def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
     return [h for h in out if np.linalg.norm(h) > 1e-12]
 
 
-def _candidate_values(alg: Algebra, v: np.ndarray) -> np.ndarray:
-    nv = float(np.vdot(v, v).real)
-    return alg.basis @ v @ v.conj() / nv
+def _generic_hermitian(alg: Algebra) -> np.ndarray:
+    """h = (z + z*) / 2 for z = sum_k (cos k + i sqrt(2) sin k) b_k."""
+    k = np.arange(1, alg.dim + 1)
+    z = alg.from_coords(np.cos(k) + 1j * np.sqrt(2.0) * np.sin(k))
+    return (z + z.conj().T) / 2.0
 
 
-def _is_multiplicative(alg: Algebra, vals: np.ndarray, tol: float) -> bool:
-    if float(np.max(np.abs(vals), initial=0.0)) <= tol:
-        return False
-    return functional(alg, vals).multiplicativity_residual() <= tol
+def _clusters(w: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [s, e) of ascending eigenvalues split at gaps above 1e-8 (1 + max|w|)."""
+    if not len(w):
+        return []
+    radius = 1e-8 * (1.0 + float(np.max(np.abs(w))))
+    cuts = [0, *(np.flatnonzero(np.diff(w) > radius) + 1).tolist(), len(w)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _joint_eigvec_blocks(alg: Algebra) -> list[np.ndarray]:
-    """Deterministic recursive splitting into joint eigenspaces (star-closed case)."""
-    n = alg.ambient_dim
-    blocks = [np.eye(n, dtype=complex)]
-    for h in _hermitian_spanning_set(alg):
+def _split(blocks: list[np.ndarray], hermitians) -> list[np.ndarray]:
+    """Refine each block by the eigenspaces of every Hermitian compressed to it, in turn."""
+    for h in hermitians:
         refined = []
         for blk in blocks:
             if blk.shape[1] == 1:
@@ -94,14 +101,81 @@ def _joint_eigvec_blocks(alg: Algebra) -> list[np.ndarray]:
                 continue
             hb = blk.conj().T @ h @ blk
             w, u = np.linalg.eigh((hb + hb.conj().T) / 2.0)
-            radius = 1e-8 * (1.0 + float(np.max(np.abs(w))))
-            start = 0
-            for k in range(1, len(w) + 1):
-                if k == len(w) or w[k] - w[k - 1] > radius:
-                    refined.append(blk @ u[:, start:k])
-                    start = k
+            refined.extend(blk @ u[:, s:e] for s, e in _clusters(w))
         blocks = refined
     return blocks
+
+
+def _joint_eigenvectors(alg: Algebra) -> np.ndarray:
+    """One unit vector from each joint eigenspace of a *-closed commutative algebra, as columns.
+
+    Every b_k commutes with the generic Hermitian element h, so it keeps each
+    eigenspace of h, and a one-column eigenspace is a joint eigenvector.  A
+    wider one is kept when every b_k compresses to a scalar on it, checked
+    for all of them in one stacked product Q* B Q; the rest are split by the
+    Hermitian spanning set.
+    """
+    w, q = np.linalg.eigh(_generic_hermitian(alg))
+    spans = _clusters(w)
+    if len(spans) == len(w):
+        return q
+    widths = np.array([e - s for s, e in spans])
+    label = np.repeat(np.arange(len(spans)), widths)
+    comp = q.conj().T @ alg.basis @ q
+    scalar = np.add.reduceat(np.diagonal(comp, axis1=1, axis2=2), [s for s, _ in spans], axis=1)
+    scalar = (scalar / widths)[:, label]
+    dev = np.abs(comp - scalar[:, :, None] * np.eye(len(w))) * (label[:, None] == label)
+    fails = ~(dev <= 1e-8 * (1.0 + np.abs(scalar))[:, :, None]).all(axis=(0, 2))
+    vecs = []
+    for s, e in spans:
+        blocks = _split([q[:, s:e]], _hermitian_spanning_set(alg)) if fails[s] else [q[:, s:e]]
+        vecs.extend(blk[:, 0] for blk in blocks)
+    return np.stack(vecs, axis=1)
+
+
+def _candidate_values(alg: Algebra, vecs: np.ndarray) -> np.ndarray:
+    """Row j holds (v* b_k v) / (v* v) over the basis, for column v = vecs[:, j]."""
+    bv = alg.basis @ vecs
+    nv = np.einsum("ij,ij->j", vecs.conj(), vecs).real
+    return np.einsum("ij,kij->jk", vecs.conj(), bv) / nv[:, None]
+
+
+def _multiplicative(alg: Algebra, vals: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows of vals are nonzero and multiplicative on basis pairs within tol."""
+    d = alg.dim
+    prods = (vals @ alg.structure.reshape(d * d, d).T).reshape(len(vals), d, d)
+    resid = np.abs(prods - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
+    zero = np.abs(vals).max(axis=1, initial=0.0) <= tol
+    return ~zero & (resid <= tol)
+
+
+def _consider(alg: Algebra, vecs: np.ndarray, found: list, tol: float) -> bool:
+    """Append, in column order, each column's candidate that is a character
+    farther than DEDUPE_RADIUS from every one found before it; whether any was."""
+    vals = _candidate_values(alg, vecs)
+    vals = vals[_multiplicative(alg, vals, tol)]
+    known = len(found)
+    rows = np.concatenate([np.reshape(found, (known, alg.dim)), vals])
+    close = np.abs(rows[:, None] - rows[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
+    keep = np.ones(len(rows), dtype=bool)
+    # found rows are pairwise apart; a new row is dropped only when close to an earlier kept one
+    for i in np.flatnonzero(np.tril(close, -1).any(axis=1)):
+        keep[i] = not (close[i, :i] & keep[:i]).any()
+    found.extend(rows[known:][keep[known:]])
+    return bool(keep[known:].any())
+
+
+def _sorted(found: list) -> list:
+    """found ordered by the key tuple((round(re, 6), round(im, 6)) ...) over its entries.
+
+    The entries are numpy floats, whose round is np.round, so one np.round of
+    every key and one lexsort, real part before imaginary, give that order.
+    """
+    if len(found) < 2:
+        return found
+    vals = np.array(found)
+    keys = np.round(np.stack([vals.real, vals.imag], axis=2).reshape(len(vals), -1), 6)
+    return [found[i] for i in np.lexsort(keys.T[::-1])]
 
 
 def characters(alg: Algebra, seed: int = 0, tol: float = 1e-8) -> GelfandSpectrumData:
@@ -120,35 +194,20 @@ def characters(alg: Algebra, seed: int = 0, tol: float = 1e-8) -> GelfandSpectru
     if not alg.abelian:
         raise NonAbelian("the algebra has non-commuting basis elements")
     found: list[np.ndarray] = []
-
-    def consider(vec: np.ndarray) -> bool:
-        vals = _candidate_values(alg, vec)
-        if not _is_multiplicative(alg, vals, tol):
-            return False
-        for known in found:
-            if float(np.max(np.abs(vals - known))) <= DEDUPE_RADIUS:
-                return False
-        found.append(vals)
-        return True
-
     if alg.star_closed:
-        for blk in _joint_eigvec_blocks(alg):
-            consider(blk[:, 0])
+        _consider(alg, _joint_eigenvectors(alg), found, tol)
     else:
         rng = np.random.default_rng(seed)
         for _ in range(10):
             c = rng.standard_normal(alg.dim)
             g = alg.from_coords(c)
             _, vecs = np.linalg.eig(g)
-            added = False
-            for k in range(vecs.shape[1]):
-                added |= consider(vecs[:, k])
+            added = _consider(alg, vecs, found, tol)
             if not added and found:
                 break
             if len(found) == alg.dim:
                 break
-    found.sort(key=lambda v: tuple((round(z.real, 6), round(z.imag, 6)) for z in v))
-    chars = tuple(Character(alg, tuple(v)) for v in found)
+    chars = tuple(Character(alg, tuple(v)) for v in _sorted(found))
     return GelfandSpectrumData(alg, chars)
 
 
@@ -267,7 +326,7 @@ def gkz_witness(
     if abs(phi_one - 1.0) > 1e-6:
         raise ValueError(f"phi(1) = {phi_one} is not 1")
 
-    if _is_multiplicative(alg, vals, max(tol, 1e-8)):
+    if _multiplicative(alg, vals[None], max(tol, 1e-8))[0]:
         return GkzOutcome(True, None, None, None, 0)
 
     _, _, vh = np.linalg.svd(vals.reshape(1, -1))

@@ -48,7 +48,10 @@ def op_norm(m) -> float:
     a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    try:
+        return float(np.linalg.norm(a, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"operator norm: {exc}") from exc
 
 
 def hermitian_residual(m: np.ndarray) -> float:

@@ -74,8 +74,21 @@ def clustering_radius(values: np.ndarray) -> float:
 
 
 def _dedupe(values: np.ndarray) -> tuple[list[complex], float]:
-    """Cluster eigenvalues; returns representatives (cluster means) and the radius."""
+    """Cluster eigenvalues; returns representatives (cluster means) and the radius.
+
+    Points are taken in (re, im) order, each joining the first cluster whose
+    mean lies within the radius.  When every pairwise gap exceeds the radius
+    by a margin that numpy's and Python's complex abs cannot straddle, every
+    cluster is a single point and the greedy loop is skipped.
+    """
     radius = clustering_radius(values)
+    z = np.asarray(values)
+    if np.isfinite(z).all():
+        gaps = np.abs(z[:, None] - z)
+        np.fill_diagonal(gaps, np.inf)
+        if (gaps > radius * (1.0 + 1e-9)).all():
+            # 0 + z and / 1 as in sum(cl) / len(cl): a -0.0 part becomes 0.0
+            return [(0 + values[i]) / 1 for i in np.lexsort((z.imag, z.real))], radius
     order = sorted(values, key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
     for z in order:
@@ -285,12 +298,25 @@ def classify(a, tol: float = 1e-9) -> ElementFlags:
     return ElementFlags(herm, unitary, normal, positive)
 
 
+def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """herm_eig of a positive element; NotPositive for any other.
+
+    Positive is classify()'s test: Hermitian within tol, and no eigenvalue
+    below -tol * max(1, ||a||).  Each test fails when it reads NaN.
+    """
+    m = _matrix_of(a)
+    message = "element is not positive (Hermitian with spectrum >= 0)"
+    if not linalg.hermitian_residual(m) <= tol:
+        raise NotPositive(message)
+    w, v = linalg.herm_eig(m, tol)
+    if w.size and not float(np.min(w)) >= -tol * max(1.0, linalg.op_norm(m)):
+        raise NotPositive(message)
+    return w, v
+
+
 def sqrt_positive(a, tol: float = 1e-9) -> Element:
     """Hermitian square root of a positive element via its eigendecomposition."""
-    if not classify(a, tol).positive:
-        raise NotPositive("element is not positive (Hermitian with spectrum >= 0)")
-    m = _matrix_of(a)
-    w, v = linalg.herm_eig(m, tol)
+    w, v = _positive_eig(a, tol)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     alg = a.algebra if isinstance(a, Element) else None
     return Element(alg, root)

@@ -152,13 +152,11 @@ def cauchy_schwarz_residual(f: Functional, a: Element, b: Element) -> float:
 
 def norming_state(a: Element, tol: float = 1e-9) -> State:
     """A state with f(a) = ||a||, from a top eigenvector of the positive element a."""
-    from .spectral import classify
+    from .spectral import _positive_eig
 
     if a.algebra is None:
         raise ValueError("norming_state needs an element with an explicit algebra")
-    if not classify(a, tol).positive:
-        raise NotPositive("norming states are built over positive elements")
-    w, v = linalg.herm_eig(a.matrix, tol)
+    _, v = _positive_eig(a, tol)
     return vector_state(a.algebra, v[:, -1], tol)
 
 

@@ -1,8 +1,15 @@
 """CLI: JSON round-trips, subcommand reports, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +456,119 @@ class TestRobustnessExits:
         assert cli.run(["neumann", "--input", path]) == 1
         assert time.perf_counter() - t0 < 10.0
         assert "BudgetExceeded" in capsys.readouterr().err
+
+
+def _usage_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "MalformedInput" in err
+    assert "Traceback" not in err
+    return err
+
+
+class TestOptionDomains:
+    """Option values outside their domain exit 2, before any work is done."""
+
+    @pytest.mark.parametrize("command", ["gns", "universal", "gkz", "characters"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        path = write_matrix(tmp_path / "rho.json", np.diag([0.25, 0.75]))
+        assert cli.run([command, "--input", path, "--seed", "-1"]) == 2
+        assert "--seed" in _usage_error(capsys)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "--grid=0",
+            "--grid=1",
+            "--levels=0",
+            "--length=0",
+            "--length=-1",
+            "--length=nan",
+            "--length=inf",
+            "--length=1e-310",
+            "--length=1e300",
+        ],
+    )
+    def test_qm_options(self, capsys, option):
+        assert cli.run(["qm", "--grid", "20", option]) == 2
+        assert option.split("=")[0] in _usage_error(capsys)
+
+    @pytest.mark.parametrize("command", ["neumann", "sqrt"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+    def test_tol(self, tmp_path, capsys, command, tol):
+        path = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
+        assert cli.run([command, "--input", path, f"--tol={tol}"]) == 2
+        assert "--tol" in _usage_error(capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "a.json", np.eye(2))
+        out = tmp_path / "missing-dir" / "x.json"
+        assert cli.run(["spectrum", "--input", path, "--out", str(out)]) == 2
+        assert "cannot write" in _usage_error(capsys)
+        assert not out.exists()
+
+    def test_gkz_needs_trace_one(self, tmp_path, capsys):
+        for m in ([[2.0]], np.diag([0.5, 0.25])):
+            path = write_matrix(tmp_path / "g.json", m)
+            assert cli.run(["gkz", "--input", path]) == 2
+            assert "trace 1" in _usage_error(capsys)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["gns", "universal", "gkz", "characters", "sqrt", "neumann", "qm"]),
+        st.integers(-3, 2**70),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-3, 40),
+        st.integers(-3, 45),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    def test_exit_codes_over_option_values(self, command, seed, tol, grid, levels, length):
+        """Any option values end in exit 0, 1 or 2, with no traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_matrix(f"{tmp}/m.json", np.diag([0.25, 0.75]))
+            argv = [command, f"--seed={seed}"]
+            if command == "qm":
+                argv += [f"--grid={grid}", f"--levels={levels}", f"--length={length!r}"]
+            else:
+                argv += ["--input", path]
+            if command in ("sqrt", "neumann"):
+                argv += [f"--tol={tol!r}"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    def test_module_entry_point(self, tmp_path):
+        """python -m cstarkit.cli exits through main() with the same codes."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 2, "cols": 2, "data": [[1, 0]]}')
+        rho = write_matrix(tmp_path / "rho.json", np.diag([0.5, 0.5]))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (["spectrum", "--input", str(bad)], ["gns", "--input", rho, "--seed", "-1"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cstarkit.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 2
+            assert "MalformedInput" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+
+class TestPositivityExits:
+    def test_huge_diagonal_sqrt_exit_0(self, tmp_path):
+        path = write_matrix(tmp_path / "d.json", np.diag([1e300, 1e300]))
+        report = run_to_file(tmp_path, ["sqrt", "--input", path])
+        root = np.array(report["results"]["sqrt"]["data"])[:, 0]
+        assert np.allclose(root[[0, 3]], 1e150, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_non_hermitian_input_fails_closed(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "z.json", [[1e308 + 1e308j]])
+        assert cli.run(["sqrt", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert "NotPositive" in err or "NoConvergence" in err
+        assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------

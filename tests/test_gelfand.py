@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import doubled_normal, match_multisets
-from cstarkit import algebra, gelfand, linalg, spectral
+from cstarkit import algebra, gelfand, linalg, spectral, states
 from cstarkit.errors import ComplexFieldRequired, NonAbelian
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -434,3 +434,206 @@ class TestStackedIsometryEquivalence:
         mats = algebra._combine_each(np.ones((2, alg.dim), dtype=complex), alg.basis)
         assert linalg.is_triangular(mats).all()
         assert not linalg.is_triangular(_similar_upper_triangular(4, 10).basis).all()
+
+
+def _ref_candidate_values(alg, v):
+    nv = float(np.vdot(v, v).real)
+    return alg.basis @ v @ v.conj() / nv
+
+
+def _ref_is_multiplicative(alg, vals, tol):
+    if float(np.max(np.abs(vals), initial=0.0)) <= tol:
+        return False
+    return states.functional(alg, vals).multiplicativity_residual() <= tol
+
+
+def _ref_hermitian_spanning_set(alg):
+    out = []
+    for b in alg.basis:
+        out.append((b + linalg.adjoint(b)) / 2.0)
+        out.append((b - linalg.adjoint(b)) / 2.0j)
+    return [h for h in out if np.linalg.norm(h) > 1e-12]
+
+
+def _ref_joint_eigvec_blocks(alg):
+    """Deterministic recursive splitting into joint eigenspaces (star-closed case)."""
+    n = alg.ambient_dim
+    blocks = [np.eye(n, dtype=complex)]
+    for h in _ref_hermitian_spanning_set(alg):
+        refined = []
+        for blk in blocks:
+            if blk.shape[1] == 1:
+                refined.append(blk)
+                continue
+            hb = blk.conj().T @ h @ blk
+            w, u = np.linalg.eigh((hb + hb.conj().T) / 2.0)
+            radius = 1e-8 * (1.0 + float(np.max(np.abs(w))))
+            start = 0
+            for k in range(1, len(w) + 1):
+                if k == len(w) or w[k] - w[k - 1] > radius:
+                    refined.append(blk @ u[:, start:k])
+                    start = k
+        blocks = refined
+    return blocks
+
+
+def _reference_characters(alg, seed=0, tol=1e-8):
+    """characters()' values before the generic split, verbatim: recursive
+    splitting by the Hermitian spanning set, one consider() per vector and a
+    Python round sort key (helper names prefixed)."""
+    found = []
+
+    def consider(vec):
+        vals = _ref_candidate_values(alg, vec)
+        if not _ref_is_multiplicative(alg, vals, tol):
+            return False
+        for known in found:
+            if float(np.max(np.abs(vals - known))) <= gelfand.DEDUPE_RADIUS:
+                return False
+        found.append(vals)
+        return True
+
+    if alg.star_closed:
+        for blk in _ref_joint_eigvec_blocks(alg):
+            consider(blk[:, 0])
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            c = rng.standard_normal(alg.dim)
+            g = alg.from_coords(c)
+            _, vecs = np.linalg.eig(g)
+            added = False
+            for k in range(vecs.shape[1]):
+                added |= consider(vecs[:, k])
+            if not added and found:
+                break
+            if len(found) == alg.dim:
+                break
+    found.sort(key=lambda v: tuple((round(z.real, 6), round(z.imag, 6)) for z in v))
+    return found
+
+
+def _old_key_order(rows):
+    key = lambda i: tuple((round(z.real, 6), round(z.imag, 6)) for z in rows[i])  # noqa: E731
+    return sorted(range(len(rows)), key=key)
+
+
+def _benchmark_like(label, n, seed):
+    """A normal matrix with n distinct eigenvalues or n // 2 repeated ones, or a circulant."""
+    rng = np.random.default_rng(seed)
+    if label == "circulant":
+        return gelfand.circulant(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    k = n if label == "distinct" else n // 2
+    lam = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (u * np.resize(lam, n)) @ u.conj().T
+
+
+NOT_STAR_CLOSED = {
+    "unital-nilpotent": lambda: algebra.algebra_from_generators([E12], include_adjoints=False),
+    "nilpotent": lambda: algebra.algebra_from_generators(
+        [E12], include_identity=False, include_adjoints=False
+    ),
+    "upper-triangular": lambda: algebra.algebra_from_generators(
+        [np.triu(np.arange(1.0, 17.0).reshape(4, 4))], include_adjoints=False
+    ),
+    "similar-triangular": lambda: _similar_upper_triangular(4, 10),
+    "similar-triangular-6": lambda: _similar_upper_triangular(6, 12),
+}
+
+
+class TestGenericSplitEquivalence:
+    """characters() from one generic element, candidates checked in one stack,
+    give the reference's characters in the reference's order."""
+
+    @staticmethod
+    def assert_same(spec, want):
+        got = [np.asarray(chi.values) for chi in spec]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w)))
+
+    @pytest.mark.parametrize("name", sorted(STAR_ABELIAN))
+    def test_star_closed_inputs(self, name):
+        alg = STAR_ABELIAN[name](np.random.default_rng(77))
+        self.assert_same(gelfand.characters(alg), _reference_characters(alg))
+
+    @pytest.mark.parametrize("n", [6, 8, 11, 12, 16])
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_generated_abelian_algebras(self, label, n):
+        for seed in range(3):
+            m = _benchmark_like(label, n, 1000 * n + seed)
+            alg = algebra.algebra_from_generators([m])
+            assert alg.star_closed and alg.abelian
+            spec = gelfand.characters(alg)
+            self.assert_same(spec, _reference_characters(alg))
+            assert len(spec) == (n // 2 if label == "doubled" else n)
+
+    def test_scalar_generic_element_falls_back_to_splitting(self, monkeypatch):
+        alg = algebra.algebra_from_generators([doubled_normal(np.random.default_rng(5), 6)])
+        splits = []
+
+        def split(blocks, hermitians):
+            splits.append(blocks[0].shape[1])
+            return gelfand._split.__wrapped__(blocks, hermitians)
+
+        split.__wrapped__ = gelfand._split
+        monkeypatch.setattr(gelfand, "_generic_hermitian", lambda a: np.eye(a.ambient_dim))
+        monkeypatch.setattr(gelfand, "_split", split)
+        spec = gelfand.characters(alg)
+        assert splits == [6]
+        assert len(spec) == 4
+        self.assert_same(spec, _reference_characters(alg))
+
+    def test_one_wide_block_is_split_in_place(self, monkeypatch):
+        """h separating all but two joint eigenspaces: only that block is split."""
+        alg = diag_algebra([1.0, 2.0, 3.0, 4.0])
+        monkeypatch.setattr(
+            gelfand, "_generic_hermitian", lambda a: np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex)
+        )
+        self.assert_same(gelfand.characters(alg), _reference_characters(alg))
+
+    @pytest.mark.parametrize("name", sorted(NOT_STAR_CLOSED))
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_seeded_path(self, name, seed):
+        alg = NOT_STAR_CLOSED[name]()
+        assert not alg.star_closed
+        self.assert_same(gelfand.characters(alg, seed=seed), _reference_characters(alg, seed))
+
+    def test_zero_algebras_have_none(self):
+        zero = algebra.algebra_from_generators([np.zeros((2, 2))], include_identity=False)
+        assert zero.dim == 0 and zero.star_closed
+        assert len(gelfand.characters(zero)) == len(_reference_characters(zero)) == 0
+        empty = algebra.Algebra(np.zeros((0, 0, 0), dtype=complex))
+        assert len(gelfand.characters(empty)) == 0
+
+
+HALFWAY = [(k + 0.5) / 1e6 for k in range(-3000, 3000)]
+
+
+class TestCharacterSortKey:
+    def test_key_entries_round_as_numpy_floats(self):
+        """The old key rounds numpy floats, whose round is np.round: halfway
+        values round the same way, and differently from Python's float round."""
+        rng = np.random.default_rng(6)
+        x = np.array([*HALFWAY, *rng.standard_normal(2000), -0.0, 0.0, 5e-324, 4503599627.3705])
+        old = np.array([round(v, 6) for v in x])
+        assert np.array_equal(np.round(x, 6), old)
+        assert np.array_equal(np.signbit(np.round(x, 6)), np.signbit(old))
+        python = np.array([round(float(v), 6) for v in x[: len(HALFWAY)]])
+        assert np.sum(python != old[: len(HALFWAY)]) > 1000
+
+    def test_order_is_the_tuple_key_order(self):
+        rng = np.random.default_rng(7)
+        pool = np.array([2.5e-6, 3e-6, 2e-6, -2.5e-6, 0.0, -0.0, 1.0000005, 1.000001])
+        for _ in range(50):
+            k, d = rng.integers(0, 12), rng.integers(1, 4)
+            rows = [
+                rng.choice(pool, d) + 1j * rng.choice(pool, d) for _ in range(k)
+            ]
+            got = gelfand._sorted(list(rows))
+            assert [id(r) for r in got] == [id(rows[i]) for i in _old_key_order(rows)]
+
+    def test_real_part_before_imaginary(self):
+        rows = [np.array([0.0 + 1.0j]), np.array([1.0 + 0.0j]), np.array([0.0 + 0.0j])]
+        assert [r[0] for r in gelfand._sorted(rows)] == [0.0, 1.0j, 1.0]

@@ -10,6 +10,7 @@ from conftest import exp_series_oracle, match_multisets, rand_hermitian, rand_ma
 from cstarkit import algebra, linalg, spectral
 from cstarkit.errors import (
     BudgetExceeded,
+    NoConvergence,
     NotContractive,
     NotNormal,
     NotPositive,
@@ -482,3 +483,99 @@ class TestSpectrumNeumannEquivalence:
         a = algebra.element(alg, np.diag([0.5, 0.25, 0.0]))
         want, _ = _reference_neumann_terms(a)
         assert np.array_equal(spectral.neumann_inverse(a).matrix, want)
+
+
+def _reference_dedupe(values):
+    """_dedupe's greedy loop, verbatim from before it gained the singleton case."""
+    radius = spectral.clustering_radius(values)
+    order = sorted(values, key=lambda z: (z.real, z.imag))
+    clusters: list[list[complex]] = []
+    for z in order:
+        placed = False
+        for cl in clusters:
+            mean = sum(cl) / len(cl)
+            if abs(z - mean) <= radius:
+                cl.append(z)
+                placed = True
+                break
+        if not placed:
+            clusters.append([z])
+    return [sum(cl) / len(cl) for cl in clusters], radius
+
+
+def _exact(points):
+    """Type and bit pattern of each point, so -0.0 and 0.0 differ."""
+    return [(type(p), float(p.real).hex(), float(p.imag).hex()) for p in points]
+
+
+def _pair_at_gap(factor):
+    """[0, d] whose gap d is factor times its own clustering radius 1e-7 (1 + d)."""
+    d = factor * 1e-7 / (1.0 - factor * 1e-7)
+    return np.array([0.0, d], dtype=complex)
+
+
+class TestDedupeEquivalence:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(57)
+        yield np.zeros(0, dtype=complex)
+        yield np.array([2.0 - 1j])
+        yield np.array([complex(-0.0, -0.0)])
+        yield np.array([complex(-0.0, 1.0), complex(2.0, -0.0)])
+        yield np.array([1.0 + 1j, 1.0 + 1j])
+        yield np.array([3.0, 1.0, 3.0, 1.0, 2.0], dtype=complex)
+        yield np.array([1j, 0.0, -1j, complex(0.0, -0.0)])
+        yield np.array([0.0, 0.6e-7, 1.2e-7], dtype=complex)
+        yield np.array([1.0, 2.0, 2.0 + 1e-12])
+        yield [complex(-0.0, 2.0), 1 + 0j, complex(1.0, -0.0)]
+        for factor in (0.5, 1 - 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 5e-10, 1 + 2e-9, 1 + 1e-6, 3.0):
+            yield _pair_at_gap(factor)
+            yield 1e6 * _pair_at_gap(factor)
+        for n in (2, 5, 16, 64):
+            yield np.linalg.eigvals(rand_matrix(rng, n))
+            yield np.linalg.eigvalsh(rand_hermitian(rng, n))
+            yield np.repeat(np.linalg.eigvals(rand_matrix(rng, n)), 2)
+
+    def test_exact_output(self):
+        for values in self._inputs():
+            got, radius = spectral._dedupe(values)
+            want, want_radius = _reference_dedupe(values)
+            assert _exact(got) == _exact(want)
+            assert radius == want_radius
+
+    @pytest.mark.parametrize("factor, count", [(1 - 1e-6, 1), (1 + 1e-6, 2)])
+    def test_gap_below_and_above_the_radius(self, factor, count):
+        points, _ = spectral._dedupe(_pair_at_gap(factor))
+        assert len(points) == count
+
+
+class TestPositiveEigendecomposition:
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_tolerance_that_admits_nothing(self, tol):
+        with pytest.raises(NotPositive):
+            spectral.sqrt_positive(amb(np.eye(2)), tol=tol)
+
+    def test_decisions_match_classify(self):
+        rng = np.random.default_rng(58)
+        g = rand_matrix(rng, 4)
+        psd = g @ g.conj().T
+        low = g[:, :2] @ g[:, :2].conj().T
+        flags = []
+        for m in (psd, low, low - 1e-3 * np.eye(4), rand_hermitian(rng, 4), g, psd + 1e-12j * g):
+            positive = spectral.classify(amb(m)).positive
+            flags.append(positive)
+            if positive:
+                root = spectral.sqrt_positive(amb(m)).matrix
+                assert linalg.op_norm(root @ root - m) <= 1e-8 * max(1.0, linalg.op_norm(m))
+            else:
+                with pytest.raises(NotPositive):
+                    spectral.sqrt_positive(amb(m))
+        assert flags == [True, True, False, False, False, True]
+
+    def test_op_norm_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(linalg.np.linalg, "norm", fail)
+        with pytest.raises(NoConvergence):
+            linalg.op_norm(np.eye(2))
