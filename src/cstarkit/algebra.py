@@ -12,10 +12,10 @@ left-regular matrices are matmuls or contractions of the basis.
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
 the words in S, grown by left-multiplying each newly added basis row by
-every generator until no row is added.  Quotients keep a coset basis
-orthogonal to the ideal plus the structure constants of coset
-multiplication, so quotient arithmetic never touches representatives
-again.
+every generator until no row is added.  A quotient keeps a coset basis
+orthogonal to the ideal; the structure constants of coset multiplication
+and the unit coset are derived from it on first use, so quotient
+arithmetic never touches representatives again.
 """
 
 from __future__ import annotations
@@ -38,8 +38,16 @@ from .errors import (
     NotSubspace,
     NotTwoSided,
 )
+from .tolerances import (
+    ELEMENT_TOL,
+    MEMBERSHIP_TOL,
+    NELDER_MEAD_FATOL,
+    NELDER_MEAD_XATOL,
+    QUOTIENT_NORM_ZERO,
+)
 
-MEMBERSHIP_TOL = 1e-9
+# Objective evaluations that quotient_norm's Nelder-Mead runs share.
+QUOTIENT_NORM_BUDGET = 20000
 
 
 def _pairing(m, rows: np.ndarray) -> np.ndarray:
@@ -65,8 +73,8 @@ def _project_out(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _extend_rows(rows: np.ndarray, cands, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Append each candidate, in order, whose residual exceeds tol * its norm.
+def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
+    """Append each candidate, in order, whose residual exceeds MEMBERSHIP_TOL * its norm.
 
     rows is a (k, N) array of orthonormal rows and cands a stack of m
     candidates of N entries each.  Every candidate is orthogonalized by
@@ -78,13 +86,13 @@ def _extend_rows(rows: np.ndarray, cands, tol: float = MEMBERSHIP_TOL) -> np.nda
     cands = np.asarray(cands, dtype=complex).reshape(len(cands), rows.shape[1])
     scale = np.linalg.norm(cands, axis=1)
     resid = _project_out(rows, cands)
-    live = np.linalg.norm(resid, axis=1) > tol * scale
+    live = np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL * scale
     out = np.concatenate([rows, resid[live]])
     k = len(rows)
     for v, s in zip(resid[live], scale[live]):
         v = _project_out(out[:k], v)
         rem = float(np.linalg.norm(v))
-        if rem > tol * s:
+        if rem > MEMBERSHIP_TOL * s:
             out[k] = v / rem
             k += 1
     return out[:k]
@@ -244,7 +252,7 @@ class Element:
                     f"{self.algebra.ambient_dim}"
                 )
             resid = self.algebra.membership_residual(m)
-            if resid > 1e-8:
+            if resid > ELEMENT_TOL:
                 raise NotInAlgebra(f"projection residual {resid:.3e} outside the span")
 
     @property
@@ -299,12 +307,12 @@ def is_abelian(alg: Algebra) -> bool:
     return alg.abelian
 
 
-def random_element(alg: Algebra, rng: np.random.Generator, scale: float = 1.0) -> Element:
+def random_element(alg: Algebra, rng: np.random.Generator) -> Element:
     """Element with seeded Gaussian coordinates (real when the field is real)."""
     c = rng.standard_normal(alg.dim)
     if not alg.real_field:
         c = c + 1j * rng.standard_normal(alg.dim)
-    return Element(alg, alg.from_coords(scale * c))
+    return Element(alg, alg.from_coords(c))
 
 
 # Stacked forms of per-sample calls, equal to them bit for bit.  A stack is
@@ -360,7 +368,7 @@ class SubspaceBasis:
 
     def __post_init__(self):
         mats = [linalg.as_matrix(m) for m in self.matrices]
-        if not all(self.algebra.contains(m, 1e-8) for m in mats):
+        if not all(self.algebra.contains(m, ELEMENT_TOL) for m in mats):
             raise NotSubspace("matrix outside the algebra span")
         n = self.algebra.ambient_dim
         onb = _extend_rows(np.zeros((0, n * n), dtype=complex), mats)
@@ -381,7 +389,7 @@ def subspace(alg: Algebra, mats) -> SubspaceBasis:
     return SubspaceBasis(alg, tuple(linalg.as_matrix(m) for m in mats))
 
 
-def ideal_check(alg: Algebra, s: SubspaceBasis, tol: float = MEMBERSHIP_TOL) -> str:
+def ideal_check(alg: Algebra, s: SubspaceBasis) -> str:
     """Classify s as 'two_sided', 'left_only', 'right_only' or 'not_ideal'."""
     if s.algebra is not alg:
         raise NotSubspace("subspace was built over a different algebra")
@@ -391,7 +399,7 @@ def ideal_check(alg: Algebra, s: SubspaceBasis, tol: float = MEMBERSHIP_TOL) -> 
     def closed(prods: np.ndarray) -> bool:
         prods = prods.reshape(-1, n2)
         resid = np.linalg.norm(_project_out(onb, prods), axis=1)
-        return bool(np.all(resid <= tol * (1.0 + np.linalg.norm(prods, axis=1))))
+        return bool(np.all(resid <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(prods, axis=1))))
 
     left = closed(alg.basis[:, None] @ s.onb[None])
     right = closed(s.onb[None] @ alg.basis[:, None])
@@ -411,12 +419,22 @@ class QuotientAlgebra:
     parent: Algebra
     ideal: SubspaceBasis
     coset_basis: np.ndarray  # (k, n, n), orthogonal to the ideal
-    mult_table: np.ndarray  # [i, j, l] = <c_i c_j, c_l>
-    identity_coset: np.ndarray | None
 
     @property
     def dim(self) -> int:
         return len(self.coset_basis)
+
+    @cached_property
+    def mult_table(self) -> np.ndarray:
+        """[i, j, l] = <c_i c_j, c_l>."""
+        return _product_coords(self.coset_basis, self.coset_basis, self.coset_basis)
+
+    @cached_property
+    def identity_coset(self) -> np.ndarray | None:
+        """Coset coordinates of the parent's unit, or None when it has none."""
+        if not self.parent.unital:
+            return None
+        return _pairing(self.parent.identity_matrix, self.coset_basis)
 
     def coset_coords(self, m: np.ndarray) -> np.ndarray:
         return _pairing(m, self.coset_basis)
@@ -425,30 +443,19 @@ class QuotientAlgebra:
         return np.einsum("i,j,ijl->l", x, y, self.mult_table)
 
 
-def quotient(alg: Algebra, ideal: SubspaceBasis, tol: float = MEMBERSHIP_TOL) -> QuotientAlgebra:
+def quotient(alg: Algebra, ideal: SubspaceBasis) -> QuotientAlgebra:
     """Quotient by a proper two-sided ideal; cosets multiply as [a][b] = [ab]."""
-    kind = ideal_check(alg, ideal, tol)
+    kind = ideal_check(alg, ideal)
     if kind != "two_sided":
         raise NotTwoSided(f"ideal_check returned {kind!r}")
     if ideal.dim >= alg.dim:
         raise NotProper("ideal must have dimension below the algebra's")
     n = alg.ambient_dim
-    rows = _extend_rows(ideal.onb.reshape(ideal.dim, n * n), alg.basis, tol)
-    coset_basis = rows[ideal.dim :].reshape(-1, n, n)
-    table = _product_coords(coset_basis, coset_basis, coset_basis)
-    ident = None
-    if alg.unital:
-        ident = _pairing(alg.identity_matrix, coset_basis)
-    return QuotientAlgebra(alg, ideal, coset_basis, table, ident)
+    rows = _extend_rows(ideal.onb.reshape(ideal.dim, n * n), alg.basis)
+    return QuotientAlgebra(alg, ideal, rows[ideal.dim :].reshape(-1, n, n))
 
 
-def quotient_norm(
-    q: QuotientAlgebra,
-    a: Element,
-    budget: int = 20000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> float:
+def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
     """The quotient (coset) norm ||a + I|| = inf over b in I of ||a + b||.
 
     When the parent is *-closed it is a finite-dimensional C*-algebra, so
@@ -458,11 +465,12 @@ def quotient_norm(
       - for b in I, (a + b)(1 - p) = a (1 - p), since b = b p;
       - ||1 - p|| <= 1, so ||a + b|| >= ||(a + b)(1 - p)|| = ||a (1 - p)||;
       - equality holds at b = -a p, which lies in I.
-    No optimiser runs on that path, and budget, seed and tol are unused.
+    No optimiser runs on that path, and seed is unused.
 
     Otherwise Nelder-Mead searches the real/imaginary ideal coordinates,
     warm-started at zero and at the Frobenius-optimal offset -P_I a, with 8
-    restarts drawn from seed and budget evaluations shared among the runs.
+    restarts drawn from seed and QUOTIENT_NORM_BUDGET evaluations shared
+    among the runs.
     The objective (largest singular value over an affine subspace) is convex.
     """
     if a.algebra is not q.parent:
@@ -485,7 +493,7 @@ def quotient_norm(
     for _ in range(8):
         starts.append(rng.standard_normal(2 * k) * scale)
 
-    per_run = max(200, budget // len(starts))
+    per_run = max(200, QUOTIENT_NORM_BUDGET // len(starts))
     best = np.inf
     converged = False
     for x0 in starts:
@@ -493,13 +501,15 @@ def quotient_norm(
             objective,
             x0,
             method="Nelder-Mead",
-            options={"maxfev": per_run, "xatol": 1e-8, "fatol": 1e-10},
+            options={"maxfev": per_run, "xatol": NELDER_MEAD_XATOL, "fatol": NELDER_MEAD_FATOL},
         )
         best = min(best, float(res.fun))
         converged |= bool(res.success)
     best = min(best, objective(starts[0]), objective(starts[1]))
-    if not converged and best > tol:
-        raise BudgetExceeded(f"minimizer did not stabilize within {budget} evaluations")
+    if not converged and best > QUOTIENT_NORM_ZERO:
+        raise BudgetExceeded(
+            f"minimizer did not stabilize within {QUOTIENT_NORM_BUDGET} evaluations"
+        )
     return best
 
 

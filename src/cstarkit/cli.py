@@ -28,6 +28,23 @@ import numpy as np
 
 from . import algebra, gelfand, linalg, qm, spectral, states
 from .errors import CStarError, MalformedInput, NoConvergence
+from .tolerances import (
+    CHARACTERS_REPORT_TOL,
+    CLASSIFY_TOL,
+    DENSITY_TOL,
+    EXP_REPORT_TOL,
+    GELFAND_REPORT_TOL,
+    GKZ_REPORT_TOL,
+    GNS_REPORT_TOL,
+    NEUMANN_TOL,
+    QM_EXPECTATION_REPORT_TOL,
+    QM_HERMITIAN_REPORT_TOL,
+    QUOTIENT_NORM_REPORT_TOL,
+    RADIUS_REPORT_TOL,
+    SQRT_REPORT_TOL,
+    UNIT_VALUE_TOL,
+    UNIVERSAL_REPORT_TOL,
+)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -206,7 +223,7 @@ def cmd_radius(args) -> dict:
             "estimate": trace.estimate,
             "eigen_radius": trace.eigen_radius,
         },
-        "residuals": {"estimate_vs_eigen_radius": _residual(trace.gap, 1e-3)},
+        "residuals": {"estimate_vs_eigen_radius": _residual(trace.gap, RADIUS_REPORT_TOL)},
     }
 
 
@@ -221,20 +238,20 @@ def cmd_exp(args) -> dict:
         "inputs": {"input": matrix_to_json(m)},
         "results": {"exp": matrix_to_json(em)},
         "residuals": {
-            "exp_times_exp_neg_minus_identity": _residual(inverse_resid, 1e-9),
-            "norm_bound_excess": _residual(bound_excess, 1e-9),
+            "exp_times_exp_neg_minus_identity": _residual(inverse_resid, EXP_REPORT_TOL),
+            "norm_bound_excess": _residual(bound_excess, EXP_REPORT_TOL),
         },
     }
 
 
 def cmd_sqrt(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    root = spectral.sqrt_positive(algebra.ambient_element(m), tol=args.tol).matrix
-    square_resid = linalg.op_norm(root @ root - m) / max(1.0, linalg.op_norm(m))
+    root, scale = spectral._sqrt_and_scale(m, args.tol)
+    square_resid = linalg.op_norm(root @ root - m) / scale
     return {
         "inputs": {"input": matrix_to_json(m)},
         "results": {"sqrt": matrix_to_json(root)},
-        "residuals": {"square_minus_input": _residual(square_resid, 1e-8)},
+        "residuals": {"square_minus_input": _residual(square_resid, SQRT_REPORT_TOL)},
     }
 
 
@@ -268,7 +285,9 @@ def cmd_characters(args) -> dict:
             "algebra_dim": alg.dim,
             "values_at_input": [_cplx(chi(a)) for chi in spec],
         },
-        "residuals": {"max_multiplicativity_residual": _residual(mult_resid, 1e-7)},
+        "residuals": {
+            "max_multiplicativity_residual": _residual(mult_resid, CHARACTERS_REPORT_TOL)
+        },
     }
 
 
@@ -285,9 +304,11 @@ def cmd_gelfand(args) -> dict:
             "star_closed": alg.star_closed,
         },
         "residuals": {
-            "max_sup_transform_minus_radius": _residual(report.max_hat_minus_radius, 1e-8),
+            "max_sup_transform_minus_radius": _residual(
+                report.max_hat_minus_radius, GELFAND_REPORT_TOL
+            ),
             "max_sup_transform_minus_norm": _residual(
-                report.max_hat_minus_norm, 1e-8 if alg.star_closed else float("inf")
+                report.max_hat_minus_norm, GELFAND_REPORT_TOL if alg.star_closed else float("inf")
             ),
         },
     }
@@ -299,15 +320,15 @@ def cmd_gkz(args) -> dict:
     alg = algebra.full_matrix_algebra(n)
     values = [complex(np.trace(g @ b)) for b in alg.basis]
     phi_one = complex(np.dot(values, alg.identity_coords))
-    if abs(phi_one - 1.0) > 1e-6:
+    if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise MalformedInput(f"gkz expects a matrix of trace 1, got phi(1) = {phi_one}")
     outcome = gelfand.gkz_witness(alg, values, seed=args.seed)
     results = {"is_character": outcome.is_character, "attempts_used": outcome.attempts_used}
-    residuals = {"phi_at_identity_minus_one": _residual(abs(phi_one - 1.0), 1e-6)}
+    residuals = {"phi_at_identity_minus_one": _residual(abs(phi_one - 1.0), UNIT_VALUE_TOL)}
     if outcome.witness is not None:
         results["witness"] = matrix_to_json(outcome.witness.matrix)
         results["min_singular_value"] = outcome.min_singular_value
-        residuals["phi_at_witness"] = _residual(abs(outcome.phi_at_witness), 1e-9)
+        residuals["phi_at_witness"] = _residual(abs(outcome.phi_at_witness), GKZ_REPORT_TOL)
     return {
         "inputs": {"input": matrix_to_json(g)},
         "results": results,
@@ -345,7 +366,10 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
 def cmd_gns(args) -> dict:
     rho = _square_input(parse_matrix(args.input))
     n = rho.shape[0]
-    if linalg.hermitian_residual(rho) > 1e-8 or abs(complex(np.trace(rho)) - 1.0) > 1e-8:
+    if (
+        linalg.hermitian_residual(rho) > DENSITY_TOL
+        or abs(complex(np.trace(rho)) - 1.0) > DENSITY_TOL
+    ):
         raise MalformedInput("gns expects a density matrix (Hermitian, trace 1)")
     alg = algebra.full_matrix_algebra(n)
     values = [complex(np.trace(rho @ b)) for b in alg.basis]
@@ -356,9 +380,9 @@ def cmd_gns(args) -> dict:
         "inputs": {"input": matrix_to_json(rho)},
         "results": {"hilbert_dim": rep.hilbert_dim, "algebra_dim": alg.dim},
         "residuals": {
-            "star_homomorphism": _residual(hom_resid, 1e-9),
-            "contraction_excess": _residual(contraction, 1e-9),
-            "state_reproduction": _residual(state_resid, 1e-9),
+            "star_homomorphism": _residual(hom_resid, GNS_REPORT_TOL),
+            "contraction_excess": _residual(contraction, GNS_REPORT_TOL),
+            "state_reproduction": _residual(state_resid, GNS_REPORT_TOL),
         },
     }
 
@@ -374,7 +398,11 @@ def cmd_universal(args) -> dict:
             "hilbert_dim": report.representation.hilbert_dim,
             "state_count": report.state_count,
         },
-        "residuals": {"max_isometry_residual": _residual(report.max_isometry_residual, 1e-7)},
+        "residuals": {
+            "max_isometry_residual": _residual(
+                report.max_isometry_residual, UNIVERSAL_REPORT_TOL
+            )
+        },
     }
 
 
@@ -399,7 +427,7 @@ def cmd_quotient_norm(args) -> dict:
     return {
         "inputs": {"input": {"element": matrix_to_json(m), "ideal_dim": ideal.dim}},
         "results": {"quotient_norm": value, "op_norm": a.norm()},
-        "residuals": {"quotient_norm_above_op_norm": _residual(excess, 1e-9)},
+        "residuals": {"quotient_norm_above_op_norm": _residual(excess, QUOTIENT_NORM_REPORT_TOL)},
     }
 
 
@@ -431,9 +459,11 @@ def cmd_qm(args) -> dict:
         "inputs": {"grid": args.grid, "levels": args.levels, "length": args.length},
         "results": {"levels": levels},
         "residuals": {
-            "max_position_deviation_from_center": _residual(worst_pos, 1e-3),
-            "max_cosine_deviation_from_closed_form": _residual(worst_cos, 1e-3),
-            "observable_hermitian_defect": _residual(herm, 1e-12),
+            "max_position_deviation_from_center": _residual(worst_pos, QM_EXPECTATION_REPORT_TOL),
+            "max_cosine_deviation_from_closed_form": _residual(
+                worst_cos, QM_EXPECTATION_REPORT_TOL
+            ),
+            "observable_hermitian_defect": _residual(herm, QM_HERMITIAN_REPORT_TOL),
         },
     }
 
@@ -489,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         if name in ("sqrt", "neumann"):
-            p.add_argument("--tol", type=float, default=1e-9 if name == "sqrt" else 1e-12)
+            # the defaults of sqrt_positive and neumann_inverse
+            default = CLASSIFY_TOL if name == "sqrt" else NEUMANN_TOL
+            p.add_argument("--tol", type=float, default=default)
         if name == "spectrum":
             p.add_argument("--field", choices=["real", "complex"], default="complex")
         if name == "radius":

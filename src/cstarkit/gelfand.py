@@ -39,8 +39,17 @@ from .errors import (
     WitnessNotFound,
 )
 from .states import Functional
+from .tolerances import (
+    DEDUPE_RADIUS,
+    EIGENSPACE_TOL,
+    INVERTIBLE_TOL,
+    MULTIPLICATIVE_TOL,
+    UNIT_VALUE_TOL,
+    ZERO_NORM,
+)
 
-DEDUPE_RADIUS = 1e-7
+# Random kernel elements gkz_witness draws before it gives up.
+GKZ_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
     for b in alg.basis:
         out.append((b + linalg.adjoint(b)) / 2.0)
         out.append((b - linalg.adjoint(b)) / 2.0j)
-    return [h for h in out if np.linalg.norm(h) > 1e-12]
+    return [h for h in out if np.linalg.norm(h) > ZERO_NORM]
 
 
 def _generic_hermitian(alg: Algebra) -> np.ndarray:
@@ -83,10 +92,11 @@ def _generic_hermitian(alg: Algebra) -> np.ndarray:
 
 
 def _clusters(w: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges [s, e) of ascending eigenvalues split at gaps above 1e-8 (1 + max|w|)."""
+    """Index ranges [s, e) of ascending eigenvalues split at gaps above
+    EIGENSPACE_TOL * (1 + max|w|)."""
     if not len(w):
         return []
-    radius = 1e-8 * (1.0 + float(np.max(np.abs(w))))
+    radius = EIGENSPACE_TOL * (1.0 + float(np.max(np.abs(w))))
     cuts = [0, *(np.flatnonzero(np.diff(w) > radius) + 1).tolist(), len(w)]
     return list(zip(cuts[:-1], cuts[1:]))
 
@@ -125,7 +135,7 @@ def _joint_eigenvectors(alg: Algebra) -> np.ndarray:
     scalar = np.add.reduceat(np.diagonal(comp, axis1=1, axis2=2), [s for s, _ in spans], axis=1)
     scalar = (scalar / widths)[:, label]
     dev = np.abs(comp - scalar[:, :, None] * np.eye(len(w))) * (label[:, None] == label)
-    fails = ~(dev <= 1e-8 * (1.0 + np.abs(scalar))[:, :, None]).all(axis=(0, 2))
+    fails = ~(dev <= EIGENSPACE_TOL * (1.0 + np.abs(scalar))[:, :, None]).all(axis=(0, 2))
     vecs = []
     for s, e in spans:
         blocks = _split([q[:, s:e]], _hermitian_spanning_set(alg)) if fails[s] else [q[:, s:e]]
@@ -140,20 +150,21 @@ def _candidate_values(alg: Algebra, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kij->jk", vecs.conj(), bv) / nv[:, None]
 
 
-def _multiplicative(alg: Algebra, vals: np.ndarray, tol: float) -> np.ndarray:
-    """Which rows of vals are nonzero and multiplicative on basis pairs within tol."""
+def _multiplicative(alg: Algebra, vals: np.ndarray) -> np.ndarray:
+    """Which rows of vals are nonzero and multiplicative on basis pairs,
+    both within MULTIPLICATIVE_TOL."""
     d = alg.dim
     prods = (vals @ alg.structure.reshape(d * d, d).T).reshape(len(vals), d, d)
     resid = np.abs(prods - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
-    zero = np.abs(vals).max(axis=1, initial=0.0) <= tol
-    return ~zero & (resid <= tol)
+    zero = np.abs(vals).max(axis=1, initial=0.0) <= MULTIPLICATIVE_TOL
+    return ~zero & (resid <= MULTIPLICATIVE_TOL)
 
 
-def _consider(alg: Algebra, vecs: np.ndarray, found: list, tol: float) -> bool:
+def _consider(alg: Algebra, vecs: np.ndarray, found: list) -> bool:
     """Append, in column order, each column's candidate that is a character
     farther than DEDUPE_RADIUS from every one found before it; whether any was."""
     vals = _candidate_values(alg, vecs)
-    vals = vals[_multiplicative(alg, vals, tol)]
+    vals = vals[_multiplicative(alg, vals)]
     known = len(found)
     rows = np.concatenate([np.reshape(found, (known, alg.dim)), vals])
     close = np.abs(rows[:, None] - rows[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
@@ -178,7 +189,7 @@ def _sorted(found: list) -> list:
     return [found[i] for i in np.lexsort(keys.T[::-1])]
 
 
-def characters(alg: Algebra, seed: int = 0, tol: float = 1e-8) -> GelfandSpectrumData:
+def characters(alg: Algebra, seed: int = 0) -> GelfandSpectrumData:
     """All characters of an abelian complex algebra.
 
     Raises NonAbelian for non-abelian input, and ComplexFieldRequired for
@@ -195,14 +206,14 @@ def characters(alg: Algebra, seed: int = 0, tol: float = 1e-8) -> GelfandSpectru
         raise NonAbelian("the algebra has non-commuting basis elements")
     found: list[np.ndarray] = []
     if alg.star_closed:
-        _consider(alg, _joint_eigenvectors(alg), found, tol)
+        _consider(alg, _joint_eigenvectors(alg), found)
     else:
         rng = np.random.default_rng(seed)
         for _ in range(10):
             c = rng.standard_normal(alg.dim)
             g = alg.from_coords(c)
             _, vecs = np.linalg.eig(g)
-            added = _consider(alg, vecs, found, tol)
+            added = _consider(alg, vecs, found)
             if not added and found:
                 break
             if len(found) == alg.dim:
@@ -285,11 +296,14 @@ def char_kernel(alg: Algebra, chi: Functional) -> SubspaceBasis:
         raise NotUnital("character kernels are taken in unital algebras")
     if chi.algebra is not alg:
         raise AlgebraMismatch("character belongs to a different algebra")
-    row = np.asarray(chi.values, dtype=complex).reshape(1, -1)
-    _, _, vh = np.linalg.svd(row)
-    null_coords = vh[1:].conj()
-    mats = [alg.from_coords(c) for c in null_coords]
+    mats = [alg.from_coords(c) for c in _null_coords(chi.values)]
     return subspace(alg, mats)
+
+
+def _null_coords(values) -> np.ndarray:
+    """Orthonormal rows spanning {c : dot(values, c) = 0}, from one SVD of the row."""
+    _, _, vh = np.linalg.svd(np.asarray(values, dtype=complex).reshape(1, -1))
+    return vh[1:].conj()
 
 
 @dataclass(frozen=True)
@@ -301,19 +315,14 @@ class GkzOutcome:
     attempts_used: int
 
 
-def gkz_witness(
-    alg: Algebra,
-    phi_values,
-    seed: int = 0,
-    attempts: int = 200,
-    tol: float = 1e-9,
-) -> GkzOutcome:
+def gkz_witness(alg: Algebra, phi_values, seed: int = 0) -> GkzOutcome:
     """Check the character criterion: phi(1) = 1 and phi never zero on invertibles.
 
     A multiplicative phi is certified as a character.  Otherwise the search
     returns an invertible element of ker(phi) (smallest singular value above
-    1e-8 after normalization), which witnesses that phi violates the
-    invertibility condition.
+    INVERTIBLE_TOL after normalization), which witnesses that phi violates
+    the invertibility condition.  WitnessNotFound is raised after
+    GKZ_ATTEMPTS random kernel elements.
     """
     if alg.real_field:
         raise ComplexFieldRequired("the criterion is stated over the complex field")
@@ -323,29 +332,28 @@ def gkz_witness(
     if vals.shape != (alg.dim,):
         raise ValueError(f"functional needs {alg.dim} basis values")
     phi_one = complex(np.dot(vals, alg.identity_coords))
-    if abs(phi_one - 1.0) > 1e-6:
+    if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise ValueError(f"phi(1) = {phi_one} is not 1")
 
-    if _multiplicative(alg, vals[None], max(tol, 1e-8))[0]:
+    if _multiplicative(alg, vals[None])[0]:
         return GkzOutcome(True, None, None, None, 0)
 
-    _, _, vh = np.linalg.svd(vals.reshape(1, -1))
-    kernel = vh[1:].conj()  # rows span {c : dot(vals, c) = 0}
+    kernel = _null_coords(vals)
     rng = np.random.default_rng(seed)
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, GKZ_ATTEMPTS + 1):
         coef = rng.standard_normal(kernel.shape[0]) + 1j * rng.standard_normal(kernel.shape[0])
         c = coef @ kernel
         m = alg.from_coords(c)
         nrm = linalg.op_norm(m)
-        if nrm < 1e-12:
+        if nrm < ZERO_NORM:
             continue
         m = m / nrm
         svals = np.linalg.svd(m, compute_uv=False)
-        if svals[-1] > 1e-8:
+        if svals[-1] > INVERTIBLE_TOL:
             witness = Element(alg, m)
             phi_w = complex(np.dot(vals, alg.coords(m)))
             return GkzOutcome(False, witness, phi_w, float(svals[-1]), attempt)
-    raise WitnessNotFound(f"no invertible kernel element found in {attempts} attempts")
+    raise WitnessNotFound(f"no invertible kernel element found in {GKZ_ATTEMPTS} attempts")
 
 
 def conv(x, y) -> np.ndarray:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotHermitian, Singular, NoConvergence
-
-DEFAULT_TOL = 1e-9
+from .tolerances import LINALG_TOL
 
 
 def as_matrix(m) -> np.ndarray:
@@ -57,16 +56,23 @@ def op_norm(m) -> float:
 def hermitian_residual(m: np.ndarray) -> float:
     """Relative defect ||m - m*|| / ||m||.
 
-    Exactly Hermitian input, the zero matrix included, returns 0.0 without
-    computing a norm.
+    m is first scaled by the power of two 2^-e that brings its largest real
+    or imaginary part into [1/2, 1), so m - m* cannot overflow.  The scaling
+    is exact for every entry that stays normal, so m and 2^k m give the same
+    bits.  Exactly Hermitian input, the zero matrix included, returns 0.0
+    without computing a norm.
     """
-    skew = m - adjoint(m)
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    _, e = np.frexp(np.max(np.abs(parts), initial=0.0))
+    # ldexp stays exact where 2.0**e (e = 1024) or 2.0**-e (subnormal peaks) overflows
+    skew = np.ldexp(parts, -e).view(complex)
+    skew -= skew.conj().T  # conj() copies, so no entry is read after it is written
     if not skew.any():
         return 0.0
-    return op_norm(skew) / op_norm(m)
+    return op_norm(skew) / op_norm(np.ldexp(parts, -e).view(complex))
 
 
-def herm_eig(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending and real, vectors) with the vectors
@@ -81,17 +87,17 @@ def herm_eig(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def invert(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def invert(m) -> np.ndarray:
     """Matrix inverse, rejecting near-singular input.
 
-    Raises Singular when the smallest singular value is <= tol * ||m||.
+    Raises Singular when the smallest singular value is <= LINALG_TOL * ||m||.
     """
     a = require_square(as_matrix(m))
     if a.shape[0] == 0:
         return a.copy()
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= tol * svals[0] or svals[0] == 0.0:
-        raise Singular(f"smallest singular value {svals[-1]:.3e} below {tol:.1e} * norm")
+    if svals[-1] <= LINALG_TOL * svals[0] or svals[0] == 0.0:
+        raise Singular(f"smallest singular value {svals[-1]:.3e} below {LINALG_TOL:.1e} * norm")
     return np.linalg.inv(a)
 
 
@@ -118,13 +124,13 @@ def eig_general(m) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def null_basis(g, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def null_basis(g) -> list[np.ndarray]:
     """Orthonormal basis of the (numerical) null space of a Hermitian PSD matrix.
 
-    Eigenvectors whose eigenvalue is within tol * ||g|| of zero are kept;
-    the count is dim - rank.  Raises NotHermitian for non-Hermitian input.
+    Eigenvectors whose eigenvalue is within LINALG_TOL * ||g|| of zero are
+    kept; the count is dim - rank.  Raises NotHermitian for non-Hermitian input.
     """
-    w, v = herm_eig(g, tol=tol)
+    w, v = herm_eig(g)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) <= tol * scale
+    keep = np.abs(w) <= LINALG_TOL * scale
     return [v[:, i].copy() for i in range(len(w)) if keep[i]]

@@ -15,6 +15,7 @@ import numpy as np
 from .algebra import Algebra, Element
 from .errors import DimensionMismatch, LevelOutOfRange
 from .states import State, vector_state
+from .tolerances import GRID_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class GridState:
             raise DimensionMismatch("amplitude count must match the grid")
         object.__setattr__(self, "amplitudes", amp)
         total = self.grid.spacing * float(np.sum(np.abs(amp) ** 2))
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > GRID_NORM_TOL:
             raise ValueError(f"state norm {total} != 1; use grid_state() to normalize")
 
 

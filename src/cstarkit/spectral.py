@@ -1,7 +1,7 @@
 """Spectra, spectral radius limits, exponentials and functional calculus.
 
 Spectra are always the ambient-matrix eigenvalues, deduplicated with a
-clustering radius of 1e-7 * (1 + radius); for elements of non-unital
+clustering radius of CLUSTER_SCALE * (1 + radius); for elements of non-unital
 algebras this matches the convention of passing to the unitization.  The
 real field mode filters to (numerically) real eigenvalues and may yield
 the empty set.
@@ -26,8 +26,8 @@ from .errors import (
     Overflow,
     SingularResolvent,
 )
+from .tolerances import CLASSIFY_TOL, CLUSTER_SCALE, ELEMENT_TOL, NEUMANN_TOL
 
-CLUSTER_SCALE = 1e-7
 NEUMANN_MAX_TERMS = 10_000
 
 
@@ -136,7 +136,7 @@ def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport:
     return SpectrumReport(tuple(points), rad, field_mode)
 
 
-def resolvent(a: Element, z: complex, tol: float = 1e-9) -> Element:
+def resolvent(a: Element, z: complex) -> Element:
     """(a - z 1)^{-1}, solved inside the owning algebra when one is attached."""
     m = a.matrix
     eigs = linalg.eig_general(m)
@@ -153,7 +153,7 @@ def resolvent(a: Element, z: complex, tol: float = 1e-9) -> Element:
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(str(exc)) from exc
         return Element(alg, alg.from_coords(x))
-    inv = linalg.invert(m - z * np.eye(m.shape[0]), tol)
+    inv = linalg.invert(m - z * np.eye(m.shape[0]))
     return Element(None, inv)
 
 
@@ -198,7 +198,7 @@ def power_norm_root(a, n: int) -> float:
     return linalg.op_norm(np.linalg.matrix_power(m, n)) ** (1.0 / n)
 
 
-def neumann_inverse(a: Element, tol: float = 1e-12) -> Element:
+def neumann_inverse(a: Element, tol: float = NEUMANN_TOL) -> Element:
     """(1 - a)^{-1} by partial geometric sums; requires ||a|| < 1.
 
     Terms accumulate until the term norm drops below tol * (1 - ||a||),
@@ -275,31 +275,31 @@ def poly_apply(a, coeffs) -> Element:
     return Element(alg, acc)
 
 
-def classify(a, tol: float = 1e-9) -> ElementFlags:
-    """Hermitian / unitary / normal / positive flags by residual tests."""
+def classify(a) -> ElementFlags:
+    """Hermitian / unitary / normal / positive flags by residual tests within CLASSIFY_TOL."""
     m = _matrix_of(a)
     scale = linalg.op_norm(m)
-    herm = linalg.hermitian_residual(m) <= tol
+    herm = linalg.hermitian_residual(m) <= CLASSIFY_TOL
     adj = linalg.adjoint(m)
     norm_res = linalg.op_norm(m @ adj - adj @ m)
-    normal = norm_res <= tol * max(1.0, scale**2)
+    normal = norm_res <= CLASSIFY_TOL * max(1.0, scale**2)
     unitary = False
     has_unit = not (isinstance(a, Element) and a.algebra is not None and not a.algebra.unital)
     if has_unit:
         e = _identity_of(a)
         unitary = (
-            linalg.op_norm(m @ adj - e) <= tol * max(1.0, scale**2)
-            and linalg.op_norm(adj @ m - e) <= tol * max(1.0, scale**2)
+            linalg.op_norm(m @ adj - e) <= CLASSIFY_TOL * max(1.0, scale**2)
+            and linalg.op_norm(adj @ m - e) <= CLASSIFY_TOL * max(1.0, scale**2)
         )
     positive = False
     if herm:
-        w, _ = linalg.herm_eig(m, tol=max(tol, 1e-9))
-        positive = bool(np.min(w) >= -tol * max(1.0, scale)) if w.size else True
+        w, _ = linalg.herm_eig(m, CLASSIFY_TOL)
+        positive = bool(np.min(w) >= -CLASSIFY_TOL * max(1.0, scale)) if w.size else True
     return ElementFlags(herm, unitary, normal, positive)
 
 
-def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """herm_eig of a positive element; NotPositive for any other.
+def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """herm_eig of a positive element, and max(1, ||a||); NotPositive for any other.
 
     Positive is classify()'s test: Hermitian within tol, and no eigenvalue
     below -tol * max(1, ||a||).  Each test fails when it reads NaN.
@@ -309,34 +309,39 @@ def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
     if not linalg.hermitian_residual(m) <= tol:
         raise NotPositive(message)
     w, v = linalg.herm_eig(m, tol)
-    if w.size and not float(np.min(w)) >= -tol * max(1.0, linalg.op_norm(m)):
+    scale = max(1.0, linalg.op_norm(m))
+    if w.size and not float(np.min(w)) >= -tol * scale:
         raise NotPositive(message)
-    return w, v
+    return w, v, scale
 
 
-def sqrt_positive(a, tol: float = 1e-9) -> Element:
+def sqrt_positive(a, tol: float = CLASSIFY_TOL) -> Element:
     """Hermitian square root of a positive element via its eigendecomposition."""
-    w, v = _positive_eig(a, tol)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    alg = a.algebra if isinstance(a, Element) else None
-    return Element(alg, root)
+    root, _ = _sqrt_and_scale(a, tol)
+    return Element(a.algebra if isinstance(a, Element) else None, root)
 
 
-def func_calc(a, f, tol: float = 1e-9) -> Element:
+def _sqrt_and_scale(a, tol: float) -> tuple[np.ndarray, float]:
+    """The matrix of sqrt_positive(a, tol), and the max(1, ||a||) of its positivity test."""
+    w, v, scale = _positive_eig(a, tol)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T, scale
+
+
+def func_calc(a, f) -> Element:
     """Apply a scalar function to a normal element through diagonalization."""
     m = _matrix_of(a)
-    if not classify(a, tol).normal:
+    if not classify(a).normal:
         raise NotNormal("functional calculus requires a normal element")
     t, q = sla.schur(m, output="complex")
     lam = np.diag(t)
     fm = (q * np.array([complex(f(z)) for z in lam])) @ q.conj().T
     alg = a.algebra if isinstance(a, Element) else None
-    if alg is not None and not alg.contains(fm, 1e-8):
+    if alg is not None and not alg.contains(fm, ELEMENT_TOL):
         alg = None
     return Element(alg, fm)
 
 
-def commutator_scalar_test(a: Element, b: Element, tol: float = 1e-9) -> CommutatorReport:
+def commutator_scalar_test(a: Element, b: Element) -> CommutatorReport:
     """Test whether ab - ba is a scalar multiple of the identity.
 
     The trace of any commutator vanishes, so a scalar commutator forces
@@ -352,7 +357,7 @@ def commutator_scalar_test(a: Element, b: Element, tol: float = 1e-9) -> Commuta
     lam = trace / n
     residual = linalg.op_norm(c - lam * np.eye(n))
     scale = max(1.0, linalg.op_norm(ma) * linalg.op_norm(mb))
-    return CommutatorReport(trace, lam, residual, residual <= tol * scale)
+    return CommutatorReport(trace, lam, residual, residual <= CLASSIFY_TOL * scale)
 
 
 def _hausdorff(p: list[complex], q: list[complex]) -> float:

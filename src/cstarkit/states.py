@@ -31,8 +31,14 @@ from .errors import (
     NotUnital,
     NotUnitVector,
 )
+from .tolerances import (
+    CLASSIFY_TOL,
+    GRAM_NULL_TOL,
+    POSITIVITY_TOL,
+    UNIT_VALUE_TOL,
+    UNIT_VECTOR_TOL,
+)
 
-GRAM_NULL_TOL = 1e-10
 # Complex entries in one stack of sampled representation matrices (2 MiB):
 # universal_rep takes its samples in chunks of this many entries.
 _SAMPLE_STACK_ENTRIES = 1 << 17
@@ -87,51 +93,51 @@ def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
     return adjoint_coords @ (alg.structure @ np.asarray(f.values, dtype=complex))
 
 
-def is_positive_functional(alg: Algebra, f: Functional, tol: float = 1e-9) -> PositivityReport:
+def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:
     """Positivity (f(a*a) >= 0 on the span) via the Gram matrix's eigenvalues."""
-    return _gram_positivity(gram_matrix(alg, f), tol)
+    return _gram_positivity(gram_matrix(alg, f))
 
 
-def _gram_positivity(g: np.ndarray, tol: float) -> PositivityReport:
+def _gram_positivity(g: np.ndarray) -> PositivityReport:
     scale = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
     defect = float(np.linalg.norm(g - g.conj().T)) / scale
     w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
     min_eig = float(w[0]) if w.size else 0.0
-    positive = defect <= tol and min_eig >= -tol * scale
+    positive = defect <= POSITIVITY_TOL and min_eig >= -POSITIVITY_TOL * scale
     return PositivityReport(positive, min_eig, defect)
 
 
-def make_state(alg: Algebra, values, tol: float = 1e-9) -> State:
+def make_state(alg: Algebra, values) -> State:
     """Validate positivity and normalization, then build a State."""
     f = functional(alg, values)
-    report = is_positive_functional(alg, f, tol)
+    report = is_positive_functional(alg, f)
     if not report.positive:
         raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
     if not alg.unital:
         raise NotUnital("states are normalized against the algebra identity")
     nrm = f(alg.identity_matrix)
-    if abs(nrm - 1.0) > 1e-6:
+    if abs(nrm - 1.0) > UNIT_VALUE_TOL:
         raise ValueError(f"functional has f(1) = {nrm}, expected 1")
     return State(alg, f.values, norm=float(nrm.real))
 
 
-def vector_state(alg: Algebra, x, tol: float = 1e-9) -> State:
+def vector_state(alg: Algebra, x) -> State:
     """The state f(a) = <a x, x> induced by a unit vector x."""
     xv = np.asarray(x, dtype=complex).ravel()
     if xv.shape[0] != alg.ambient_dim:
         raise DimensionMismatch(
             f"vector has length {xv.shape[0]}, ambient space is {alg.ambient_dim}"
         )
-    if abs(float(np.linalg.norm(xv)) - 1.0) > tol:
+    if abs(float(np.linalg.norm(xv)) - 1.0) > UNIT_VECTOR_TOL:
         raise NotUnitVector(f"vector norm {np.linalg.norm(xv):.12f} is not 1")
-    return make_state(alg, alg.basis @ xv @ xv.conj(), tol)
+    return make_state(alg, alg.basis @ xv @ xv.conj())
 
 
-def functional_norm(alg: Algebra, f: Functional, tol: float = 1e-9) -> float:
+def functional_norm(alg: Algebra, f: Functional) -> float:
     """||f|| = f(1) for positive functionals on unital algebras."""
     if not alg.unital:
         raise NotUnital("the norm formula needs an identity")
-    report = is_positive_functional(alg, f, tol)
+    report = is_positive_functional(alg, f)
     if not report.positive:
         raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
     return float(f(alg.identity_matrix).real)
@@ -150,14 +156,14 @@ def cauchy_schwarz_residual(f: Functional, a: Element, b: Element) -> float:
     return float(faa * fbb - abs(fba) ** 2)
 
 
-def norming_state(a: Element, tol: float = 1e-9) -> State:
+def norming_state(a: Element) -> State:
     """A state with f(a) = ||a||, from a top eigenvector of the positive element a."""
     from .spectral import _positive_eig
 
     if a.algebra is None:
         raise ValueError("norming_state needs an element with an explicit algebra")
-    _, v = _positive_eig(a, tol)
-    return vector_state(a.algebra, v[:, -1], tol)
+    _, v, _ = _positive_eig(a, CLASSIFY_TOL)
+    return vector_state(a.algebra, v[:, -1])
 
 
 @dataclass(frozen=True)
@@ -187,16 +193,16 @@ class GnsRepresentation(Representation):
     cyclic_vector: np.ndarray | None = None
 
 
-def gns(alg: Algebra, state: Functional, tol: float = 1e-9) -> GnsRepresentation:
+def gns(alg: Algebra, state: Functional) -> GnsRepresentation:
     """GNS representation of a positive functional.
 
     The Hilbert space is the coordinate space modulo the Gram null space
-    (eigenvalues <= 1e-10 * max are treated as zero); left multiplication
-    descends to the representing matrices.
+    (eigenvalues <= GRAM_NULL_TOL * max are treated as zero); left
+    multiplication descends to the representing matrices.
     """
     f = state
     g = gram_matrix(alg, f)
-    report = _gram_positivity(g, tol)
+    report = _gram_positivity(g)
     if not report.positive:
         raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
     g = (g + g.conj().T) / 2.0

@@ -1,0 +1,95 @@
+"""Every tolerance of cstarkit, as one named constant each.
+
+A tolerance decides a claim: whether a matrix lies in a span, whether a
+functional is positive or multiplicative, whether a report's residual
+holds.  The comment above each constant says what it decides; checks that
+share a meaning and a value share the name.  A relative tolerance is
+multiplied by the scale its comment names.
+
+Not tolerances, and so kept beside the code they bound: the budgets
+(Neumann terms, Nelder-Mead evaluations and restarts, GKZ attempts, sample
+stack sizes), and the rounding margins that keep a fast path exact.
+"""
+
+# -- Spans and elements (algebra)
+
+# Relative residual within which a candidate lies in a span: basis growth, unit, flags, ideals.
+MEMBERSHIP_TOL = 1e-9
+# Relative projection residual within which a given matrix is accepted as an element.
+ELEMENT_TOL = 1e-8
+# Norm below which a matrix counts as zero: Hermitian spanning set, GKZ kernel draws.
+ZERO_NORM = 1e-12
+# An unconverged Nelder-Mead quotient norm at most this is accepted as 0.
+QUOTIENT_NORM_ZERO = 1e-9
+# Nelder-Mead stops once its simplex spans at most this in ideal coordinates ...
+NELDER_MEAD_XATOL = 1e-8
+# ... and its objective values differ by at most this.
+NELDER_MEAD_FATOL = 1e-10
+
+# -- Dense kernels (linalg)
+
+# Relative to ||m||: herm_eig's Hermitian defect, invert's and null_basis's zero singular values.
+LINALG_TOL = 1e-9
+
+# -- Spectra and element flags (spectral)
+
+# Eigenvalues within CLUSTER_SCALE * (1 + max |eigenvalue|) of each other are one spectral point.
+CLUSTER_SCALE = 1e-7
+# Relative residual of classify's flags, of positivity (sqrt_positive) and of a scalar commutator.
+CLASSIFY_TOL = 1e-9
+# Bound on the tail of neumann_inverse's series.
+NEUMANN_TOL = 1e-12
+
+# -- Characters and the GKZ criterion (gelfand)
+
+# Max-norm distance within which two characters are one; relative rank cut of the transform.
+DEDUPE_RADIUS = 1e-7
+# Relative gap between eigenspaces of the generic element, and scalar defect on one.
+EIGENSPACE_TOL = 1e-8
+# Multiplicativity residual of a character, and the size up to which its values are all 0.
+MULTIPLICATIVE_TOL = 1e-8
+# Smallest singular value above which a norm-1 GKZ witness counts as invertible.
+INVERTIBLE_TOL = 1e-8
+# How far phi(1) may be from 1, for a state or a GKZ functional.
+UNIT_VALUE_TOL = 1e-6
+
+# -- States and GNS (states)
+
+# Hermitian defect and negative eigenvalue of a positive Gram matrix, relative to max(1, max|G|).
+POSITIVITY_TOL = 1e-9
+# Gram eigenvalues at most this times the largest one span the GNS null space.
+GRAM_NULL_TOL = 1e-10
+# How far a vector state's vector may be from norm 1.
+UNIT_VECTOR_TOL = 1e-9
+
+# -- Particle in a box (qm)
+
+# How far a GridState's spacing-weighted norm may be from 1.
+GRID_NORM_TOL = 1e-12
+
+# -- CLI input checks and report residuals (cli)
+
+# gns input: Hermitian defect and |trace - 1| of a density matrix.
+DENSITY_TOL = 1e-8
+# radius: |Gelfand formula estimate - largest |eigenvalue||.
+RADIUS_REPORT_TOL = 1e-3
+# exp: ||e^m e^-m - I||, and the excess of ||e^m|| over e^||m||.
+EXP_REPORT_TOL = 1e-9
+# sqrt: ||root^2 - m|| / max(1, ||m||).
+SQRT_REPORT_TOL = 1e-8
+# characters: the largest multiplicativity residual.
+CHARACTERS_REPORT_TOL = 1e-7
+# gelfand: sup|a-hat| - r(a), and sup|a-hat| - ||a|| on *-closed algebras.
+GELFAND_REPORT_TOL = 1e-8
+# gkz: |phi| at the witness.
+GKZ_REPORT_TOL = 1e-9
+# gns: *-homomorphism defect, contraction excess and state reproduction error.
+GNS_REPORT_TOL = 1e-9
+# universal: the largest | ||pi(a)|| - ||a|| | over the samples.
+UNIVERSAL_REPORT_TOL = 1e-7
+# quotient-norm: excess of the quotient norm over ||a||.
+QUOTIENT_NORM_REPORT_TOL = 1e-9
+# qm: deviation of <x> from L/2 and of <cos> from its closed form.
+QM_EXPECTATION_REPORT_TOL = 1e-3
+# qm: Hermitian defect of the observables.
+QM_HERMITIAN_REPORT_TOL = 1e-12

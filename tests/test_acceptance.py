@@ -232,7 +232,7 @@ def test_criterion_13_gkz_witness():
                 vals = vals + e_coords.conj()
                 phi_one = complex(np.dot(vals, e_coords))
             vals = vals / phi_one  # normalize phi(1) = 1
-            out = gelfand.gkz_witness(alg, vals, seed=trial, attempts=200)
+            out = gelfand.gkz_witness(alg, vals, seed=trial)
             if out.is_character:
                 continue  # a random functional is almost surely not multiplicative
             ok &= abs(out.phi_at_witness) <= 1e-9 and out.min_singular_value > 1e-8

@@ -562,13 +562,24 @@ class TestPositivityExits:
         root = np.array(report["results"]["sqrt"]["data"])[:, 0]
         assert np.allclose(root[[0, 3]], 1e150, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_non_hermitian_input_fails_closed(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "z.json", [[1e308 + 1e308j]])
         assert cli.run(["sqrt", "--input", path]) == 1
         err = capsys.readouterr().err
         assert "NotPositive" in err or "NoConvergence" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, code", [("sqrt", 1), ("gns", 2)])
+    def test_overflowing_entries_exit_without_warning(self, tmp_path, command, code):
+        path = write_matrix(tmp_path / "z.json", [[1e308 + 1e308j]])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cstarkit.cli", command, "--input", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 # ------------------------------------------------------------------

@@ -71,6 +71,11 @@ class TestHermitianResidual:
         expect = linalg.op_norm(m - m.conj().T) / linalg.op_norm(m)
         assert linalg.hermitian_residual(m) == expect
 
+    @pytest.mark.parametrize("k", [1000, -1000])
+    def test_power_of_two_scale_keeps_every_bit(self, k):
+        m = rand_matrix(np.random.default_rng(7), 6)
+        assert linalg.hermitian_residual(2.0**k * m) == linalg.hermitian_residual(m)
+
 
 class TestInvert:
     def test_identity(self):
