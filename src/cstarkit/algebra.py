@@ -21,7 +21,7 @@ arithmetic never touches representatives again.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,7 +98,7 @@ def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
     return out[:k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebra:
     """A subalgebra of M_n: an orthonormal, multiplication-closed (d, n, n) basis."""
 
@@ -172,7 +172,7 @@ class Algebra:
         return _pairing(m, self.basis)
 
     def from_coords(self, c) -> np.ndarray:
-        return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=1)
+        return _combine_each(np.asarray(c, dtype=complex)[None], self.basis)[0]
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.from_coords(self.coords(m))
@@ -235,7 +235,7 @@ def full_matrix_algebra(n: int) -> Algebra:
     return Algebra(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Element:
     """A matrix tagged with its owning algebra (None means ambient M_n)."""
 
@@ -309,22 +309,20 @@ def is_abelian(alg: Algebra) -> bool:
 
 def random_element(alg: Algebra, rng: np.random.Generator) -> Element:
     """Element with seeded Gaussian coordinates (real when the field is real)."""
-    c = rng.standard_normal(alg.dim)
-    if not alg.real_field:
-        c = c + 1j * rng.standard_normal(alg.dim)
-    return Element(alg, alg.from_coords(c))
+    return Element(alg, _random_matrices(alg, rng, 1)[0])
 
 
-# Stacked forms of per-sample calls, equal to them bit for bit.  A stack is
-# processed as one product per matrix (vector-matrix or vector-vector), as the
-# single calls are; one matrix-matrix product over the stack rounds differently.
+# Stacked sample kernels; a single call is the stack of one.  A stack is
+# processed as one product per matrix (vector-matrix or vector-vector), so
+# each matrix of a stack has the bits it has alone; one matrix-matrix
+# product over the stack would round differently.
 
 
 def _random_matrices(alg: Algebra, rng: np.random.Generator, k: int) -> np.ndarray:
-    """The (k, n, n) matrices of k successive random_element(alg, rng) calls.
+    """The (k, n, n) matrices of k seeded Gaussian coordinate vectors.
 
-    One draw of (k, 2, d) normals consumes the stream as k elements do:
-    the real parts, then the imaginary parts, of each element in turn.
+    One draw of (k, 2, d) normals takes, for each element in turn, the real
+    parts and then the imaginary parts; a real field draws (k, d).
     """
     if alg.real_field:
         c = rng.standard_normal((k, alg.dim)).astype(complex)
@@ -346,25 +344,18 @@ def _pairing_each(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (m.reshape(k, 1, n2).conj() @ rows.reshape(len(rows), n2).T).conj()[:, 0]
 
 
-def _op_norm_each(mats: np.ndarray) -> np.ndarray:
-    """linalg.op_norm of each matrix of a (k, p, p) stack."""
-    if not mats.size:
-        return np.zeros(len(mats))
-    return np.linalg.svd(mats, compute_uv=False)[:, 0]
-
-
 def _dot_each(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """np.dot(x_i, y_i) over the broadcast leading axes of two vector stacks."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """A linearly independent subset of an algebra, kept with an orthonormal copy."""
 
     algebra: Algebra
     matrices: tuple[np.ndarray, ...]
-    onb: np.ndarray = field(default=None, compare=False)  # (k, n, n)
+    onb: np.ndarray = None  # (k, n, n)
 
     def __post_init__(self):
         mats = [linalg.as_matrix(m) for m in self.matrices]
@@ -412,7 +403,7 @@ def ideal_check(alg: Algebra, s: SubspaceBasis) -> str:
     return "not_ideal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientAlgebra:
     """Cosets of a two-sided ideal, with multiplication as structure constants."""
 

@@ -3,11 +3,12 @@
 Matrix files are {"rows": r, "cols": c, "data": [[re, im], ...]} in
 row-major order.  Every run emits a report {"command", "inputs",
 "results", "residuals", "seed"}; residuals always carry their tolerance.
-Exit codes: 0 success, 1 mathematical precondition failure, 2 malformed
-input or usage error: an unreadable or malformed document, an option value
-outside its domain (a negative --seed, --grid below 2, --levels below 1, a
---length outside [1e-100, 1e100], a --tol that is not finite and positive),
-or an unwritable --out.
+Exit codes: 0 success, 1 mathematical precondition failure (Overflow when a
+value leaves the float range), 2 malformed input or usage error: an
+unreadable or malformed document, an option value outside its domain (a
+negative --seed, --grid below 2, --levels below 1, a --length outside
+[1e-100, 1e100], a --tol that is not finite and positive), or an
+unwritable --out.
 
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, and the same input and ``--seed`` give byte-identical
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import algebra, gelfand, linalg, qm, spectral, states
-from .errors import CStarError, MalformedInput, NoConvergence
+from .errors import CStarError, MalformedInput
 from .tolerances import (
     CHARACTERS_REPORT_TOL,
     CLASSIFY_TOL,
@@ -180,13 +181,8 @@ def _square_input(m: np.ndarray) -> np.ndarray:
 
 def cmd_spectrum(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    # One decomposition: spectrum() of m reads its eigenvalues, or the
-    # diagonal when m is triangular, as eig_general does.
-    try:
-        w, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(str(exc)) from exc
-    eigs = np.diag(m).astype(complex) if linalg.is_triangular(m) else w
+    # One decomposition gives spectrum()'s eigenvalues and the eigenvectors.
+    eigs, w, v = linalg.eig_with_vectors(m)
     rep = spectral._spectrum_report(eigs, args.field)
     radius = spectral.clustering_radius(np.array(rep.points if rep.points else [0.0]))
     scale = max(1.0, linalg.op_norm(m))
@@ -233,7 +229,9 @@ def cmd_exp(args) -> dict:
     em = spectral.exp_element(a).matrix
     em_neg = spectral.exp_element(algebra.ambient_element(-m)).matrix
     inverse_resid = linalg.op_norm(em @ em_neg - np.eye(m.shape[0]))
-    bound_excess = max(0.0, linalg.op_norm(em) - float(np.exp(linalg.op_norm(m))))
+    with np.errstate(over="ignore"):  # a bound e^||m|| beyond the float range is inf
+        bound = float(np.exp(linalg.op_norm(m)))
+    bound_excess = max(0.0, linalg.op_norm(em) - bound)
     return {
         "inputs": {"input": matrix_to_json(m)},
         "results": {"exp": matrix_to_json(em)},
@@ -268,13 +266,9 @@ def cmd_neumann(args) -> dict:
     }
 
 
-def _abelian_algebra_from(m: np.ndarray) -> algebra.Algebra:
-    return algebra.algebra_from_generators([m], include_identity=True, include_adjoints=True)
-
-
 def cmd_characters(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    alg = _abelian_algebra_from(m)
+    alg = algebra.algebra_from_generators([m])
     spec = gelfand.characters(alg, seed=args.seed)
     a = algebra.Element(alg, m)
     mult_resid = max((chi.multiplicativity_residual() for chi in spec), default=0.0)
@@ -293,7 +287,7 @@ def cmd_characters(args) -> dict:
 
 def cmd_gelfand(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    alg = _abelian_algebra_from(m)
+    alg = algebra.algebra_from_generators([m])
     report = gelfand.gelfand_isometry_report(alg, samples=20, seed=args.seed)
     return {
         "inputs": {"input": matrix_to_json(m)},
@@ -344,7 +338,7 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
     and each check runs on one stack of the samples' matrices and images.
     """
     alg, rng = rep.algebra, np.random.default_rng(seed)
-    norm = algebra._op_norm_each
+    norm = linalg._op_norm_each
     pairs = algebra._random_matrices(alg, rng, 40)
     a, b = pairs[0::2], pairs[1::2]
     pa, pb = rep._apply_each(a), rep._apply_each(b)
@@ -357,7 +351,7 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
         a = algebra._random_matrices(alg, rng, 20)
         x = rep.cyclic_vector
         lhs = algebra._dot_each(x.conj(), rep._apply_each(a) @ x)
-        rhs = algebra._dot_each(np.asarray(rep.state.values), algebra._pairing_each(a, alg.basis))
+        rhs = algebra._dot_each(rep.state.values, algebra._pairing_each(a, alg.basis))
         # Python abs: numpy's complex abs can round differently
         state_resid = max(0.0, *(abs(p - q) for p, q in zip(lhs.tolist(), rhs.tolist())))
     return hom_resid, contraction, state_resid
@@ -389,7 +383,7 @@ def cmd_gns(args) -> dict:
 
 def cmd_universal(args) -> dict:
     g = _square_input(parse_matrix(args.input))
-    alg = algebra.algebra_from_generators([g], include_identity=True, include_adjoints=True)
+    alg = algebra.algebra_from_generators([g])
     report = states.universal_rep(alg, seed=args.seed)
     return {
         "inputs": {"input": matrix_to_json(g)},
@@ -416,9 +410,7 @@ def cmd_quotient_norm(args) -> dict:
     ideal_mats = [matrix_from_json(d) for d in doc["ideal"]]
     if any(g.shape != m.shape for g in ideal_mats):
         raise MalformedInput(f"every ideal matrix must have the element's shape {m.shape}")
-    alg = algebra.algebra_from_generators(
-        [m, *ideal_mats], include_identity=True, include_adjoints=True
-    )
+    alg = algebra.algebra_from_generators([m, *ideal_mats])
     ideal = algebra.subspace(alg, ideal_mats)
     q = algebra.quotient(alg, ideal)
     a = algebra.Element(alg, m)
@@ -541,13 +533,17 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _check_options(args)
-        body = _HANDLERS[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):
+            body = _HANDLERS[args.command](args)
         emit_report({"command": args.command, "seed": args.seed, **body}, args.out)
     except MalformedInput as exc:
         print(f"error: MalformedInput: {exc}", file=sys.stderr)
         return 2
-    except CStarError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (CStarError, FloatingPointError, OverflowError) as exc:
+        # a numpy or Python float operation that overflows, or gives an
+        # invalid value such as inf - inf, stops the command as Overflow
+        name = type(exc).__name__ if isinstance(exc, CStarError) else "Overflow"
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     return 0
 

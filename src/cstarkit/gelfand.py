@@ -26,7 +26,6 @@ from .algebra import (
     Element,
     SubspaceBasis,
     _dot_each,
-    _op_norm_each,
     _pairing_each,
     _random_matrices,
     subspace,
@@ -38,6 +37,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
+from .spectral import _spectrum_report
 from .states import Functional
 from .tolerances import (
     DEDUPE_RADIUS,
@@ -52,7 +52,7 @@ from .tolerances import (
 GKZ_ATTEMPTS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character(Functional):
     """A functional that characters() found multiplicative.
 
@@ -218,7 +218,7 @@ def characters(alg: Algebra, seed: int = 0) -> GelfandSpectrumData:
                 break
             if len(found) == alg.dim:
                 break
-    chars = tuple(Character(alg, tuple(v)) for v in _sorted(found))
+    chars = tuple(Character(alg, v) for v in _sorted(found))
     return GelfandSpectrumData(alg, chars)
 
 
@@ -251,30 +251,21 @@ def gelfand_isometry_report(
     sup|a-hat| - ||a|| vanishes exactly when the algebra is a *-closed
     C*-subalgebra.  A nonzero transform kernel (the radical) is flagged.
     """
-    from .spectral import _spectrum_report
-
     spec = characters(alg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     mats = _random_matrices(alg, rng, samples)
     values = np.array([chi.values for chi in spec.characters]).reshape(len(spec), alg.dim)
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    # spectrum()'s eigenvalues: the diagonal of a triangular sample, else eigvals
-    tri = linalg.is_triangular(mats)
-    eigs = np.empty(mats.shape[:2], dtype=complex)
-    eigs[tri] = np.diagonal(mats[tri], axis1=1, axis2=2)
-    if not tri.all():
-        eigs[~tri] = np.linalg.eigvals(mats[~tri])
-    radii = [_spectrum_report(e, "complex").radius for e in eigs]
-    norms = _op_norm_each(mats).tolist()
+    radii = [_spectrum_report(e, "complex").radius for e in linalg.eig_general(mats)]
+    norms = linalg._op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:
         kernel_detected = alg.dim > 0
         if kernel_detected:
             kernel_example = Element(alg, alg.basis[0])
     else:
-        tmat = np.array([chi.values for chi in spec.characters])
-        _, svals, vh = np.linalg.svd(tmat)
+        _, svals, vh = np.linalg.svd(values)
         rank = int(np.sum(svals > DEDUPE_RADIUS * max(1.0, svals[0])))
         kernel_detected = rank < alg.dim
         if kernel_detected:
@@ -300,9 +291,9 @@ def char_kernel(alg: Algebra, chi: Functional) -> SubspaceBasis:
     return subspace(alg, mats)
 
 
-def _null_coords(values) -> np.ndarray:
+def _null_coords(values: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {c : dot(values, c) = 0}, from one SVD of the row."""
-    _, _, vh = np.linalg.svd(np.asarray(values, dtype=complex).reshape(1, -1))
+    _, _, vh = np.linalg.svd(values.reshape(1, -1))
     return vh[1:].conj()
 
 
@@ -328,17 +319,15 @@ def gkz_witness(alg: Algebra, phi_values, seed: int = 0) -> GkzOutcome:
         raise ComplexFieldRequired("the criterion is stated over the complex field")
     if not alg.unital:
         raise NotUnital("the criterion requires a unital algebra")
-    vals = np.asarray(phi_values, dtype=complex)
-    if vals.shape != (alg.dim,):
-        raise ValueError(f"functional needs {alg.dim} basis values")
-    phi_one = complex(np.dot(vals, alg.identity_coords))
+    phi = Functional(alg, phi_values)
+    phi_one = complex(np.dot(phi.values, alg.identity_coords))
     if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise ValueError(f"phi(1) = {phi_one} is not 1")
 
-    if _multiplicative(alg, vals[None])[0]:
+    if _multiplicative(alg, phi.values[None])[0]:
         return GkzOutcome(True, None, None, None, 0)
 
-    kernel = _null_coords(vals)
+    kernel = _null_coords(phi.values)
     rng = np.random.default_rng(seed)
     for attempt in range(1, GKZ_ATTEMPTS + 1):
         coef = rng.standard_normal(kernel.shape[0]) + 1j * rng.standard_normal(kernel.shape[0])
@@ -351,8 +340,7 @@ def gkz_witness(alg: Algebra, phi_values, seed: int = 0) -> GkzOutcome:
         svals = np.linalg.svd(m, compute_uv=False)
         if svals[-1] > INVERTIBLE_TOL:
             witness = Element(alg, m)
-            phi_w = complex(np.dot(vals, alg.coords(m)))
-            return GkzOutcome(False, witness, phi_w, float(svals[-1]), attempt)
+            return GkzOutcome(False, witness, phi(witness), float(svals[-1]), attempt)
     raise WitnessNotFound(f"no invertible kernel element found in {GKZ_ATTEMPTS} attempts")
 
 

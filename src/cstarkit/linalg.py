@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitian, Singular, NoConvergence
+from .errors import NoConvergence, NotHermitian, Overflow, Singular
 from .tolerances import LINALG_TOL
 
 
@@ -44,13 +44,14 @@ def op_norm(m) -> float:
     Equals sqrt of the largest eigenvalue of m* m, which is the unique
     norm making the matrix *-algebra a C*-algebra.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    try:
-        return float(np.linalg.norm(a, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"operator norm: {exc}") from exc
+    return float(_op_norm_each(np.asarray(m, dtype=complex)[None])[0])
+
+
+def _op_norm_each(mats: np.ndarray) -> np.ndarray:
+    """op_norm of each matrix of a (k, p, q) stack, from one stacked SVD."""
+    if not mats.size:
+        return np.zeros(len(mats))
+    return _lapack(np.linalg.svd, mats, compute_uv=False)[:, 0]
 
 
 def hermitian_residual(m: np.ndarray) -> float:
@@ -81,10 +82,10 @@ def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitian when ||m - m*|| > tol * ||m||.
     """
     a = require_square(as_matrix(m))
-    if hermitian_residual(a) > tol:
-        raise NotHermitian(f"hermitian residual {hermitian_residual(a):.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh(a)
-    return w, v
+    resid = hermitian_residual(a)
+    if resid > tol:
+        raise NotHermitian(f"hermitian residual {resid:.3e} exceeds {tol:.1e}")
+    return np.linalg.eigh(a)
 
 
 def invert(m) -> np.ndarray:
@@ -110,18 +111,42 @@ def is_triangular(a: np.ndarray):
 
 
 def eig_general(m) -> np.ndarray:
-    """All eigenvalues with multiplicity, as a complex array.
+    """All eigenvalues with multiplicity of a square matrix, or of each matrix of a (k, n, n) stack.
 
-    Triangular input short-circuits to its diagonal.  Raises NoConvergence
+    A triangular matrix short-circuits to its diagonal.  Raises NoConvergence
     if the underlying QR iteration gives up.
     """
+    a = require_square(as_matrix(m)) if np.ndim(m) == 2 else np.asarray(m, dtype=complex)
+    return _diagonal_unless_general(a, lambda general: _lapack(np.linalg.eigvals, general))
+
+
+def eig_with_vectors(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eig_general(m), and the eigenvalues and eigenvector columns of one eig of m."""
     a = require_square(as_matrix(m))
-    if is_triangular(a):
-        return np.diag(a).astype(complex)
+    w, v = _lapack(np.linalg.eig, a)
+    return _diagonal_unless_general(a, lambda general: w[None]), w, v
+
+
+def _diagonal_unless_general(a: np.ndarray, eigvals) -> np.ndarray:
+    """The diagonal of each triangular matrix of a; eigvals(stack) for the others."""
+    eigs = np.diagonal(a, axis1=-2, axis2=-1).astype(complex)
+    general = ~is_triangular(a)
+    if general.any():
+        eigs[general] = eigvals(a[general])
+    return eigs
+
+
+def _lapack(routine, a: np.ndarray, **kwargs):
+    """routine(a, **kwargs) of numpy.linalg: NoConvergence for LinAlgError, and
+    Overflow when finite input gives a result that is not finite."""
     try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(str(exc)) from exc
+        out = routine(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{routine.__name__}: {exc}") from exc
+    parts = out if isinstance(out, tuple) else (out,)
+    if not all(np.isfinite(p).all() for p in parts) and np.isfinite(a).all():
+        raise Overflow(f"{routine.__name__} leaves the float range")
+    return out
 
 
 def null_basis(g) -> list[np.ndarray]:

@@ -40,7 +40,7 @@ class BoxGrid:
         return self.spacing * np.arange(1, self.points + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridState:
     grid: BoxGrid
     amplitudes: np.ndarray

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import linalg
-from .algebra import Element
+from .algebra import Algebra, Element, left_regular_matrix
 from .errors import (
     BudgetExceeded,
     NotContractive,
@@ -108,12 +108,17 @@ def _matrix_of(a) -> np.ndarray:
     return a.matrix if isinstance(a, Element) else linalg.as_matrix(a)
 
 
+def _unital_algebra(a) -> Algebra | None:
+    """The algebra of a's unit and of results built from a and that unit:
+    a's own algebra when it is unital, else None (ambient M_n)."""
+    alg = a.algebra if isinstance(a, Element) else None
+    return alg if alg is not None and alg.unital else None
+
+
 def _identity_of(a: Element) -> np.ndarray:
     """The unit the element sees: algebra identity, or ambient I_n."""
-    if isinstance(a, Element) and a.algebra is not None and a.algebra.unital:
-        return a.algebra.identity_matrix
-    n = _matrix_of(a).shape[0]
-    return np.eye(n, dtype=complex)
+    alg = _unital_algebra(a)
+    return np.eye(_matrix_of(a).shape[0], dtype=complex) if alg is None else alg.identity_matrix
 
 
 def spectrum(a, field_mode: str = "complex") -> SpectrumReport:
@@ -144,8 +149,6 @@ def resolvent(a: Element, z: complex) -> Element:
         raise SingularResolvent(f"{z} is within the clustering radius of the spectrum")
     alg = a.algebra
     if alg is not None and alg.unital:
-        from .algebra import left_regular_matrix
-
         shifted = m - z * alg.identity_matrix
         lmat = left_regular_matrix(alg, shifted)
         try:
@@ -225,8 +228,7 @@ def neumann_inverse(a: Element, tol: float = NEUMANN_TOL) -> Element:
         term = term @ m
         total += term
         k += 1
-    alg = a.algebra if (a.algebra is not None and a.algebra.unital) else None
-    return Element(alg, total)
+    return Element(_unital_algebra(a), total)
 
 
 def exp_element(a) -> Element:
@@ -253,10 +255,7 @@ def exp_element(a) -> Element:
             acc = acc @ acc
     if not np.isfinite(acc).all():
         raise Overflow(f"exp overflows the float range at operator norm {nrm:.3g}")
-    alg = None
-    if isinstance(a, Element) and a.algebra is not None and a.algebra.unital:
-        alg = a.algebra
-    return Element(alg, acc)
+    return Element(_unital_algebra(a), acc)
 
 
 def poly_apply(a, coeffs) -> Element:
@@ -269,10 +268,7 @@ def poly_apply(a, coeffs) -> Element:
     acc = cs[-1] * e
     for c in reversed(cs[:-1]):
         acc = acc @ m + c * e
-    alg = None
-    if isinstance(a, Element) and a.algebra is not None and a.algebra.unital:
-        alg = a.algebra
-    return Element(alg, acc)
+    return Element(_unital_algebra(a), acc)
 
 
 def classify(a) -> ElementFlags:
@@ -291,24 +287,27 @@ def classify(a) -> ElementFlags:
             linalg.op_norm(m @ adj - e) <= CLASSIFY_TOL * max(1.0, scale**2)
             and linalg.op_norm(adj @ m - e) <= CLASSIFY_TOL * max(1.0, scale**2)
         )
-    positive = False
+    positive = herm
     if herm:
-        w, _ = linalg.herm_eig(m, CLASSIFY_TOL)
-        positive = bool(np.min(w) >= -CLASSIFY_TOL * max(1.0, scale)) if w.size else True
+        try:
+            _positive_eig(m, CLASSIFY_TOL)
+        except NotPositive:
+            positive = False
     return ElementFlags(herm, unitary, normal, positive)
 
 
 def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """herm_eig of a positive element, and max(1, ||a||); NotPositive for any other.
+    """eigh of a positive element, and max(1, ||a||); NotPositive for any other.
 
     Positive is classify()'s test: Hermitian within tol, and no eigenvalue
-    below -tol * max(1, ||a||).  Each test fails when it reads NaN.
+    below -tol * max(1, ||a||).  Each test fails when it reads NaN.  The
+    Hermitian test runs once, so eigh is called directly, not herm_eig.
     """
-    m = _matrix_of(a)
+    m = linalg.require_square(_matrix_of(a))
     message = "element is not positive (Hermitian with spectrum >= 0)"
     if not linalg.hermitian_residual(m) <= tol:
         raise NotPositive(message)
-    w, v = linalg.herm_eig(m, tol)
+    w, v = np.linalg.eigh(m)
     scale = max(1.0, linalg.op_norm(m))
     if w.size and not float(np.min(w)) >= -tol * scale:
         raise NotPositive(message)

@@ -11,18 +11,12 @@ is needed in finite dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .algebra import (
-    Algebra,
-    Element,
-    _combine_each,
-    _op_norm_each,
-    _pairing_each,
-    _random_matrices,
-)
+from .algebra import Algebra, Element, _combine_each, _pairing_each, _random_matrices
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -31,6 +25,7 @@ from .errors import (
     NotUnital,
     NotUnitVector,
 )
+from .spectral import _matrix_of, _positive_eig
 from .tolerances import (
     CLASSIFY_TOL,
     GRAM_NULL_TOL,
@@ -44,34 +39,53 @@ from .tolerances import (
 _SAMPLE_STACK_ENTRIES = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Functional:
-    """A linear functional stored as its values on the algebra basis."""
+    """A linear functional given by its values, a read-only complex (d,) array,
+    on the algebra basis; its Gram matrix and positivity test are cached."""
 
     algebra: Algebra
-    values: tuple[complex, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.algebra.dim:
+        v = np.array(self.values, dtype=complex)
+        if v.shape != (self.algebra.dim,):
             raise DimensionMismatch(
-                f"functional needs {self.algebra.dim} values, got {len(self.values)}"
+                f"functional needs {self.algebra.dim} values, got shape {v.shape}"
             )
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     def __call__(self, a) -> complex:
-        m = a.matrix if isinstance(a, Element) else linalg.as_matrix(a)
-        return complex(np.dot(self.values, self.algebra.coords(m)))
+        return complex(np.dot(self.values, self.algebra.coords(_matrix_of(a))))
 
     def multiplicativity_residual(self) -> float:
         """max |f(b_i b_j) - f(b_i) f(b_j)| over basis pairs: 0 for characters."""
-        v = np.asarray(self.values, dtype=complex)
+        v = self.values
         return float(np.max(np.abs(self.algebra.structure @ v - np.outer(v, v)), initial=0.0))
 
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return gram_matrix(self.algebra, self)
 
-@dataclass(frozen=True)
+    @cached_property
+    def _positivity(self) -> PositivityReport:
+        g = self._gram
+        scale = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
+        defect = float(np.linalg.norm(g - g.conj().T)) / scale
+        w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+        min_eig = float(w[0]) if w.size else 0.0
+        positive = defect <= POSITIVITY_TOL and min_eig >= -POSITIVITY_TOL * scale
+        return PositivityReport(positive, min_eig, defect)
+
+
+@dataclass(frozen=True, eq=False)
 class State(Functional):
     """A positive functional of norm 1 (= f(1) on unital algebras)."""
 
-    norm: float = 1.0
+    @property
+    def norm(self) -> float:
+        return float(self(self.algebra.identity_matrix).real)
 
 
 @dataclass(frozen=True)
@@ -82,43 +96,51 @@ class PositivityReport:
 
 
 def functional(alg: Algebra, values) -> Functional:
-    return Functional(alg, tuple(complex(v) for v in values))
+    return Functional(alg, values)
+
+
+def _same_algebra(alg: Algebra, f: Functional) -> None:
+    if f.algebra is not alg:
+        raise AlgebraMismatch("the functional was built on a different algebra")
 
 
 def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
     """G[i, j] = f(e_i* e_j); Hermitian PSD exactly when f is positive on the span."""
+    _same_algebra(alg, f)
     if not alg.star_closed:
         raise NotStarClosed("positivity needs a *-closed algebra (e_i* e_j must stay inside)")
     adjoint_coords = alg.coords(alg.basis.conj().swapaxes(1, 2))
-    return adjoint_coords @ (alg.structure @ np.asarray(f.values, dtype=complex))
+    return adjoint_coords @ (alg.structure @ f.values)
 
 
 def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:
     """Positivity (f(a*a) >= 0 on the span) via the Gram matrix's eigenvalues."""
-    return _gram_positivity(gram_matrix(alg, f))
+    _same_algebra(alg, f)
+    return f._positivity
 
 
-def _gram_positivity(g: np.ndarray) -> PositivityReport:
-    scale = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
-    defect = float(np.linalg.norm(g - g.conj().T)) / scale
-    w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    min_eig = float(w[0]) if w.size else 0.0
-    positive = defect <= POSITIVITY_TOL and min_eig >= -POSITIVITY_TOL * scale
-    return PositivityReport(positive, min_eig, defect)
+def _positive_gram(alg: Algebra, f: Functional) -> np.ndarray:
+    """f's Gram matrix once f passes the positivity test; NotPositive naming the failed test."""
+    report = is_positive_functional(alg, f)
+    if not report.positive:
+        if not report.hermitian_defect <= POSITIVITY_TOL:
+            test = f"Gram matrix Hermitian defect {report.hermitian_defect:.3e} exceeds"
+        else:
+            test = f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e} is below -max(1, |G|) *"
+        raise NotPositive(f"{test} {POSITIVITY_TOL:.1e}")
+    return f._gram
 
 
 def make_state(alg: Algebra, values) -> State:
     """Validate positivity and normalization, then build a State."""
-    f = functional(alg, values)
-    report = is_positive_functional(alg, f)
-    if not report.positive:
-        raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
+    f = State(alg, values)
+    _positive_gram(alg, f)
     if not alg.unital:
         raise NotUnital("states are normalized against the algebra identity")
     nrm = f(alg.identity_matrix)
     if abs(nrm - 1.0) > UNIT_VALUE_TOL:
         raise ValueError(f"functional has f(1) = {nrm}, expected 1")
-    return State(alg, f.values, norm=float(nrm.real))
+    return f
 
 
 def vector_state(alg: Algebra, x) -> State:
@@ -137,18 +159,13 @@ def functional_norm(alg: Algebra, f: Functional) -> float:
     """||f|| = f(1) for positive functionals on unital algebras."""
     if not alg.unital:
         raise NotUnital("the norm formula needs an identity")
-    report = is_positive_functional(alg, f)
-    if not report.positive:
-        raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
+    _positive_gram(alg, f)
     return float(f(alg.identity_matrix).real)
 
 
 def cauchy_schwarz_residual(f: Functional, a: Element, b: Element) -> float:
     """f(a*a) f(b*b) - |f(b*a)|^2, non-negative for positive functionals."""
-    alg = f.algebra
-    report = is_positive_functional(alg, f)
-    if not report.positive:
-        raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
+    _positive_gram(f.algebra, f)
     ma, mb = a.matrix, b.matrix
     faa = f(linalg.adjoint(ma) @ ma).real
     fbb = f(linalg.adjoint(mb) @ mb).real
@@ -158,15 +175,13 @@ def cauchy_schwarz_residual(f: Functional, a: Element, b: Element) -> float:
 
 def norming_state(a: Element) -> State:
     """A state with f(a) = ||a||, from a top eigenvector of the positive element a."""
-    from .spectral import _positive_eig
-
     if a.algebra is None:
         raise ValueError("norming_state needs an element with an explicit algebra")
     _, v, _ = _positive_eig(a, CLASSIFY_TOL)
     return vector_state(a.algebra, v[:, -1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """A *-homomorphism into matrices, given per algebra basis element."""
 
@@ -175,16 +190,15 @@ class Representation:
     hilbert_dim: int
 
     def apply(self, a) -> np.ndarray:
-        m = a.matrix if isinstance(a, Element) else linalg.as_matrix(a)
-        return np.tensordot(self.algebra.coords(m), self.rep_matrices, axes=1)
+        return self._apply_each(_matrix_of(a)[None])[0]
 
     def _apply_each(self, mats: np.ndarray) -> np.ndarray:
-        """apply(m_i) for each matrix m_i of a (k, n, n) stack, bit for bit."""
+        """The image of each matrix of a (k, n, n) stack; apply is the stack of one."""
         coords = _pairing_each(mats, self.algebra.basis)
         return _combine_each(coords, np.asarray(self.rep_matrices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GnsRepresentation(Representation):
     """GNS data: coset map to Hilbert coordinates, plus the inducing state."""
 
@@ -200,33 +214,16 @@ def gns(alg: Algebra, state: Functional) -> GnsRepresentation:
     (eigenvalues <= GRAM_NULL_TOL * max are treated as zero); left
     multiplication descends to the representing matrices.
     """
-    f = state
-    g = gram_matrix(alg, f)
-    report = _gram_positivity(g)
-    if not report.positive:
-        raise NotPositive(f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e}")
-    g = (g + g.conj().T) / 2.0
-    w, v = np.linalg.eigh(g)
-    wmax = float(w[-1]) if w.size else 0.0
-    keep = w > GRAM_NULL_TOL * max(wmax, 0.0)
-    vk = v[:, keep]
-    wk = w[keep]
-    k = int(np.sum(keep))
+    g = _positive_gram(alg, state)
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    keep = w > GRAM_NULL_TOL * max(float(w[-1]) if w.size else 0.0, 0.0)
+    vk, wk = v[:, keep], w[keep]
     coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
     pinv = vk / np.sqrt(wk)[None, :]  # d x k
     # left multiplication by b_i has coordinate matrix C[i].T
     reps = coset_map @ alg.structure.swapaxes(1, 2) @ pinv
-    cyclic = None
-    if alg.unital:
-        cyclic = coset_map @ alg.identity_coords
-    return GnsRepresentation(
-        algebra=alg,
-        rep_matrices=reps,
-        hilbert_dim=k,
-        coset_map=coset_map,
-        state=f,
-        cyclic_vector=cyclic,
-    )
+    cyclic = coset_map @ alg.identity_coords if alg.unital else None
+    return GnsRepresentation(alg, reps, len(wk), coset_map, state, cyclic)
 
 
 def direct_sum_reps(reps) -> Representation:
@@ -252,7 +249,7 @@ def trace_state(alg: Algebra) -> State:
     if not alg.unital:
         raise NotUnital("the normalized trace needs an identity")
     denom = complex(np.trace(alg.identity_matrix)).real
-    values = tuple(complex(np.trace(b)) / denom for b in alg.basis)
+    values = [complex(np.trace(b)) / denom for b in alg.basis]
     return make_state(alg, values)
 
 
@@ -287,6 +284,6 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     worst = 0.0
     for start in range(0, samples, chunk):
         mats = _random_matrices(alg, rng, min(chunk, samples - start))
-        gaps = np.abs(_op_norm_each(total._apply_each(mats)) - _op_norm_each(mats))
+        gaps = np.abs(linalg._op_norm_each(total._apply_each(mats)) - linalg._op_norm_each(mats))
         worst = max(worst, *gaps.tolist())
     return UniversalReport(total, worst, len(family))

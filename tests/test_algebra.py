@@ -636,7 +636,7 @@ class TestStackedSampleEquivalence:
         coords = algebra._pairing_each(mats, alg.basis)
         v = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         dots = algebra._dot_each(v, coords)
-        norms = algebra._op_norm_each(mats)
+        norms = linalg._op_norm_each(mats)
         for m, c, dot, nrm in zip(mats, coords, dots, norms):
             assert np.array_equal(alg.coords(m), c)
             assert complex(np.dot(v, alg.coords(m))) == dot
@@ -647,5 +647,5 @@ class TestStackedSampleEquivalence:
         mats = algebra._random_matrices(alg, np.random.default_rng(0), 0)
         assert mats.shape == (0, 2, 2)
         assert algebra._pairing_each(mats, alg.basis).shape == (0, 4)
-        assert algebra._op_norm_each(mats).shape == (0,)
-        assert np.array_equal(algebra._op_norm_each(np.zeros((3, 0, 0))), np.zeros(3))
+        assert linalg._op_norm_each(mats).shape == (0,)
+        assert np.array_equal(linalg._op_norm_each(np.zeros((3, 0, 0))), np.zeros(3))

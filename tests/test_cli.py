@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,82 @@ class TestPositivityExits:
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
+
+
+class TestFloatRange:
+    """Inputs whose arithmetic leaves the float range exit 1 with Overflow, and no warning."""
+
+    @staticmethod
+    def _run(tmp_path, command, m):
+        path = write_matrix(tmp_path / "m.json", m)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run([command, "--input", path])
+        return code, err.getvalue()
+
+    def test_spectrum_whose_eig_is_not_finite(self, tmp_path):
+        m = [[3.280811678258314e300 + 1.7976931348623155e308j]]
+        assert self._run(tmp_path, "spectrum", m) == (1, "error: Overflow: eig leaves the float range\n")
+
+    @pytest.mark.parametrize("command", ["spectrum", "characters", "gelfand", "universal"])
+    def test_overflowing_entry(self, tmp_path, command):
+        code, err = self._run(tmp_path, command, [[1e308 + 1e308j]])
+        assert code == 1
+        assert err.startswith("error: Overflow: ")
+
+    def test_exp_bound_beyond_the_float_range_is_inf(self, tmp_path):
+        path = write_matrix(tmp_path / "n.json", [[0.0, 1e100], [0.0, 0.0]])
+        report = run_to_file(tmp_path, ["exp", "--input", path])
+        assert report["residuals"]["norm_bound_excess"]["value"] == 0.0
+
+    def test_sqrt_whose_norm_overflows(self, tmp_path):
+        code, err = self._run(tmp_path, "sqrt", np.full((2, 2), 1e308))
+        assert code == 1
+        assert err.startswith("error: Overflow: ")
+
+
+_FUZZ_COMMANDS = [
+    "spectrum", "radius", "exp", "sqrt", "neumann", "characters",
+    "gelfand", "gkz", "gns", "universal", "quotient-norm",
+]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-154, 1e154, -1e154, 1e308, -1e308, 1.0]
+_entries = st.sampled_from(_EDGE_FLOATS) | st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _matrix_docs(draw, n=None):
+    n = draw(st.integers(0, 4)) if n is None else n
+    data = draw(st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=n * n, max_size=n * n))
+    return {"rows": n, "cols": n, "data": data}
+
+
+@st.composite
+def _command_documents(draw):
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    element = draw(_matrix_docs())
+    if command == "quotient-norm":
+        ideal = draw(st.lists(_matrix_docs(element["rows"]), max_size=2))
+        return command, {"element": element, "ideal": ideal}
+    return command, element
+
+
+class TestMatrixDocumentFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_command_documents(), st.integers(0, 5))
+    def test_every_document_ends_in_an_exit_code(self, command_doc, seed):
+        """Any matrix document ends in exit 0, 1 or 2, with no exception and no warning."""
+        command, doc = command_doc
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.run([command, "--input", path, "--seed", str(seed)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------------------

@@ -576,6 +576,6 @@ class TestPositiveEigendecomposition:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(linalg.np.linalg, "norm", fail)
+        monkeypatch.setattr(linalg.np.linalg, "svd", fail)
         with pytest.raises(NoConvergence):
             linalg.op_norm(np.eye(2))

@@ -1,11 +1,13 @@
 """States, positivity, Cauchy-Schwarz, the GNS construction, universal reps."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import rand_matrix
 from cstarkit import algebra, linalg, states
-from cstarkit.errors import AlgebraMismatch, NotPositive, NotUnitVector
+from cstarkit.errors import AlgebraMismatch, DimensionMismatch, NotPositive, NotUnitVector
 
 
 def diag_algebra(entries):
@@ -468,10 +470,10 @@ class TestStackedUniversalEquivalence:
 class TestGnsGram:
     def test_one_gram_matrix_per_call(self, monkeypatch):
         alg = algebra.full_matrix_algebra(3)
-        state = density_state(alg, random_density(np.random.default_rng(12), 3))
         calls = []
         gram = states.gram_matrix
         monkeypatch.setattr(states, "gram_matrix", lambda *a: calls.append(1) or gram(*a))
+        state = density_state(alg, random_density(np.random.default_rng(12), 3))
         states.gns(alg, state)
         assert len(calls) == 1
 
@@ -480,3 +482,91 @@ class TestGnsGram:
         f = states.functional(m2, [1.0, 0.0, 0.0, -1.0])
         with pytest.raises(NotPositive):
             states.gns(m2, f)
+
+
+def _pauli_m2():
+    """M_2 with an orthonormal basis other than the matrix units."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    return algebra.algebra_from_generators([sx, sz])
+
+
+class TestAlgebraMismatch:
+    def test_functional_on_another_basis_of_m2(self):
+        pauli, m2 = _pauli_m2(), algebra.full_matrix_algebra(2)
+        assert pauli.dim == m2.dim == 4
+        f = states.vector_state(pauli, [1.0, 0.0])
+        for call in (states.gram_matrix, states.is_positive_functional, states.functional_norm, states.gns):
+            with pytest.raises(AlgebraMismatch):
+                call(m2, f)
+        assert states.gns(pauli, f).cyclic_vector is not None
+
+    def test_equal_basis_in_another_object(self):
+        f = states.vector_state(algebra.full_matrix_algebra(2), [1.0, 0.0])
+        with pytest.raises(AlgebraMismatch):
+            states.gns(algebra.full_matrix_algebra(2), f)
+
+
+class TestNotPositiveMessage:
+    def test_hermitian_defect_is_named(self):
+        m2 = algebra.full_matrix_algebra(2)
+        f = states.functional(m2, [1j, 0.0, 0.0, 1.0])
+        report = states.is_positive_functional(m2, f)
+        assert report.hermitian_defect > 1e-3
+        with pytest.raises(NotPositive, match=re.escape(f"Hermitian defect {report.hermitian_defect:.3e}")):
+            states.gns(m2, f)
+
+    def test_min_eigenvalue_is_named(self):
+        m2 = algebra.full_matrix_algebra(2)
+        f = states.functional(m2, [1.0, 0.0, 0.0, -1.0])
+        for call in (states.make_state, states.gns):
+            with pytest.raises(NotPositive, match="min Gram eigenvalue -1.000e"):
+                call(m2, f if call is states.gns else f.values)
+
+
+class TestFunctionalValues:
+    def test_values_are_a_read_only_complex_array(self):
+        m2 = algebra.full_matrix_algebra(2)
+        source = [1.0, 0.0, 0.0, 0.0]
+        f = states.make_state(m2, source)
+        assert f.values.dtype == complex and f.values.shape == (4,)
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        source[0] = 5.0
+        assert f.values[0] == 1.0
+        assert f.norm == pytest.approx(1.0)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            states.functional(algebra.full_matrix_algebra(2), [1.0, 0.0])
+
+
+class TestIdentityEquality:
+    """Array-holding values compare and hash by identity."""
+
+    def test_equality_and_hash(self):
+        from cstarkit import gelfand, qm
+
+        m2 = algebra.full_matrix_algebra(2)
+        f = states.vector_state(m2, [1.0, 0.0])
+        diag = diag_algebra([1.0, 2.0])
+        ideal = algebra.subspace(diag, [np.diag([1.0, 0.0])])
+        grid = qm.BoxGrid(1.0, 4)
+        objects = [
+            m2,
+            algebra.Element(m2, np.eye(2)),
+            states.functional(m2, f.values),
+            f,
+            gelfand.characters(diag).characters[0],
+            states.gns(m2, f),
+            states.Representation(m2, np.eye(4, dtype=complex).reshape(4, 2, 2), 2),
+            ideal,
+            algebra.quotient(diag, ideal),
+            qm.box_eigenstate(grid, 1),
+        ]
+        for x in objects:
+            assert x == x
+            assert x != objects[0] or x is objects[0]
+            assert hash(x) == hash(x)
+        assert len(set(objects)) == len(objects)
+        assert algebra.full_matrix_algebra(2) != m2
