@@ -4,10 +4,9 @@ An Algebra is its basis: one stacked orthonormal, multiplication-closed
 (d, n, n) array under the trace pairing <x, y> = trace(y* x) (the
 Frobenius inner product), plus a flag for the scalar field (real or
 complex coefficients).  Everything else is derived from the basis on
-first use and cached: the unit, the commutativity and *-closure flags,
-and the structure constants C[i, j, l] = <b_i b_j, b_l>, which only Gram,
-GNS and multiplicativity computations read.  Coordinates, products and
-left-regular matrices are matmuls or contractions of the basis.
+first use and cached: the unit and the commutativity and *-closure
+flags.  Coordinates, products and left-regular matrices are matmuls or
+contractions of the basis.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
@@ -112,11 +111,6 @@ class Algebra:
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
-
-    @cached_property
-    def structure(self) -> np.ndarray:
-        """C[i, j, l] = <b_i b_j, b_l>."""
-        return _product_coords(self.basis, self.basis, self.basis)
 
     @cached_property
     def abelian(self) -> bool:
@@ -298,9 +292,8 @@ def ambient_element(m) -> Element:
 
 def find_identity(alg: Algebra) -> Element | None:
     """The algebra's two-sided identity, or None when there is none."""
-    if alg.identity_coords is None:
-        return None
-    return Element(alg, alg.from_coords(alg.identity_coords))
+    m = alg.identity_matrix
+    return None if m is None else Element(alg, m)
 
 
 def is_abelian(alg: Algebra) -> bool:

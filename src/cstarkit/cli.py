@@ -312,7 +312,7 @@ def cmd_gkz(args) -> dict:
     g = _square_input(parse_matrix(args.input))
     n = g.shape[0]
     alg = algebra.full_matrix_algebra(n)
-    values = [complex(np.trace(g @ b)) for b in alg.basis]
+    values = states._trace_values(alg, g)
     phi_one = complex(np.dot(values, alg.identity_coords))
     if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise MalformedInput(f"gkz expects a matrix of trace 1, got phi(1) = {phi_one}")
@@ -366,8 +366,7 @@ def cmd_gns(args) -> dict:
     ):
         raise MalformedInput("gns expects a density matrix (Hermitian, trace 1)")
     alg = algebra.full_matrix_algebra(n)
-    values = [complex(np.trace(rho @ b)) for b in alg.basis]
-    state = states.make_state(alg, values)
+    state = states.make_state(alg, states._trace_values(alg, rho))
     rep = states.gns(alg, state)
     hom_resid, contraction, state_resid = _gns_sample_residuals(rep, args.seed)
     return {

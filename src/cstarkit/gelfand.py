@@ -38,7 +38,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .spectral import _spectrum_report
-from .states import Functional
+from .states import Functional, _basis_products, _multiplicativity_residuals
 from .tolerances import (
     DEDUPE_RADIUS,
     EIGENSPACE_TOL,
@@ -77,11 +77,9 @@ class GelfandSpectrumData:
 
 
 def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
-    out = []
-    for b in alg.basis:
-        out.append((b + linalg.adjoint(b)) / 2.0)
-        out.append((b - linalg.adjoint(b)) / 2.0j)
-    return [h for h in out if np.linalg.norm(h) > ZERO_NORM]
+    b, adj = alg.basis, alg.basis.conj().swapaxes(1, 2)
+    parts = np.stack([(b + adj) / 2.0, (b - adj) / 2.0j], axis=1).reshape(-1, *b.shape[1:])
+    return [h for h in parts if np.linalg.norm(h) > ZERO_NORM]
 
 
 def _generic_hermitian(alg: Algebra) -> np.ndarray:
@@ -143,28 +141,27 @@ def _joint_eigenvectors(alg: Algebra) -> np.ndarray:
     return np.stack(vecs, axis=1)
 
 
-def _candidate_values(alg: Algebra, vecs: np.ndarray) -> np.ndarray:
-    """Row j holds (v* b_k v) / (v* v) over the basis, for column v = vecs[:, j]."""
+def _candidate_values(alg: Algebra, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row j holds (v* b_k v) / (v* v) over the basis, for column v = vecs[:, j], and
+    its products f(b_i b_k) = (b_i* v)* (b_k v) / (v* v): O(c d (n + d)) memory for c columns."""
     bv = alg.basis @ vecs
     nv = np.einsum("ij,ij->j", vecs.conj(), vecs).real
-    return np.einsum("ij,kij->jk", vecs.conj(), bv) / nv[:, None]
+    prods = (vecs.conj().T @ alg.basis).swapaxes(0, 1) @ bv.transpose(2, 1, 0) / nv[:, None, None]
+    return np.einsum("ij,kij->jk", vecs.conj(), bv) / nv[:, None], prods
 
 
-def _multiplicative(alg: Algebra, vals: np.ndarray) -> np.ndarray:
-    """Which rows of vals are nonzero and multiplicative on basis pairs,
-    both within MULTIPLICATIVE_TOL."""
-    d = alg.dim
-    prods = (vals @ alg.structure.reshape(d * d, d).T).reshape(len(vals), d, d)
-    resid = np.abs(prods - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
+def _multiplicative(vals: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """Which rows of vals are nonzero and multiplicative on basis pairs, given their
+    products prods[c, i, j] = f_c(b_i b_j), both within MULTIPLICATIVE_TOL."""
     zero = np.abs(vals).max(axis=1, initial=0.0) <= MULTIPLICATIVE_TOL
-    return ~zero & (resid <= MULTIPLICATIVE_TOL)
+    return ~zero & (_multiplicativity_residuals(vals, prods) <= MULTIPLICATIVE_TOL)
 
 
 def _consider(alg: Algebra, vecs: np.ndarray, found: list) -> bool:
     """Append, in column order, each column's candidate that is a character
     farther than DEDUPE_RADIUS from every one found before it; whether any was."""
-    vals = _candidate_values(alg, vecs)
-    vals = vals[_multiplicative(alg, vals)]
+    vals, prods = _candidate_values(alg, vecs)
+    vals = vals[_multiplicative(vals, prods)]
     known = len(found)
     rows = np.concatenate([np.reshape(found, (known, alg.dim)), vals])
     close = np.abs(rows[:, None] - rows[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
@@ -324,7 +321,8 @@ def gkz_witness(alg: Algebra, phi_values, seed: int = 0) -> GkzOutcome:
     if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise ValueError(f"phi(1) = {phi_one} is not 1")
 
-    if _multiplicative(alg, phi.values[None])[0]:
+    v = phi.values[None]
+    if _multiplicative(v, _basis_products(alg, v, alg.basis))[0]:
         return GkzOutcome(True, None, None, None, 0)
 
     kernel = _null_coords(phi.values)

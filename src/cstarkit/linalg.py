@@ -54,6 +54,12 @@ def _op_norm_each(mats: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.svd, mats, compute_uv=False)[:, 0]
 
 
+def ldexp(m, e: int) -> np.ndarray:
+    """The complex array m times 2^e, part by part: exact for every entry that
+    stays normal, also where 2.0**e overflows (e = 1024, or -e at subnormal peaks)."""
+    return np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), e).view(complex)
+
+
 def hermitian_residual(m: np.ndarray) -> float:
     """Relative defect ||m - m*|| / ||m||.
 
@@ -65,12 +71,11 @@ def hermitian_residual(m: np.ndarray) -> float:
     """
     parts = np.ascontiguousarray(m, dtype=complex).view(float)
     _, e = np.frexp(np.max(np.abs(parts), initial=0.0))
-    # ldexp stays exact where 2.0**e (e = 1024) or 2.0**-e (subnormal peaks) overflows
-    skew = np.ldexp(parts, -e).view(complex)
+    skew = ldexp(m, -e)
     skew -= skew.conj().T  # conj() copies, so no entry is read after it is written
     if not skew.any():
         return 0.0
-    return op_norm(skew) / op_norm(np.ldexp(parts, -e).view(complex))
+    return op_norm(skew) / op_norm(ldexp(m, -e))
 
 
 def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -92,14 +92,11 @@ def _dedupe(values: np.ndarray) -> tuple[list[complex], float]:
     order = sorted(values, key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
     for z in order:
-        placed = False
         for cl in clusters:
-            mean = sum(cl) / len(cl)
-            if abs(z - mean) <= radius:
+            if abs(z - sum(cl) / len(cl)) <= radius:
                 cl.append(z)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([z])
     return [sum(cl) / len(cl) for cl in clusters], radius
 
@@ -163,35 +160,24 @@ def resolvent(a: Element, z: complex) -> Element:
 def spectral_radius_limit(a, n_max: int = 1024) -> RadiusTrace:
     """Trace of ||a^n||^(1/n) by repeated squaring, evaluated in the log domain.
 
-    Log-scale accumulation keeps ||a^n|| representable for any n, so the
-    trace always completes; the values are monotone non-increasing along
-    the doubling sequence.
+    a^n is kept as 2^k w, w scaled before each squaring by the power of two
+    that brings its norm into [1/2, 1): exact, with no reciprocal of a
+    subnormal norm to overflow, so the trace always completes.  The values
+    are monotone non-increasing along the doubling sequence.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     m = _matrix_of(a)
     eigen_radius = float(np.max(np.abs(linalg.eig_general(m)))) if m.size else 0.0
-    powers: list[int] = []
-    values: list[float] = []
-    nrm = linalg.op_norm(m)
-    powers.append(1)
-    values.append(nrm)
-    if nrm == 0.0:
-        return RadiusTrace((1,), (0.0,), 0.0, eigen_radius)
-    w = m / nrm
-    log_norm = math.log(nrm)
-    n = 1
-    while 2 * n <= n_max:
-        v = w @ w
-        vn = linalg.op_norm(v)
-        n *= 2
-        log_norm = 2.0 * log_norm + (math.log(vn) if vn > 0.0 else -math.inf)
+    powers, values = [1], [linalg.op_norm(m)]
+    w, wn, k, n = m, values[0], 0, 1
+    while wn and 2 * n <= n_max:
+        e = int(np.frexp(wn)[1])
+        w = linalg.ldexp(w, -e)
+        w, k, n = w @ w, 2 * (k + e), 2 * n
+        wn = linalg.op_norm(w)
         powers.append(n)
-        if vn == 0.0:
-            values.append(0.0)
-            return RadiusTrace(tuple(powers), tuple(values), 0.0, eigen_radius)
-        values.append(math.exp(log_norm / n))
-        w = v / vn
+        values.append(math.exp((k * math.log(2.0) + math.log(wn)) / n) if wn else 0.0)
     return RadiusTrace(tuple(powers), tuple(values), values[-1], eigen_radius)
 
 

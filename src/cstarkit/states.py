@@ -1,11 +1,11 @@
 """Positive linear functionals, states, and the GNS construction.
 
 A functional is stored by its values on the algebra's orthonormal basis,
-so functionals on proper subalgebras are intrinsic.  Positivity is
-decided by the basis Gram matrix G[i, j] = f(e_i* e_j), which represents
-the sesquilinear form <[a], [b]> = f(b* a) in coordinates.  The GNS
-Hilbert space is the quotient by the Gram null space; no completion step
-is needed in finite dimension.
+so functionals on proper subalgebras are intrinsic; on the algebra it is
+f(a) = tr(D a) for the density D = sum_l f(b_l) b_l*.  Positivity is
+decided by the Gram matrix G[i, j] = f(e_i* e_j), the form <[a], [b]> =
+f(b* a) in coordinates, and the GNS Hilbert space is the quotient by its
+null space.  A representation is its blocks; a direct sum keeps them.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .tolerances import (
     UNIT_VECTOR_TOL,
 )
 
-# Complex entries in one stack of sampled representation matrices (2 MiB):
-# universal_rep takes its samples in chunks of this many entries.
-_SAMPLE_STACK_ENTRIES = 1 << 17
-
 
 @dataclass(frozen=True, eq=False)
 class Functional:
@@ -61,8 +57,8 @@ class Functional:
 
     def multiplicativity_residual(self) -> float:
         """max |f(b_i b_j) - f(b_i) f(b_j)| over basis pairs: 0 for characters."""
-        v = self.values
-        return float(np.max(np.abs(self.algebra.structure @ v - np.outer(v, v)), initial=0.0))
+        v, alg = self.values[None], self.algebra
+        return float(_multiplicativity_residuals(v, _basis_products(alg, v, alg.basis))[0])
 
     @cached_property
     def _gram(self) -> np.ndarray:
@@ -99,6 +95,32 @@ def functional(alg: Algebra, values) -> Functional:
     return Functional(alg, values)
 
 
+def _trace_values(alg: Algebra, rho) -> np.ndarray:
+    """tr(rho b_l) over the basis: the values of the functional a -> tr(rho a)."""
+    n = alg.ambient_dim
+    return alg.basis.reshape(alg.dim, n * n) @ np.asarray(rho, dtype=complex).T.ravel()
+
+
+def _basis_products(alg: Algebra, values: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """F[c, i, j] = f_c(left_i b_j) = tr(D_c left_i b_j) for the functionals with values[c]
+    and members left_i: the products (D_c left_i)^T stacked, paired with each b_j.  The
+    functionals are taken in slices whose product stacks hold about d^3 entries."""
+    k, m, (d, n, _) = len(values), len(left), alg.basis.shape
+    step, out = max(1, d**3 // (m * n * n or 1)), np.empty((k, m, d), dtype=complex)
+    lt, flat = left.swapaxes(1, 2).reshape(m * n, n), alg.basis.reshape(d, n * n)
+    for s in range(0, k, step):
+        prods = lt @ _combine_each(values[s : s + step].conj(), alg.basis).conj()
+        out[s : s + step] = prods.reshape(len(prods), m, n * n) @ flat.T
+    return out
+
+
+def _multiplicativity_residuals(values: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """max |f_c(b_i b_j) - f_c(b_i) f_c(b_j)| over basis pairs, for each row f_c of
+    values and its products prods[c, i, j] = f_c(b_i b_j)."""
+    dev = values[:, :, None] * values[:, None, :]
+    return np.abs(np.subtract(prods, dev, out=dev)).max(axis=(1, 2), initial=0.0)
+
+
 def _same_algebra(alg: Algebra, f: Functional) -> None:
     if f.algebra is not alg:
         raise AlgebraMismatch("the functional was built on a different algebra")
@@ -109,8 +131,7 @@ def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
     _same_algebra(alg, f)
     if not alg.star_closed:
         raise NotStarClosed("positivity needs a *-closed algebra (e_i* e_j must stay inside)")
-    adjoint_coords = alg.coords(alg.basis.conj().swapaxes(1, 2))
-    return adjoint_coords @ (alg.structure @ f.values)
+    return _basis_products(alg, f.values[None], alg.basis.conj().swapaxes(1, 2))[0]
 
 
 def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:
@@ -183,11 +204,15 @@ def norming_state(a: Element) -> State:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """A *-homomorphism into matrices, given per algebra basis element."""
+    """A *-homomorphism into block-diagonal matrices, held as its blocks: block
+    r is a (d, k_r, k_r) array of the images of the d basis elements."""
 
     algebra: Algebra
-    rep_matrices: np.ndarray  # (d, k, k), or any sequence of d k x k matrices
-    hilbert_dim: int
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def hilbert_dim(self) -> int:
+        return sum(b.shape[1] for b in self.blocks)
 
     def apply(self, a) -> np.ndarray:
         return self._apply_each(_matrix_of(a)[None])[0]
@@ -195,7 +220,24 @@ class Representation:
     def _apply_each(self, mats: np.ndarray) -> np.ndarray:
         """The image of each matrix of a (k, n, n) stack; apply is the stack of one."""
         coords = _pairing_each(mats, self.algebra.basis)
-        return _combine_each(coords, np.asarray(self.rep_matrices))
+        out = np.zeros((len(mats), self.hilbert_dim, self.hilbert_dim), dtype=complex)
+        at = np.cumsum([0, *(b.shape[1] for b in self.blocks)])
+        for blk, start, end in zip(self.blocks, at, at[1:]):
+            out[:, start:end, start:end] = _combine_each(coords, blk)
+        return out
+
+    def _norm_each(self, mats: np.ndarray) -> np.ndarray:
+        """The norm of the image of each matrix of a stack: its largest block
+        norm, with the blocks of one size taken in one stacked SVD."""
+        coords = _pairing_each(mats, self.algebra.basis)
+        norms = np.zeros(len(mats))
+        for k in {b.shape[1] for b in self.blocks}:
+            group = np.stack([b for b in self.blocks if b.shape[1] == k], axis=1)
+            images = np.tensordot(coords, group, axes=1)
+            s, m = images.shape[:2]
+            block_norms = linalg._op_norm_each(images.reshape(s * m, k, k)).reshape(s, m)
+            norms = np.maximum(norms, block_norms.max(axis=1))
+        return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +253,9 @@ def gns(alg: Algebra, state: Functional) -> GnsRepresentation:
     """GNS representation of a positive functional.
 
     The Hilbert space is the coordinate space modulo the Gram null space
-    (eigenvalues <= GRAM_NULL_TOL * max are treated as zero); left
-    multiplication descends to the representing matrices.
+    (eigenvalues <= GRAM_NULL_TOL * max are treated as zero).  Left
+    multiplication descends to pi(b_i)[s, t] = <b_i w_t, u_s>, where
+    w_t = sum_j pinv[j, t] b_j and u_s = sum_l conj(coset_map[s, l]) b_l.
     """
     g = _positive_gram(alg, state)
     w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
@@ -220,28 +263,22 @@ def gns(alg: Algebra, state: Functional) -> GnsRepresentation:
     vk, wk = v[:, keep], w[keep]
     coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
     pinv = vk / np.sqrt(wk)[None, :]  # d x k
-    # left multiplication by b_i has coordinate matrix C[i].T
-    reps = coset_map @ alg.structure.swapaxes(1, 2) @ pinv
+    (d, n, _), k = alg.basis.shape, len(wk)
+    prods = (alg.basis[:, None] @ _combine_each(pinv.T, alg.basis)[None]).reshape(d, k, n * n)
+    block = coset_map @ alg.basis.conj().reshape(d, n * n) @ prods.swapaxes(1, 2)
     cyclic = coset_map @ alg.identity_coords if alg.unital else None
-    return GnsRepresentation(alg, reps, len(wk), coset_map, state, cyclic)
+    return GnsRepresentation(alg, (block,), coset_map, state, cyclic)
 
 
 def direct_sum_reps(reps) -> Representation:
-    """Block-diagonal direct sum of representations of the same algebra."""
+    """Direct sum of representations of the same algebra: their blocks, in order."""
     reps = list(reps)
     if not reps:
         raise ValueError("need at least one representation")
     alg = reps[0].algebra
     if any(r.algebra is not alg for r in reps):
         raise AlgebraMismatch("representations must share one algebra")
-    total = sum(r.hilbert_dim for r in reps)
-    out = np.zeros((alg.dim, total, total), dtype=complex)
-    at = 0
-    for r in reps:
-        k = r.hilbert_dim
-        out[:, at : at + k, at : at + k] = r.rep_matrices
-        at += k
-    return Representation(alg, out, total)
+    return Representation(alg, tuple(b for r in reps for b in r.blocks))
 
 
 def trace_state(alg: Algebra) -> State:
@@ -249,8 +286,7 @@ def trace_state(alg: Algebra) -> State:
     if not alg.unital:
         raise NotUnital("the normalized trace needs an identity")
     denom = complex(np.trace(alg.identity_matrix)).real
-    values = [complex(np.trace(b)) / denom for b in alg.basis]
-    return make_state(alg, values)
+    return make_state(alg, _trace_values(alg, np.eye(alg.ambient_dim)) / denom)
 
 
 @dataclass(frozen=True)
@@ -267,23 +303,13 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     norming state of (b b*)^2 for each basis element b; it is large enough
     to make the sum isometric at finite dimension.  The report carries the
     max over sampled elements of | ||pi(a)|| - ||a|| |, the samples drawn as
-    successive random_element calls and taken in stacks whose size does not
-    grow with the Hilbert dimension.
+    successive random_element calls in one stack; ||pi(a)|| is the largest
+    norm of a's images in the blocks.
     """
-    family: list[Functional] = []
-    if alg.unital:
-        family.append(trace_state(alg))
-    family.extend(extra_states)
-    for b in alg.basis:
-        bb = b @ linalg.adjoint(b)
-        family.append(norming_state(Element(alg, bb @ bb)))
-    reps = [gns(alg, f) for f in family]
-    total = direct_sum_reps(reps)
-    rng = np.random.default_rng(seed)
-    chunk = max(1, _SAMPLE_STACK_ENTRIES // max(1, total.hilbert_dim) ** 2)
-    worst = 0.0
-    for start in range(0, samples, chunk):
-        mats = _random_matrices(alg, rng, min(chunk, samples - start))
-        gaps = np.abs(linalg._op_norm_each(total._apply_each(mats)) - linalg._op_norm_each(mats))
-        worst = max(worst, *gaps.tolist())
-    return UniversalReport(total, worst, len(family))
+    bbs = alg.basis @ alg.basis.conj().swapaxes(1, 2)
+    family = [trace_state(alg)] if alg.unital else []
+    family += [*extra_states, *(norming_state(Element(alg, bb @ bb)) for bb in bbs)]
+    total = direct_sum_reps(gns(alg, f) for f in family)
+    mats = _random_matrices(alg, np.random.default_rng(seed), samples)
+    gaps = np.abs(total._norm_each(mats) - linalg._op_norm_each(mats))
+    return UniversalReport(total, float(np.max(gaps, initial=0.0)), len(family))

@@ -141,8 +141,8 @@ def test_criterion_08_universal_representation():
 
 def test_criterion_09_direct_sum_example():
     alg = algebra.algebra_from_generators([np.eye(1)], include_identity=True)
-    pi1 = states.Representation(alg, (np.array([[4.0 + 0j]]),), 1)
-    pi2 = states.Representation(alg, (np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex),), 2)
+    pi1 = states.Representation(alg, (np.array([[[4.0 + 0j]]]),))
+    pi2 = states.Representation(alg, (np.array([[[0.0, 1.0], [2.0, 0.0]]], dtype=complex),))
     total = states.direct_sum_reps([pi1, pi2])
     expected = np.array([[4.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]], dtype=complex)
     ok = True

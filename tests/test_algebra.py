@@ -473,7 +473,7 @@ class TestDerivedOnFirstUse:
         assert not alg.abelian
         assert alg.star_closed
         assert alg.contains(rand_matrix(rng, 12))
-        assert "structure" not in alg.__dict__
+        assert not hasattr(alg, "structure")
 
 
 def _pair_coords(alg, m):
@@ -488,13 +488,22 @@ class TestStructureReference:
         return REFERENCE_ALGEBRAS[request.param](np.random.default_rng(31))
 
     def test_structure_constants(self, alg):
+        """f(x b_j) from the density against the per-pair structure constants
+        C[i, j, l] = <b_i b_j, b_l>, for x = b_i and, on *-closed algebras, x = b_i*."""
         d = alg.dim
-        ref = np.zeros((d, d, d), dtype=complex)
+        adjoints = alg.basis.conj().swapaxes(1, 2)
+        ref = np.zeros((2, d, d, d), dtype=complex)
         for i, bi in enumerate(alg.basis):
             for j, bj in enumerate(alg.basis):
-                ref[i, j] = _pair_coords(alg, bi @ bj)
-        assert alg.structure.shape == (d, d, d)
-        assert np.max(np.abs(alg.structure - ref), initial=0.0) <= 1e-12
+                ref[0, i, j] = _pair_coords(alg, bi @ bj)
+                ref[1, i, j] = _pair_coords(alg, adjoints[i] @ bj)
+        rng = np.random.default_rng(32)
+        values = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        for left, c in [(alg.basis, ref[0]), (adjoints, ref[1])][: 1 + alg.star_closed]:
+            got = states._basis_products(alg, values, left)
+            assert got.shape == (3, d, d)
+            want = np.einsum("ijl,cl->cij", c, values)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
     def test_abelian_flag(self, alg):
         commute = all(

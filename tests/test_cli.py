@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_matrix
-from cstarkit import algebra, cli, linalg, spectral, states
+from cstarkit import algebra, cli, gelfand, linalg, spectral, states
 from cstarkit.errors import MalformedInput
 
 
@@ -609,6 +609,14 @@ class TestFloatRange:
         report = run_to_file(tmp_path, ["exp", "--input", path])
         assert report["residuals"]["norm_bound_excess"]["value"] == 0.0
 
+    def test_radius_of_the_smallest_subnormal(self, tmp_path):
+        path = write_matrix(tmp_path / "s.json", [[5e-324j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_to_file(tmp_path, ["radius", "--input", path])
+        assert report["results"]["estimate"] == report["results"]["eigen_radius"] == 5e-324
+        assert all(v == 5e-324 for _, v in report["results"]["trace"])
+
     def test_sqrt_whose_norm_overflows(self, tmp_path):
         code, err = self._run(tmp_path, "sqrt", np.full((2, 2), 1e308))
         assert code == 1
@@ -799,3 +807,67 @@ class TestOneDecompositionSpectrumEquivalence:
             path = write_matrix(tmp_path / f"{name}.json", m)
             argv = ["spectrum", "--input", path, "--field", field]
             _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_spectrum)
+
+
+def _reference_cmd_gkz(args) -> dict:
+    g = cli._square_input(cli.parse_matrix(args.input))
+    n = g.shape[0]
+    alg = algebra.full_matrix_algebra(n)
+    values = [complex(np.trace(g @ b)) for b in alg.basis]
+    phi_one = complex(np.dot(values, alg.identity_coords))
+    if abs(phi_one - 1.0) > 1e-6:
+        raise MalformedInput(f"gkz expects a matrix of trace 1, got phi(1) = {phi_one}")
+    outcome = gelfand.gkz_witness(alg, values, seed=args.seed)
+    results = {"is_character": outcome.is_character, "attempts_used": outcome.attempts_used}
+    residuals = {"phi_at_identity_minus_one": cli._residual(abs(phi_one - 1.0), 1e-6)}
+    if outcome.witness is not None:
+        results["witness"] = cli.matrix_to_json(outcome.witness.matrix)
+        results["min_singular_value"] = outcome.min_singular_value
+        residuals["phi_at_witness"] = cli._residual(abs(outcome.phi_at_witness), 1e-9)
+    return {
+        "inputs": {"input": cli.matrix_to_json(g)},
+        "results": results,
+        "residuals": residuals,
+    }
+
+
+class TestTraceValuesEquivalence:
+    """gkz reads tr(g b) over the matrix units in one product, with the loop's bytes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_report_bytes(self, tmp_path, n):
+        rng = np.random.default_rng([n, 7])
+        general = rand_matrix(rng, n)
+        general -= np.eye(n) * (np.trace(general) - 1.0) / n
+        inputs = [_density(rng, n, n), _density(rng, n, 1), np.eye(n) / n, general]
+        for i, g in enumerate(inputs):
+            path = write_matrix(tmp_path / f"g{i}.json", g)
+            for seed in (0, 33):
+                argv = ["gkz", "--input", path, "--seed", str(seed)]
+                _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_gkz)
+
+
+class TestNoStructureTensor:
+    """No subcommand forms the structure constants or a dense sum of several blocks."""
+
+    def test_algebra_has_no_structure_tensor(self):
+        assert not hasattr(algebra.Algebra, "structure")
+        assert not hasattr(algebra.full_matrix_algebra(2), "structure")
+
+    @pytest.mark.parametrize("command", [c for c in cli._HANDLERS if c != "quotient-norm"])
+    def test_product_coords_unused(self, tmp_path, monkeypatch, command):
+        def product_coords(*args):
+            raise AssertionError("_product_coords called")
+
+        blocks = []
+        apply_each = states.Representation._apply_each
+
+        def recording_apply_each(self, mats):
+            blocks.append(len(self.blocks))
+            return apply_each(self, mats)
+
+        monkeypatch.setattr(algebra, "_product_coords", product_coords)
+        monkeypatch.setattr(states.Representation, "_apply_each", recording_apply_each)
+        run_to_file(tmp_path, [command, *_seeded_argvs(tmp_path)[command]])
+        assert all(k == 1 for k in blocks)
+        assert blocks or command != "gns"

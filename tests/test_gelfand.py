@@ -1,10 +1,13 @@
 """Characters, the Gelfand transform, GKZ witnesses, the cyclic group algebra."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import doubled_normal, match_multisets
-from cstarkit import algebra, gelfand, linalg, spectral, states
+from cstarkit import algebra, cli, gelfand, linalg, spectral, states
 from cstarkit.errors import ComplexFieldRequired, NonAbelian
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -637,3 +640,83 @@ class TestCharacterSortKey:
     def test_real_part_before_imaginary(self):
         rows = [np.array([0.0 + 1.0j]), np.array([1.0 + 0.0j]), np.array([0.0 + 0.0j])]
         assert [r[0] for r in gelfand._sorted(rows)] == [0.0, 1.0j, 1.0]
+
+
+def _reference_multiplicative(alg, vals):
+    """gelfand._multiplicative as it was when it contracted the structure
+    constants C[i, j, l] = <b_i b_j, b_l>: (verdicts, residuals)."""
+    d = alg.dim
+    structure = algebra._product_coords(alg.basis, alg.basis, alg.basis)
+    prods = (vals @ structure.reshape(d * d, d).T).reshape(len(vals), d, d)
+    resid = np.abs(prods - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
+    zero = np.abs(vals).max(axis=1, initial=0.0) <= 1e-8
+    return ~zero & (resid <= 1e-8), resid
+
+
+def _density_values(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n)) + 0j
+    rho = g @ g.T
+    alg = algebra.full_matrix_algebra(n)
+    return alg, states._trace_values(alg, rho / np.trace(rho))
+
+
+class TestStructureFreeMultiplicativeEquivalence:
+    """Multiplicativity from the candidates' vectors, and from the densities of
+    all candidates at once, agrees to 1e-12 with the contraction of the
+    structure constants."""
+
+    @pytest.mark.parametrize(
+        "make", [*STAR_ABELIAN.values(), *[lambda rng, f=f: f() for f in NOT_STAR_CLOSED.values()]],
+        ids=[*STAR_ABELIAN, *NOT_STAR_CLOSED],
+    )
+    def test_candidates(self, make):
+        alg = make(np.random.default_rng(78))
+        vecs = np.linalg.eig(alg.from_coords(np.cos(np.arange(alg.dim))))[1]
+        vals, prods = gelfand._candidate_values(alg, vecs)
+        verdicts, resid = _reference_multiplicative(alg, vals)
+        for p in (prods, states._basis_products(alg, vals, alg.basis)):
+            got = states._multiplicativity_residuals(vals, p)
+            assert np.max(np.abs(got - resid), initial=0.0) <= 1e-12
+            assert np.array_equal(gelfand._multiplicative(vals, p), verdicts)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_gkz_functionals(self, n):
+        alg, values = _density_values(n, n)
+        for vals in (values, np.eye(n * n, dtype=complex)[0]):
+            verdicts, resid = _reference_multiplicative(alg, vals[None])
+            assert abs(states.functional(alg, vals).multiplicativity_residual() - resid[0]) <= 1e-12
+            prods = states._basis_products(alg, vals[None], alg.basis)
+            assert gelfand._multiplicative(vals[None], prods)[0] == verdicts[0]
+            assert gelfand.gkz_witness(alg, vals).is_character == verdicts[0]
+
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_characters_report(self, tmp_path, label):
+        m = _benchmark_like(label, 8, 5)
+        path, out = tmp_path / "m.json", tmp_path / "out.json"
+        path.write_text(json.dumps(cli.matrix_to_json(m)))
+        assert cli.run(["characters", "--input", str(path), "--out", str(out)]) == 0
+        alg = algebra.algebra_from_generators([m])
+        vals = np.array([chi.values for chi in gelfand.characters(alg)])
+        want = float(np.max(_reference_multiplicative(alg, vals)[1]))
+        got = json.loads(out.read_text())["residuals"]["max_multiplicativity_residual"]["value"]
+        assert abs(got - want) <= 1e-12
+
+
+class TestCharacterMemory:
+    def test_cyclic_64_within_a_slice_budget(self):
+        """characters of C[Z_64] (c = d = n = 64) and the residuals of all of them
+        in one call: the candidates' products come from their vectors and the
+        density products in slices, so the peak stays far below the 268 MB
+        that one (c, d, n, n) stack of products alone takes."""
+        alg = gelfand.cyclic_group_algebra(64)
+        tracemalloc.start()
+        try:
+            vals = np.array([chi.values for chi in gelfand.characters(alg)])
+            prods = states._basis_products(alg, vals, alg.basis)
+            resid = states._multiplicativity_residuals(vals, prods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (64, 64)
+        assert np.max(resid) <= 1e-12
+        assert peak < 64**4 * 16 / 8

@@ -103,6 +103,23 @@ class TestRadiusLimit:
         for prev, nxt in zip(trace.values, trace.values[1:]):
             assert nxt <= prev + 1e-9
 
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_power_of_two_scaling(self, k):
+        """The trace of 2^k m is 2^k times the trace of m, where both are representable."""
+        m = rand_matrix(np.random.default_rng(23), 5)
+        base = spectral.spectral_radius_limit(amb(m), n_max=1024)
+        scaled = spectral.spectral_radius_limit(amb(np.ldexp(m.view(float), k).view(complex)))
+        assert scaled.powers == base.powers
+        for v, w in zip(base.values, scaled.values):
+            assert w == pytest.approx(math.ldexp(v, k), rel=1e-12)
+        assert scaled.estimate == pytest.approx(math.ldexp(base.estimate, k), rel=1e-12)
+
+    def test_subnormal_step_norm(self):
+        """||w^2|| subnormal after the first step: the trace completes, and reaches 0."""
+        trace = spectral.spectral_radius_limit(amb([[1e-320, 1.0], [0.0, 1e-320]]), n_max=64)
+        assert trace.values[1] == pytest.approx(math.sqrt(2e-320), rel=1e-3)
+        assert trace.estimate == 0.0
+
     def test_single_power_norm_root(self):
         a = amb([[1.0, 1.0], [0.0, 2.0]])
         assert abs(spectral.power_norm_root(a, 100) - 2.00694) <= 1e-4

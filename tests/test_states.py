@@ -1,6 +1,7 @@
 """States, positivity, Cauchy-Schwarz, the GNS construction, universal reps."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,9 +271,9 @@ class TestDirectSumReps:
 
     def test_block_example(self):
         alg = self.scalar_algebra()
-        pi1 = states.Representation(alg, (np.array([[4.0 + 0j]]),), 1)
+        pi1 = states.Representation(alg, (np.array([[[4.0 + 0j]]]),))
         pi2 = states.Representation(
-            alg, (np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex),), 2
+            alg, (np.array([[[0.0, 1.0], [2.0, 0.0]]], dtype=complex),)
         )
         total = states.direct_sum_reps([pi1, pi2])
         expected = np.array(
@@ -284,10 +285,10 @@ class TestDirectSumReps:
 
     def test_single_representation_unchanged(self):
         alg = self.scalar_algebra()
-        pi = states.Representation(alg, (np.array([[2.0 + 0j]]),), 1)
+        pi = states.Representation(alg, (np.array([[[2.0 + 0j]]]),))
         total = states.direct_sum_reps([pi])
         assert total.hilbert_dim == 1
-        assert np.array_equal(total.rep_matrices[0], pi.rep_matrices[0])
+        assert total.blocks == pi.blocks
 
     def test_norm_is_max_over_blocks(self):
         m2 = algebra.full_matrix_algebra(2)
@@ -305,8 +306,8 @@ class TestDirectSumReps:
     def test_mismatched_algebras_rejected(self):
         alg = self.scalar_algebra()
         other = algebra.full_matrix_algebra(2)
-        pi1 = states.Representation(alg, (np.eye(1, dtype=complex),), 1)
-        pi2 = states.Representation(other, tuple(np.eye(2, dtype=complex) for _ in range(4)), 2)
+        pi1 = states.Representation(alg, (np.eye(1, dtype=complex)[None],))
+        pi2 = states.Representation(other, (np.stack([np.eye(2, dtype=complex)] * 4),))
         with pytest.raises(AlgebraMismatch):
             states.direct_sum_reps([pi1, pi2])
 
@@ -390,26 +391,76 @@ class TestStateInvariants:
                 assert abs(f((ba.adjoint() @ ba))) <= 1e-9 * max(1.0, b.norm() ** 2)
 
 
-def _reference_universal_rep(alg, extra_states=(), seed=0, samples=100):
-    """universal_rep with its per-sample loop, verbatim from before the
-    samples were stacked (module names added)."""
-    from cstarkit.algebra import random_element
+# ------------------------------------------------------------------
+# Reference implementations: Gram, GNS, multiplicativity and universal_rep
+# as they were when they contracted the cached structure constants
+# C[i, j, l] = <b_i b_j, b_l> and universal_rep summed its representations
+# into one dense block-diagonal (d, K, K) array and took K x K SVDs.  They
+# are kept as they were, apart from names, the tolerance literal and the GNS
+# contraction taken out to be run on a given coset map, as the references of
+# the structure-free and block paths.
 
-    family: list[states.Functional] = []
+
+def _reference_structure(alg):
+    return algebra._product_coords(alg.basis, alg.basis, alg.basis)
+
+
+def _reference_gram(alg, f):
+    adjoint_coords = alg.coords(alg.basis.conj().swapaxes(1, 2))
+    return adjoint_coords @ (_reference_structure(alg) @ f.values)
+
+
+def _reference_multiplicativity_residual(alg, v):
+    return float(np.max(np.abs(_reference_structure(alg) @ v - np.outer(v, v)), initial=0.0))
+
+
+def _reference_gns_matrices(alg, state):
+    g = _reference_gram(alg, state)
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    keep = w > 1e-10 * max(float(w[-1]) if w.size else 0.0, 0.0)
+    vk, wk = v[:, keep], w[keep]
+    coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
+    pinv = vk / np.sqrt(wk)[None, :]  # d x k
+    return _reference_left_multiplication(alg, coset_map, pinv)
+
+
+def _reference_left_multiplication(alg, coset_map, pinv):
+    # left multiplication by b_i has coordinate matrix C[i].T
+    return coset_map @ _reference_structure(alg).swapaxes(1, 2) @ pinv
+
+
+def _reference_trace_state(alg):
+    denom = complex(np.trace(alg.identity_matrix)).real
+    values = [complex(np.trace(b)) / denom for b in alg.basis]
+    return states.make_state(alg, values)
+
+
+def _reference_direct_sum(alg, rep_matrices):
+    total = sum(r.shape[1] for r in rep_matrices)
+    out = np.zeros((alg.dim, total, total), dtype=complex)
+    at = 0
+    for r in rep_matrices:
+        k = r.shape[1]
+        out[:, at : at + k, at : at + k] = r
+        at += k
+    return out
+
+
+def _reference_universal_rep(alg, extra_states=(), seed=0, samples=100):
+    """(dense (d, K, K) direct sum, max isometry residual, state count)."""
+    family = []
     if alg.unital:
-        family.append(states.trace_state(alg))
+        family.append(_reference_trace_state(alg))
     family.extend(extra_states)
     for b in alg.basis:
         bb = b @ linalg.adjoint(b)
         family.append(states.norming_state(algebra.Element(alg, bb @ bb)))
-    reps = [states.gns(alg, f) for f in family]
-    total = states.direct_sum_reps(reps)
+    total = _reference_direct_sum(alg, [_reference_gns_matrices(alg, f) for f in family])
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = random_element(alg, rng)
-        worst = max(worst, abs(linalg.op_norm(total.apply(a)) - a.norm()))
-    return states.UniversalReport(total, worst, len(family))
+    mats = algebra._random_matrices(alg, rng, samples)
+    images = algebra._combine_each(algebra._pairing_each(mats, alg.basis), total)
+    gaps = np.abs(linalg._op_norm_each(images) - linalg._op_norm_each(mats))
+    return total, float(np.max(gaps, initial=0.0)), len(family)
 
 
 def _generated(n, seed, real_field=False):
@@ -418,15 +469,22 @@ def _generated(n, seed, real_field=False):
 
 
 class TestStackedUniversalEquivalence:
-    """universal_rep samples in stacks and reports exactly the per-sample loop's values."""
+    """universal_rep from blocks agrees to 1e-12 with the dense direct sum."""
 
     @staticmethod
     def assert_same(alg, **kw):
-        got, want = states.universal_rep(alg, **kw), _reference_universal_rep(alg, **kw)
-        assert got.max_isometry_residual == want.max_isometry_residual
-        assert got.state_count == want.state_count
-        assert got.representation.hilbert_dim == want.representation.hilbert_dim
-        assert np.array_equal(got.representation.rep_matrices, want.representation.rep_matrices)
+        """The GNS matrices are fixed only up to a unitary within each Gram
+        eigenspace, so the sums are compared by what a unitary keeps: block
+        sizes, and norms of images of seeded samples."""
+        got = states.universal_rep(alg, **kw)
+        dense, worst, count = _reference_universal_rep(alg, **kw)
+        assert abs(got.max_isometry_residual - worst) <= 1e-12
+        assert got.state_count == count
+        assert got.representation.hilbert_dim == dense.shape[1]
+        mats = algebra._random_matrices(alg, np.random.default_rng(17), 10)
+        images = algebra._combine_each(algebra._pairing_each(mats, alg.basis), dense)
+        norms = got.representation._norm_each(mats)
+        assert np.max(np.abs(norms - linalg._op_norm_each(images))) <= 1e-12
 
     @pytest.mark.parametrize(
         "alg",
@@ -444,20 +502,15 @@ class TestStackedUniversalEquivalence:
         for seed in (0, 5, 912):
             self.assert_same(alg, seed=seed)
 
-    def test_chunk_of_twenty_at_hilbert_dim_80(self):
+    @pytest.mark.parametrize("samples", [1, 20, 47])
+    def test_hilbert_dim_80(self, samples):
         alg = _generated(4, 8)
         assert states.universal_rep(alg, samples=0).representation.hilbert_dim == 80
-        assert states._SAMPLE_STACK_ENTRIES // 80**2 == 20
-        for samples in (1, 20, 47):
-            self.assert_same(alg, seed=3, samples=samples)
+        self.assert_same(alg, seed=3, samples=samples)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_samples_not_a_multiple_of_the_chunk(self, monkeypatch, chunk):
-        alg = _generated(2, 9)
-        k = states.universal_rep(alg, samples=0).representation.hilbert_dim
-        monkeypatch.setattr(states, "_SAMPLE_STACK_ENTRIES", chunk * k * k)
-        for samples in (0, 1, 2 * chunk + 1, 100):
-            self.assert_same(alg, seed=11, samples=samples)
+    @pytest.mark.parametrize("samples", [0, 1, 3, 7, 15, 100])
+    def test_sample_counts(self, samples):
+        self.assert_same(_generated(2, 9), seed=11, samples=samples)
 
     def test_extra_states(self):
         alg = diag_algebra([1.0, 2.0])
@@ -465,6 +518,15 @@ class TestStackedUniversalEquivalence:
 
         extra = [states.make_state(alg, chi.values) for chi in characters(alg)]
         self.assert_same(alg, extra_states=extra, seed=1)
+
+    def test_norms_of_blocks_of_several_sizes(self):
+        m2 = algebra.full_matrix_algebra(2)
+        vector = states.gns(m2, states.vector_state(m2, [1.0, 0.0]))
+        total = states.direct_sum_reps([vector, states.gns(m2, states.trace_state(m2)), vector])
+        assert [b.shape[1] for b in total.blocks] == [2, 4, 2]
+        mats = algebra._random_matrices(m2, np.random.default_rng(5), 9)
+        dense = linalg._op_norm_each(total._apply_each(mats))
+        assert np.max(np.abs(total._norm_each(mats) - dense)) <= 1e-12
 
 
 class TestGnsGram:
@@ -559,7 +621,7 @@ class TestIdentityEquality:
             f,
             gelfand.characters(diag).characters[0],
             states.gns(m2, f),
-            states.Representation(m2, np.eye(4, dtype=complex).reshape(4, 2, 2), 2),
+            states.Representation(m2, (np.eye(4, dtype=complex).reshape(4, 2, 2),)),
             ideal,
             algebra.quotient(diag, ideal),
             qm.box_eigenstate(grid, 1),
@@ -570,3 +632,83 @@ class TestIdentityEquality:
             assert hash(x) == hash(x)
         assert len(set(objects)) == len(objects)
         assert algebra.full_matrix_algebra(2) != m2
+
+
+def _algebras_with_states():
+    """(name, algebra, states on it): matrix units, other bases, and a direct sum."""
+    rng = np.random.default_rng(40)
+    out = []
+    m2 = algebra.full_matrix_algebra(2)
+    for name, alg in [
+        ("M1", algebra.full_matrix_algebra(1)),
+        ("M3", algebra.full_matrix_algebra(3)),
+        ("pauli", _pauli_m2()),
+        ("gen3", _generated(3, 6)),
+        ("gen3-real", _generated(3, 7, real_field=True)),
+        ("diagonal", diag_algebra([1.0, 2.0, 3.0])),
+        ("M2+diag2", algebra.direct_sum_algebras(m2, diag_algebra([1.0, 2.0]))),
+    ]:
+        n = alg.ambient_dim
+        x = rand_matrix(rng, n)[:, 0]
+        family = [
+            states.trace_state(alg),
+            states.vector_state(alg, x / np.linalg.norm(x)),
+            states.make_state(alg, states._trace_values(alg, random_density(rng, n))),
+        ]
+        out.append(pytest.param(alg, family, id=name))
+    return out
+
+
+class TestStructureFreeEquivalence:
+    """Gram, GNS and multiplicativity from the density agree to 1e-12 with
+    the contraction of the structure constants."""
+
+    @pytest.mark.parametrize("alg, family", _algebras_with_states())
+    def test_gram_gns_and_multiplicativity(self, alg, family):
+        rng = np.random.default_rng(41)
+        raw = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        for f in family:
+            assert np.max(np.abs(states.gram_matrix(alg, f) - _reference_gram(alg, f))) <= 1e-12
+            rep = states.gns(alg, f)
+            (block,) = rep.blocks
+            assert block.shape == _reference_gns_matrices(alg, f).shape
+            # the same coset map: the GNS matrices are then fixed
+            pinv = rep.coset_map.conj().T / np.sum(np.abs(rep.coset_map) ** 2, axis=1)
+            want = _reference_left_multiplication(alg, rep.coset_map, pinv)
+            assert np.max(np.abs(block - want), initial=0.0) <= 1e-12
+        for v in [f.values for f in family] + [raw]:
+            got = states.functional(alg, v).multiplicativity_residual()
+            assert abs(got - _reference_multiplicativity_residual(alg, v)) <= 1e-12
+
+    @pytest.mark.parametrize("alg, family", _algebras_with_states())
+    def test_trace_state(self, alg, family):
+        got = states.trace_state(alg).values
+        want = _reference_trace_state(alg).values
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_trace_values_on_matrix_units_are_exact(self, n):
+        alg = algebra.full_matrix_algebra(n)
+        rho = random_density(np.random.default_rng(n), n)
+        want = [complex(np.trace(rho @ b)) for b in alg.basis]
+        assert states._trace_values(alg, rho).tolist() == want
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestUniversalMemory:
+    def test_no_dense_direct_sum_at_n6(self):
+        """One real 6 x 6 generator: d = 36, K = 252.  A dense (36, 252, 252)
+        direct sum alone takes 36.6 MB."""
+        alg = _generated(6, 8)
+        peak = _peak_bytes(lambda: states.universal_rep(alg))
+        report = states.universal_rep(alg)
+        assert (alg.dim, report.representation.hilbert_dim) == (36, 252)
+        assert peak < 36 * 252 * 252 * 16 / 3
