@@ -6,9 +6,10 @@ row-major order.  Every run emits a report {"command", "inputs",
 Exit codes: 0 success, 1 mathematical precondition failure (Overflow when a
 value leaves the float range), 2 malformed input or usage error: an
 unreadable or malformed document, an option value outside its domain (a
-negative --seed, --grid below 2, --levels below 1, a --length outside
-[1e-100, 1e100], a --tol that is not finite and positive), or an
-unwritable --out.
+negative --seed, a --grid outside [2, 1000000], --levels below 1, a --length
+outside [1e-100, 1e100], a --tol that is not finite and positive), or an
+unwritable --out.  A --levels above --grid exits 1 with LevelOutOfRange
+before any level is computed.
 
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, and the same input and ``--seed`` give byte-identical
@@ -28,7 +29,7 @@ import sys
 import numpy as np
 
 from . import algebra, gelfand, linalg, qm, spectral, states
-from .errors import CStarError, MalformedInput
+from .errors import CStarError, LevelOutOfRange, MalformedInput
 from .tolerances import (
     CHARACTERS_REPORT_TOL,
     CLASSIFY_TOL,
@@ -423,6 +424,8 @@ def cmd_quotient_norm(args) -> dict:
 
 
 def cmd_qm(args) -> dict:
+    if args.levels > args.grid:
+        raise LevelOutOfRange(f"level must be in [1, {args.grid}]")
     grid = qm.BoxGrid(length=args.length, points=args.grid)
     xhat = qm.position_operator(grid)
     cos_obs = qm.cosine_observable(grid)
@@ -443,9 +446,7 @@ def cmd_qm(args) -> dict:
         )
         worst_pos = max(worst_pos, abs(pos - args.length / 2.0))
         worst_cos = max(worst_cos, abs(cos - (1.0 if n == 1 else 0.0)))
-    herm = max(
-        linalg.hermitian_residual(xhat.matrix), linalg.hermitian_residual(cos_obs.matrix)
-    )
+    herm = max(xhat.hermitian_residual(), cos_obs.hermitian_residual())
     return {
         "inputs": {"grid": args.grid, "levels": args.levels, "length": args.length},
         "results": {"levels": levels},
@@ -481,7 +482,7 @@ _HANDLERS = {
 _OPTION_DOMAINS = {
     "seed": (lambda v: v >= 0, "at least 0"),
     "n_max": (lambda v: v >= 1, "at least 1"),
-    "grid": (lambda v: v >= 2, "at least 2"),
+    "grid": (lambda v: 2 <= v <= 10**6, "in [2, 1000000]"),
     "levels": (lambda v: v >= 1, "at least 1"),
     "length": (lambda v: 1e-100 <= v <= 1e100, "in [1e-100, 1e100]"),
     "tol": (lambda v: 0.0 < v < math.inf, "finite and positive"),

@@ -60,22 +60,27 @@ def ldexp(m, e: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), e).view(complex)
 
 
-def hermitian_residual(m: np.ndarray) -> float:
-    """Relative defect ||m - m*|| / ||m||.
-
-    m is first scaled by the power of two 2^-e that brings its largest real
-    or imaginary part into [1/2, 1), so m - m* cannot overflow.  The scaling
-    is exact for every entry that stays normal, so m and 2^k m give the same
-    bits.  Exactly Hermitian input, the zero matrix included, returns 0.0
-    without computing a norm.
-    """
+def unit_scaled(m) -> np.ndarray:
+    """The complex array m times the power of two 2^-e that brings its largest
+    real or imaginary part into [1/2, 1), so m - m* cannot overflow.  The
+    scaling is exact for every entry that stays normal, so m and 2^k m give
+    the same bits."""
     parts = np.ascontiguousarray(m, dtype=complex).view(float)
     _, e = np.frexp(np.max(np.abs(parts), initial=0.0))
-    skew = ldexp(m, -e)
-    skew -= skew.conj().T  # conj() copies, so no entry is read after it is written
+    return ldexp(m, -e)
+
+
+def hermitian_residual(m: np.ndarray) -> float:
+    """Relative defect ||m - m*|| / ||m||, computed on unit_scaled(m).
+
+    Exactly Hermitian input, the zero matrix included, returns 0.0 without
+    computing a norm.
+    """
+    scaled = unit_scaled(m)
+    skew = scaled - scaled.conj().T
     if not skew.any():
         return 0.0
-    return op_norm(skew) / op_norm(ldexp(m, -e))
+    return op_norm(skew) / op_norm(scaled)
 
 
 def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:

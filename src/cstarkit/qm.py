@@ -3,7 +3,9 @@
 The box [0, L] is sampled at N interior points x_j = j L / (N + 1) with
 Dirichlet endpoints excluded, so the sampled sine modes are exactly
 orthogonal under the uniform weight.  Inner products are spacing-weighted
-Riemann sums.
+Riemann sums.  Position, cosine and phase observables are multiplication
+operators, diagonal on the grid, so they are held as their n values and
+applied in O(n); only the momentum operator is a matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .algebra import Algebra, Element
 from .errors import DimensionMismatch, LevelOutOfRange
 from .states import State, vector_state
@@ -78,20 +81,50 @@ def box_energy(grid: BoxGrid, n: int) -> float:
     return (n**2 * np.pi**2 * grid.hbar**2) / (2.0 * grid.mass * grid.length**2)
 
 
-def position_operator(grid: BoxGrid) -> Element:
-    """Diagonal matrix of the grid abscissae; Hermitian with norm below L."""
-    return Element(None, np.diag(grid.positions.astype(complex)))
+@dataclass(frozen=True, eq=False)
+class MultiplicationOperator:
+    """The multiplication operator f(x-hat) on the grid, held as its values
+    f(x_j), a read-only complex (n,) array: O(n) memory where the matrix is n x n."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.array(self.values, dtype=complex)
+        if v.ndim != 1:
+            raise DimensionMismatch(f"need a 1-d array of grid values, got shape {v.shape}")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense diagonal matrix, built on each read."""
+        return np.diag(self.values)
+
+    def norm(self) -> float:
+        return float(np.max(np.abs(self.values), initial=0.0))
+
+    def hermitian_residual(self) -> float:
+        """linalg.hermitian_residual of the diagonal matrix: ||D - D*|| / ||D||
+        on the unit-scaled values, where D - D* = 2i Im D; 0.0 for real values."""
+        scaled = linalg.unit_scaled(self.values)
+        if not scaled.imag.any():
+            return 0.0
+        return float(2.0 * np.max(np.abs(scaled.imag)) / np.max(np.abs(scaled)))
 
 
-def cosine_observable(grid: BoxGrid) -> Element:
-    """Diagonal observable -2 cos(2 pi x / L); Hermitian with norm at most 2."""
-    diag = -2.0 * np.cos(2.0 * np.pi * grid.positions / grid.length)
-    return Element(None, np.diag(diag.astype(complex)))
+def position_operator(grid: BoxGrid) -> MultiplicationOperator:
+    """Multiplication by the grid abscissae; Hermitian with norm below L."""
+    return MultiplicationOperator(grid.positions)
 
 
-def phase_shift(grid: BoxGrid, k: float) -> Element:
-    """Diagonal unitary with entries exp(i k x_j); the exponential of i k x-hat."""
-    return Element(None, np.diag(np.exp(1j * k * grid.positions)))
+def cosine_observable(grid: BoxGrid) -> MultiplicationOperator:
+    """Multiplication by -2 cos(2 pi x / L); Hermitian with norm at most 2."""
+    return MultiplicationOperator(-2.0 * np.cos(2.0 * np.pi * grid.positions / grid.length))
+
+
+def phase_shift(grid: BoxGrid, k: float) -> MultiplicationOperator:
+    """Multiplication by exp(i k x_j), a unitary; the exponential of i k x-hat."""
+    return MultiplicationOperator(np.exp(1j * k * grid.positions))
 
 
 def momentum_operator(grid: BoxGrid, periodic: bool = True) -> Element:
@@ -114,12 +147,15 @@ def momentum_operator(grid: BoxGrid, periodic: bool = True) -> Element:
     return Element(None, (-1j * grid.hbar / (2.0 * grid.spacing)) * d)
 
 
-def expectation(a: Element, psi: GridState) -> complex:
-    """Spacing-weighted inner product <a psi, psi>."""
-    m = a.matrix
-    if m.shape[0] != psi.grid.points:
+def expectation(a: Element | MultiplicationOperator, psi: GridState) -> complex:
+    """Spacing-weighted inner product <a psi, psi>; O(n) for a multiplication operator."""
+    diagonal = isinstance(a, MultiplicationOperator)
+    size = a.values.shape[0] if diagonal else a.matrix.shape[0]
+    if size != psi.grid.points:
         raise DimensionMismatch("operator and state live on different grids")
-    return complex(psi.grid.spacing * np.vdot(psi.amplitudes, m @ psi.amplitudes))
+    amp = psi.amplitudes
+    a_psi = a.values * amp if diagonal else a.matrix @ amp
+    return complex(psi.grid.spacing * np.vdot(amp, a_psi))
 
 
 def eigenstate_functional(grid: BoxGrid, n: int, alg: Algebra) -> State:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_matrix
-from cstarkit import algebra, cli, gelfand, linalg, spectral, states
+from cstarkit import algebra, cli, gelfand, linalg, qm, spectral, states
 from cstarkit.errors import MalformedInput
 
 
@@ -480,6 +481,7 @@ class TestOptionDomains:
         [
             "--grid=0",
             "--grid=1",
+            "--grid=1000001",
             "--levels=0",
             "--length=0",
             "--length=-1",
@@ -871,3 +873,77 @@ class TestNoStructureTensor:
         run_to_file(tmp_path, [command, *_seeded_argvs(tmp_path)[command]])
         assert all(k == 1 for k in blocks)
         assert blocks or command != "gns"
+
+
+def _reference_cmd_qm(args) -> dict:
+    """cmd_qm with each observable an n x n diagonal Element."""
+    grid = qm.BoxGrid(length=args.length, points=args.grid)
+    x = grid.positions
+    xhat = algebra.Element(None, np.diag(x.astype(complex)))
+    cos_diag = -2.0 * np.cos(2.0 * np.pi * x / grid.length)
+    cos_obs = algebra.Element(None, np.diag(cos_diag.astype(complex)))
+    levels = []
+    worst_pos = 0.0
+    worst_cos = 0.0
+    for n in range(1, args.levels + 1):
+        psi = qm.box_eigenstate(grid, n)
+        pos = qm.expectation(xhat, psi).real
+        cos = qm.expectation(cos_obs, psi).real
+        levels.append(
+            {
+                "level": n,
+                "energy": qm.box_energy(grid, n),
+                "position_expectation": pos,
+                "cosine_expectation": cos,
+            }
+        )
+        worst_pos = max(worst_pos, abs(pos - args.length / 2.0))
+        worst_cos = max(worst_cos, abs(cos - (1.0 if n == 1 else 0.0)))
+    herm = max(
+        linalg.hermitian_residual(xhat.matrix), linalg.hermitian_residual(cos_obs.matrix)
+    )
+    return {
+        "inputs": {"grid": args.grid, "levels": args.levels, "length": args.length},
+        "results": {"levels": levels},
+        "residuals": {
+            "max_position_deviation_from_center": cli._residual(worst_pos, 1e-3),
+            "max_cosine_deviation_from_closed_form": cli._residual(worst_cos, 1e-3),
+            "observable_hermitian_defect": cli._residual(herm, 1e-12),
+        },
+    }
+
+
+class TestDiagonalQmEquivalence:
+    """qm holds its observables as grid values and still writes the dense path's bytes."""
+
+    @pytest.mark.parametrize("grid", [2, 3, 40, 999, 2000])
+    @pytest.mark.parametrize("length", ["1.0", "0.7", "1e-100", "1e100"])
+    def test_report_bytes(self, tmp_path, grid, length):
+        for levels in sorted({1, min(5, grid)}):
+            argv = ["qm", "--grid", str(grid), "--levels", str(levels), "--length", length]
+            _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_qm)
+
+    def test_large_grid_memory(self, capsys):
+        """A dense n x n observable at n = 200000 would take 640 GB."""
+        tracemalloc.start()
+        try:
+            code = cli.run(["qm", "--grid", "200000", "--levels", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["levels"]) == 2
+        assert peak < 40e6
+
+    def test_levels_above_grid_fail_before_any_level(self, monkeypatch, capsys):
+        calls = []
+        eigenstate = qm.box_eigenstate
+
+        def counting(grid, n):
+            calls.append(n)
+            return eigenstate(grid, n)
+
+        monkeypatch.setattr(qm, "box_eigenstate", counting)
+        assert cli.run(["qm", "--grid", "2000", "--levels", "2001"]) == 1
+        assert "LevelOutOfRange" in capsys.readouterr().err
+        assert calls == []

@@ -56,7 +56,7 @@ class TestBoxEnergy:
 class TestPositionOperator:
     def test_hermitian(self):
         x = qm.position_operator(small_grid())
-        assert spectral.classify(x).hermitian
+        assert spectral.classify(algebra.Element(None, x.matrix)).hermitian
 
     def test_entries_inside_box(self):
         g = small_grid()
@@ -98,7 +98,8 @@ class TestExpectation:
 
 class TestCosineObservable:
     def test_hermitian(self):
-        assert spectral.classify(qm.cosine_observable(small_grid())).hermitian
+        cobs = qm.cosine_observable(small_grid())
+        assert spectral.classify(algebra.Element(None, cobs.matrix)).hermitian
 
     def test_norm_at_most_two(self):
         assert qm.cosine_observable(small_grid()).norm() <= 2.0 + 1e-12
@@ -149,7 +150,7 @@ class TestMomentumOperator:
         g = small_grid()
         x = qm.position_operator(g)
         p = qm.momentum_operator(g, periodic=True)
-        report = spectral.commutator_scalar_test(x, p)
+        report = spectral.commutator_scalar_test(algebra.Element(None, x.matrix), p)
         assert abs(report.trace_value) <= 1e-12 * linalg.op_norm(p.matrix)
         assert not report.scalar_commutator
         assert report.scalar_residual > 0.1 * g.hbar  # boundary rows break it
@@ -215,3 +216,73 @@ class TestQmInvariants:
             omega = qm.eigenstate_functional(g, n, alg)
             assert states.is_positive_functional(alg, omega).positive
             assert abs(states.functional_norm(alg, omega) - 1.0) <= 1e-9
+
+
+class TestMultiplicationOperator:
+    def test_values_read_only_complex(self):
+        x = qm.position_operator(small_grid())
+        assert x.values.dtype == complex and not x.values.flags.writeable
+        assert np.array_equal(x.values, small_grid().positions)
+
+    def test_matrix_is_the_diagonal(self):
+        u = qm.phase_shift(small_grid(), 1.1)
+        assert np.array_equal(u.matrix, np.diag(u.values))
+
+    def test_norm_is_largest_modulus(self):
+        cobs = qm.cosine_observable(small_grid())
+        assert cobs.norm() == pytest.approx(linalg.op_norm(cobs.matrix), rel=1e-14)
+
+    def test_rejects_matrix_values(self):
+        with pytest.raises(DimensionMismatch):
+            qm.MultiplicationOperator(np.eye(3))
+
+    def test_expectation_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            qm.expectation(qm.MultiplicationOperator(np.ones(3)), qm.box_eigenstate(small_grid(), 1))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e300])
+    def test_hermitian_residual_matches_dense(self, scale):
+        rng = np.random.default_rng(12)
+        v = scale * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        got = qm.MultiplicationOperator(v).hermitian_residual()
+        # max |2 Im v| / max |v| against the SVD's norms, which may differ in the last bit
+        assert got == pytest.approx(linalg.hermitian_residual(np.diag(v)), rel=1e-14)
+        assert qm.MultiplicationOperator(v.real).hermitian_residual() == 0.0
+
+
+SWEEP_GRIDS = [2, 3, 40, 999, 2000]
+SWEEP_LENGTHS = [1.0, 0.7, 1e-100, 1e100]
+
+
+def _observables(grid):
+    return {
+        "position": qm.position_operator(grid),
+        "cosine": qm.cosine_observable(grid),
+        "phase": qm.phase_shift(grid, 3.7 / grid.length),
+    }
+
+
+class TestDenseEquivalence:
+    """Multiplication operators give the dense diagonal path's exact values."""
+
+    @pytest.mark.parametrize("points", SWEEP_GRIDS)
+    @pytest.mark.parametrize("length", SWEEP_LENGTHS)
+    def test_expectations(self, points, length):
+        grid = qm.BoxGrid(length=length, points=points)
+        for name, obs in _observables(grid).items():
+            dense = algebra.Element(None, np.diag(obs.values))
+            for n in sorted({1, 2, min(5, points), points}):
+                psi = qm.box_eigenstate(grid, n)
+                assert qm.expectation(obs, psi) == qm.expectation(dense, psi), (name, n)
+
+    @pytest.mark.parametrize("points", [p for p in SWEEP_GRIDS if p <= 40])
+    @pytest.mark.parametrize("length", SWEEP_LENGTHS)
+    def test_hermitian_residual(self, points, length):
+        grid = qm.BoxGrid(length=length, points=points)
+        obs = _observables(grid)
+        for name in ("position", "cosine"):
+            assert obs[name].hermitian_residual() == 0.0
+            assert linalg.hermitian_residual(obs[name].matrix) == 0.0
+        phase = obs["phase"]
+        want = linalg.hermitian_residual(phase.matrix)
+        assert phase.hermitian_residual() == pytest.approx(want, rel=1e-14)
