@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
 
 from . import linalg
 from .errors import (
@@ -456,6 +455,9 @@ def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
     restarts drawn from seed and QUOTIENT_NORM_BUDGET evaluations shared
     among the runs.
     The objective (largest singular value over an affine subspace) is convex.
+    scipy.optimize is imported only on this path, on its first call, so the
+    package and its command line, whose algebras are all *-closed, never
+    load scipy.
     """
     if a.algebra is not q.parent:
         raise AlgebraMismatch("element does not belong to the quotient's parent algebra")
@@ -467,6 +469,7 @@ def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
     frob = -_pairing(base, onb)
     if q.parent.star_closed:
         return linalg.op_norm(base + np.tensordot(frob, onb, axes=1))
+    from scipy.optimize import minimize
 
     def objective(t: np.ndarray) -> float:
         return linalg.op_norm(base + np.tensordot(t[:k] + 1j * t[k:], onb, axes=1))
@@ -481,7 +484,7 @@ def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
     best = np.inf
     converged = False
     for x0 in starts:
-        res = optimize.minimize(
+        res = minimize(
             objective,
             x0,
             method="Nelder-Mead",

@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 mathematical precondition failure (Overflow when a
 value leaves the float range), 2 malformed input or usage error: an
 unreadable or malformed document, an option value outside its domain (a
 negative --seed, a --grid outside [2, 1000000], --levels below 1, a --length
-outside [1e-100, 1e100], a --tol that is not finite and positive), or an
-unwritable --out.  A --levels above --grid exits 1 with LevelOutOfRange
-before any level is computed.
+outside [1e-100, 1e100], a --tol that is not finite and positive, a qm run
+with --levels x --grid above 100000000), or an unwritable --out.  A
+--levels above --grid exits 1 with LevelOutOfRange before any level is
+computed.
 
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, and the same input and ``--seed`` give byte-identical
@@ -489,12 +490,23 @@ _OPTION_DOMAINS = {
 }
 
 
+# qm's work is O(levels x grid), tens of nanoseconds per grid point and
+# level, so the largest allowed run takes seconds
+QM_WORK_LIMIT = 10**8
+
+
 def _check_options(args) -> None:
-    """MalformedInput for the first option whose value is outside its domain."""
+    """MalformedInput for the first option whose value is outside its domain,
+    then for a qm run whose levels x grid exceeds QM_WORK_LIMIT."""
     for name, (ok, domain) in _OPTION_DOMAINS.items():
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             raise MalformedInput(f"--{name.replace('_', '-')} must be {domain}, got {value}")
+    if args.command == "qm" and args.levels * args.grid > QM_WORK_LIMIT:
+        raise MalformedInput(
+            f"--levels x --grid must be at most {QM_WORK_LIMIT}, "
+            f"got {args.levels} x {args.grid}"
+        )
 
 
 @functools.cache

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import linalg
 from .algebra import (
@@ -354,8 +353,15 @@ def conv(x, y) -> np.ndarray:
 
 
 def circulant(c) -> np.ndarray:
-    """Circulant matrix with first column c: C[i, j] = c[(i - j) mod N]."""
-    return sla.circulant(np.asarray(c, dtype=complex))
+    """Circulant matrix with first column c: C[i, j] = c[(i - j) mod N].
+
+    One fancy index into c, so the entries are c's values bit for bit.  A
+    stack of sequences, shape (..., N), gives the stack of their circulants,
+    shape (..., N, N), as scipy.linalg.circulant does.
+    """
+    c = np.asarray(c, dtype=complex)
+    k = np.arange(c.shape[-1])
+    return c[..., (k[:, None] - k) % k.size]
 
 
 def cyclic_group_algebra(n: int) -> Algebra:
@@ -368,8 +374,7 @@ def cyclic_group_algebra(n: int) -> Algebra:
     if n < 1:
         raise ValueError("the cyclic order must be at least 1")
     # the k-th power of the shift is the circulant of the k-th unit vector
-    powers = np.stack([circulant(e) for e in np.eye(n)])
-    return Algebra(powers / np.sqrt(n))
+    return Algebra(circulant(np.eye(n)) / np.sqrt(n))
 
 
 def circulant_element(alg: Algebra, c) -> Element:

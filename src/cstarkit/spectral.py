@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import linalg
 from .algebra import Algebra, Element, left_regular_matrix
@@ -313,11 +312,18 @@ def _sqrt_and_scale(a, tol: float) -> tuple[np.ndarray, float]:
 
 
 def func_calc(a, f) -> Element:
-    """Apply a scalar function to a normal element through diagonalization."""
+    """Apply a scalar function to a normal element through diagonalization.
+
+    The complex Schur form of a normal matrix is diagonal, with a unitary
+    Schur basis.  scipy.linalg is imported on the first call, not with the
+    package, so the command line never loads scipy.
+    """
     m = _matrix_of(a)
     if not classify(a).normal:
         raise NotNormal("functional calculus requires a normal element")
-    t, q = sla.schur(m, output="complex")
+    from scipy.linalg import schur
+
+    t, q = schur(m, output="complex")
     lam = np.diag(t)
     fm = (q * np.array([complex(f(z)) for z in lam])) @ q.conj().T
     alg = a.algebra if isinstance(a, Element) else None

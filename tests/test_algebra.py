@@ -266,7 +266,7 @@ class TestQuotientNormPaths:
         alg, ideal, p = case()
         assert alg.star_closed
         q = algebra.quotient(alg, ideal)
-        monkeypatch.setattr(algebra.optimize, "minimize", _no_optimiser)
+        monkeypatch.setattr("scipy.optimize.minimize", _no_optimiser)
         rng = np.random.default_rng(31)
         one = np.eye(alg.ambient_dim)
         for _ in range(5):

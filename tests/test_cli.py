@@ -314,6 +314,77 @@ def _seeded_argvs(tmp_path):
     }
 
 
+_SCIPY_AFTER_ALL_SUBCOMMANDS = """
+import contextlib, io, json, sys
+from cstarkit import cli
+codes = {}
+for command, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[command] = cli.run([command, *argv])
+print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+_SCIPY_ON_FIRST_USE = """
+import json, sys
+import numpy as np
+from cstarkit import algebra, spectral
+loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
+normal, x = (np.frombuffer(bytes.fromhex(h), complex).reshape(3, 3) for h in sys.argv[1:])
+before = loaded()
+exp = spectral.func_calc(algebra.Element(None, normal), np.exp).matrix
+after_func_calc = loaded()
+units = [np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i in range(3) for j in range(i, 3)]
+tri = algebra.algebra_from_generators(units, include_adjoints=False)
+q = algebra.quotient(tri, algebra.subspace(tri, [units[2]]))
+norm = algebra.quotient_norm(q, algebra.Element(tri, x))
+print(json.dumps({"before": before, "after_func_calc": after_func_calc,
+                  "exp": exp.tobytes().hex(), "norm": norm.hex()}))
+"""
+
+
+def _run_fresh(script, *args):
+    """Run a Python script in a fresh interpreter on the package's source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScipyOnlyOnFirstUse:
+    """The command line never loads scipy; the two library paths that need it still work."""
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        argvs = _seeded_argvs(tmp_path)
+        assert set(argvs) == set(cli._HANDLERS)
+        out = _run_fresh(_SCIPY_AFTER_ALL_SUBCOMMANDS, json.dumps(argvs))
+        assert out["codes"] == {command: 0 for command in argvs}
+        assert out["scipy"] == []
+
+    def test_func_calc_and_nelder_mead_import_scipy_when_called(self):
+        """exp through func_calc, and the Parrott quotient norm on T_3 modulo E_13."""
+        rng = np.random.default_rng(33)
+        u, _ = np.linalg.qr(rand_matrix(rng, 3))
+        normal = (u * np.array([0.5, -1.0, 2j])) @ u.conj().T
+        x = np.triu(rand_matrix(rng, 3))
+        out = _run_fresh(_SCIPY_ON_FIRST_USE, normal.tobytes().hex(), x.tobytes().hex())
+        assert not out["before"] and out["after_func_calc"]
+        # the same bits as in this process, where scipy was loaded up front
+        exp = spectral.func_calc(algebra.Element(None, normal), np.exp).matrix
+        assert bytes.fromhex(out["exp"]) == exp.tobytes()
+        units = [np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i in range(3) for j in range(i, 3)]
+        tri = algebra.algebra_from_generators(units, include_adjoints=False)
+        q = algebra.quotient(tri, algebra.subspace(tri, [units[2]]))
+        norm = algebra.quotient_norm(q, algebra.Element(tri, x))
+        assert float.fromhex(out["norm"]) == norm
+        y = x.copy()
+        y[0, 2] = 0.0
+        parrott = max(linalg.op_norm(y[:, :2]), linalg.op_norm(y[1:, :]))
+        assert abs(norm - parrott) <= 1e-8 * parrott
+
+
 def _json_layout(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -494,6 +565,17 @@ class TestOptionDomains:
     def test_qm_options(self, capsys, option):
         assert cli.run(["qm", "--grid", "20", option]) == 2
         assert option.split("=")[0] in _usage_error(capsys)
+
+    def test_qm_work_limit(self, monkeypatch, capsys):
+        """levels x grid above 10**8 exits 2 before any level is computed."""
+        calls = []
+        monkeypatch.setattr(qm, "box_eigenstate", lambda grid, n: calls.append(n))
+        for grid, levels in [(1000000, 1000000), (1000000, 101), (10001, 10000)]:
+            assert cli.run(["qm", "--grid", str(grid), "--levels", str(levels)]) == 2
+            assert "--levels x --grid must be at most 100000000" in _usage_error(capsys)
+        assert calls == []
+        at_limit = cli.build_parser().parse_args(["qm", "--grid", "1000000", "--levels", "100"])
+        cli._check_options(at_limit)
 
     @pytest.mark.parametrize("command", ["neumann", "sqrt"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])

@@ -219,6 +219,34 @@ class TestCyclicGroupAlgebra:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+class TestCirculantMatchesScipy:
+    """circulant and the cyclic basis are scipy.linalg.circulant's values, bit for bit.
+
+    scipy is the reference here only; the package builds circulants with numpy.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32])
+    def test_circulant(self, n):
+        from scipy.linalg import circulant
+
+        rng = np.random.default_rng(100 + n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c[0] = complex(-0.0, 5e-324)
+        assert np.array_equal(gelfand.circulant(c), circulant(c))
+        assert gelfand.circulant(c).tobytes() == circulant(c).tobytes()
+        stack = c * rng.standard_normal((3, 1))
+        assert gelfand.circulant(stack).tobytes() == circulant(stack).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 128])
+    def test_cyclic_basis(self, n):
+        from scipy.linalg import circulant
+
+        powers = np.stack([circulant(e) for e in np.eye(n, dtype=complex)])
+        basis = gelfand.cyclic_group_algebra(n).basis
+        assert np.array_equal(basis, powers / np.sqrt(n))
+        assert basis.tobytes() == (powers / np.sqrt(n)).tobytes()
+
+
 class TestGelfandInvariants:
     def test_character_norm_one(self):
         alg = gelfand.cyclic_group_algebra(4)
