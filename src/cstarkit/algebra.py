@@ -5,8 +5,11 @@ An Algebra is its basis: one stacked orthonormal, multiplication-closed
 Frobenius inner product), plus a flag for the scalar field (real or
 complex coefficients).  Everything else is derived from the basis on
 first use and cached: the unit and the commutativity and *-closure
-flags.  Coordinates, products and left-regular matrices are matmuls or
-contractions of the basis.
+flags.  The unit is read off as I_n when I_n lies in the span, which
+holds for every algebra generated with the identity; only an algebra
+without I_n (a corner, a unitization, a non-unital algebra) solves a
+least-squares system for it.  Coordinates, products and left-regular
+matrices are matmuls or contractions of the basis.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
@@ -71,6 +74,15 @@ def _project_out(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _residual_norms(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Norm of x minus its projection on the span of orthonormal rows, per row of x.
+
+    One pass suffices for a norm that is compared with a tolerance; only a
+    residual kept as a new basis direction needs the second pass.
+    """
+    return np.linalg.norm(x - (x @ rows.conj().T) @ rows, axis=-1)
+
+
 def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
     """Append each candidate, in order, whose residual exceeds MEMBERSHIP_TOL * its norm.
 
@@ -128,14 +140,17 @@ class Algebra:
     def star_closed(self) -> bool:
         d, n = self.dim, self.ambient_dim
         adjoints = self.basis.conj().swapaxes(1, 2).reshape(d, n * n)
-        resid = _project_out(self.basis.reshape(d, n * n), adjoints)
-        return not np.any(np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL)
+        resid = _residual_norms(self.basis.reshape(d, n * n), adjoints)
+        return not np.any(resid > MEMBERSHIP_TOL)
 
     @cached_property
     def identity_coords(self) -> np.ndarray | None:
         """Coordinates of the two-sided unit, or None (also for d = 0).
 
-        With G = sum_k b_k b_k* and H = sum_k b_k* b_k, x in A is the unit
+        When I_n lies in A (within MEMBERSHIP_TOL) it is the unit, since
+        I_n a = a I_n = a for every a and a unit is unique, so its
+        coordinates are read off in O(d n^2).  Otherwise, with
+        G = sum_k b_k b_k* and H = sum_k b_k* b_k, x in A is the unit
         exactly when x G = G and H x = H:
           - x G = G says x is the identity on range(G), the sum of the
             ranges of the b_k, so x a = a for every a in A;
@@ -147,6 +162,9 @@ class Algebra:
         d, b = self.dim, self.basis
         if not d:
             return None
+        eye = np.eye(self.ambient_dim, dtype=complex)
+        if self.contains(eye):
+            return self.coords(eye)
         adj = b.conj().swapaxes(1, 2)
         g, h = np.sum(b @ adj, axis=0), np.sum(adj @ b, axis=0)
         system = np.concatenate([(b @ g).reshape(d, -1), (h @ b).reshape(d, -1)], axis=1).T
@@ -171,6 +189,7 @@ class Algebra:
         return self.from_coords(self.coords(m))
 
     def membership_residual(self, m: np.ndarray) -> float:
+        m = _require_ambient(self, np.asarray(m))
         scale = float(np.linalg.norm(m))
         if scale == 0.0:
             return 0.0
@@ -184,6 +203,16 @@ class Algebra:
         if self.identity_coords is None:
             return None
         return self.from_coords(self.identity_coords)
+
+
+def _require_ambient(alg: Algebra, m: np.ndarray) -> np.ndarray:
+    """m, after checking that it is an n x n matrix for alg's M_n."""
+    n = alg.ambient_dim
+    if m.shape[-2:] != (n, n):
+        raise DimensionMismatch(
+            f"matrix shape {m.shape[-2:]} does not match the algebra's ambient {n} x {n}"
+        )
+    return m
 
 
 def algebra_from_generators(
@@ -239,11 +268,6 @@ class Element:
         m = linalg.require_square(linalg.as_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         if self.algebra is not None:
-            if m.shape[0] != self.algebra.ambient_dim:
-                raise DimensionMismatch(
-                    f"matrix is {m.shape[0]} x {m.shape[0]}, algebra ambient is "
-                    f"{self.algebra.ambient_dim}"
-                )
             resid = self.algebra.membership_residual(m)
             if resid > ELEMENT_TOL:
                 raise NotInAlgebra(f"projection residual {resid:.3e} outside the span")
@@ -350,10 +374,12 @@ class SubspaceBasis:
     onb: np.ndarray = None  # (k, n, n)
 
     def __post_init__(self):
-        mats = [linalg.as_matrix(m) for m in self.matrices]
-        if not all(self.algebra.contains(m, ELEMENT_TOL) for m in mats):
+        alg, n = self.algebra, self.algebra.ambient_dim
+        mats = [_require_ambient(alg, linalg.as_matrix(m)) for m in self.matrices]
+        mats = np.array(mats, dtype=complex).reshape(-1, n, n)
+        resid = np.linalg.norm(mats - _combine_each(alg.coords(mats), alg.basis), axis=(1, 2))
+        if not np.all(resid <= ELEMENT_TOL * np.linalg.norm(mats, axis=(1, 2))):
             raise NotSubspace("matrix outside the algebra span")
-        n = self.algebra.ambient_dim
         onb = _extend_rows(np.zeros((0, n * n), dtype=complex), mats)
         if len(onb) < len(mats):
             raise NotSubspace("matrices are linearly dependent")
@@ -381,7 +407,7 @@ def ideal_check(alg: Algebra, s: SubspaceBasis) -> str:
 
     def closed(prods: np.ndarray) -> bool:
         prods = prods.reshape(-1, n2)
-        resid = np.linalg.norm(_project_out(onb, prods), axis=1)
+        resid = _residual_norms(onb, prods)
         return bool(np.all(resid <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(prods, axis=1))))
 
     left = closed(alg.basis[:, None] @ s.onb[None])

@@ -7,7 +7,13 @@ import pytest
 
 from conftest import doubled_normal, rand_matrix
 from cstarkit import algebra, gelfand, linalg, states
-from cstarkit.errors import NotProper, NotRealAlgebra, NotSubspace, NotTwoSided
+from cstarkit.errors import (
+    DimensionMismatch,
+    NotProper,
+    NotRealAlgebra,
+    NotSubspace,
+    NotTwoSided,
+)
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -48,6 +54,14 @@ class TestFromGenerators:
         assert not alg.unital
         assert not alg.star_closed
 
+    @pytest.mark.parametrize("t, closed", [(1 - 1e-7, False), (1 - 1e-11, True)])
+    def test_star_closed_flips_at_the_tolerance(self, t, closed):
+        """a = E12 + t E21 has a^2 = t I, so A = span{I, a}, and a* lies off A
+        by the relative residual |1 - t^2| / (1 + t^2): 1e-7 or 1e-11."""
+        alg = algebra.algebra_from_generators([E12 + t * E21], include_adjoints=False)
+        assert alg.dim == 2
+        assert alg.star_closed == closed
+
     def test_star_closure_of_nilpotent_generator_is_full(self):
         alg = algebra.algebra_from_generators([E12], include_identity=False)
         assert alg.dim == 4  # E12 and E21 generate all of M2
@@ -63,8 +77,6 @@ class TestFromGenerators:
             assert alg.contains(acc)
 
     def test_mixed_sizes_rejected(self):
-        from cstarkit.errors import DimensionMismatch
-
         with pytest.raises(DimensionMismatch):
             algebra.algebra_from_generators([np.eye(2), np.eye(3)])
 
@@ -151,6 +163,35 @@ class TestIdealCheck:
         alg = diag_algebra([1.0, 2.0])
         with pytest.raises(NotSubspace):
             algebra.subspace(alg, [E12])
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 3e-9, 3e-8, 1e-6])
+    def test_stacked_check_matches_contains(self, eps):
+        """One stacked membership check accepts exactly what contains(m, ELEMENT_TOL) does."""
+        alg = diag_algebra([1.0, 2.0])
+        mats = [E11 + eps * E12, 2.0 * E22]
+        if all(alg.contains(m, algebra.ELEMENT_TOL) for m in mats):
+            assert algebra.subspace(alg, mats).dim == 2
+        else:
+            assert eps > algebra.ELEMENT_TOL
+            with pytest.raises(NotSubspace):
+                algebra.subspace(alg, mats)
+
+
+class TestWrongShapeMembership:
+    """An n x n algebra meets a matrix of another size with DimensionMismatch."""
+
+    def test_contains(self):
+        with pytest.raises(DimensionMismatch):
+            algebra.full_matrix_algebra(2).contains(np.eye(3))
+
+    @pytest.mark.parametrize("mats", [[np.eye(3)], [E11, np.eye(3)]], ids=["alone", "second"])
+    def test_subspace(self, mats):
+        with pytest.raises(DimensionMismatch):
+            algebra.subspace(algebra.full_matrix_algebra(2), mats)
+
+    def test_element(self):
+        with pytest.raises(DimensionMismatch):
+            algebra.element(algebra.full_matrix_algebra(2), np.eye(3))
 
 
 class TestQuotient:
@@ -432,6 +473,14 @@ def _normal_matrix(rng, n):
     return (q * np.array([1.0, -2.0, 0.5j, 3.0 + 1.0j])[:n]) @ q.conj().T
 
 
+def _order5_unitary():
+    """Generated by u = Q diag(e^{2 pi i k/5}, k = 0..3) Q* alone, without the
+    identity or adjoints: u^5 = I_4, so I_4 lies in A only as a rounded word in u."""
+    q, _ = np.linalg.qr(rand_matrix(np.random.default_rng(51), 4))
+    u = (q * np.exp(2j * np.pi * np.arange(4) / 5)) @ q.conj().T
+    return algebra.algebra_from_generators([u], include_identity=False, include_adjoints=False)
+
+
 REFERENCE_ALGEBRAS = {
     "random-n1": lambda rng: algebra.algebra_from_generators([rand_matrix(rng, 1)]),
     "random-n2": lambda rng: algebra.algebra_from_generators([rand_matrix(rng, 2)]),
@@ -461,6 +510,7 @@ REFERENCE_ALGEBRAS = {
     "m2+diag5": lambda rng: algebra.direct_sum_algebras(
         algebra.full_matrix_algebra(2), diag_algebra([1.0, 2.0, 3.0, 4.0, 5.0])
     ),
+    "order5-unitary": lambda rng: _order5_unitary(),
 }
 
 
@@ -513,6 +563,15 @@ class TestStructureReference:
         )
         assert alg.abelian == commute
 
+    def test_star_closed_flag(self, alg):
+        """The one-pass flag against the two-pass (CGS2) adjoint residual."""
+        d, n = alg.dim, alg.ambient_dim
+        adjoints = alg.basis.conj().swapaxes(1, 2).reshape(d, n * n)
+        resid = algebra._project_out(alg.basis.reshape(d, n * n), adjoints)
+        assert alg.star_closed == bool(
+            np.all(np.linalg.norm(resid, axis=1) <= algebra.MEMBERSHIP_TOL)
+        )
+
     def test_identity_coords(self, alg):
         rows, rhs = [], []
         for b in alg.basis:
@@ -549,6 +608,50 @@ class TestStructureReference:
                 worst = max(worst, abs(prod - v[i] * v[j]))
         got = states.functional(alg, v).multiplicativity_residual()
         assert abs(got - worst) <= 1e-12
+
+
+class TestUnitWithoutLeastSquaresEquivalence:
+    """With I_n in the span the unit is read off as I_n; only algebras
+    without I_n solve the least-squares system."""
+
+    def test_identity_in_span_skips_least_squares(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        # unitize asks the nilpotent algebra for its unit, so it is built first
+        algs = {
+            "generators": algebra.algebra_from_generators([rand_matrix(rng, 3)]),
+            "m3": algebra.full_matrix_algebra(3),
+            "m2+m3": algebra.direct_sum_algebras(
+                algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(3)
+            ),
+            "cyclic-32": gelfand.cyclic_group_algebra(32),
+            "unitized-nilpotent": REFERENCE_ALGEBRAS["unitized-nilpotent"](rng),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("least squares solved for a unit that is I_n")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for name, alg in algs.items():
+            assert alg.unital, name
+            assert np.max(np.abs(alg.identity_matrix - np.eye(alg.ambient_dim))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name, unital",
+        [("corner", True), ("left-unit-only", False), ("right-unit-only", False),
+         ("nilpotent", False)],
+    )
+    def test_identity_off_span_solves_least_squares(self, monkeypatch, name, unital):
+        alg = REFERENCE_ALGEBRAS[name](np.random.default_rng(31))
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        assert alg.unital == unital
+        assert len(calls) == 1
 
 
 def _all_pairs_closure(gens, include_identity=True, include_adjoints=True):
