@@ -14,14 +14,16 @@ matrices are matmuls or contractions of the basis.
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
 the words in S, grown by left-multiplying each newly added basis row by
-every generator until no row is added.  A quotient keeps a coset basis
-orthogonal to the ideal; the structure constants of coset multiplication
-and the unit coset are derived from it on first use, so quotient
-arithmetic never touches representatives again.
+every generator until no row is added.  A quotient is its parent and its
+ideal; its coset basis, orthogonal to the ideal, and the unit coset are
+derived on first use, and cosets multiply through their representatives.
+The quotient norm is exact on *-closed parents and certified to
+QUOTIENT_NORM_GAP by central-cut ellipsoid steps on the others.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,15 +41,9 @@ from .errors import (
     NotSubspace,
     NotTwoSided,
 )
-from .tolerances import (
-    ELEMENT_TOL,
-    MEMBERSHIP_TOL,
-    NELDER_MEAD_FATOL,
-    NELDER_MEAD_XATOL,
-    QUOTIENT_NORM_ZERO,
-)
+from .tolerances import ELEMENT_TOL, MEMBERSHIP_TOL, QUOTIENT_NORM_GAP
 
-# Objective evaluations that quotient_norm's Nelder-Mead runs share.
+# SVD steps that quotient_norm's ellipsoid loop may take.
 QUOTIENT_NORM_BUDGET = 20000
 
 
@@ -57,14 +53,6 @@ def _pairing(m, rows: np.ndarray) -> np.ndarray:
     k, n = rows.shape[0], rows.shape[-1]
     flat = m.reshape(*m.shape[:-2], n * n)
     return (flat.conj() @ rows.reshape(k, n * n).T).conj()
-
-
-def _product_coords(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """P[i, j, l] = <left_i right_j, rows_l>, one stacked product per row of left."""
-    out = np.zeros((len(left), len(right), len(rows)), dtype=complex)
-    for i, a in enumerate(left):
-        out[i] = _pairing(a @ right, rows)
-    return out
 
 
 def _project_out(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -189,7 +177,10 @@ class Algebra:
         return self.from_coords(self.coords(m))
 
     def membership_residual(self, m: np.ndarray) -> float:
+        """||m - P m|| / ||m||, on unit_scaled(m) where squares of entries may leave float range."""
         m = _require_ambient(self, np.asarray(m))
+        if not 2.0**-400 < np.abs(m).max(initial=0.0) < 2.0**400:
+            m = linalg.unit_scaled(m)
         scale = float(np.linalg.norm(m))
         if scale == 0.0:
             return 0.0
@@ -390,6 +381,7 @@ class SubspaceBasis:
         return len(self.onb)
 
     def residual(self, m: np.ndarray) -> float:
+        m = _require_ambient(self.algebra, np.asarray(m))
         rows = self.onb.reshape(self.dim, m.size)
         return float(np.linalg.norm(_project_out(rows, m.ravel())))
 
@@ -423,20 +415,21 @@ def ideal_check(alg: Algebra, s: SubspaceBasis) -> str:
 
 @dataclass(frozen=True, eq=False)
 class QuotientAlgebra:
-    """Cosets of a two-sided ideal, with multiplication as structure constants."""
+    """The cosets of a two-sided ideal, held as the parent and the ideal."""
 
     parent: Algebra
     ideal: SubspaceBasis
-    coset_basis: np.ndarray  # (k, n, n), orthogonal to the ideal
+
+    @cached_property
+    def coset_basis(self) -> np.ndarray:
+        """(k, n, n) orthonormal rows that complete the ideal's basis to the parent's span."""
+        n, dim = self.parent.ambient_dim, self.ideal.dim
+        rows = _extend_rows(self.ideal.onb.reshape(dim, n * n), self.parent.basis)
+        return rows[dim:].reshape(-1, n, n)
 
     @property
     def dim(self) -> int:
         return len(self.coset_basis)
-
-    @cached_property
-    def mult_table(self) -> np.ndarray:
-        """[i, j, l] = <c_i c_j, c_l>."""
-        return _product_coords(self.coset_basis, self.coset_basis, self.coset_basis)
 
     @cached_property
     def identity_coset(self) -> np.ndarray | None:
@@ -445,11 +438,16 @@ class QuotientAlgebra:
             return None
         return _pairing(self.parent.identity_matrix, self.coset_basis)
 
-    def coset_coords(self, m: np.ndarray) -> np.ndarray:
-        return _pairing(m, self.coset_basis)
+    def coset_coords(self, m) -> np.ndarray:
+        return _pairing(_require_ambient(self.parent, np.asarray(m)), self.coset_basis)
 
-    def coset_multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijl->l", x, y, self.mult_table)
+    def coset_multiply(self, x, y) -> np.ndarray:
+        """Coset coordinates of (sum_i x_i c_i)(sum_j y_j c_j), a product of representatives."""
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        if x.shape != (self.dim,) or y.shape != (self.dim,):
+            raise DimensionMismatch(f"coset coordinates {x.shape}, {y.shape}, not ({self.dim},)")
+        c = self.coset_basis
+        return self.coset_coords(np.tensordot(x, c, axes=1) @ np.tensordot(y, c, axes=1))
 
 
 def quotient(alg: Algebra, ideal: SubspaceBasis) -> QuotientAlgebra:
@@ -459,12 +457,10 @@ def quotient(alg: Algebra, ideal: SubspaceBasis) -> QuotientAlgebra:
         raise NotTwoSided(f"ideal_check returned {kind!r}")
     if ideal.dim >= alg.dim:
         raise NotProper("ideal must have dimension below the algebra's")
-    n = alg.ambient_dim
-    rows = _extend_rows(ideal.onb.reshape(ideal.dim, n * n), alg.basis)
-    return QuotientAlgebra(alg, ideal, rows[ideal.dim :].reshape(-1, n, n))
+    return QuotientAlgebra(alg, ideal)
 
 
-def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
+def quotient_norm(q: QuotientAlgebra, a: Element) -> float:
     """The quotient (coset) norm ||a + I|| = inf over b in I of ||a + b||.
 
     When the parent is *-closed it is a finite-dimensional C*-algebra, so
@@ -474,16 +470,21 @@ def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
       - for b in I, (a + b)(1 - p) = a (1 - p), since b = b p;
       - ||1 - p|| <= 1, so ||a + b|| >= ||(a + b)(1 - p)|| = ||a (1 - p)||;
       - equality holds at b = -a p, which lies in I.
-    No optimiser runs on that path, and seed is unused.
 
-    Otherwise Nelder-Mead searches the real/imaginary ideal coordinates,
-    warm-started at zero and at the Frobenius-optimal offset -P_I a, with 8
-    restarts drawn from seed and QUOTIENT_NORM_BUDGET evaluations shared
-    among the runs.
-    The objective (largest singular value over an affine subspace) is convex.
-    scipy.optimize is imported only on this path, on its first call, so the
-    package and its command line, whose algebras are all *-closed, never
-    load scipy.
+    Otherwise central-cut ellipsoid steps minimise the convex
+    f(t) = ||a + sum_k t_k e_k|| over x = (Re t, Im t), e_k the ideal's
+    orthonormal basis, on a scaled exactly by the power of two that brings
+    ||a|| into [1/2, 1), so 2^j a gets 2^j times the value of a.  They start
+    from the ball of radius sqrt(n) f(t_F) around t_F = -P_I a, which holds
+    every minimiser t*: ||t* - t_F|| = ||P_I (a + b*)||_F <= ||a + b*||_F
+    <= sqrt(n) f(t*) <= sqrt(n) f(t_F), as b* = sum_k t*_k e_k lies in I.
+    Each step's SVD at the centre c gives the subgradient
+    g = (Re u* e_k v, -Im u* e_k v) from the top singular pair (u, v).  The
+    least f seen bounds the minimum above and f(c) - sqrt(g' P g) below, as
+    f >= f(c) + g.(x - c) on the ellipsoid (x - c)' P^-1 (x - c) <= 1 that
+    holds every minimiser.  The upper bound is returned once the bracket is
+    at most QUOTIENT_NORM_GAP wide in scaled units; BudgetExceeded names the
+    bracket after QUOTIENT_NORM_BUDGET steps.
     """
     if a.algebra is not q.parent:
         raise AlgebraMismatch("element does not belong to the quotient's parent algebra")
@@ -495,35 +496,34 @@ def quotient_norm(q: QuotientAlgebra, a: Element, seed: int = 0) -> float:
     frob = -_pairing(base, onb)
     if q.parent.star_closed:
         return linalg.op_norm(base + np.tensordot(frob, onb, axes=1))
-    from scipy.optimize import minimize
+    e = np.frexp(np.abs(base.view(float)).max())[1]
+    e += np.frexp(linalg.op_norm(linalg.ldexp(base, -e)))[1]
+    n, m, rows, scaled = base.shape[0], 2 * k, onb.reshape(k, -1), linalg.ldexp(base, -e)
 
-    def objective(t: np.ndarray) -> float:
-        return linalg.op_norm(base + np.tensordot(t[:k] + 1j * t[k:], onb, axes=1))
+    def value_and_subgradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        t = x[:k] + 1j * x[k:]
+        u, s, vh = linalg._lapack(np.linalg.svd, scaled + (t @ rows).reshape(n, n))
+        z = rows @ np.outer(u[:, 0], vh[0]).ravel().conj()  # u* e_k v, as vh[0] = v*
+        return float(s[0]), np.concatenate([z.real, -z.imag])
 
-    starts = [np.zeros(2 * k), np.concatenate([frob.real, frob.imag])]
-    rng = np.random.default_rng(seed)
-    scale = linalg.op_norm(base) + 1.0
-    for _ in range(8):
-        starts.append(rng.standard_normal(2 * k) * scale)
-
-    per_run = max(200, QUOTIENT_NORM_BUDGET // len(starts))
-    best = np.inf
-    converged = False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": per_run, "xatol": NELDER_MEAD_XATOL, "fatol": NELDER_MEAD_FATOL},
-        )
-        best = min(best, float(res.fun))
-        converged |= bool(res.success)
-    best = min(best, objective(starts[0]), objective(starts[1]))
-    if not converged and best > QUOTIENT_NORM_ZERO:
-        raise BudgetExceeded(
-            f"minimizer did not stabilize within {QUOTIENT_NORM_BUDGET} evaluations"
-        )
-    return best
+    c = np.ldexp(np.concatenate([frob.real, frob.imag]), -e)
+    f, g = value_and_subgradient(c)
+    p = np.eye(m) * (n * f * f)
+    upper, lower = f, 0.0
+    for _ in range(QUOTIENT_NORM_BUDGET):
+        pg = p @ g
+        root = np.sqrt(max(float(g @ pg), 0.0))
+        lower = max(lower, f - root)
+        if upper - lower <= QUOTIENT_NORM_GAP:
+            return math.ldexp(upper, int(e))  # OverflowError beyond the float range
+        pg /= root
+        c = c - pg / (m + 1)
+        # elementwise on a symmetric p and an outer product, so p stays exactly symmetric
+        p = m * m / (m * m - 1.0) * (p - 2.0 / (m + 1) * np.outer(pg, pg))
+        f, g = value_and_subgradient(c)
+        upper = min(upper, f)
+    bracket = f"[{np.ldexp(lower, e):.17g}, {np.ldexp(upper, e):.17g}]"
+    raise BudgetExceeded(f"quotient norm bracket {bracket} open after {QUOTIENT_NORM_BUDGET} steps")
 
 
 def unitize(alg: Algebra) -> Algebra:

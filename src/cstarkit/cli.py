@@ -415,7 +415,7 @@ def cmd_quotient_norm(args) -> dict:
     ideal = algebra.subspace(alg, ideal_mats)
     q = algebra.quotient(alg, ideal)
     a = algebra.Element(alg, m)
-    value = algebra.quotient_norm(q, a, seed=args.seed)
+    value = algebra.quotient_norm(q, a)
     excess = max(0.0, value - a.norm())
     return {
         "inputs": {"input": {"element": matrix_to_json(m), "ideal_dim": ideal.dim}},

@@ -7,8 +7,8 @@ share a meaning and a value share the name.  A relative tolerance is
 multiplied by the scale its comment names.
 
 Not tolerances, and so kept beside the code they bound: the budgets
-(Neumann terms, Nelder-Mead evaluations and restarts, GKZ attempts, sample
-stack sizes), and the rounding margins that keep a fast path exact.
+(Neumann terms, quotient-norm ellipsoid steps, GKZ attempts, sample stack
+sizes), and the rounding margins that keep a fast path exact.
 """
 
 # -- Spans and elements (algebra)
@@ -19,12 +19,8 @@ MEMBERSHIP_TOL = 1e-9
 ELEMENT_TOL = 1e-8
 # Norm below which a matrix counts as zero: Hermitian spanning set, GKZ kernel draws.
 ZERO_NORM = 1e-12
-# An unconverged Nelder-Mead quotient norm at most this is accepted as 0.
-QUOTIENT_NORM_ZERO = 1e-9
-# Nelder-Mead stops once its simplex spans at most this in ideal coordinates ...
-NELDER_MEAD_XATOL = 1e-8
-# ... and its objective values differ by at most this.
-NELDER_MEAD_FATOL = 1e-10
+# Width of the certified quotient-norm bracket, with the element scaled to norm in [1/2, 1).
+QUOTIENT_NORM_GAP = 1e-10
 
 # -- Dense kernels (linalg)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from cstarkit.algebra import _pairing
+
 
 def rand_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -22,6 +24,14 @@ def doubled_normal(rng, n):
 def rand_unit_norm(rng, n):
     m = rand_matrix(rng, n)
     return m / np.linalg.norm(m, 2)
+
+
+def product_coords(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """P[i, j, l] = <left_i right_j, rows_l>, one stacked product per row of left."""
+    out = np.zeros((len(left), len(right), len(rows)), dtype=complex)
+    for i, a in enumerate(left):
+        out[i] = _pairing(a @ right, rows)
+    return out
 
 
 def exp_series_oracle(m, terms=60):

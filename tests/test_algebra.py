@@ -7,8 +7,11 @@ import pytest
 
 from conftest import doubled_normal, rand_matrix
 from cstarkit import algebra, gelfand, linalg, states
+from cstarkit.tolerances import QUOTIENT_NORM_GAP
 from cstarkit.errors import (
+    BudgetExceeded,
     DimensionMismatch,
+    NotInAlgebra,
     NotProper,
     NotRealAlgebra,
     NotSubspace,
@@ -193,6 +196,31 @@ class TestWrongShapeMembership:
         with pytest.raises(DimensionMismatch):
             algebra.element(algebra.full_matrix_algebra(2), np.eye(3))
 
+    def test_subspace_residual(self):
+        s = algebra.subspace(algebra.full_matrix_algebra(2), [E11])
+        with pytest.raises(DimensionMismatch):
+            s.residual(np.eye(3))
+
+    def test_coset_coords(self):
+        m2 = algebra.full_matrix_algebra(2)
+        q = algebra.quotient(m2, algebra.subspace(m2, []))
+        with pytest.raises(DimensionMismatch):
+            q.coset_coords(np.eye(3))
+
+
+class TestMembershipAtExtremeScales:
+    """A relative residual ignores a power-of-two scale, also where the squares of
+    the entries leave the float range."""
+
+    @pytest.mark.parametrize("j", [1000, -1000])
+    def test_residual_is_scale_free(self, j):
+        tri = _triangular(3)
+        x = rand_matrix(np.random.default_rng(37), 3)
+        assert tri.membership_residual(linalg.ldexp(x, j)) == tri.membership_residual(x) > 0.1
+        with pytest.raises(NotInAlgebra):
+            algebra.element(tri, linalg.ldexp(x, j))
+        algebra.element(tri, linalg.ldexp(np.triu(x), j))
+
 
 class TestQuotient:
     def test_point_evaluation_ideal(self):
@@ -227,6 +255,17 @@ class TestQuotient:
             via_table = q.coset_multiply(q.coset_coords(x.matrix), q.coset_coords(y.matrix))
             direct = q.coset_coords((x @ y).matrix)
             assert np.max(np.abs(via_table - direct)) <= 1e-9
+
+    def test_coset_multiply_rejects_wrong_length(self):
+        """Coordinates of another length than q.dim, even when a table would broadcast them."""
+        alg = diag_algebra([1.0, 2.0, 3.0])
+        e2 = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        e3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        q = algebra.quotient(alg, algebra.subspace(alg, [e2, e3]))
+        assert q.dim == 1
+        for x, y in [(np.ones(3), np.ones(3)), (np.ones(1), np.ones(2)), (np.ones((1, 1)), np.ones(1))]:
+            with pytest.raises(DimensionMismatch):
+                q.coset_multiply(x, y)
 
     def test_full_ideal_not_proper(self):
         alg = diag_algebra([1.0, 2.0])
@@ -279,10 +318,6 @@ class TestQuotientNorm:
             assert qab <= qa * qb + 1e-4
 
 
-def _no_optimiser(*args, **kwargs):
-    raise AssertionError("optimiser ran on a *-closed parent")
-
-
 def _m2_plus_m3():
     """M_2 + M_3 with the ideal 0 + M_3, whose central unit is p = 0 + I_3."""
     m2, m3 = algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(3)
@@ -299,15 +334,38 @@ def _diagonal():
     return alg, algebra.subspace(alg, ideal), np.diag([0.0, 1, 1])
 
 
+def _matrix_unit(n, i, j):
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def _triangular(n):
+    """T_n, the upper-triangular n x n matrices: not *-closed."""
+    units = [_matrix_unit(n, i, j) for i in range(n) for j in range(i, n)]
+    return algebra.algebra_from_generators(units, include_adjoints=False)
+
+
+def _parrott_t3(rng):
+    """T_3 modulo span{E_13}, a seeded element of T_3, and Parrott's value for it."""
+    tri = _triangular(3)
+    q = algebra.quotient(tri, algebra.subspace(tri, [_matrix_unit(3, 0, 2)]))
+    a = algebra.random_element(tri, rng)
+    x = a.matrix.copy()
+    x[0, 2] = 0.0
+    return q, a, max(linalg.op_norm(x[:, :2]), linalg.op_norm(x[1:, :]))
+
+
 class TestQuotientNormPaths:
-    """The closed form on *-closed parents, Nelder-Mead on the rest."""
+    """The closed form on *-closed parents, certified ellipsoid steps on the rest."""
 
     @pytest.mark.parametrize("case", [_m2_plus_m3, _diagonal], ids=["m2+m3", "diagonal"])
     def test_star_closed_is_exact(self, monkeypatch, case):
         alg, ideal, p = case()
         assert alg.star_closed
         q = algebra.quotient(alg, ideal)
-        monkeypatch.setattr("scipy.optimize.minimize", _no_optimiser)
+        # with no step allowed, the ellipsoid path would raise BudgetExceeded
+        monkeypatch.setattr(algebra, "QUOTIENT_NORM_BUDGET", 0)
         rng = np.random.default_rng(31)
         one = np.eye(alg.ambient_dim)
         for _ in range(5):
@@ -321,17 +379,96 @@ class TestQuotientNormPaths:
                 assert value <= linalg.op_norm(a.matrix + b) + 1e-12
 
     def test_upper_triangular_matches_parrott(self):
-        units = [np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i in range(3) for j in range(i, 3)]
-        tri = algebra.algebra_from_generators(units, include_adjoints=False)
-        assert not tri.star_closed
-        q = algebra.quotient(tri, algebra.subspace(tri, [units[2]]))
         rng = np.random.default_rng(32)
         for _ in range(5):
-            a = algebra.random_element(tri, rng)
-            x = a.matrix.copy()
-            x[0, 2] = 0.0
-            parrott = max(linalg.op_norm(x[:, :2]), linalg.op_norm(x[1:, :]))
+            q, a, parrott = _parrott_t3(rng)
+            assert not q.parent.star_closed
             assert abs(algebra.quotient_norm(q, a) - parrott) <= 1e-8 * parrott
+
+    def test_budget_exceeded_names_the_bracket(self, monkeypatch):
+        q, a, parrott = _parrott_t3(np.random.default_rng(32))
+        monkeypatch.setattr(algebra, "QUOTIENT_NORM_BUDGET", 5)
+        with pytest.raises(BudgetExceeded, match="bracket") as info:
+            algebra.quotient_norm(q, a)
+        lower, upper = (float(v) for v in str(info.value).split("[")[1].split("]")[0].split(","))
+        assert lower <= parrott * (1 + 1e-12) and parrott <= upper * (1 + 1e-12)
+        assert upper - lower > QUOTIENT_NORM_GAP
+
+
+def _band_quotient(n, s):
+    """T_n modulo span{E_ij : j - i >= s}, a two-sided ideal."""
+    tri = _triangular(n)
+    band = [_matrix_unit(n, i, j) for i in range(n) for j in range(n) if j - i >= s]
+    return algebra.quotient(tri, algebra.subspace(tri, band))
+
+
+def _band_element(q, seed):
+    n = q.parent.ambient_dim
+    g1 = np.random.default_rng(seed).standard_normal((n, n))
+    g2 = np.random.default_rng(1000 + seed).standard_normal((n, n))
+    return algebra.element(q.parent, np.triu(g1 + 1j * g2))
+
+
+class TestEllipsoidQuotientNormEquivalence:
+    """The certified quotient norm on parents that are not *-closed, against
+    closed forms: Davis-Kahan-Weinberger band completions, Parrott's
+    formula, and the *-closed value ||a (1 - p)||."""
+
+    @pytest.mark.parametrize("n, s", [(n, s) for n in range(3, 7) for s in range(1, n)])
+    def test_band_quotient_matches_dkw(self, n, s):
+        """||a + I|| = max_r ||a[r:, :r+s]||, the largest fully specified block."""
+        q = _band_quotient(n, s)
+        for seed in range(3):
+            a = _band_element(q, seed)
+            dkw = max(linalg.op_norm(a.matrix[r:, : r + s]) for r in range(n))
+            assert abs(algebra.quotient_norm(q, a) - dkw) <= 1e-8 * dkw
+
+    def test_direct_sum_takes_the_larger_parrott_value(self):
+        tri = _triangular(3)
+        alg = algebra.direct_sum_algebras(tri, tri)
+        e13 = _matrix_unit(3, 0, 2)
+        zero = np.zeros((3, 3))
+        ideal = [np.block([[e13, zero], [zero, zero]]), np.block([[zero, zero], [zero, e13]])]
+        q = algebra.quotient(alg, algebra.subspace(alg, ideal))
+        assert q.ideal.dim == 2 and not alg.star_closed
+        rng = np.random.default_rng(34)
+        for _ in range(3):
+            (_, a1, v1), (_, a2, v2) = _parrott_t3(rng), _parrott_t3(rng)
+            a = algebra.element(alg, np.block([[a1.matrix, zero], [zero, a2.matrix]]))
+            assert abs(algebra.quotient_norm(q, a) - max(v1, v2)) <= 1e-8 * max(v1, v2)
+
+    @pytest.mark.parametrize("j", [60, -60, 1000, -1000])
+    def test_power_of_two_scaling_is_exact(self, j):
+        q, a, _ = _parrott_t3(np.random.default_rng(35))
+        scaled = algebra.element(q.parent, linalg.ldexp(a.matrix, j))
+        assert algebra.quotient_norm(q, scaled) == np.ldexp(algebra.quotient_norm(q, a), j)
+
+    @pytest.mark.parametrize("case", [_m2_plus_m3, _diagonal], ids=["m2+m3", "diagonal"])
+    def test_star_closed_parents_through_the_ellipsoid(self, monkeypatch, case):
+        alg, ideal, _ = case()
+        q = algebra.quotient(alg, ideal)
+        rng = np.random.default_rng(36)
+        elements = [algebra.random_element(alg, rng) for _ in range(3)]
+        exact = [algebra.quotient_norm(q, a) for a in elements]
+        monkeypatch.setattr(algebra.Algebra, "star_closed", property(lambda self: False))
+        for a, want in zip(elements, exact):
+            # the gap is in units of 2^e, which is at most 2 ||a||
+            assert abs(algebra.quotient_norm(q, a) - want) <= QUOTIENT_NORM_GAP * 2 * a.norm()
+
+    def test_value_beyond_the_float_range_raises(self):
+        """Parrott's value of s triu(ones(3, 3)) is the golden ratio times s."""
+        q, _, _ = _parrott_t3(np.random.default_rng(35))
+        ones = np.triu(np.ones((3, 3)))
+        near = algebra.quotient_norm(q, algebra.element(q.parent, 1.1e308 * ones))
+        assert abs(near - 1.1e308 * ((1 + 5**0.5) / 2)) <= 1e-8 * near
+        with pytest.raises(OverflowError):
+            algebra.quotient_norm(q, algebra.element(q.parent, 1.5e308 * ones))
+
+    def test_deterministic(self):
+        q = _band_quotient(5, 2)
+        a = _band_element(q, 2)
+        first = algebra.quotient_norm(q, a)
+        assert algebra.quotient_norm(q, a).hex() == first.hex()
 
 
 class TestUnitize:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import doubled_normal, match_multisets
+from conftest import doubled_normal, match_multisets, product_coords
 from cstarkit import algebra, cli, gelfand, linalg, spectral, states
 from cstarkit.errors import ComplexFieldRequired, NonAbelian
 
@@ -674,7 +674,7 @@ def _reference_multiplicative(alg, vals):
     """gelfand._multiplicative as it was when it contracted the structure
     constants C[i, j, l] = <b_i b_j, b_l>: (verdicts, residuals)."""
     d = alg.dim
-    structure = algebra._product_coords(alg.basis, alg.basis, alg.basis)
+    structure = product_coords(alg.basis, alg.basis, alg.basis)
     prods = (vals @ structure.reshape(d * d, d).T).reshape(len(vals), d, d)
     resid = np.abs(prods - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
     zero = np.abs(vals).max(axis=1, initial=0.0) <= 1e-8

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import rand_matrix
+from conftest import product_coords, rand_matrix
 from cstarkit import algebra, linalg, states
 from cstarkit.errors import AlgebraMismatch, DimensionMismatch, NotPositive, NotUnitVector
 
@@ -402,7 +402,7 @@ class TestStateInvariants:
 
 
 def _reference_structure(alg):
-    return algebra._product_coords(alg.basis, alg.basis, alg.basis)
+    return product_coords(alg.basis, alg.basis, alg.basis)
 
 
 def _reference_gram(alg, f):
