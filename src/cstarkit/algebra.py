@@ -15,10 +15,9 @@ Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
 the words in S, grown by left-multiplying each newly added basis row by
 every generator until no row is added.  A quotient is its parent and its
-ideal; its coset basis, orthogonal to the ideal, and the unit coset are
-derived on first use, and cosets multiply through their representatives.
-The quotient norm is exact on *-closed parents and certified to
-QUOTIENT_NORM_GAP by central-cut ellipsoid steps on the others.
+ideal: its coset basis and unit coset are derived on first use, and
+cosets multiply through representatives.  The quotient norm is exact on
+*-closed parents and certified by central-cut ellipsoid steps elsewhere.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .errors import (
     AlgebraMismatch,
     BudgetExceeded,
     DimensionMismatch,
+    NoConvergence,
     NotInAlgebra,
     NotProper,
     NotRealAlgebra,
@@ -177,10 +177,7 @@ class Algebra:
         return self.from_coords(self.coords(m))
 
     def membership_residual(self, m: np.ndarray) -> float:
-        """||m - P m|| / ||m||, on unit_scaled(m) where squares of entries may leave float range."""
-        m = _require_ambient(self, np.asarray(m))
-        if not 2.0**-400 < np.abs(m).max(initial=0.0) < 2.0**400:
-            m = linalg.unit_scaled(m)
+        m = linalg.unit_scaled(_require_ambient(self, np.asarray(m)))  # squares stay in range
         scale = float(np.linalg.norm(m))
         if scale == 0.0:
             return 0.0
@@ -484,7 +481,8 @@ def quotient_norm(q: QuotientAlgebra, a: Element) -> float:
     f >= f(c) + g.(x - c) on the ellipsoid (x - c)' P^-1 (x - c) <= 1 that
     holds every minimiser.  The upper bound is returned once the bracket is
     at most QUOTIENT_NORM_GAP wide in scaled units; BudgetExceeded names the
-    bracket after QUOTIENT_NORM_BUDGET steps.
+    bracket after QUOTIENT_NORM_BUDGET steps, and NoConvergence names it
+    when g' P g <= 0 for a nonzero g, as only rounding leaves P indefinite.
     """
     if a.algebra is not q.parent:
         raise AlgebraMismatch("element does not belong to the quotient's parent algebra")
@@ -512,11 +510,15 @@ def quotient_norm(q: QuotientAlgebra, a: Element) -> float:
     upper, lower = f, 0.0
     for _ in range(QUOTIENT_NORM_BUDGET):
         pg = p @ g
-        root = np.sqrt(max(float(g @ pg), 0.0))
-        lower = max(lower, f - root)
+        gpg = float(g @ pg)
+        if gpg > 0.0 or not g.any():  # a zero g proves f(c) minimal
+            lower = max(lower, f - math.sqrt(gpg))
         if upper - lower <= QUOTIENT_NORM_GAP:
             return math.ldexp(upper, int(e))  # OverflowError beyond the float range
-        pg /= root
+        if not gpg > 0.0:  # rounding has left p indefinite, so no bound is certified
+            lo, hi = np.ldexp([lower, upper], e)
+            raise NoConvergence(f"quotient norm ellipsoid indefinite at bracket [{lo:.17g}, {hi:.17g}]")
+        pg /= math.sqrt(gpg)
         c = c - pg / (m + 1)
         # elementwise on a symmetric p and an outer product, so p stays exactly symmetric
         p = m * m / (m * m - 1.0) * (p - 2.0 / (m + 1) * np.outer(pg, pg))

@@ -11,6 +11,7 @@ from cstarkit.tolerances import QUOTIENT_NORM_GAP
 from cstarkit.errors import (
     BudgetExceeded,
     DimensionMismatch,
+    NoConvergence,
     NotInAlgebra,
     NotProper,
     NotRealAlgebra,
@@ -393,6 +394,19 @@ class TestQuotientNormPaths:
         lower, upper = (float(v) for v in str(info.value).split("[")[1].split("]")[0].split(","))
         assert lower <= parrott * (1 + 1e-12) and parrott <= upper * (1 + 1e-12)
         assert upper - lower > QUOTIENT_NORM_GAP
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 3)), _matrix_unit(3, 0, 2)], ids=["zero", "e13"])
+    def test_member_of_the_ideal_is_zero(self, x):
+        q, _, _ = _parrott_t3(np.random.default_rng(32))
+        assert algebra.quotient_norm(q, algebra.element(q.parent, x)) == 0.0
+
+    def test_indefinite_ellipsoid_certifies_nothing(self, monkeypatch):
+        """With a bracket that can never close, the steps run until rounding
+        leaves P indefinite, which raises instead of returning a bound."""
+        q, a, _ = _parrott_t3(np.random.default_rng(32))
+        monkeypatch.setattr(algebra, "QUOTIENT_NORM_GAP", -1.0)
+        with pytest.raises(NoConvergence, match="bracket"):
+            algebra.quotient_norm(q, a)
 
 
 def _band_quotient(n, s):

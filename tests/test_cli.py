@@ -1003,11 +1003,12 @@ class TestNoStructureTensor:
         assert not hasattr(algebra.Algebra, "structure")
         assert not hasattr(algebra.full_matrix_algebra(2), "structure")
         assert not hasattr(algebra.QuotientAlgebra, "mult_table")
+        # the structure-constant builder is kept in the tests only, as a reference
+        assert not hasattr(algebra, "_product_coords")
 
     @pytest.mark.parametrize("command", list(cli._HANDLERS))
     def test_product_coords_unused(self, tmp_path, monkeypatch, command):
-        # the structure-constant builder is kept in the tests only, as a reference
-        assert not hasattr(algebra, "_product_coords")
+        """Each subcommand applies representations one block at a time."""
         blocks = []
         apply_each = states.Representation._apply_each
 
