@@ -8,8 +8,13 @@ first use and cached: the unit and the commutativity and *-closure
 flags.  The unit is read off as I_n when I_n lies in the span, which
 holds for every algebra generated with the identity; only an algebra
 without I_n (a corner, a unitization, a non-unital algebra) solves a
-least-squares system for it.  Coordinates, products and left-regular
-matrices are matmuls or contractions of the basis.
+least-squares system for it.  The flags and the ideal test each take
+one product or projection of fixed generic elements, O(d n^2 + n^3) in
+place of one per basis element or pair: A is commutative when two
+generic elements commute, *-closed when a generic z has z* in A, and a
+subspace is a left (right) ideal when a x (x a) lies in it for generic a
+in A and x in it.  Coordinates, products and left-regular matrices are
+matmuls or contractions of the basis.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The algebra generated by a set S is the span of
@@ -55,20 +60,14 @@ def _pairing(m, rows: np.ndarray) -> np.ndarray:
     return (flat.conj() @ rows.reshape(k, n * n).T).conj()
 
 
-def _project_out(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x minus its projection on the span of orthonormal rows, in two passes."""
-    for _ in range(2):
-        x = x - (x @ rows.conj().T) @ rows
-    return x
+def _project_out(rows: np.ndarray, rows_c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x minus its projection on the span of orthonormal rows, in two passes.
 
-
-def _residual_norms(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Norm of x minus its projection on the span of orthonormal rows, per row of x.
-
-    One pass suffices for a norm that is compared with a tolerance; only a
-    residual kept as a new basis direction needs the second pass.
+    rows_c is rows.conj(), kept by the caller so that no pass copies the rows.
     """
-    return np.linalg.norm(x - (x @ rows.conj().T) @ rows, axis=-1)
+    for _ in range(2):
+        x = x - (x @ rows_c.T) @ rows
+    return x
 
 
 def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
@@ -79,21 +78,57 @@ def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
     classical Gram-Schmidt run twice against the rows accepted before it,
     which is as orthogonal as modified Gram-Schmidt.  A candidate already
     inside span(rows) stays inside the larger span, so those are dropped
-    in one block before the sequential pass.
+    in one block before the sequential pass.  The conjugates of the
+    accepted rows grow in a buffer beside them, so no pass copies the rows.
     """
     cands = np.asarray(cands, dtype=complex).reshape(len(cands), rows.shape[1])
     scale = np.linalg.norm(cands, axis=1)
-    resid = _project_out(rows, cands)
+    rows_c = rows.conj()
+    resid = _project_out(rows, rows_c, cands)
     live = np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL * scale
     out = np.concatenate([rows, resid[live]])
+    out_c = np.empty_like(out)
     k = len(rows)
+    out_c[:k] = rows_c
     for v, s in zip(resid[live], scale[live]):
-        v = _project_out(out[:k], v)
+        v = _project_out(out[:k], out_c[:k], v)
         rem = float(np.linalg.norm(v))
         if rem > MEMBERSHIP_TOL * s:
             out[k] = v / rem
+            out_c[k] = out[k].conj()
             k += 1
     return out[:k]
+
+
+def _generic_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed coefficients c_k = cos k + i sqrt(2) sin k and w_k = cos((d + 1) k), k = 1..d.
+
+    Each flag and ideal test below asks whether one vector v is zero, where
+    v is conjugate-linear in c, or bilinear in c and w, with vector
+    coefficients r built from the basis.  Put a variable t for the angle 1:
+    c_k = p e^{ikt} + q e^{-ikt} with p, q = (1 +- sqrt 2) / 2, and
+    w_k = cos((d + 1) k t).  Then v(t) is a finite sum of e^{ift} v_f over
+    integer frequencies f, and it vanishes for every t only when every r is
+    zero:
+      - in sum_k conj(c_k) r_k, the frequency -k comes from the term k alone,
+        with coefficient p r_k;
+      - in sum_{i,j} c_i w_j r_ij (1 <= i <= d), the term (i, j) reaches its
+        top frequency i + (d + 1) j with coefficient p r_ij / 2, and these tops
+        are distinct.  Every frequency of a term is at most its top in
+        modulus, so the nonzero term with the largest top is the only one
+        that holds it.  In a commutator, c_i w_j - c_j w_i (i < j) tops at
+        i + (d + 1) j as well.
+    A cos k, sin k pair would not do: c_i w_j - c_j w_i = sin(j - i) depends
+    only on j - i, and a basis can cancel it.  Floating-point entries are
+    rational, so v(t) is a Laurent polynomial in e^{it} with algebraic
+    coefficients, and e^i is transcendental (Lindemann-Weierstrass): v(1) = 0
+    only when v vanishes for every t.  This is the Schwartz-Zippel argument
+    with a fixed point in place of a random one.  In rounding, a residual
+    within about sqrt(d) of its tolerance may get another verdict than one
+    test per basis element would give it.
+    """
+    k = np.arange(1, d + 1)
+    return np.cos(k) + 1j * np.sqrt(2.0) * np.sin(k), np.cos((d + 1) * k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,23 +148,28 @@ class Algebra:
 
     @cached_property
     def abelian(self) -> bool:
-        """Whether the generic element z = sum_k cos(k) b_k commutes with every b_k.
+        """Whether z = sum_k c_k b_k and y = sum_k w_k b_k commute (_generic_coords).
 
-        z commutes with every b_k exactly when z lies in the centre.  If A is
-        not commutative its centre is a proper subspace, which z, with its
-        distinct nonzero coefficients, lies off.
+        zy - yz = sum_{i<j} (c_i w_j - c_j w_i) [b_i, b_j] vanishes only when
+        every pair of basis elements commutes.  Its norm is compared with
+        MEMBERSHIP_TOL ||c|| ||w||: one product of two n x n matrices.
         """
-        c = np.cos(np.arange(1, self.dim + 1))
-        z = self.from_coords(c)
-        comm = np.linalg.norm(z @ self.basis - self.basis @ z, axis=(1, 2))
-        return bool(np.all(comm <= MEMBERSHIP_TOL * np.linalg.norm(c)))
+        c, w = _generic_coords(self.dim)
+        z, y = self.from_coords(c), self.from_coords(w)
+        scale = MEMBERSHIP_TOL * np.linalg.norm(c) * np.linalg.norm(w)
+        return bool(np.linalg.norm(z @ y - y @ z) <= scale)
 
     @cached_property
     def star_closed(self) -> bool:
-        d, n = self.dim, self.ambient_dim
-        adjoints = self.basis.conj().swapaxes(1, 2).reshape(d, n * n)
-        resid = _residual_norms(self.basis.reshape(d, n * n), adjoints)
-        return not np.any(resid > MEMBERSHIP_TOL)
+        """Whether z* lies in A for z = sum_k c_k b_k (_generic_coords).
+
+        z* minus its projection on A is sum_k conj(c_k) (b_k* minus its
+        projection), zero only when every b_k* lies in A.  One projection of
+        one matrix, whose residual is compared with MEMBERSHIP_TOL ||z|| and
+        ||z|| = ||c|| in an orthonormal basis.
+        """
+        z = self.from_coords(_generic_coords(self.dim)[0])
+        return self.contains(z.conj().T)
 
     @cached_property
     def identity_coords(self) -> np.ndarray | None:
@@ -380,7 +420,7 @@ class SubspaceBasis:
     def residual(self, m: np.ndarray) -> float:
         m = _require_ambient(self.algebra, np.asarray(m))
         rows = self.onb.reshape(self.dim, m.size)
-        return float(np.linalg.norm(_project_out(rows, m.ravel())))
+        return float(np.linalg.norm(_project_out(rows, rows.conj(), m.ravel())))
 
 
 def subspace(alg: Algebra, mats) -> SubspaceBasis:
@@ -388,19 +428,23 @@ def subspace(alg: Algebra, mats) -> SubspaceBasis:
 
 
 def ideal_check(alg: Algebra, s: SubspaceBasis) -> str:
-    """Classify s as 'two_sided', 'left_only', 'right_only' or 'not_ideal'."""
+    """Classify s as 'two_sided', 'left_only', 'right_only' or 'not_ideal'.
+
+    s is a left ideal when a x lies in s and a right ideal when x a does, for
+    a = sum_i c_i b_i in A and x = sum_j w_j e_j in s (e_j its orthonormal
+    basis, coefficients from _generic_coords).  The residual of a x off s is
+    sum_{i,j} c_i w_j (b_i e_j minus its projection), zero only when every
+    b_i e_j lies in s.  Each residual is compared with MEMBERSHIP_TOL ||c|| ||w||:
+    two products of n x n matrices, not one per pair of basis elements.
+    """
     if s.algebra is not alg:
         raise NotSubspace("subspace was built over a different algebra")
-    n2 = alg.ambient_dim ** 2
-    onb = s.onb.reshape(s.dim, n2)
-
-    def closed(prods: np.ndarray) -> bool:
-        prods = prods.reshape(-1, n2)
-        resid = _residual_norms(onb, prods)
-        return bool(np.all(resid <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(prods, axis=1))))
-
-    left = closed(alg.basis[:, None] @ s.onb[None])
-    right = closed(s.onb[None] @ alg.basis[:, None])
+    c, w = _generic_coords(alg.dim)
+    w = w[: s.dim]
+    a, x = alg.from_coords(c), _combine_each(w[None], s.onb)[0]
+    prods = np.stack([a @ x, x @ a])
+    resid = np.linalg.norm(prods - _combine_each(_pairing(prods, s.onb), s.onb), axis=(1, 2))
+    left, right = resid <= MEMBERSHIP_TOL * np.linalg.norm(c) * np.linalg.norm(w)
     if left and right:
         return "two_sided"
     if left:

@@ -25,6 +25,7 @@ from .algebra import (
     Element,
     SubspaceBasis,
     _dot_each,
+    _generic_coords,
     _pairing_each,
     _random_matrices,
     subspace,
@@ -83,8 +84,7 @@ def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
 
 def _generic_hermitian(alg: Algebra) -> np.ndarray:
     """h = (z + z*) / 2 for z = sum_k (cos k + i sqrt(2) sin k) b_k."""
-    k = np.arange(1, alg.dim + 1)
-    z = alg.from_coords(np.cos(k) + 1j * np.sqrt(2.0) * np.sin(k))
+    z = alg.from_coords(_generic_coords(alg.dim)[0])
     return (z + z.conj().T) / 2.0
 
 

@@ -1,5 +1,6 @@
 """Algebra construction, ideals, quotients, unitization, complexification."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,6 +147,13 @@ class TestIsAbelian:
 
         assert algebra.is_abelian(cyclic_group_algebra(4))
 
+    @pytest.mark.parametrize("t, abelian", [(1e-7, False), (1e-11, True)])
+    def test_abelian_flips_at_the_tolerance(self, t, abelian):
+        """span{E11, E22 + t E12} has the one commutator [E11, E22 + t E12] = t E12,
+        so the generic commutator is about t against MEMBERSHIP_TOL = 1e-9."""
+        b = np.stack([E11, (E22 + t * E12) / np.sqrt(1.0 + t * t)])
+        assert algebra.Algebra(b).abelian == abelian
+
 
 class TestIdealCheck:
     def test_row_span_is_right_only(self):
@@ -167,6 +175,20 @@ class TestIdealCheck:
         alg = diag_algebra([1.0, 2.0])
         with pytest.raises(NotSubspace):
             algebra.subspace(alg, [E12])
+
+    @pytest.mark.parametrize("t, kind", [(2e-7, "not_ideal"), (1e-11, None)])
+    @pytest.mark.parametrize(
+        "mats, one_sided",
+        [([E11, E21], "left_only"), ([E11, E12], "right_only")],
+        ids=["column", "row"],
+    )
+    def test_tilted_one_sided_ideal_flips_at_the_tolerance(self, t, kind, mats, one_sided):
+        """A column (row) of M_2 tilted by t E12 (t E21) in its first matrix: the
+        generic products leave it by about t against MEMBERSHIP_TOL = 1e-9."""
+        m2 = algebra.full_matrix_algebra(2)
+        tilt = E12 if one_sided == "left_only" else E21
+        s = algebra.subspace(m2, [mats[0] + t * tilt, mats[1]])
+        assert algebra.ideal_check(m2, s) == (kind or one_sided)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 3e-9, 3e-8, 1e-6])
     def test_stacked_check_matches_contains(self, eps):
@@ -715,10 +737,11 @@ class TestStructureReference:
         assert alg.abelian == commute
 
     def test_star_closed_flag(self, alg):
-        """The one-pass flag against the two-pass (CGS2) adjoint residual."""
+        """The generic flag against the two-pass (CGS2) residual of every adjoint."""
         d, n = alg.dim, alg.ambient_dim
         adjoints = alg.basis.conj().swapaxes(1, 2).reshape(d, n * n)
-        resid = algebra._project_out(alg.basis.reshape(d, n * n), adjoints)
+        rows = alg.basis.reshape(d, n * n)
+        resid = algebra._project_out(rows, rows.conj(), adjoints)
         assert alg.star_closed == bool(
             np.all(np.linalg.norm(resid, axis=1) <= algebra.MEMBERSHIP_TOL)
         )
@@ -912,3 +935,188 @@ class TestStackedSampleEquivalence:
         assert algebra._pairing_each(mats, alg.basis).shape == (0, 4)
         assert linalg._op_norm_each(mats).shape == (0,)
         assert np.array_equal(linalg._op_norm_each(np.zeros((3, 0, 0))), np.zeros(3))
+
+
+# Per-basis references: the flags and ideal_check as one product or projection
+# per basis element (pair), the way they were decided before the generic tests.
+
+
+def _per_basis_residuals(rows, x):
+    return np.linalg.norm(x - (x @ rows.conj().T) @ rows, axis=-1)
+
+
+def _per_basis_abelian(alg):
+    c = np.cos(np.arange(1, alg.dim + 1))
+    z = alg.from_coords(c)
+    comm = np.linalg.norm(z @ alg.basis - alg.basis @ z, axis=(1, 2))
+    return bool(np.all(comm <= algebra.MEMBERSHIP_TOL * np.linalg.norm(c)))
+
+
+def _per_basis_star_closed(alg):
+    d, n = alg.dim, alg.ambient_dim
+    adjoints = alg.basis.conj().swapaxes(1, 2).reshape(d, n * n)
+    return bool(np.all(_per_basis_residuals(alg.basis.reshape(d, n * n), adjoints)
+                       <= algebra.MEMBERSHIP_TOL))
+
+
+def _per_basis_ideal_check(alg, s):
+    n2 = alg.ambient_dim ** 2
+    onb = s.onb.reshape(s.dim, n2)
+
+    def closed(prods):
+        prods = prods.reshape(-1, n2)
+        scale = 1.0 + np.linalg.norm(prods, axis=1)
+        return bool(np.all(_per_basis_residuals(onb, prods) <= algebra.MEMBERSHIP_TOL * scale))
+
+    left = closed(alg.basis[:, None] @ s.onb[None])
+    right = closed(s.onb[None] @ alg.basis[:, None])
+    return {(True, True): "two_sided", (True, False): "left_only",
+            (False, True): "right_only", (False, False): "not_ideal"}[left, right]
+
+
+def _upper_units(n):
+    return _units(n, [(i, j) for i in range(n) for j in range(i, n)])
+
+
+# name -> (algebra, {ideal name: (matrices, expected verdict or None)}).  Every
+# algebra is also checked on the zero subspace, on all of it, and on the spans
+# of its first basis element and of its first half.
+FLAG_ALGEBRAS = {
+    **{
+        f"closure-{name}": (
+            lambda name=name: algebra.algebra_from_generators(
+                [np.asarray(g, dtype=complex)
+                 for g in CLOSURE_FAMILIES[name][0](np.random.default_rng(41))],
+                **CLOSURE_FAMILIES[name][1],
+            ),
+            {},
+        )
+        for name in CLOSURE_FAMILIES
+    },
+    "cyclic-12": (lambda: gelfand.cyclic_group_algebra(12), {}),
+    "m2+m2": (
+        lambda: REFERENCE_ALGEBRAS["m2+m2"](None),
+        {
+            "summand": (_units(4, [(0, 0), (0, 1), (1, 0), (1, 1)]), "two_sided"),
+            "row": (_units(4, [(0, 0), (0, 1)]), "right_only"),
+            "column": (_units(4, [(0, 0), (1, 0)]), "left_only"),
+        },
+    ),
+    "m2+cyclic3": (
+        lambda: algebra.direct_sum_algebras(
+            algebra.full_matrix_algebra(2), gelfand.cyclic_group_algebra(3)
+        ),
+        {"summand": (_units(5, [(0, 0), (0, 1), (1, 0), (1, 1)]), "two_sided")},
+    ),
+    "t3": (
+        lambda: algebra.algebra_from_generators(
+            _upper_units(3), include_identity=False, include_adjoints=False
+        ),
+        {
+            "strictly-upper": (_units(3, [(0, 1), (0, 2), (1, 2)]), "two_sided"),
+            "first-row": (_units(3, [(0, 0), (0, 1), (0, 2)]), "two_sided"),
+            "last-column": (_units(3, [(0, 2), (1, 2), (2, 2)]), "two_sided"),
+            "second-column": (_units(3, [(0, 1), (1, 1)]), "left_only"),
+            "second-row": (_units(3, [(1, 1), (1, 2)]), "right_only"),
+        },
+    ),
+    "e11-e12": (
+        lambda: REFERENCE_ALGEBRAS["left-unit-only"](None),
+        {
+            "e12": ([E12], "two_sided"),
+            "e11": ([E11], "left_only"),
+            "e11+e12": ([E11 + E12], "left_only"),
+        },
+    ),
+}
+
+
+def _rotated(alg, rng):
+    """alg with its orthonormal basis changed by a seeded random d x d unitary
+    (orthogonal on a real field)."""
+    d = alg.dim
+    g = rng.standard_normal((d, d)) if alg.real_field else rand_matrix(rng, d)
+    q = np.linalg.qr(g)[0] if d else np.zeros((0, 0))
+    return algebra.Algebra(np.tensordot(q, alg.basis, axes=1), alg.real_field)
+
+
+def _mixed(mats, rng):
+    """A seeded random unitary mix of a list of matrices, which spans the same."""
+    if not len(mats):
+        return []
+    q = np.linalg.qr(rand_matrix(rng, len(mats)))[0]
+    return list(np.tensordot(q, np.asarray(mats, dtype=complex), axes=1))
+
+
+class TestGenericFlagEquivalence:
+    """The generic flags and ideal_check give the per-basis verdicts, in the
+    algebra's own basis and after a random unitary change of it."""
+
+    @pytest.fixture(params=sorted(FLAG_ALGEBRAS))
+    def case(self, request):
+        make, ideals = FLAG_ALGEBRAS[request.param]
+        alg = make()
+        rotated = _rotated(alg, np.random.default_rng(81))
+        return alg, rotated, ideals
+
+    def test_abelian(self, case):
+        alg, rotated, _ = case
+        want = _per_basis_abelian(alg)
+        assert _per_basis_abelian(rotated) == want
+        assert alg.abelian == rotated.abelian == want
+
+    def test_star_closed(self, case):
+        alg, rotated, _ = case
+        want = _per_basis_star_closed(alg)
+        assert _per_basis_star_closed(rotated) == want
+        assert alg.star_closed == rotated.star_closed == want
+
+    def test_ideal_check(self, case):
+        alg, rotated, ideals = case
+        half = alg.dim // 2 + 1
+        spans = {
+            "zero": ([], None),
+            "all": (list(alg.basis), "two_sided"),
+            "first": (list(alg.basis[:1]), None),
+            "first-half": (list(alg.basis[:half]), None),
+            **ideals,
+        }
+        rng = np.random.default_rng(82)
+        for name, (mats, expected) in spans.items():
+            s = algebra.subspace(alg, mats)
+            want = _per_basis_ideal_check(alg, s)
+            assert want == (expected or want), name
+            assert algebra.ideal_check(alg, s) == want, name
+            s = algebra.subspace(rotated, _mixed(mats, rng))
+            assert _per_basis_ideal_check(rotated, s) == want, name
+            assert algebra.ideal_check(rotated, s) == want, name
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFlagMemory:
+    """The flags and ideal_check form a few n x n matrices: their peak stays far
+    below one (d, n, n) stack, which every per-basis product stack takes."""
+
+    def test_flags_on_cyclic_64(self):
+        alg = gelfand.cyclic_group_algebra(64)
+        peak = _traced_peak(lambda: (alg.abelian, alg.star_closed))
+        assert alg.abelian and alg.star_closed
+        assert peak < alg.basis.nbytes / 8
+
+    def test_ideal_check_on_m8_plus_m8(self):
+        alg = algebra.direct_sum_algebras(
+            algebra.full_matrix_algebra(8), algebra.full_matrix_algebra(8)
+        )
+        s = algebra.subspace(alg, list(alg.basis[64:]))
+        kinds = []
+        peak = _traced_peak(lambda: kinds.append(algebra.ideal_check(alg, s)))
+        assert kinds == ["two_sided"]
+        assert peak < alg.basis.nbytes / 8
