@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -177,7 +177,7 @@ class Algebra:
 
         When I_n lies in A (within MEMBERSHIP_TOL) it is the unit, since
         I_n a = a I_n = a for every a and a unit is unique, so its
-        coordinates are read off in O(d n^2).  Otherwise, with
+        coordinates are read off in O(d n^2) by one projection.  Otherwise, with
         G = sum_k b_k b_k* and H = sum_k b_k* b_k, x in A is the unit
         exactly when x G = G and H x = H:
           - x G = G says x is the identity on range(G), the sum of the
@@ -191,8 +191,9 @@ class Algebra:
         if not d:
             return None
         eye = np.eye(self.ambient_dim, dtype=complex)
-        if self.contains(eye):
-            return self.coords(eye)
+        c = self.coords(eye)
+        if np.linalg.norm(eye - self.from_coords(c)) / np.linalg.norm(eye) <= MEMBERSHIP_TOL:
+            return c
         adj = b.conj().swapaxes(1, 2)
         g, h = np.sum(b @ adj, axis=0), np.sum(adj @ b, axis=0)
         system = np.concatenate([(b @ g).reshape(d, -1), (h @ b).reshape(d, -1)], axis=1).T
@@ -399,7 +400,7 @@ class SubspaceBasis:
 
     algebra: Algebra
     matrices: tuple[np.ndarray, ...]
-    onb: np.ndarray = None  # (k, n, n)
+    onb: np.ndarray = field(init=False)  # (k, n, n), set from matrices
 
     def __post_init__(self):
         alg, n = self.algebra, self.algebra.ambient_dim

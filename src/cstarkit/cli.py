@@ -14,7 +14,8 @@ computed.
 
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, and the same input and ``--seed`` give byte-identical
-reports.  :func:`emit_report` writes that layout with its own encoder,
+reports; only gelfand, gkz, gns and universal read the echoed ``--seed``.
+:func:`emit_report` writes that layout with its own encoder,
 because the standard library falls back to its pure-Python encoder
 whenever ``indent`` is set.
 """
@@ -271,7 +272,7 @@ def cmd_neumann(args) -> dict:
 def cmd_characters(args) -> dict:
     m = _square_input(parse_matrix(args.input))
     alg = algebra.algebra_from_generators([m])
-    spec = gelfand.characters(alg, seed=args.seed)
+    spec = gelfand.characters(alg)
     a = algebra.Element(alg, m)
     mult_resid = max((chi.multiplicativity_residual() for chi in spec), default=0.0)
     return {

@@ -3,14 +3,14 @@
 Characters are found from joint eigenvectors of the algebra acting on the
 ambient space: each eigenvector v yields a candidate functional
 a -> (v* a v) / (v* v), and candidates failing multiplicativity are
-dropped.  On a *-closed algebra, a C*-algebra, the characters are the
-joint eigenspaces.  They are read off one eigendecomposition of a fixed
-generic Hermitian element h: every basis element commutes with h and so
-keeps each eigenspace of h, and one stacked product checks that it acts on
-each as a scalar; an eigenspace that fails is split by the Hermitian
-spanning set.  Otherwise eigenvectors of seeded generic elements are tried.
-The candidates of each decomposition are checked for multiplicativity and
-deduplicated as one stack.  Characters are ``states.Functional`` values.
+dropped.  Both paths use the fixed generic z = sum_k c_k b_k of
+``algebra._generic_coords``.  On a *-closed algebra, a C*-algebra, the
+characters are the joint eigenspaces, read off one eigendecomposition of
+h = (z + z*) / 2: every b_k commutes with h and keeps its eigenspaces, one
+stacked product checks that it acts on each as a scalar, and one that
+fails is split by the Hermitian spanning set.  Otherwise the candidates
+are the eigenvectors of one eig of z.  All are checked for
+multiplicativity and deduplicated as one stack, as ``states.Functional``s.
 """
 
 from __future__ import annotations
@@ -156,20 +156,17 @@ def _multiplicative(vals: np.ndarray, prods: np.ndarray) -> np.ndarray:
     return ~zero & (_multiplicativity_residuals(vals, prods) <= MULTIPLICATIVE_TOL)
 
 
-def _consider(alg: Algebra, vecs: np.ndarray, found: list) -> bool:
-    """Append, in column order, each column's candidate that is a character
-    farther than DEDUPE_RADIUS from every one found before it; whether any was."""
+def _consider(alg: Algebra, vecs: np.ndarray) -> list[np.ndarray]:
+    """In column order, each column's candidate that is a character farther
+    than DEDUPE_RADIUS from every one kept before it."""
     vals, prods = _candidate_values(alg, vecs)
     vals = vals[_multiplicative(vals, prods)]
-    known = len(found)
-    rows = np.concatenate([np.reshape(found, (known, alg.dim)), vals])
-    close = np.abs(rows[:, None] - rows[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
-    keep = np.ones(len(rows), dtype=bool)
-    # found rows are pairwise apart; a new row is dropped only when close to an earlier kept one
+    close = np.abs(vals[:, None] - vals[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
+    keep = np.ones(len(vals), dtype=bool)
+    # a row is dropped only when close to an earlier kept one
     for i in np.flatnonzero(np.tril(close, -1).any(axis=1)):
         keep[i] = not (close[i, :i] & keep[:i]).any()
-    found.extend(rows[known:][keep[known:]])
-    return bool(keep[known:].any())
+    return list(vals[keep])
 
 
 def _sorted(found: list) -> list:
@@ -185,7 +182,7 @@ def _sorted(found: list) -> list:
     return [found[i] for i in np.lexsort(keys.T[::-1])]
 
 
-def characters(alg: Algebra, seed: int = 0) -> GelfandSpectrumData:
+def characters(alg: Algebra) -> GelfandSpectrumData:
     """All characters of an abelian complex algebra.
 
     Raises NonAbelian for non-abelian input, and ComplexFieldRequired for
@@ -193,28 +190,24 @@ def characters(alg: Algebra, seed: int = 0) -> GelfandSpectrumData:
     for nilpotent non-unital algebras and shorter than dim(alg) when the
     Gelfand transform has a kernel.
 
-    On *-closed algebras one vector per joint eigenspace gives them all and
-    seed is unused; otherwise seed draws up to ten generic elements.
+    On a *-closed algebra one vector per joint eigenspace gives them all;
+    otherwise the candidates are the eigenvectors of one eig of the generic
+    z = sum_k c_k b_k.  Distinct characters differ at z, as the frequency +k
+    of chi(z) - psi(z) = sum_k c_k (chi - psi)(b_k) comes from the term k
+    alone (_generic_coords).  A keeps z's eigenspace at chi(z), so where that
+    is a line it is chi's joint eigenvector; eig's vectors in a wider one are
+    left to the multiplicativity filter.
     """
     if alg.real_field:
         raise ComplexFieldRequired("characters are computed over the complex field")
     if not alg.abelian:
         raise NonAbelian("the algebra has non-commuting basis elements")
-    found: list[np.ndarray] = []
     if alg.star_closed:
-        _consider(alg, _joint_eigenvectors(alg), found)
+        vecs = _joint_eigenvectors(alg)
     else:
-        rng = np.random.default_rng(seed)
-        for _ in range(10):
-            c = rng.standard_normal(alg.dim)
-            g = alg.from_coords(c)
-            _, vecs = np.linalg.eig(g)
-            added = _consider(alg, vecs, found)
-            if not added and found:
-                break
-            if len(found) == alg.dim:
-                break
-    chars = tuple(Character(alg, v) for v in _sorted(found))
+        z = alg.from_coords(_generic_coords(alg.dim)[0])
+        vecs = linalg._lapack(np.linalg.eig, z)[1]
+    chars = tuple(Character(alg, v) for v in _sorted(_consider(alg, vecs)))
     return GelfandSpectrumData(alg, chars)
 
 
@@ -246,8 +239,9 @@ def gelfand_isometry_report(
     sup|a-hat| - r(a) stays within tolerance for every abelian algebra;
     sup|a-hat| - ||a|| vanishes exactly when the algebra is a *-closed
     C*-subalgebra.  A nonzero transform kernel (the radical) is flagged.
+    The characters are deterministic; seed draws only the samples.
     """
-    spec = characters(alg, seed=seed)
+    spec = characters(alg)
     rng = np.random.default_rng(seed + 1)
     mats = _random_matrices(alg, rng, samples)
     values = np.array([chi.values for chi in spec.characters]).reshape(len(spec), alg.dim)

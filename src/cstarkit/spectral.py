@@ -312,20 +312,22 @@ def _sqrt_and_scale(a, tol: float) -> tuple[np.ndarray, float]:
 
 
 def func_calc(a, f) -> Element:
-    """Apply a scalar function to a normal element through diagonalization.
+    """Apply a scalar function to a normal element through its Schur form.
 
-    The complex Schur form of a normal matrix is diagonal, with a unitary
-    Schur basis.  scipy.linalg is imported on the first call, not with the
-    package, so the command line never loads scipy.
+    The Schur route to f(m) (Higham, Functions of Matrices, 2008, ch. 4) on
+    numpy alone: LAPACK's xGEEV reduces m = Q T Q* and returns eigenvectors
+    V = Q X, X upper triangular, so the QR factor of V is Q up to phases.  A
+    normal m has T diagonal, so f(m) = Q diag(f(w)) Q*; xGEEV's balancing
+    only permutes it, and on real input the QR columns of X's 2 x 2 blocks
+    are still eigenvectors.  The Hermitian part's eigenvectors would err by
+    eps ||m|| over the gap between real parts.
     """
     m = _matrix_of(a)
     if not classify(a).normal:
         raise NotNormal("functional calculus requires a normal element")
-    from scipy.linalg import schur
-
-    t, q = schur(m, output="complex")
-    lam = np.diag(t)
-    fm = (q * np.array([complex(f(z)) for z in lam])) @ q.conj().T
+    w, v = linalg._lapack(np.linalg.eig, m)
+    q, _ = np.linalg.qr(v)
+    fm = (q * np.array([complex(f(z)) for z in w])) @ q.conj().T
     alg = a.algebra if isinstance(a, Element) else None
     if alg is not None and not alg.contains(fm, ELEMENT_TOL):
         alg = None

@@ -1120,3 +1120,49 @@ class TestFlagMemory:
         peak = _traced_peak(lambda: kinds.append(algebra.ideal_check(alg, s)))
         assert kinds == ["two_sided"]
         assert peak < alg.basis.nbytes / 8
+
+
+def _two_step_unit(alg):
+    """identity_coords' I_n branch as it was: contains(I_n) projects I_n / 2 (its
+    unit_scaled copy), then coords(I_n) projects I_n again."""
+    eye = np.eye(alg.ambient_dim, dtype=complex)
+    return alg.coords(eye) if alg.dim and alg.contains(eye) else None
+
+
+class TestIdentityProjectedOnce:
+    """identity_coords projects I_n once and keeps the two-step rule's bits:
+    unit_scaled(I_n) is exactly I_n / 2, so the membership ratio is the same."""
+
+    @pytest.mark.parametrize("name", [*sorted(CLOSURE_FAMILIES), "corner", "unitized-nilpotent"])
+    def test_matches_two_step_rule(self, monkeypatch, name):
+        if name in CLOSURE_FAMILIES:
+            make, flags = CLOSURE_FAMILIES[name]
+            built = algebra.algebra_from_generators(make(np.random.default_rng(41)), **flags)
+        else:
+            built = REFERENCE_ALGEBRAS[name](np.random.default_rng(31))
+        alg = algebra.Algebra(built.basis, built.real_field)
+        eye = np.eye(alg.ambient_dim, dtype=complex)
+        want = _two_step_unit(alg)
+        if alg.dim:
+            ratio = np.linalg.norm(eye - alg.from_coords(alg.coords(eye))) / np.linalg.norm(eye)
+            assert ratio == alg.membership_residual(eye)
+        calls = []
+        coords = algebra.Algebra.coords
+
+        def counted(self, m):
+            calls.append(np.shape(m))
+            return coords(self, m)
+
+        monkeypatch.setattr(algebra.Algebra, "coords", counted)
+        got = alg.identity_coords
+        assert calls == [eye.shape] * min(1, alg.dim)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+class TestSubspaceBasisFields:
+    def test_onb_is_derived_not_passed(self):
+        alg = algebra.full_matrix_algebra(2)
+        with pytest.raises(TypeError):
+            algebra.SubspaceBasis(alg, (E11,), onb=np.zeros((1, 2, 2), dtype=complex))
+        assert np.array_equal(algebra.SubspaceBasis(alg, (E11,)).onb, E11[None])

@@ -314,21 +314,27 @@ def _seeded_argvs(tmp_path):
     }
 
 
-_SCIPY_AFTER_ALL_SUBCOMMANDS = """
-import contextlib, io, json, sys
+# Run first in a fresh interpreter: every later "import scipy" raises ImportError.
+_BLOCK_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+loaded = lambda: [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+"""
+
+_ALL_SUBCOMMANDS = _BLOCK_SCIPY + """
+import contextlib, io, json
 from cstarkit import cli
 codes = {}
 for command, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         codes[command] = cli.run([command, *argv])
-print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+print(json.dumps({"codes": codes, "scipy": loaded()}))
 """
 
-_SCIPY_ON_FIRST_USE = """
-import json, sys
+_QUOTIENT_NORM_AND_FUNC_CALC = _BLOCK_SCIPY + """
+import json
 import numpy as np
 from cstarkit import algebra, spectral
-loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
 normal, x = (np.frombuffer(bytes.fromhex(h), complex).reshape(3, 3) for h in sys.argv[1:])
 units = [np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i in range(3) for j in range(i, 3)]
 tri = algebra.algebra_from_generators(units, include_adjoints=False)
@@ -353,25 +359,26 @@ def _run_fresh(script, *args):
     return json.loads(proc.stdout)
 
 
-class TestScipyOnlyOnFirstUse:
-    """The command line and the quotient norm never load scipy; func_calc loads it when called."""
+class TestRunsWithScipyBlocked:
+    """numpy is the only runtime dependency: with scipy blocked from import, the
+    command line, the quotient norm and func_calc all run."""
 
     def test_no_subcommand_loads_scipy(self, tmp_path):
         argvs = _seeded_argvs(tmp_path)
         assert set(argvs) == set(cli._HANDLERS)
-        out = _run_fresh(_SCIPY_AFTER_ALL_SUBCOMMANDS, json.dumps(argvs))
+        out = _run_fresh(_ALL_SUBCOMMANDS, json.dumps(argvs))
         assert out["codes"] == {command: 0 for command in argvs}
         assert out["scipy"] == []
 
-    def test_quotient_norm_loads_no_scipy_and_func_calc_does(self):
+    def test_quotient_norm_and_func_calc(self):
         """The Parrott quotient norm on T_3 modulo E_13 first, then exp through func_calc."""
         rng = np.random.default_rng(33)
         u, _ = np.linalg.qr(rand_matrix(rng, 3))
         normal = (u * np.array([0.5, -1.0, 2j])) @ u.conj().T
         x = np.triu(rand_matrix(rng, 3))
-        out = _run_fresh(_SCIPY_ON_FIRST_USE, normal.tobytes().hex(), x.tobytes().hex())
-        assert not out["after_quotient_norm"] and out["after_func_calc"]
-        # the same bits as in this process, where scipy was loaded up front
+        out = _run_fresh(_QUOTIENT_NORM_AND_FUNC_CALC, normal.tobytes().hex(), x.tobytes().hex())
+        assert out["after_quotient_norm"] == out["after_func_calc"] == []
+        # the same bits as in this process, where scipy may be loaded
         exp = spectral.func_calc(algebra.Element(None, normal), np.exp).matrix
         assert bytes.fromhex(out["exp"]) == exp.tobytes()
         units = [np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i in range(3) for j in range(i, 3)]

@@ -289,6 +289,67 @@ class TestFuncCalc:
             spectral.func_calc(amb([[0.0, 1.0], [0.0, 0.0]]), np.exp)
 
 
+def _normal(rng, lam, real=False):
+    g = rng.standard_normal((len(lam), len(lam)))
+    u, _ = np.linalg.qr(g if real else g + 1j * rng.standard_normal(g.shape))
+    return (u * lam) @ u.conj().T
+
+
+def _random_normals(rng, n):
+    lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    half = np.resize(lam[: max(1, n // 2)], n)
+    zeros = np.r_[np.zeros(n // 2), lam[: n - n // 2]]
+    return {
+        "distinct": _normal(rng, lam),
+        "doubled": _normal(rng, half),
+        "near-repeated": _normal(rng, half + 1e-9 * np.arange(n)),
+        "unitary": _normal(rng, lam / np.abs(lam)),
+        "hermitian-repeated": _normal(rng, np.resize(rng.standard_normal(max(1, n // 3)), n)),
+        "rank-deficient": _normal(rng, zeros),
+        "rank-deficient-real": _normal(rng, zeros.real, real=True),
+        "normal-within-tolerance": _normal(rng, lam) + 1e-12 * rng.standard_normal((n, n)),
+    }
+
+
+def _structured(rng, n):
+    a = rng.standard_normal((n, n))
+    return {
+        "symmetric": a + a.T,
+        "skew": a - a.T,
+        "orthogonal": np.linalg.qr(a)[0],
+        "diagonal": np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        "permutation": np.eye(n)[rng.permutation(n)],
+        "identity": np.eye(n),
+        "zero": np.zeros((n, n)),
+    }
+
+
+class TestFuncCalcMatchesSchur:
+    """func_calc from one eig and the QR factor of its eigenvectors agrees with
+    the complex Schur form of scipy.linalg.schur, a reference in the tests only."""
+
+    @staticmethod
+    def assert_matches_schur(m):
+        from scipy.linalg import schur
+
+        assert spectral.classify(amb(m)).normal
+        t, q = schur(np.asarray(m, dtype=complex), output="complex")
+        for f in (lambda z: z, np.exp, np.conj):
+            want = (q * np.array([complex(f(z)) for z in np.diag(t)])) @ q.conj().T
+            got = spectral.func_calc(amb(m), f).matrix
+            assert linalg.op_norm(got - want) <= 1e-13 * linalg.op_norm(want)
+
+    @pytest.mark.parametrize("n", [2, 5, 11, 24, 39])
+    def test_random_normal(self, n):
+        for m in _random_normals(np.random.default_rng(n), n).values():
+            self.assert_matches_schur(m)
+
+    @pytest.mark.parametrize("n", [1, 4, 17, 33])
+    def test_structured(self, n):
+        for m in _structured(np.random.default_rng(100 + n), n).values():
+            self.assert_matches_schur(m)
+
+
 class TestCommutatorScalar:
     def test_commuting_pair(self):
         a = amb(np.diag([1.0, 2.0]))
