@@ -1,8 +1,9 @@
 """Command-line front end: JSON matrices in, JSON run reports out.
 
 Matrix files are {"rows": r, "cols": c, "data": [[re, im], ...]} in
-row-major order.  Every run emits a report {"command", "inputs",
-"results", "residuals", "seed"}; residuals always carry their tolerance.
+row-major order, rows and cols JSON integers and every entry a JSON number.
+Every run emits a report {"command", "inputs", "results", "residuals",
+"seed"}; residuals always carry their tolerance.
 Exit codes: 0 success, 1 mathematical precondition failure (Overflow when a
 value leaves the float range), 2 malformed input or usage error: an
 unreadable or malformed document, an option value outside its domain (a
@@ -12,12 +13,16 @@ with --levels x --grid above 100000000), or an unwritable --out.  A
 --levels above --grid exits 1 with LevelOutOfRange before any level is
 computed.
 
+Reports hold their matrices and complex lists as complex numpy arrays.
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
-plus a newline, and the same input and ``--seed`` give byte-identical
-reports; only gelfand, gkz, gns and universal read the echoed ``--seed``.
-:func:`emit_report` writes that layout with its own encoder,
-because the standard library falls back to its pure-Python encoder
-whenever ``indent`` is set.
+of the report with each array in its list form (a 2-d array as its matrix
+document, a 1-d one as its [[re, im], ...] list), plus a newline, and the
+same input and ``--seed`` give byte-identical reports; only gelfand, gkz,
+gns and universal read the echoed ``--seed``.  :func:`emit_report` writes
+that layout with its own encoder, because the standard library falls back
+to its pure-Python encoder whenever ``indent`` is set, and writes each
+array straight from its reals without building per-entry lists.
+:func:`matrix_to_json` gives the list form for writing input documents.
 """
 
 from __future__ import annotations
@@ -61,13 +66,26 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(doc) -> np.ndarray:
+    """The complex matrix of a document {"rows": r, "cols": c, "data": [[re, im], ...]}.
+
+    rows and cols must be JSON integers, and every entry a JSON number: a
+    bool, string or null is MalformedInput, never read as a number.
+    """
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-        pairs = np.array(data if len(data) else np.zeros((0, 2)), dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+        entries = [x for pair in data for x in pair]
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"matrix document needs rows/cols and [re, im] pairs: {exc}") from exc
-    if min(rows, cols) < 0 or pairs.shape != (rows * cols, 2):
+    if type(rows) is not int or type(cols) is not int:
+        raise MalformedInput(f"matrix rows and cols must be JSON integers, got {rows!r}, {cols!r}")
+    if not set(map(type, entries)) <= {int, float}:
+        raise MalformedInput("matrix entries must be JSON numbers, not booleans, strings or null")
+    if min(rows, cols) < 0 or len(data) != rows * cols or not set(map(len, data)) <= {2}:
         raise MalformedInput(f"a {rows} x {cols} matrix needs {rows * cols} [re, im] pairs")
+    try:
+        pairs = np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise MalformedInput(f"matrix entries must be finite: {exc}") from exc
     m = pairs.view(complex).reshape(rows, cols)
     try:
         return linalg.as_matrix(m)
@@ -99,32 +117,30 @@ def _float(x: float) -> str:
     return _FLOAT_SPECIALS.get(x) or float.__repr__(x)
 
 
-def _float_pairs(items, nl: str) -> str | None:
-    """A list of [float, float] pairs (a matrix's data) in one block, or None.
+def _complex_pairs(a: np.ndarray, nl: str) -> str:
+    """A 1-d complex array as json.dumps writes its [[re, im], ...] list.
 
-    Every number is formatted by one map of float.__repr__, and the block is
-    built by two str.join calls whose separators alternate within and
-    between pairs.  Other lists, and pairs holding NaN or an infinity,
-    return None and take the generic path.
+    All 2 * size reals go through one map of float.__repr__ (of _float when
+    an entry is NaN or infinite), and two str.join calls whose separators
+    alternate within and between pairs build the block.
     """
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    re, im = zip(*items)
-    if set(map(type, re)) | set(map(type, im)) != {float}:
-        return None
+    if not a.size:
+        return "[]"
     item_nl = nl + "  "
     num_nl = item_nl + "  "
-    pairs = zip(map(float.__repr__, re), map(float.__repr__, im))
+    fmt = float.__repr__ if np.isfinite(a).all() else _float
+    reals = map(fmt, np.ascontiguousarray(a).view(float).tolist())
+    pairs = zip(reals, reals)
     body = (item_nl + "]," + item_nl + "[" + num_nl).join(map(("," + num_nl).join, pairs))
-    if "n" in body:  # only the reprs 'nan', 'inf' and '-inf' contain an 'n'
-        return None
     return "[" + item_nl + "[" + num_nl + body + item_nl + "]" + nl + "]"
 
 
 def _encode(o, nl: str) -> str:
     """json.dumps(o, indent=2, sort_keys=True) for a value whose first line
     is already open; nl is a newline plus that line's indentation.  Dict
-    keys must be strings, as every report's are."""
+    keys must be strings, as every report's are.  A complex array is written
+    in its list form: a 2-d one as its matrix document, a 1-d one as its
+    [[re, im], ...] list."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -141,15 +157,18 @@ def _encode(o, nl: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        block = _float_pairs(o, nl)
-        if block is not None:
-            return block
         return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(o, np.ndarray) and o.dtype == complex:
+        if o.ndim == 1:
+            return _complex_pairs(o, nl)
+        if o.ndim == 2:
+            rows, cols = o.shape
+            return _encode({"rows": rows, "cols": cols, "data": o.ravel()}, nl)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -163,10 +182,6 @@ def emit_report(report: dict, out: str | None) -> None:
             raise MalformedInput(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _cplx(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _residual(value: float, tolerance: float) -> dict:
@@ -203,9 +218,9 @@ def cmd_spectrum(args) -> dict:
         r = np.linalg.norm(mv[:, near] - z * v[:, near], axis=0) / v_norms[near]
         eig_resid = max(eig_resid, float(r.max()) / scale)
     return {
-        "inputs": {"input": matrix_to_json(m), "field": args.field},
+        "inputs": {"input": m, "field": args.field},
         "results": {
-            "points": [_cplx(z) for z in rep.points],
+            "points": np.array(rep.points, dtype=complex),
             "radius": rep.radius,
         },
         "residuals": {"max_eigenvalue_residual": _residual(eig_resid, radius)},
@@ -216,7 +231,7 @@ def cmd_radius(args) -> dict:
     m = _square_input(parse_matrix(args.input))
     trace = spectral.spectral_radius_limit(algebra.ambient_element(m), n_max=args.n_max)
     return {
-        "inputs": {"input": matrix_to_json(m), "n_max": args.n_max},
+        "inputs": {"input": m, "n_max": args.n_max},
         "results": {
             "trace": [[int(n), float(v)] for n, v in zip(trace.powers, trace.values)],
             "estimate": trace.estimate,
@@ -228,16 +243,15 @@ def cmd_radius(args) -> dict:
 
 def cmd_exp(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    a = algebra.ambient_element(m)
-    em = spectral.exp_element(a).matrix
+    em, norm = spectral._exp_and_norm(algebra.ambient_element(m))
     em_neg = spectral.exp_element(algebra.ambient_element(-m)).matrix
     inverse_resid = linalg.op_norm(em @ em_neg - np.eye(m.shape[0]))
     with np.errstate(over="ignore"):  # a bound e^||m|| beyond the float range is inf
-        bound = float(np.exp(linalg.op_norm(m)))
+        bound = float(np.exp(norm))
     bound_excess = max(0.0, linalg.op_norm(em) - bound)
     return {
-        "inputs": {"input": matrix_to_json(m)},
-        "results": {"exp": matrix_to_json(em)},
+        "inputs": {"input": m},
+        "results": {"exp": em},
         "residuals": {
             "exp_times_exp_neg_minus_identity": _residual(inverse_resid, EXP_REPORT_TOL),
             "norm_bound_excess": _residual(bound_excess, EXP_REPORT_TOL),
@@ -250,8 +264,8 @@ def cmd_sqrt(args) -> dict:
     root, scale = spectral._sqrt_and_scale(m, args.tol)
     square_resid = linalg.op_norm(root @ root - m) / scale
     return {
-        "inputs": {"input": matrix_to_json(m)},
-        "results": {"sqrt": matrix_to_json(root)},
+        "inputs": {"input": m},
+        "results": {"sqrt": root},
         "residuals": {"square_minus_input": _residual(square_resid, SQRT_REPORT_TOL)},
     }
 
@@ -263,8 +277,8 @@ def cmd_neumann(args) -> dict:
     direct = linalg.invert(np.eye(m.shape[0]) - m)
     resid = linalg.op_norm(series - direct)
     return {
-        "inputs": {"input": matrix_to_json(m), "tol": args.tol},
-        "results": {"inverse_of_one_minus_a": matrix_to_json(series)},
+        "inputs": {"input": m, "tol": args.tol},
+        "results": {"inverse_of_one_minus_a": series},
         "residuals": {"series_vs_direct_inverse": _residual(resid, 10.0 * args.tol)},
     }
 
@@ -276,11 +290,11 @@ def cmd_characters(args) -> dict:
     a = algebra.Element(alg, m)
     mult_resid = max((chi.multiplicativity_residual() for chi in spec), default=0.0)
     return {
-        "inputs": {"input": matrix_to_json(m)},
+        "inputs": {"input": m},
         "results": {
             "count": len(spec),
             "algebra_dim": alg.dim,
-            "values_at_input": [_cplx(chi(a)) for chi in spec],
+            "values_at_input": np.array([chi(a) for chi in spec], dtype=complex),
         },
         "residuals": {
             "max_multiplicativity_residual": _residual(mult_resid, CHARACTERS_REPORT_TOL)
@@ -293,7 +307,7 @@ def cmd_gelfand(args) -> dict:
     alg = algebra.algebra_from_generators([m])
     report = gelfand.gelfand_isometry_report(alg, samples=20, seed=args.seed)
     return {
-        "inputs": {"input": matrix_to_json(m)},
+        "inputs": {"input": m},
         "results": {
             "algebra_dim": alg.dim,
             "samples": len(report.sup_transform),
@@ -323,11 +337,11 @@ def cmd_gkz(args) -> dict:
     results = {"is_character": outcome.is_character, "attempts_used": outcome.attempts_used}
     residuals = {"phi_at_identity_minus_one": _residual(abs(phi_one - 1.0), UNIT_VALUE_TOL)}
     if outcome.witness is not None:
-        results["witness"] = matrix_to_json(outcome.witness.matrix)
+        results["witness"] = outcome.witness.matrix
         results["min_singular_value"] = outcome.min_singular_value
         residuals["phi_at_witness"] = _residual(abs(outcome.phi_at_witness), GKZ_REPORT_TOL)
     return {
-        "inputs": {"input": matrix_to_json(g)},
+        "inputs": {"input": g},
         "results": results,
         "residuals": residuals,
     }
@@ -373,7 +387,7 @@ def cmd_gns(args) -> dict:
     rep = states.gns(alg, state)
     hom_resid, contraction, state_resid = _gns_sample_residuals(rep, args.seed)
     return {
-        "inputs": {"input": matrix_to_json(rho)},
+        "inputs": {"input": rho},
         "results": {"hilbert_dim": rep.hilbert_dim, "algebra_dim": alg.dim},
         "residuals": {
             "star_homomorphism": _residual(hom_resid, GNS_REPORT_TOL),
@@ -388,7 +402,7 @@ def cmd_universal(args) -> dict:
     alg = algebra.algebra_from_generators([g])
     report = states.universal_rep(alg, seed=args.seed)
     return {
-        "inputs": {"input": matrix_to_json(g)},
+        "inputs": {"input": g},
         "results": {
             "algebra_dim": alg.dim,
             "hilbert_dim": report.representation.hilbert_dim,
@@ -419,7 +433,7 @@ def cmd_quotient_norm(args) -> dict:
     value = algebra.quotient_norm(q, a)
     excess = max(0.0, value - a.norm())
     return {
-        "inputs": {"input": {"element": matrix_to_json(m), "ideal_dim": ideal.dim}},
+        "inputs": {"input": {"element": m, "ideal_dim": ideal.dim}},
         "results": {"quotient_norm": value, "op_norm": a.norm()},
         "residuals": {"quotient_norm_above_op_norm": _residual(excess, QUOTIENT_NORM_REPORT_TOL)},
     }

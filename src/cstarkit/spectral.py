@@ -223,6 +223,11 @@ def exp_element(a) -> Element:
     20 series terms, then squared s times.  Overflow is raised when 2^s is
     beyond the float range or the squared result is not finite.
     """
+    return Element(_unital_algebra(a), _exp_and_norm(a)[0])
+
+
+def _exp_and_norm(a) -> tuple[np.ndarray, float]:
+    """The matrix of exp_element(a), and the operator norm ||a|| it scaled by."""
     m = _matrix_of(a)
     nrm = linalg.op_norm(m)
     if not nrm <= 2.0**1022:
@@ -240,7 +245,7 @@ def exp_element(a) -> Element:
             acc = acc @ acc
     if not np.isfinite(acc).all():
         raise Overflow(f"exp overflows the float range at operator norm {nrm:.3g}")
-    return Element(_unital_algebra(a), acc)
+    return acc, nrm
 
 
 def poly_apply(a, coeffs) -> Element:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,22 +243,36 @@ class TestCliContract:
         assert "MalformedInput" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, rule",
         [
-            '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}",
-            '{"rows": 1, "cols": 1, "data": [[1' + "0" * 5000 + ", 0]]}",
-            '{"rows": -1, "cols": -1, "data": [[1, 0]]}',
-            '{"rows": 1, "cols": 1, "data": null}',
+            ('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}", "must be finite"),
+            ('{"rows": 1, "cols": 1, "data": [[1' + "0" * 5000 + ", 0]]}", "invalid JSON"),
+            ('{"rows": -1, "cols": -1, "data": [[1, 0]]}', "[re, im] pairs"),
+            ('{"rows": 1, "cols": 1, "data": null}', "[re, im] pairs"),
+            ('{"rows": 1, "cols": 1, "data": [["1.5", "2"]]}', "JSON numbers"),
+            ('{"rows": 1, "cols": 1, "data": [[" 1.5 ", "2"]]}', "JSON numbers"),
+            ('{"rows": 1, "cols": 1, "data": [[true, false]]}', "JSON numbers"),
+            ('{"rows": 1, "cols": 1, "data": [[null, 2]]}', "JSON numbers"),
+            ('{"rows": 1.9, "cols": 1, "data": [[1, 0]]}', "JSON integers"),
+            ('{"rows": true, "cols": 1, "data": [[1, 0]]}', "JSON integers"),
+            ('{"rows": "1", "cols": 1, "data": [[1, 0]]}', "JSON integers"),
+            ('{"rows": 1, "cols": 2, "data": [[1, 0, 2], [3]]}', "[re, im] pairs"),
         ],
-        ids=["400-digit-entry", "5000-digit-entry", "negative-shape", "null-data"],
+        ids=[
+            "400-digit-entry", "5000-digit-entry", "negative-shape", "null-data",
+            "string-entries", "padded-string-entries", "boolean-entries", "null-entry",
+            "fractional-rows", "boolean-rows", "string-rows", "uneven-pairs",
+        ],
     )
-    def test_malformed_matrix_document_exit_2(self, tmp_path, capsys, text):
+    def test_malformed_matrix_document_exit_2(self, tmp_path, capsys, text, rule):
         path = tmp_path / "m.json"
         path.write_text(text)
-        assert cli.run(["spectrum", "--input", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "MalformedInput" in err
-        assert "Traceback" not in err
+        for command in ("spectrum", "exp"):
+            assert cli.run([command, "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "MalformedInput" in err
+            assert rule in err
+            assert "Traceback" not in err
 
     def test_tol_only_where_read(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", 0.5 * np.eye(2))
@@ -392,8 +407,17 @@ class TestRunsWithScipyBlocked:
         assert abs(norm - parrott) <= 1e-8 * parrott
 
 
+def _list_form(o):
+    """A report's complex array in the list form that emit_report writes for it."""
+    if isinstance(o, np.ndarray) and o.dtype == complex and o.ndim == 2:
+        return cli.matrix_to_json(o)
+    if isinstance(o, np.ndarray) and o.dtype == complex and o.ndim == 1:
+        return [[z.real, z.imag] for z in o.tolist()]
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _json_layout(report) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, default=_list_form) + "\n"
 
 
 class TestReportEncoder:
@@ -467,6 +491,24 @@ class TestReportEncoder:
     def test_random_trees(self, tree):
         assert cli._encode(tree, "\n") + "\n" == _json_layout(tree)
 
+    def test_no_handler_builds_list_matrices(self, tmp_path, monkeypatch):
+        """Reports hold complex arrays, which the encoder writes itself."""
+        argvs = _seeded_argvs(tmp_path)
+        expected = {}
+        for command, argv in argvs.items():
+            out = tmp_path / f"{command}-lists.json"
+            assert cli.run([command, *argv, "--out", str(out)]) == 0
+            expected[command] = out.read_bytes()
+
+        def refuse(m):
+            raise AssertionError("a handler built a list matrix")
+
+        monkeypatch.setattr(cli, "matrix_to_json", refuse)
+        for command, argv in argvs.items():
+            out = tmp_path / f"{command}-arrays.json"
+            assert cli.run([command, *argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected[command], command
+
     def test_matrix_to_json_non_contiguous(self):
         rng = np.random.default_rng(7)
         m = rand_matrix(rng, 5)[:, :3].T
@@ -476,6 +518,69 @@ class TestReportEncoder:
         assert doc["data"] == [[float(z.real), float(z.imag)] for z in m.ravel()]
         assert (doc["rows"], doc["cols"]) == (3, 5)
         assert cli.matrix_to_json(np.zeros((0, 0)))["data"] == []
+
+
+_ARRAY_ENTRIES = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1e22, 1e-7, 0.1]
+) | st.floats()
+
+
+@st.composite
+def _complex_arrays(draw):
+    """Complex 1-d and 2-d arrays up to 6 x 6, some of them transposed views."""
+    shape = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=2)))
+    size = 2 * math.prod(shape)
+    reals = draw(st.lists(_ARRAY_ENTRIES, min_size=size, max_size=size))
+    a = np.array(reals, dtype=float).view(complex).reshape(shape)
+    return a.T if a.ndim == 2 and draw(st.booleans()) else a
+
+
+class TestArrayEncoderEquivalence:
+    """A complex array encodes as json.dumps of its old list form, byte for byte."""
+
+    @staticmethod
+    def _assert_old_layout(a):
+        for tree in (a, {"results": {"m": a, "n": 1}}, [a, 0.5]):
+            assert cli._encode(tree, "\n") + "\n" == _json_layout(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_complex_arrays())
+    def test_random_arrays(self, a):
+        self._assert_old_layout(a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (0,), (1, 7), (7, 1), (1,), (128, 128)])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(list(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self._assert_old_layout(a)
+        if a.ndim == 2:
+            self._assert_old_layout(a.T)
+            self._assert_old_layout(a[::2, ::-1])
+            if a.shape[1]:
+                self._assert_old_layout(a[:, 0])  # a strided 1-d view
+
+    def test_exponent_switch_and_subnormals(self):
+        values = [-0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.5e300]
+        a = np.array(values, dtype=complex) + 1j * np.array(values[::-1])
+        self._assert_old_layout(a)
+        self._assert_old_layout(a.reshape(2, 4))
+        assert "1e-05" in cli._encode(a, "\n") and "1e+16" in cli._encode(a, "\n")
+
+    @pytest.mark.parametrize("special", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries(self, special):
+        a = np.array([[1.0, complex(0.5, special)], [complex(special, -0.0), 2.0]])
+        self._assert_old_layout(a)
+        self._assert_old_layout(a[0])
+        assert {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(special)] in (
+            cli._encode(a, "\n")
+        )
+
+    @pytest.mark.parametrize(
+        "a", [np.zeros((2, 2)), np.zeros((2, 2), dtype=np.complex64), np.zeros((2, 2, 2), complex)]
+    )
+    def test_other_arrays_raise_type_error(self, a):
+        with pytest.raises(TypeError):
+            cli._encode({"m": a}, "\n")
 
 
 class TestSpectrumResidual:
@@ -888,7 +993,7 @@ def _reference_cmd_spectrum(args) -> dict:
     return {
         "inputs": {"input": cli.matrix_to_json(m), "field": args.field},
         "results": {
-            "points": [cli._cplx(z) for z in rep.points],
+            "points": [[float(z.real), float(z.imag)] for z in rep.points],
             "radius": rep.radius,
         },
         "residuals": {"max_eigenvalue_residual": cli._residual(eig_resid, radius)},
