@@ -17,9 +17,13 @@ in A and x in it.  Coordinates, products and left-regular matrices are
 matmuls or contractions of the basis.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
-twice per candidate.  The algebra generated by a set S is the span of
-the words in S, grown by left-multiplying each newly added basis row by
-every generator until no row is added.  A quotient is its parent and its
+twice per candidate.  The C*-algebra generated by a set S, with the
+identity and the adjoints, is its double commutant S'': the eigenvectors
+of one generic Hermitian element split it into full matrix blocks, and
+only eigenvalues too close to tell apart are closed by words.  Without
+the identity or the adjoints, or over the reals, the algebra is the span
+of the words in S, grown by left-multiplying each newly added basis row
+by every generator until no row is added.  A quotient is its parent and its
 ideal: its coset basis and unit coset are derived on first use, and
 cosets multiply through representatives.  The quotient norm is exact on
 *-closed parents and certified by central-cut ellipsoid steps elsewhere.
@@ -46,7 +50,7 @@ from .errors import (
     NotSubspace,
     NotTwoSided,
 )
-from .tolerances import ELEMENT_TOL, MEMBERSHIP_TOL, QUOTIENT_NORM_GAP
+from .tolerances import ELEMENT_TOL, MEMBERSHIP_TOL, QUOTIENT_NORM_GAP, SIMPLE_SPECTRUM_GAP
 
 # SVD steps that quotient_norm's ellipsoid loop may take.
 QUOTIENT_NORM_BUDGET = 20000
@@ -70,8 +74,9 @@ def _project_out(rows: np.ndarray, rows_c: np.ndarray, x: np.ndarray) -> np.ndar
     return x
 
 
-def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
-    """Append each candidate, in order, whose residual exceeds MEMBERSHIP_TOL * its norm.
+def _extend_rows(rows: np.ndarray, cands, scale=None) -> np.ndarray:
+    """Append each candidate, in order, whose residual exceeds MEMBERSHIP_TOL * its
+    scale, by default its norm.
 
     rows is a (k, N) array of orthonormal rows and cands a stack of m
     candidates of N entries each.  Every candidate is orthogonalized by
@@ -82,7 +87,7 @@ def _extend_rows(rows: np.ndarray, cands) -> np.ndarray:
     accepted rows grow in a buffer beside them, so no pass copies the rows.
     """
     cands = np.asarray(cands, dtype=complex).reshape(len(cands), rows.shape[1])
-    scale = np.linalg.norm(cands, axis=1)
+    scale = np.linalg.norm(cands, axis=1) if scale is None else scale
     rows_c = rows.conj()
     resid = _project_out(rows, rows_c, cands)
     live = np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL * scale
@@ -244,6 +249,108 @@ def _require_ambient(alg: Algebra, m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _words_closure(gens: np.ndarray, include_identity: bool) -> np.ndarray:
+    """The (d, n, n) orthonormal basis of the span of the words in the stack gens.
+
+    Each pass left-multiplies the rows added by the previous pass by every g
+    in gens, until a pass adds none.  A word of length k + 1 is g times a
+    word of length k, so a span that contains gens and is closed under left
+    multiplication by them contains every word, and a product of two words
+    is a word.  include_identity starts the span with I_n.
+
+    A word g b, b a row of norm 1, is kept when its residual exceeds
+    MEMBERSHIP_TOL ||g||_F, the scale of its rounding.  Against its own norm,
+    a word that vanishes exactly, as a b* times a row in the kernel of b*,
+    would be all rounding and pass.
+    """
+    n = gens.shape[-1]
+    start = [np.eye(n, dtype=complex)] if include_identity else []
+    rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
+    done = 0  # rows already multiplied by every g
+    norms = np.linalg.norm(gens, axis=(1, 2))
+    while done < len(rows):
+        words = gens[:, None] @ rows[done:].reshape(1, -1, n, n)
+        scale = np.repeat(norms, len(rows) - done)
+        done, rows = len(rows), _extend_rows(rows, words.reshape(-1, n * n), scale)
+    return rows.reshape(-1, n, n)
+
+
+def _components(joined: np.ndarray) -> np.ndarray:
+    """The first index of each index's connected component, for a symmetric
+    boolean adjacency matrix with a true diagonal.  Squaring the reach
+    matrix t times covers the paths of length up to 2^t."""
+    reach = joined.astype(float)
+    while True:
+        grown = (reach @ reach > 0).astype(float)
+        if np.array_equal(grown, reach):
+            return np.argmax(reach, axis=1)
+        reach = grown
+
+
+def _clustered_closure(sub: np.ndarray, lead: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """The (d, m, m) basis of the unital algebra generated by the stack sub of
+    m x m matrices, block diagonal over components given by lead, the first
+    index of each index's component: on a component where every matrix is a
+    scalar within thr, its normalised unit alone; on the others together,
+    the words basis."""
+    m = len(lead)
+    same = lead[:, None] == lead
+    dev = sub * same - sub[:, lead, lead][:, :, None] * np.eye(m)
+    mixed = np.bincount(lead, (np.abs(dev) > thr).any(axis=(0, 2)), minlength=m) > 0
+    units = same[np.flatnonzero((lead == np.arange(m)) & ~mixed)]
+    blocks = [units[:, :, None] * np.eye(m) / np.sqrt(units.sum(axis=1))[:, None, None]]
+    if mixed.any():
+        keep = np.flatnonzero(mixed[lead])
+        words = _words_closure(sub[:, keep][:, :, keep], True)
+        blocks.append(np.zeros((len(words), m, m), dtype=complex))
+        blocks[-1][np.ix_(range(len(words)), keep, keep)] = words
+    return np.concatenate(blocks)
+
+
+def _commutant_closure(gens: np.ndarray) -> np.ndarray | None:
+    """The (d, n, n) orthonormal basis of the unital *-algebra generated by
+    gens, k matrices followed by their k adjoints, from the eigenvectors q_i
+    of its generic Hermitian h (see algebra_from_generators); None when the
+    basis fails its certificate.
+
+    Each g is first scaled exactly by the power of two that brings its
+    largest part into [1/2, 1).  The basis lists the components without a
+    cluster in the order of their first eigenvalue, each as q_i q_j* in
+    row-major order of (i, j), then the clustered components.  Those are
+    closed in the coordinates of their q_i, with every entry of the
+    compressed generators within the coupling threshold set to 0.
+    """
+    k, n = len(gens) // 2, gens.shape[-1]
+    z = _combine_each(_generic_coords(len(gens))[0][None], gens)[0]
+    w, q = linalg._lapack(np.linalg.eigh, (z + z.conj().T) / 2.0)
+    close = np.diff(w) <= SIMPLE_SPECTRUM_GAP * max(-w[0], w[-1])  # neighbours in one cluster
+    parts = gens[:k].view(float)  # linalg.unit_scaled of each g, in one pass
+    e = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
+    unit = np.ldexp(parts, -e[:, None, None]).view(complex)
+    scale = MEMBERSHIP_TOL * np.linalg.norm(unit, axis=(1, 2))[:, None, None]
+    coupling = q.conj().T @ unit @ q  # that of g* is its adjoint
+    joined = (np.abs(coupling) > scale).any(axis=0)
+    joined[np.arange(n - 1), np.arange(1, n)] |= close
+    comp = _components(joined | joined.T | np.eye(n, dtype=bool))
+    clustered = np.zeros(n, dtype=bool)
+    clustered[comp[:-1][close]] = True
+    clustered = clustered[comp]
+    order = np.argsort(comp, kind="stable")
+    order = order[~clustered[order]]
+    i, j = np.nonzero(comp[order][:, None] == comp[order])
+    basis = q.T[order[i], :, None] * q.T.conj()[order[j], None, :]
+    if clustered.any():
+        c = np.flatnonzero(clustered)
+        sub = coupling[:, c[:, None], c]
+        sub[np.abs(sub) <= scale] = 0.0
+        sub = np.concatenate([sub, sub.conj().swapaxes(1, 2)])
+        lead = np.searchsorted(c, comp[c])
+        sub = _clustered_closure(sub, lead, np.concatenate([scale, scale]))
+        basis = np.concatenate([basis, q[:, c] @ sub @ q[:, c].conj().T])
+    resid = unit - _combine_each(_pairing(unit, basis), basis)
+    return basis if np.all(np.linalg.norm(resid, axis=(1, 2)) <= scale[:, 0, 0]) else None
+
+
 def algebra_from_generators(
     gens,
     include_identity: bool = True,
@@ -253,12 +360,39 @@ def algebra_from_generators(
     """Smallest subalgebra of M_n containing the generators.
 
     S is the generators, plus their adjoints with include_adjoints, and
-    include_identity adjoins the identity.  Each pass left-multiplies the
-    rows added by the previous pass by every g in S, until a pass adds none.
-    The generated algebra is the span of all words in S.  A word of length
-    k + 1 is g times a word of length k, so a span that contains S and is
-    closed under left multiplication by S contains every word, and a
-    product of two words is a word.
+    include_identity adjoins the identity.
+
+    With both flags and the complex field, A is the C*-algebra C*(S), and
+    C*(S) = S'' by von Neumann's double commutant theorem.  One eigh gives
+    the generic Hermitian h = (z + z*) / 2 = Q diag(w) Q* of A, z = sum_k c_k s_k
+    over S with the coefficients of _generic_coords.  Where w is simple,
+    every x in A' commutes with h, so it is diagonal in Q, and it commutes
+    with each g in S exactly when x_ii = x_jj wherever (Q* g Q)_ij is not 0.
+    A' is then the diagonals constant on the connected components C_r of
+    that coupling graph, and A = A'' is the sum of the full matrix algebras
+    M_{C_r} in the basis Q, with the orthonormal basis q_i q_j*, i and j in
+    one C_r.  This is the simple-spectrum case of the block decomposition of
+    Murota, Kanno, Kojima and Kojima (JJIAM 27, 2010).
+
+    An eigenvalue counts as simple when both its gaps exceed
+    SIMPLE_SPECTRUM_GAP ||h||.  Rounding turns an eigenvector by about
+    eps ||h|| / gap (Davis-Kahan), and the turn shows in Q* g Q as couplings
+    of that relative size.  The margin keeps them far below the
+    MEMBERSHIP_TOL threshold of the graph; near it they would merge two
+    blocks into an algebra too large for any containment check to notice.
+    Eigenvalues closer than the margin form a cluster, and a cluster is one
+    vertex of the graph.  The projection onto a component is a spectral
+    projection of h, so it lies in A; it commutes with S, so it is central,
+    and A is the sum of its compressions to the components.  A component
+    without a cluster is a full matrix block as above.  On a clustered
+    component where every generator is a scalar, A holds the multiples of
+    its projection; the other clustered components, as for a (x) I_2 with a
+    generic, are closed together by words on the compressed generators.
+    One stacked projection certifies the basis: every generator must lie
+    in its span within MEMBERSHIP_TOL.
+
+    The whole closure is grown from words without the identity or the
+    adjoints, over the real field, or when the certificate fails.
     """
     mats = [linalg.require_square(linalg.as_matrix(g)) for g in gens]
     if not mats:
@@ -272,13 +406,11 @@ def algebra_from_generators(
     if include_adjoints:
         mats += [m.conj().T for m in mats]
     gens = np.stack(mats)
-    start = [np.eye(n, dtype=complex)] if include_identity else []
-    rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
-    done = 0  # rows already multiplied by every g in S
-    while done < len(rows):
-        words = gens[:, None] @ rows[done:].reshape(1, -1, n, n)
-        done, rows = len(rows), _extend_rows(rows, words.reshape(-1, n * n))
-    return Algebra(rows.reshape(-1, n, n), real_field)
+    if n and include_identity and include_adjoints and not real_field:
+        basis = _commutant_closure(gens)
+        if basis is not None:
+            return Algebra(basis)
+    return Algebra(_words_closure(gens, include_identity), real_field)
 
 
 def full_matrix_algebra(n: int) -> Algebra:
@@ -353,7 +485,7 @@ def is_abelian(alg: Algebra) -> bool:
 
 
 def random_element(alg: Algebra, rng: np.random.Generator) -> Element:
-    """Element with seeded Gaussian coordinates (real when the field is real)."""
+    """The projection on A of a seeded Gaussian matrix (real when the field is real)."""
     return Element(alg, _random_matrices(alg, rng, 1)[0])
 
 
@@ -364,17 +496,21 @@ def random_element(alg: Algebra, rng: np.random.Generator) -> Element:
 
 
 def _random_matrices(alg: Algebra, rng: np.random.Generator, k: int) -> np.ndarray:
-    """The (k, n, n) matrices of k seeded Gaussian coordinate vectors.
+    """The projections P_A(G) on A of k seeded Gaussian matrices G, as (k, n, n).
 
-    One draw of (k, 2, d) normals takes, for each element in turn, the real
-    parts and then the imaginary parts; a real field draws (k, d).
+    The orthogonal projection is the same whatever orthonormal basis
+    computes it, so the samples depend on the algebra and the seed alone.
+    One draw of (k, 2, n, n) normals takes, for each G in turn, the real
+    parts and then the imaginary parts; a real field draws a real G,
+    (k, n, n).  On the matrix units of M_n, P_A(G) is G bit for bit.
     """
+    n = alg.ambient_dim
     if alg.real_field:
-        c = rng.standard_normal((k, alg.dim)).astype(complex)
+        g = rng.standard_normal((k, n, n)).astype(complex)
     else:
-        re_im = rng.standard_normal((k, 2, alg.dim))
-        c = re_im[:, 0] + 1j * re_im[:, 1]
-    return _combine_each(c, alg.basis)
+        re_im = rng.standard_normal((k, 2, n, n))
+        g = re_im[:, 0] + 1j * re_im[:, 1]
+    return _combine_each(_pairing_each(g, alg.basis), alg.basis)
 
 
 def _combine_each(c: np.ndarray, mats: np.ndarray) -> np.ndarray:

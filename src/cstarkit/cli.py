@@ -244,7 +244,7 @@ def cmd_radius(args) -> dict:
 def cmd_exp(args) -> dict:
     m = _square_input(parse_matrix(args.input))
     em, norm = spectral._exp_and_norm(algebra.ambient_element(m))
-    em_neg = spectral.exp_element(algebra.ambient_element(-m)).matrix
+    em_neg = spectral._exp_at_norm(-m, norm)  # ||-m|| = ||m||
     inverse_resid = linalg.op_norm(em @ em_neg - np.eye(m.shape[0]))
     with np.errstate(over="ignore"):  # a bound e^||m|| beyond the float range is inf
         bound = float(np.exp(norm))
@@ -289,12 +289,15 @@ def cmd_characters(args) -> dict:
     spec = gelfand.characters(alg)
     a = algebra.Element(alg, m)
     mult_resid = max((chi.multiplicativity_residual() for chi in spec), default=0.0)
+    # chi(input) determines chi, as the input generates the algebra, and
+    # orders the characters whatever basis the algebra was built in
+    values = np.array([chi(a) for chi in spec], dtype=complex)
     return {
         "inputs": {"input": m},
         "results": {
             "count": len(spec),
             "algebra_dim": alg.dim,
-            "values_at_input": np.array([chi(a) for chi in spec], dtype=complex),
+            "values_at_input": values[gelfand._rounded_order(values[:, None])],
         },
         "residuals": {
             "max_multiplicativity_residual": _residual(mult_resid, CHARACTERS_REPORT_TOL)

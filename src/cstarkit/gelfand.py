@@ -169,17 +169,22 @@ def _consider(alg: Algebra, vecs: np.ndarray) -> list[np.ndarray]:
     return list(vals[keep])
 
 
-def _sorted(found: list) -> list:
-    """found ordered by the key tuple((round(re, 6), round(im, 6)) ...) over its entries.
+def _rounded_order(vals: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of a (c, m) complex array by the key
+    tuple((round(re, 6), round(im, 6)) ...) over each row's entries.
 
     The entries are numpy floats, whose round is np.round, so one np.round of
     every key and one lexsort, real part before imaginary, give that order.
     """
+    parts = np.stack([vals.real, vals.imag], axis=2).reshape(len(vals), 2 * vals.shape[1])
+    return np.lexsort(np.round(parts, 6).T[::-1])
+
+
+def _sorted(found: list) -> list:
+    """found, a list of value rows, in _rounded_order."""
     if len(found) < 2:
         return found
-    vals = np.array(found)
-    keys = np.round(np.stack([vals.real, vals.imag], axis=2).reshape(len(vals), -1), 6)
-    return [found[i] for i in np.lexsort(keys.T[::-1])]
+    return [found[i] for i in _rounded_order(np.array(found))]
 
 
 def characters(alg: Algebra) -> GelfandSpectrumData:

@@ -230,6 +230,11 @@ def _exp_and_norm(a) -> tuple[np.ndarray, float]:
     """The matrix of exp_element(a), and the operator norm ||a|| it scaled by."""
     m = _matrix_of(a)
     nrm = linalg.op_norm(m)
+    return _exp_at_norm(m, nrm), nrm
+
+
+def _exp_at_norm(m: np.ndarray, nrm: float) -> np.ndarray:
+    """e^m by scaling and squaring, given the operator norm nrm = ||m||."""
     if not nrm <= 2.0**1022:
         raise Overflow(f"operator norm {nrm:.3g} is too large to scale below 0.5")
     s = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0
@@ -245,7 +250,7 @@ def _exp_and_norm(a) -> tuple[np.ndarray, float]:
             acc = acc @ acc
     if not np.isfinite(acc).all():
         raise Overflow(f"exp overflows the float range at operator norm {nrm:.3g}")
-    return acc, nrm
+    return acc
 
 
 def poly_apply(a, coeffs) -> Element:

@@ -21,6 +21,10 @@ ELEMENT_TOL = 1e-8
 ZERO_NORM = 1e-12
 # Width of the certified quotient-norm bracket, with the element scaled to norm in [1/2, 1).
 QUOTIENT_NORM_GAP = 1e-10
+# Gap between neighbouring eigenvalues of closure's generic Hermitian h, relative to ||h||,
+# above which h counts as simple: rounding then turns its eigenvectors by about
+# 2e-16 / 1e-5 = 2e-11, 50-100x below MEMBERSHIP_TOL, so no two blocks merge.
+SIMPLE_SPECTRUM_GAP = 1e-5
 
 # -- Dense kernels (linalg)
 

@@ -1,10 +1,17 @@
 """Algebra construction, ideals, quotients, unitization, complexification."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import doubled_normal, rand_matrix
 from cstarkit import algebra, gelfand, linalg, states
@@ -1166,3 +1173,178 @@ class TestSubspaceBasisFields:
         with pytest.raises(TypeError):
             algebra.SubspaceBasis(alg, (E11,), onb=np.zeros((1, 2, 2), dtype=complex))
         assert np.array_equal(algebra.SubspaceBasis(alg, (E11,)).onb, E11[None])
+
+
+def _words(gens, include_identity=True, include_adjoints=True, real_field=False):
+    """The closure by words alone, on the generators and (with include_adjoints) their adjoints."""
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    if include_adjoints:
+        gens += [g.conj().T for g in gens]
+    return algebra._words_closure(np.stack(gens), include_identity)
+
+
+def _assert_same_span(basis, ref, tol=1e-9):
+    """Equal dimensions, and every principal angle between the spans within tol."""
+    a, b = (np.asarray(x).reshape(len(x), -1) for x in (basis, ref))
+    assert len(a) == len(b)
+    if len(a):
+        assert np.linalg.norm(a - (a @ b.conj().T) @ b, 2) <= tol
+        assert np.linalg.norm(b - (b @ a.conj().T) @ a, 2) <= tol
+
+
+def _low_rank(rng, n, r):
+    """A dense n x n matrix of rank r: the product of Gaussian n x r and r x n factors."""
+    return rand_matrix(rng, n)[:, :r] @ rand_matrix(rng, n)[:r]
+
+
+def _hidden_blocks(rng, sizes):
+    """Two generators of the sum of M_s over sizes, hidden by one random unitary."""
+    n = sum(sizes)
+    u = np.linalg.qr(rand_matrix(rng, n))[0]
+    at = np.cumsum([0, *sizes])
+    gens = []
+    for _ in range(2):
+        g = np.zeros((n, n), dtype=complex)
+        for s, e in zip(at, at[1:]):
+            g[s:e, s:e] = rand_matrix(rng, e - s)
+        gens.append(u @ g @ u.conj().T)
+    return gens
+
+
+@st.composite
+def _generator_sets(draw):
+    """1-3 seeded generators of size 1-4, each of rank 0 to n and at a scale of
+    1e-300, 1 or 1e300; returned with the same set at scale 1."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = [_low_rank(rng, n, draw(st.integers(0, n))) for _ in range(draw(st.integers(1, 3)))]
+    scales = [draw(st.sampled_from([1e-300, 1.0, 1e300])) for _ in gens]
+    return [s * g for s, g in zip(scales, gens)], gens
+
+
+class TestCommutantClosureEquivalence:
+    """The closure from one eigendecomposition spans what the closure by words spans."""
+
+    @staticmethod
+    def _check(gens, ref=None):
+        alg = algebra.algebra_from_generators(gens)
+        _assert_same_span(alg.basis, _words(gens if ref is None else ref))
+        for g in gens:
+            assert alg.contains(g) and alg.contains(g.conj().T)
+        return alg
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generator_sets())
+    def test_random_generator_sets(self, sets):
+        """The scaled set against words on the unscaled one: the words loop squares
+        entries, so it leaves the float range at 1e+-300."""
+        scaled, plain = sets
+        self._check(scaled, ref=plain)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_sizes(self, n):
+        rng = np.random.default_rng(n)
+        for gens in ([rand_matrix(rng, n)], [np.zeros((n, n))], [np.eye(n)], [E12[:n, :n]]):
+            self._check(gens)
+
+    @pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 2)])
+    def test_common_kernel(self, n, r):
+        """A rank-r generator with 2r < n generates M_2r on its range and its
+        adjoint's range, plus the scalars on the common kernel: dimension 4r^2 + 1."""
+        g = _low_rank(np.random.default_rng([n, r]), n, r)
+        assert self._check([g]).dim == 4 * r * r + 1
+
+    def test_hidden_blocks(self):
+        gens = _hidden_blocks(np.random.default_rng(34), [3, 4])
+        stack = np.stack([*gens, *(g.conj().T for g in gens)])
+        assert algebra._commutant_closure(stack) is not None
+        assert self._check(gens).dim == 25
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_FAMILIES))
+    def test_closure_families(self, name):
+        make, flags = CLOSURE_FAMILIES[name]
+        gens = [np.asarray(g, dtype=complex) for g in make(np.random.default_rng(41))]
+        alg = algebra.algebra_from_generators(gens, **flags)
+        if flags:  # outside the precondition: the words loop itself, bit for bit
+            assert np.array_equal(alg.basis, _words(gens, **flags))
+        else:
+            _assert_same_span(alg.basis, _words(gens))
+
+    @pytest.mark.parametrize("r, dim", [(1, 5), (2, 16), (3, 16)])
+    def test_repeated_spectrum(self, r, dim):
+        """a (x) I_2 for a of rank r: every eigenvalue of h is doubled, so the
+        components are clustered, and those where a is not a scalar are closed
+        by words on the compressed generators."""
+        g = np.kron(_low_rank(np.random.default_rng(r), 4, r), np.eye(2))
+        assert algebra._commutant_closure(np.stack([g, g.conj().T])) is not None
+        assert self._check([g]).dim == dim
+
+    def test_scalar_components_take_no_words(self, monkeypatch):
+        """A normal generator with doubled eigenvalues is a scalar on each
+        eigenspace, which its projection spans alone."""
+        g = doubled_normal(np.random.default_rng(6), 6)
+        words = algebra._words_closure
+        monkeypatch.setattr(algebra, "_words_closure", lambda *a: pytest.fail("words ran"))
+        alg = algebra.algebra_from_generators([g])
+        monkeypatch.setattr(algebra, "_words_closure", words)
+        _assert_same_span(alg.basis, _words([g]))
+        assert alg.dim == 4
+
+    def test_clustered_component_that_is_not_scalar(self):
+        """Equal diagonals do not make a scalar: [[0, 1], [1, 0]] spans a second direction."""
+        x = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+        basis = algebra._clustered_closure(x, np.array([0, 0]), np.full((1, 1, 1), 1e-9))
+        _assert_same_span(basis, np.stack([np.eye(2), x[0]]) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("eps, dim", [(1e-12, 18), (5e-11, 18)])
+    def test_couplings_within_the_threshold_stay_apart(self, eps, dim):
+        """Two blocks a (x) I_2 and b (x) I_2 coupled by entries eps ||g||_F, below
+        the MEMBERSHIP_TOL ||g||_F threshold: the words on the clustered
+        components see those entries as 0, as the coupling graph does, and do
+        not merge the blocks by multiplying them up."""
+        rng = np.random.default_rng(3)
+        g = np.zeros((12, 12), dtype=complex)
+        g[:6, :6], g[6:, 6:] = (np.kron(rand_matrix(rng, 3), np.eye(2)) for _ in range(2))
+        g[:6, 6:] = eps * np.linalg.norm(g)
+        u = np.linalg.qr(rand_matrix(rng, 12))[0]
+        g = u @ g @ u.conj().T
+        assert algebra._commutant_closure(np.stack([g, g.conj().T])) is not None
+        assert algebra.algebra_from_generators([g]).dim == dim
+
+    def test_failed_certificate_takes_the_words_loop(self, monkeypatch):
+        """A certificate that finds the generators outside the span returns the
+        words loop's basis, bit for bit."""
+        g = rand_matrix(np.random.default_rng(8), 3)
+        monkeypatch.setattr(algebra, "_pairing", lambda m, rows: np.zeros((len(m), len(rows))))
+        assert algebra._commutant_closure(np.stack([g, g.conj().T])) is None
+        assert np.array_equal(algebra.algebra_from_generators([g]).basis, _words([g]))
+
+# Run in a fresh interpreter under a timeout, so that a closure that runs away
+# fails the test instead of hanging the suite.
+_CIRCULANT_CLOSURES = """
+import json
+import numpy as np
+from cstarkit import algebra, gelfand
+out = []
+# the last seed puts two eigenvalues of the generic Hermitian within 1e-8 of
+# its norm, so they form a cluster
+for n, seed in [(n, [n, s]) for n in (48, 64, 96, 128) for s in range(4)] + [(128, 0)]:
+    rng = np.random.default_rng(seed)
+    c = gelfand.circulant(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    alg = algebra.algebra_from_generators([c])
+    out.append([n, alg.dim, alg.contains(c) and alg.contains(c.conj().T)])
+print(json.dumps(out))
+"""
+
+
+def test_circulant_closure_stops_at_its_dimension():
+    """Seeded complex Gaussian circulants close to their N-dimensional algebra;
+    the closure by words alone runs past N on most of them from N = 64 on."""
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _CIRCULANT_CLOSURES],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = [[n, n, True] for n in (48, 64, 96, 128) for _ in range(4)] + [[128, 128, True]]
+    assert json.loads(proc.stdout) == want

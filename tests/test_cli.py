@@ -93,6 +93,16 @@ class TestSubcommands:
         assert data[1][0] == pytest.approx(5 * (e**2 - e), abs=1e-9)
         assert report["residuals"]["exp_times_exp_neg_minus_identity"]["value"] <= 1e-9
 
+    def test_exp_takes_three_norms(self, tmp_path, monkeypatch):
+        """||m||, the inverse residual and ||e^m||: e^-m is scaled by ||m||, as ||-m|| = ||m||."""
+        path = write_matrix(tmp_path / "a.json", rand_matrix(np.random.default_rng(3), 6))
+        plain = run_to_file(tmp_path, ["exp", "--input", path])
+        calls = []
+        op_norm = linalg.op_norm
+        monkeypatch.setattr(linalg, "op_norm", lambda m: calls.append(1) or op_norm(m))
+        assert run_to_file(tmp_path, ["exp", "--input", path], "counted.json") == plain
+        assert len(calls) == 3
+
     def test_sqrt_success_and_failure(self, tmp_path):
         good = write_matrix(tmp_path / "pos.json", [[25.0, 40.0], [40.0, 65.0]])
         report = run_to_file(tmp_path, ["sqrt", "--input", good])
@@ -1106,6 +1116,110 @@ class TestTraceValuesEquivalence:
             for seed in (0, 33):
                 argv = ["gkz", "--input", path, "--seed", str(seed)]
                 _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_gkz)
+
+
+def _rotated_basis(alg):
+    """alg with its orthonormal basis changed by a unitary seeded by its dimension."""
+    u = np.linalg.qr(rand_matrix(np.random.default_rng(alg.dim), alg.dim))[0]
+    return algebra.Algebra(np.tensordot(u, alg.basis, axes=1), alg.real_field)
+
+
+def _assert_reports_agree(a, b, path="report"):
+    """The same keys, strings, integers, booleans and list lengths, and floats
+    within 1e-12 relative to max(1, |value|)."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_reports_agree(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_reports_agree(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (path, a, b)
+    else:
+        assert a == b, path
+
+
+class TestBasisIndependentReports:
+    """A report depends on the algebra, not on the orthonormal basis it was
+    built in: every algebra the command line builds, put through a seeded
+    unitary change of basis, gives the same integers, booleans and order, and
+    values within 1e-12.  gkz is left out: its algebra is always the matrix
+    units of M_n, and it draws its witness in coordinates of the kernel.
+    universal runs on M_2 only: its norming family has one state per basis
+    element, so on an algebra of several blocks its hilbert_dim depends on
+    the basis."""
+
+    @staticmethod
+    def _argvs(tmp_path):
+        argvs = {name: [[name, *argv]] for name, argv in _seeded_argvs(tmp_path).items()}
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(rand_matrix(rng, 6))[0]
+        doubled = (u * np.repeat([1.0, -2.0 + 1j, 0.5j], 2)) @ u.conj().T
+        inputs = {
+            "doubled": doubled,
+            "circulant": gelfand.circulant(rng.standard_normal(8) + 1j * rng.standard_normal(8)),
+        }
+        for name, m in inputs.items():
+            path = write_matrix(tmp_path / f"{name}.json", m)
+            for command in ("characters", "gelfand"):
+                argvs[command].append([command, "--input", path, "--seed", "3"])
+        return argvs
+
+    @pytest.mark.parametrize(
+        "command", ["characters", "gelfand", "universal", "quotient-norm", "gns"]
+    )
+    def test_unitary_change_of_basis(self, tmp_path, monkeypatch, command):
+        """Also the seeded samples: most values are residuals at rounding level,
+        which would not show samples that move with the basis."""
+        argvs = self._argvs(tmp_path)[command]
+        plain = [run_to_file(tmp_path, argv) for argv in argvs]
+        build, full, built = algebra.algebra_from_generators, algebra.full_matrix_algebra, []
+
+        def rotated(alg):
+            built.append((alg, _rotated_basis(alg)))
+            return built[-1][1]
+
+        monkeypatch.setattr(
+            algebra, "algebra_from_generators", lambda *a, **k: rotated(build(*a, **k))
+        )
+        monkeypatch.setattr(algebra, "full_matrix_algebra", lambda n: rotated(full(n)))
+        for argv, want in zip(argvs, plain):
+            _assert_reports_agree(want, run_to_file(tmp_path, argv, "rotated.json"))
+        assert len(built) == len(argvs)
+        for alg, moved in built:
+            want = algebra._random_matrices(alg, np.random.default_rng(7), 5)
+            got = algebra._random_matrices(moved, np.random.default_rng(7), 5)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Run in a fresh interpreter under a timeout, so that a closure that runs
+# away fails the test instead of hanging the suite.
+_CHARACTERS_OF_A_CIRCULANT = """
+import json
+import sys
+import numpy as np
+from cstarkit import cli, gelfand
+rng = np.random.default_rng(64)
+m = gelfand.circulant(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+with open(sys.argv[1], "w") as fh:
+    json.dump(cli.matrix_to_json(m), fh)
+sys.exit(cli.run(["characters", "--input", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_characters_of_a_64_circulant(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _CHARACTERS_OF_A_CIRCULANT,
+         str(tmp_path / "c.json"), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads((tmp_path / "out.json").read_text())["results"]
+    assert results["count"] == results["algebra_dim"] == 64
 
 
 class TestNoStructureTensor:
