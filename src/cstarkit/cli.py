@@ -287,11 +287,10 @@ def cmd_characters(args) -> dict:
     m = _square_input(parse_matrix(args.input))
     alg = algebra.algebra_from_generators([m])
     spec = gelfand.characters(alg)
-    a = algebra.Element(alg, m)
-    mult_resid = max((chi.multiplicativity_residual() for chi in spec), default=0.0)
+    mult_resid = float(spec.multiplicativity_residuals().max(initial=0.0))
     # chi(input) determines chi, as the input generates the algebra, and
     # orders the characters whatever basis the algebra was built in
-    values = np.array([chi(a) for chi in spec], dtype=complex)
+    values = gelfand.gelfand_transform(algebra.Element(alg, m), spec)
     return {
         "inputs": {"input": m},
         "results": {

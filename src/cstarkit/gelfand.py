@@ -37,7 +37,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .spectral import _spectrum_report
+from .spectral import _dedupe
 from .states import Functional, _basis_products, _multiplicativity_residuals
 from .tolerances import (
     DEDUPE_RADIUS,
@@ -66,14 +66,23 @@ class Character(Functional):
 
 @dataclass(frozen=True)
 class GelfandSpectrumData:
+    """The characters of an algebra, and their values on its basis as one
+    read-only complex (c, d) array, row c holding characters[c].values."""
+
     algebra: Algebra
     characters: tuple[Character, ...]
+    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.characters)
 
     def __iter__(self):
         return iter(self.characters)
+
+    def multiplicativity_residuals(self) -> np.ndarray:
+        """Each character's multiplicativity_residual(), from one stacked product."""
+        prods = _basis_products(self.algebra, self.values, self.algebra.basis)
+        return _multiplicativity_residuals(self.values, prods)
 
 
 def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
@@ -212,15 +221,21 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     else:
         z = alg.from_coords(_generic_coords(alg.dim)[0])
         vecs = linalg._lapack(np.linalg.eig, z)[1]
-    chars = tuple(Character(alg, v) for v in _sorted(_consider(alg, vecs)))
-    return GelfandSpectrumData(alg, chars)
+    found = _sorted(_consider(alg, vecs))
+    values = np.array(found, dtype=complex).reshape(len(found), alg.dim)
+    values.flags.writeable = False
+    return GelfandSpectrumData(alg, tuple(Character(alg, v) for v in values), values)
 
 
 def gelfand_transform(a: Element, spec: GelfandSpectrumData) -> np.ndarray:
-    """The vector (chi_1(a), ..., chi_k(a)) over the algebra's characters."""
+    """The vector (chi_1(a), ..., chi_k(a)) over the algebra's characters.
+
+    One dot product of each row of spec.values with a's coordinates, as
+    chi(a) takes it.
+    """
     if a.algebra is not spec.algebra:
         raise AlgebraMismatch("element and character data belong to different algebras")
-    return np.array([chi(a) for chi in spec.characters])
+    return _dot_each(spec.values, spec.algebra.coords(a.matrix)[None])
 
 
 @dataclass(frozen=True)
@@ -245,14 +260,21 @@ def gelfand_isometry_report(
     sup|a-hat| - ||a|| vanishes exactly when the algebra is a *-closed
     C*-subalgebra.  A nonzero transform kernel (the radical) is flagged.
     The characters are deterministic; seed draws only the samples.
+
+    The samples are one stack: one batched eigvals, and one stacked
+    clustering of those eigenvalues, give every r(a) as spectrum(a).radius
+    gives it.  The kernel is decided from the singular values of the
+    character values, and the full SVD runs only for a kernel example.
     """
     spec = characters(alg)
     rng = np.random.default_rng(seed + 1)
     mats = _random_matrices(alg, rng, samples)
-    values = np.array([chi.values for chi in spec.characters]).reshape(len(spec), alg.dim)
+    values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    radii = [_spectrum_report(e, "complex").radius for e in linalg.eig_general(mats)]
+    # spectrum(a).radius of each sample: the largest |point| of its clustered eigenvalues
+    points, _ = _dedupe(linalg.eig_general(mats))
+    radii = [max(map(abs, row), default=0.0) for row in points]
     norms = linalg._op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:
@@ -260,11 +282,11 @@ def gelfand_isometry_report(
         if kernel_detected:
             kernel_example = Element(alg, alg.basis[0])
     else:
-        _, svals, vh = np.linalg.svd(values)
+        svals = np.linalg.svd(values, compute_uv=False)
         rank = int(np.sum(svals > DEDUPE_RADIUS * max(1.0, svals[0])))
         kernel_detected = rank < alg.dim
         if kernel_detected:
-            kernel_example = Element(alg, alg.from_coords(vh[-1].conj()))
+            kernel_example = Element(alg, alg.from_coords(np.linalg.svd(values)[2][-1].conj()))
     return IsometryReport(
         tuple(sups),
         tuple(radii),

@@ -72,32 +72,91 @@ def clustering_radius(values: np.ndarray) -> float:
     return CLUSTER_SCALE * (1.0 + peak)
 
 
-def _dedupe(values: np.ndarray) -> tuple[list[complex], float]:
+def _dedupe(values) -> tuple[list, float] | tuple[list[list], list[float]]:
     """Cluster eigenvalues; returns representatives (cluster means) and the radius.
 
-    Points are taken in (re, im) order, each joining the first cluster whose
-    mean lies within the radius.  When every pairwise gap exceeds the radius
-    by a margin that numpy's and Python's complex abs cannot straddle, every
-    cluster is a single point and the greedy loop is skipped.
+    values is one row of n points, or a (k, n) stack of rows; a stack gives
+    the list of each row's representatives and the list of the rows' radii.
+    In each row, points are taken in (re, im) order, each joining the first
+    cluster whose mean lies within the radius.  Rows whose pairwise gaps all
+    exceed the radius by a margin that numpy's and Python's complex abs
+    cannot straddle are single points throughout.  The other rows take the
+    greedy rule together, on running sums and counts (_greedy_clusters).
+    numpy divides an array of sums by their counts as it divides one
+    complex scalar by an int, and np.hypot is Python's complex abs, so each
+    row of a stack gives what it gives alone, and what the one-point-at-a-time
+    loop gives.  A list row's means are divided as Python divides.
     """
-    radius = clustering_radius(values)
     z = np.asarray(values)
-    if np.isfinite(z).all():
-        gaps = np.abs(z[:, None] - z)
-        np.fill_diagonal(gaps, np.inf)
-        if (gaps > radius * (1.0 + 1e-9)).all():
-            # 0 + z and / 1 as in sum(cl) / len(cl): a -0.0 part becomes 0.0
-            return [(0 + values[i]) / 1 for i in np.lexsort((z.imag, z.real))], radius
-    order = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in order:
-        for cl in clusters:
-            if abs(z - sum(cl) / len(cl)) <= radius:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    return [sum(cl) / len(cl) for cl in clusters], radius
+    rows = np.atleast_2d(z)
+    k, n = rows.shape
+    radii = CLUSTER_SCALE * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
+    order = np.lexsort((rows.imag, rows.real), axis=-1)
+    zs = np.take_along_axis(rows, order, axis=1)
+    # 0 + z as in sum(cl): a -0.0 part becomes 0.0
+    sums, counts = 0 + zs, np.ones((k, n), dtype=int)
+    finite = np.isfinite(rows).all(axis=1)
+    gaps = np.abs(rows[finite, :, None] - rows[finite, None, :])
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    single = np.zeros(k, dtype=bool)
+    single[finite] = (gaps > radii[finite, None, None] * (1.0 + 1e-9)).all(axis=(1, 2))
+    if not single.all():
+        greedy = ~single
+        sums[greedy], counts[greedy] = _greedy_clusters(zs[greedy], radii[greedy])
+    if isinstance(values, np.ndarray):
+        means = sums / np.maximum(counts, 1)  # as each numpy scalar divides by an int
+        points = [list(mrow[crow > 0]) for mrow, crow in zip(means, counts)]
+    else:  # Python scalars divide as Python does
+        pairs = zip(sums.tolist(), counts.tolist())
+        points = [[s / c for s, c in zip(srow, crow) if c] for srow, crow in pairs]
+    radii = radii.tolist()
+    return (points, radii) if z.ndim == 2 else (points[0], radii[0])
+
+
+def _greedy_clusters(zs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums and counts of _dedupe's clusters of each sorted row of zs, each
+    cluster at the column of its first point and zero elsewhere.
+
+    A point joins a cluster only within the radius r of its mean, and in
+    (re, im) order every mean lies, up to rounding, left of the point taken
+    last.  So where the sorted real parts step by more than 2 r no later
+    point joins an earlier cluster, and a row splits into runs that share
+    none.  A run whose points lie within r / 2 of each other, a repeated
+    eigenvalue, is one cluster: every mean of its points is within r / 2 of
+    each, again up to rounding far below r / 2.  The other runs take the
+    greedy rule in lockstep, step s taking the s-th point of each run at once.
+    """
+    k, n = zs.shape
+    col = np.arange(n)
+    cut = np.zeros((k, n), dtype=bool)
+    cut[:, 1:] = zs.real[:, 1:] - zs.real[:, :-1] > 2 * radii[:, None]
+    first = np.maximum.accumulate(np.where(cut, col, 0), axis=1)
+    apart = first[:, :, None] != first[:, None, :]
+    close = np.abs(zs[:, :, None] - zs[:, None, :]) <= radii[:, None, None] / 2
+    tight = (close | apart).all(axis=2)
+    tight = (tight[:, None, :] | apart).all(axis=2)
+    sums, counts = 0 + zs, np.ones((k, n), dtype=int)
+    # a tight run's points join its first in order: ufunc.at adds them one by one
+    rows, at = np.nonzero(tight & (col > first))
+    to = (rows, first[rows, at])
+    np.add.at(sums, to, zs[rows, at])
+    np.add.at(counts, to, 1)
+    sums[rows, at], counts[rows, at] = 0, 0
+    means = sums / np.maximum(counts, 1)
+    place = np.where(tight, 0, col - first)
+    for s in range(1, int(place.max(initial=0)) + 1):
+        rows, at = np.nonzero(place == s)
+        start = first[rows, at]
+        d = zs[rows, at, None] - means[rows[:, None], start[:, None] + col[:s]]
+        near = np.hypot(d.real, d.imag) <= radii[rows, None]
+        j = near.argmax(axis=1)
+        joins = near[np.arange(len(rows)), j]
+        rows, at, to = rows[joins], at[joins], start[joins] + j[joins]
+        sums[rows, to] += zs[rows, at]
+        counts[rows, to] += 1
+        means[rows, to] = sums[rows, to] / counts[rows, to]
+        sums[rows, at], counts[rows, at], means[rows, at] = 0, 0, np.nan
+    return sums, counts
 
 
 def _matrix_of(a) -> np.ndarray:

@@ -809,3 +809,74 @@ class TestCharacterMemory:
         assert vals.shape == (64, 64)
         assert np.max(resid) <= 1e-12
         assert peak < 64**4 * 16 / 8
+
+
+def _reference_characters_report(m, seed):
+    """The characters report with cmd_characters' per-character loop, verbatim
+    from before one product took every residual."""
+    alg = algebra.algebra_from_generators([m])
+    spec = gelfand.characters(alg)
+    a = algebra.Element(alg, m)
+    mult_resid = max((chi.multiplicativity_residual() for chi in spec), default=0.0)
+    values = np.array([chi(a) for chi in spec], dtype=complex)
+    return {
+        "command": "characters",
+        "seed": seed,
+        "inputs": {"input": m},
+        "results": {
+            "count": len(spec),
+            "algebra_dim": alg.dim,
+            "values_at_input": values[gelfand._rounded_order(values[:, None])],
+        },
+        "residuals": {
+            "max_multiplicativity_residual": cli._residual(
+                mult_resid, cli.CHARACTERS_REPORT_TOL
+            )
+        },
+    }
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestCharactersReportEquivalence:
+    """cmd_characters, gelfand_transform and gelfand_isometry_report read one
+    (c, d) array of character values, and the residuals come from one product,
+    with the bits of the per-character loop."""
+
+    @pytest.mark.parametrize("n", [6, 16])
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_report_bytes(self, tmp_path, label, n):
+        for seed in (1, 2):
+            m = _benchmark_like(label, n, seed)
+            path, out, ref = tmp_path / "m.json", tmp_path / "out.json", tmp_path / "ref.json"
+            path.write_text(json.dumps(cli.matrix_to_json(m)))
+            argv = ["characters", "--input", str(path), "--seed", str(seed), "--out", str(out)]
+            assert cli.run(argv) == 0
+            cli.emit_report(_reference_characters_report(m, seed), str(ref))
+            assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gelfand.cyclic_group_algebra(64),
+            lambda: algebra.algebra_from_generators([_benchmark_like("doubled", 16, 3)]),
+            lambda: algebra.algebra_from_generators([_benchmark_like("distinct", 6, 3)]),
+            lambda: algebra.algebra_from_generators([E12], include_adjoints=False),
+        ],
+        ids=["cyclic64", "doubled16", "distinct6", "nilpotent"],
+    )
+    def test_residuals_and_transform(self, make):
+        alg = make()
+        spec = gelfand.characters(alg)
+        assert not spec.values.flags.writeable
+        assert _same_bits(spec.values, np.array([chi.values for chi in spec]).reshape(-1, alg.dim))
+        want = np.array([chi.multiplicativity_residual() for chi in spec])
+        assert _same_bits(spec.multiplicativity_residuals(), want.reshape(len(spec)))
+        rng = np.random.default_rng(alg.dim)
+        for a in algebra._random_matrices(alg, rng, 3):
+            a = algebra.Element(alg, a)
+            want = np.array([chi(a) for chi in spec], dtype=complex)
+            assert _same_bits(gelfand.gelfand_transform(a, spec), want)

@@ -592,6 +592,23 @@ def _pair_at_gap(factor):
     return np.array([0.0, d], dtype=complex)
 
 
+def _clustered_row(rng, sizes, spread, scale=1.0):
+    """Clusters of the given sizes about random centres, each point within
+    spread clustering radii of its centre, shuffled."""
+    centres = scale * (rng.standard_normal(len(sizes)) + 1j * rng.standard_normal(len(sizes)))
+    radius = spectral.clustering_radius(centres)
+    pts = [c + spread * radius * np.exp(2j * np.pi * rng.random(m)) * rng.random(m)
+           for c, m in zip(centres, sizes)]
+    return rng.permutation(np.concatenate(pts))
+
+
+def _chain(start, step, count):
+    """count points start, start + step r, ... for r = 1e-7 (1 + |start|), about
+    the chain's clustering radius."""
+    pts = start + step * np.arange(count) * 1e-7 * (1.0 + abs(start))
+    return pts.astype(complex)
+
+
 class TestDedupeEquivalence:
     @staticmethod
     def _inputs():
@@ -613,6 +630,23 @@ class TestDedupeEquivalence:
             yield np.linalg.eigvals(rand_matrix(rng, n))
             yield np.linalg.eigvalsh(rand_hermitian(rng, n))
             yield np.repeat(np.linalg.eigvals(rand_matrix(rng, n)), 2)
+        for m in (3, 5, 7, 16):
+            for spread in (0.0, 1e-9, 0.2, 0.45, 0.8):
+                yield _clustered_row(rng, [m, 1, m], spread)
+        for step in (0.6, 0.6j, 0.6 * np.exp(0.7j), -0.6):
+            yield _chain(1.0 + 0.5j, step, 9)
+            yield np.concatenate([_chain(0.0, step, 7), _chain(2.0, step, 3)])
+        for scale in (1e-300, 1e300):
+            yield _clustered_row(rng, [3, 5, 1], 0.3, scale)
+            yield scale * np.array([1.0, 1.0, 1.0, 2.0, 2.0 + 1e-12j])
+        # in radii r: 0.9 joins 0, and 1.8, within r of 0.9 alone, starts a cluster after 1.3 + 0.95i
+        yield 1.0 + 2e-7 * np.array([0.0, 0.9, 1.3 + 0.95j, 1.8])
+        # gaps that numpy's array abs puts past the radius and Python's abs within it
+        for re, im in (("-0x1.9d767e0557b65p-24", "-0x1.d1084593487fep-26"),
+                       ("-0x1.4db362266fb3ap-24", "0x1.0e641a9724619p-24")):
+            yield np.array([0j, complex(float.fromhex(re), float.fromhex(im))])
+        yield [1 + 0j, complex(1.0, 1e-12), complex(1.0 - 3e-12, -0.0), 5j, 1 + 1e-12j, 5j]
+        yield _chain(-1.0, 0.6, 8).tolist()
 
     def test_exact_output(self):
         for values in self._inputs():
@@ -620,6 +654,39 @@ class TestDedupeEquivalence:
             want, want_radius = _reference_dedupe(values)
             assert _exact(got) == _exact(want)
             assert radius == want_radius
+
+    @staticmethod
+    def _stacks():
+        """Stacks of the inputs of each length, which mix rows with and without
+        clusters, stacks of random clustered rows, and empty stacks."""
+        by_length = {}
+        for values in TestDedupeEquivalence._inputs():
+            if isinstance(values, np.ndarray) and values.dtype == complex:
+                by_length.setdefault(len(values), []).append(values)
+        yield from (np.stack(rows) for rows in by_length.values())
+        rng = np.random.default_rng(58)
+        for n in (1, 2, 7, 16, 33):
+            rows = [
+                _clustered_row(rng, rng.integers(1, 8, n)[: rng.integers(1, n + 1)], spread)
+                for spread in (0.0, 1e-12, 0.1, 0.3, 0.6, 1.0, 3.0, 1e-12, 0.6, 0.0)
+            ]
+            rows = [np.resize(row, n) for row in rows]
+            yield np.stack(rows)
+            yield np.stack([rows[0], np.linalg.eigvals(rand_matrix(rng, n)), rows[4]])
+        yield np.zeros((0, 4), dtype=complex)
+        yield np.zeros((3, 0), dtype=complex)
+        yield np.zeros((0, 0), dtype=complex)
+        yield [[1 + 0j, complex(1.0, 1e-12), 3 + 0j, 1 - 2e-12j], [0j, 2j, 1 + 0j, complex(-0.0, 2.0)]]
+
+    def test_each_row_of_a_stack_is_its_own_call(self):
+        for stack in self._stacks():
+            got, radii = spectral._dedupe(stack)
+            assert len(got) == len(radii) == len(stack)
+            for row, points, radius in zip(stack, got, radii):
+                alone, alone_radius = spectral._dedupe(row)
+                want, want_radius = _reference_dedupe(row)
+                assert _exact(points) == _exact(alone) == _exact(want)
+                assert radius == alone_radius == want_radius
 
     @pytest.mark.parametrize("factor, count", [(1 - 1e-6, 1), (1 + 1e-6, 2)])
     def test_gap_below_and_above_the_radius(self, factor, count):
