@@ -16,6 +16,7 @@ multiplicativity and deduplicated as one stack, as ``states.Functional``s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .spectral import _dedupe
+from .spectral import _spectrum_report
 from .states import Functional, _basis_products, _multiplicativity_residuals
 from .tolerances import (
     DEDUPE_RADIUS,
@@ -66,18 +67,23 @@ class Character(Functional):
 
 @dataclass(frozen=True)
 class GelfandSpectrumData:
-    """The characters of an algebra, and their values on its basis as one
-    read-only complex (c, d) array, row c holding characters[c].values."""
-
     algebra: Algebra
     characters: tuple[Character, ...]
-    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.characters)
 
     def __iter__(self):
         return iter(self.characters)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The characters' values on the basis as one read-only complex (c, d)
+        array, row c holding characters[c].values."""
+        v = np.array([chi.values for chi in self.characters], dtype=complex)
+        v = v.reshape(len(self.characters), self.algebra.dim)
+        v.flags.writeable = False
+        return v
 
     def multiplicativity_residuals(self) -> np.ndarray:
         """Each character's multiplicativity_residual(), from one stacked product."""
@@ -221,10 +227,8 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     else:
         z = alg.from_coords(_generic_coords(alg.dim)[0])
         vecs = linalg._lapack(np.linalg.eig, z)[1]
-    found = _sorted(_consider(alg, vecs))
-    values = np.array(found, dtype=complex).reshape(len(found), alg.dim)
-    values.flags.writeable = False
-    return GelfandSpectrumData(alg, tuple(Character(alg, v) for v in values), values)
+    chars = tuple(Character(alg, v) for v in _sorted(_consider(alg, vecs)))
+    return GelfandSpectrumData(alg, chars)
 
 
 def gelfand_transform(a: Element, spec: GelfandSpectrumData) -> np.ndarray:
@@ -272,9 +276,7 @@ def gelfand_isometry_report(
     values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    # spectrum(a).radius of each sample: the largest |point| of its clustered eigenvalues
-    points, _ = _dedupe(linalg.eig_general(mats))
-    radii = [max(map(abs, row), default=0.0) for row in points]
+    radii = [rep.radius for rep in _spectrum_report(linalg.eig_general(mats), "complex")]
     norms = linalg._op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:

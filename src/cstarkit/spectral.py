@@ -84,8 +84,10 @@ def _dedupe(values) -> tuple[list, float] | tuple[list[list], list[float]]:
     greedy rule together, on running sums and counts (_greedy_clusters).
     numpy divides an array of sums by their counts as it divides one
     complex scalar by an int, and np.hypot is Python's complex abs, so each
-    row of a stack gives what it gives alone, and what the one-point-at-a-time
-    loop gives.  A list row's means are divided as Python divides.
+    ndarray row of a stack gives what it gives alone, and what the
+    one-point-at-a-time loop gives.  A list row's final means are divided as
+    Python divides, but its greedy steps compare with numpy's means, so it
+    matches the loop only where no point lies within an ulp of the radius.
     """
     z = np.asarray(values)
     rows = np.atleast_2d(z)
@@ -121,29 +123,17 @@ def _greedy_clusters(zs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.
     (re, im) order every mean lies, up to rounding, left of the point taken
     last.  So where the sorted real parts step by more than 2 r no later
     point joins an earlier cluster, and a row splits into runs that share
-    none.  A run whose points lie within r / 2 of each other, a repeated
-    eigenvalue, is one cluster: every mean of its points is within r / 2 of
-    each, again up to rounding far below r / 2.  The other runs take the
-    greedy rule in lockstep, step s taking the s-th point of each run at once.
+    none.  The runs take the greedy rule in lockstep, step s taking the s-th
+    point of each run at once.
     """
     k, n = zs.shape
     col = np.arange(n)
     cut = np.zeros((k, n), dtype=bool)
     cut[:, 1:] = zs.real[:, 1:] - zs.real[:, :-1] > 2 * radii[:, None]
     first = np.maximum.accumulate(np.where(cut, col, 0), axis=1)
-    apart = first[:, :, None] != first[:, None, :]
-    close = np.abs(zs[:, :, None] - zs[:, None, :]) <= radii[:, None, None] / 2
-    tight = (close | apart).all(axis=2)
-    tight = (tight[:, None, :] | apart).all(axis=2)
+    place = col - first
     sums, counts = 0 + zs, np.ones((k, n), dtype=int)
-    # a tight run's points join its first in order: ufunc.at adds them one by one
-    rows, at = np.nonzero(tight & (col > first))
-    to = (rows, first[rows, at])
-    np.add.at(sums, to, zs[rows, at])
-    np.add.at(counts, to, 1)
-    sums[rows, at], counts[rows, at] = 0, 0
-    means = sums / np.maximum(counts, 1)
-    place = np.where(tight, 0, col - first)
+    means = sums / counts
     for s in range(1, int(place.max(initial=0)) + 1):
         rows, at = np.nonzero(place == s)
         start = first[rows, at]
@@ -187,9 +177,17 @@ def spectrum(a, field_mode: str = "complex") -> SpectrumReport:
     return _spectrum_report(linalg.eig_general(_matrix_of(a)), field_mode)
 
 
-def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport:
-    """The spectrum() report of a matrix whose eigenvalues with multiplicity are eigs."""
+def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport | list[SpectrumReport]:
+    """The spectrum() report of a matrix whose eigenvalues with multiplicity are
+    eigs; a (k, n) stack of eigenvalue rows gives the list of its rows'
+    reports, from one stacked _dedupe."""
     points, radius = _dedupe(eigs)
+    if np.ndim(eigs) == 2:
+        return [_report(p, r, field_mode) for p, r in zip(points, radius)]
+    return _report(points, radius, field_mode)
+
+
+def _report(points: list, radius: float, field_mode: str) -> SpectrumReport:
     if field_mode == "real":
         points = [complex(z.real, 0.0) for z in points if abs(z.imag) <= radius]
     rad = max((abs(z) for z in points), default=0.0)
