@@ -261,8 +261,11 @@ def _words_closure(gens: np.ndarray, include_identity: bool) -> np.ndarray:
     A word g b, b a row of norm 1, is kept when its residual exceeds
     MEMBERSHIP_TOL ||g||_F, the scale of its rounding.  Against its own norm,
     a word that vanishes exactly, as a b* times a row in the kernel of b*,
-    would be all rounding and pass.
+    would be all rounding and pass.  Each g is first scaled by the exact
+    power of two of linalg.unit_scaled, which keeps the span and keeps
+    ||g||_F and the words in range at any scale of the input.
     """
+    gens = np.stack([linalg.unit_scaled(g) for g in gens])
     n = gens.shape[-1]
     start = [np.eye(n, dtype=complex)] if include_identity else []
     rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])

@@ -354,22 +354,26 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
     reproduction error of rep over seeded samples.
 
     20 pairs (a, b) are drawn interleaved, then 20 samples a for the state,
-    and each check runs on one stack of the samples' matrices and images.
+    and each check runs on one stack of the samples' matrices and the images
+    a_1 in rep's one block.  A multiplicity m repeats the block, so
+    pi(a) = a_1 (x) I_m has a_1's norms, and with the cyclic vector as a
+    k x m matrix X, <pi(a) x, x> = tr(X* a_1 X); no image is formed at full size.
     """
     alg, rng = rep.algebra, np.random.default_rng(seed)
     norm = linalg._op_norm_each
     pairs = algebra._random_matrices(alg, rng, 40)
     a, b = pairs[0::2], pairs[1::2]
-    pa, pb = rep._apply_each(a), rep._apply_each(b)
-    hom = rep._apply_each(a @ b) - pa @ pb
-    star = rep._apply_each(a.conj().swapaxes(1, 2)) - pa.conj().swapaxes(1, 2)
+    (images,) = rep._block_images_each(np.concatenate([a, b, a @ b, a.conj().swapaxes(1, 2)]))
+    pa, pb, pab, pstar = np.split(images, 4)
+    hom, star = pab - pa @ pb, pstar - pa.conj().swapaxes(1, 2)
     hom_resid = max(0.0, *norm(hom).tolist(), *norm(star).tolist())
     contraction = max(0.0, *(norm(pa) - norm(a)).tolist())
     state_resid = 0.0
     if rep.cyclic_vector is not None:
         a = algebra._random_matrices(alg, rng, 20)
-        x = rep.cyclic_vector
-        lhs = algebra._dot_each(x.conj(), rep._apply_each(a) @ x)
+        (images,) = rep._block_images_each(a)
+        x = rep.cyclic_vector.reshape(images.shape[1], -1)
+        lhs = algebra._dot_each(x.conj().ravel(), (images @ x).reshape(len(a), -1))
         rhs = algebra._dot_each(rep.state.values, algebra._pairing_each(a, alg.basis))
         # Python abs: numpy's complex abs can round differently
         state_resid = max(0.0, *(abs(p - q) for p, q in zip(lhs.tolist(), rhs.tolist())))

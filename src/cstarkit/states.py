@@ -5,7 +5,10 @@ so functionals on proper subalgebras are intrinsic; on the algebra it is
 f(a) = tr(D a) for the density D = sum_l f(b_l) b_l*.  Positivity is
 decided by the Gram matrix G[i, j] = f(e_i* e_j), the form <[a], [b]> =
 f(b* a) in coordinates, and the GNS Hilbert space is the quotient by its
-null space.  A representation is its blocks; a direct sum keeps them.
+null space.  On all of M_n over the complex field that space is C^n (x) C^r,
+r = rank D, and the GNS representation is a -> a (x) I_r, read from one
+eigendecomposition of D.  A representation is its blocks with their
+multiplicities; a direct sum keeps both.
 """
 
 from __future__ import annotations
@@ -204,35 +207,56 @@ def norming_state(a: Element) -> State:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """A *-homomorphism into block-diagonal matrices, held as its blocks: block
-    r is a (d, k_r, k_r) array of the images of the d basis elements."""
+    """A *-homomorphism into block-diagonal matrices, held as its blocks with
+    their multiplicities: block r is a (d, k_r, k_r) array of the images of the
+    d basis elements, and pi(a) = (+)_r a_r (x) I_{m_r} on (+)_r C^{k_r} (x) C^{m_r}.
+    The multiplicities m_r default to all 1; summands may share one block array."""
 
     algebra: Algebra
     blocks: tuple[np.ndarray, ...]
+    multiplicities: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.multiplicities:
+            object.__setattr__(self, "multiplicities", (1,) * len(self.blocks))
+        if len(self.multiplicities) != len(self.blocks):
+            raise ValueError("need one multiplicity per block")
 
     @property
     def hilbert_dim(self) -> int:
-        return sum(b.shape[1] for b in self.blocks)
+        return sum(b.shape[1] * m for b, m in zip(self.blocks, self.multiplicities))
 
     def apply(self, a) -> np.ndarray:
         return self._apply_each(_matrix_of(a)[None])[0]
 
-    def _apply_each(self, mats: np.ndarray) -> np.ndarray:
-        """The image of each matrix of a (k, n, n) stack; apply is the stack of one."""
+    def _block_images_each(self, mats: np.ndarray) -> list[np.ndarray]:
+        """Each block's (k, k_r, k_r) images a_r of a (k, n, n) stack, without
+        its multiplicity."""
         coords = _pairing_each(mats, self.algebra.basis)
+        return [_combine_each(coords, b) for b in self.blocks]
+
+    def _apply_each(self, mats: np.ndarray) -> np.ndarray:
+        """The image of each matrix of a (k, n, n) stack, each a_r (x) I_{m_r} in
+        place; apply is the stack of one."""
         out = np.zeros((len(mats), self.hilbert_dim, self.hilbert_dim), dtype=complex)
-        at = np.cumsum([0, *(b.shape[1] for b in self.blocks)])
-        for blk, start, end in zip(self.blocks, at, at[1:]):
-            out[:, start:end, start:end] = _combine_each(coords, blk)
+        start = 0
+        for img, m in zip(self._block_images_each(mats), self.multiplicities):
+            s, k = img.shape[:2]
+            end = start + k * m
+            kron = img[:, :, None, :, None] * np.eye(m)[:, None, :]
+            out[:, start:end, start:end] = kron.reshape(s, k * m, k * m)
+            start = end
         return out
 
     def _norm_each(self, mats: np.ndarray) -> np.ndarray:
         """The norm of the image of each matrix of a stack: its largest block
-        norm, with the blocks of one size taken in one stacked SVD."""
+        norm (a multiplicity repeats a block's singular values), with each
+        distinct block taken once and those of one size in one stacked SVD."""
         coords = _pairing_each(mats, self.algebra.basis)
+        distinct = list({id(b): b for b in self.blocks}.values())
         norms = np.zeros(len(mats))
-        for k in {b.shape[1] for b in self.blocks}:
-            group = np.stack([b for b in self.blocks if b.shape[1] == k], axis=1)
+        for k in {b.shape[1] for b in distinct}:
+            group = np.stack([b for b in distinct if b.shape[1] == k], axis=1)
             images = np.tensordot(coords, group, axes=1)
             s, m = images.shape[:2]
             block_norms = linalg._op_norm_each(images.reshape(s * m, k, k)).reshape(s, m)
@@ -249,36 +273,62 @@ class GnsRepresentation(Representation):
     cyclic_vector: np.ndarray | None = None
 
 
+def _kept_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of h's Hermitian part whose eigenvalues exceed
+    GRAM_NULL_TOL times the largest one."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    keep = w > GRAM_NULL_TOL * max(float(w[-1]) if w.size else 0.0, 0.0)
+    return w[keep], v[:, keep]
+
+
 def gns(alg: Algebra, state: Functional) -> GnsRepresentation:
     """GNS representation of a positive functional.
 
-    The Hilbert space is the coordinate space modulo the Gram null space
-    (eigenvalues <= GRAM_NULL_TOL * max are treated as zero).  Left
-    multiplication descends to pi(b_i)[s, t] = <b_i w_t, u_s>, where
-    w_t = sum_j pinv[j, t] b_j and u_s = sum_l conj(coset_map[s, l]) b_l.
+    On all of M_n over the complex field (alg.dim == n^2, any orthonormal
+    basis) it is pi(a) = a (x) I_r on C^n (x) C^r, from one eigendecomposition
+    of the density D = sum_l f(b_l) b_l* (Murota, Kanno, Kojima & Kojima,
+    JJIAM 27 (2010)): the Gram matrix is unitarily I_n (x) D^T, so the kept
+    eigenvalues w > GRAM_NULL_TOL * max w of D give r and n r, the same
+    integers.  With W = V_kept diag(sqrt(w_kept)), an n x r matrix, [b] maps to
+    (b W).ravel(), the cyclic vector is W.ravel(), and the one block is the
+    basis itself with multiplicity r.
+
+    Other algebras and real fields keep the Gram path until every algebra
+    carries its block structure: the Hilbert space is the coordinate space
+    modulo the Gram null space (eigenvalues <= GRAM_NULL_TOL * max are
+    treated as zero), and left multiplication descends to pi(b_i)[s, t] =
+    <b_i w_t, u_s>, where w_t = sum_j pinv[j, t] b_j and u_s = sum_l
+    conj(coset_map[s, l]) b_l.
     """
     g = _positive_gram(alg, state)
-    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    keep = w > GRAM_NULL_TOL * max(float(w[-1]) if w.size else 0.0, 0.0)
-    vk, wk = v[:, keep], w[keep]
+    d, n, _ = alg.basis.shape
+    if not alg.real_field and d == n * n:
+        wk, vk = _kept_eigh(_combine_each(state.values[None], alg.basis.conj().swapaxes(1, 2))[0])
+        root = vk * np.sqrt(wk)  # W, n x r
+        coset_map = (alg.basis @ root).reshape(d, -1).T
+        cyclic = root.ravel() if alg.unital else None
+        return GnsRepresentation(alg, (alg.basis,), (len(wk),), coset_map, state, cyclic)
+    wk, vk = _kept_eigh(g)
     coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
     pinv = vk / np.sqrt(wk)[None, :]  # d x k
-    (d, n, _), k = alg.basis.shape, len(wk)
+    k = len(wk)
     prods = (alg.basis[:, None] @ _combine_each(pinv.T, alg.basis)[None]).reshape(d, k, n * n)
     block = coset_map @ alg.basis.conj().reshape(d, n * n) @ prods.swapaxes(1, 2)
     cyclic = coset_map @ alg.identity_coords if alg.unital else None
-    return GnsRepresentation(alg, (block,), coset_map, state, cyclic)
+    return GnsRepresentation(alg, (block,), (1,), coset_map, state, cyclic)
 
 
 def direct_sum_reps(reps) -> Representation:
-    """Direct sum of representations of the same algebra: their blocks, in order."""
+    """Direct sum of representations of the same algebra: their blocks and
+    multiplicities, in order."""
     reps = list(reps)
     if not reps:
         raise ValueError("need at least one representation")
     alg = reps[0].algebra
     if any(r.algebra is not alg for r in reps):
         raise AlgebraMismatch("representations must share one algebra")
-    return Representation(alg, tuple(b for r in reps for b in r.blocks))
+    blocks = tuple(b for r in reps for b in r.blocks)
+    return Representation(alg, blocks, tuple(m for r in reps for m in r.multiplicities))
 
 
 def trace_state(alg: Algebra) -> State:

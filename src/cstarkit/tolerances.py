@@ -57,7 +57,8 @@ UNIT_VALUE_TOL = 1e-6
 
 # Hermitian defect and negative eigenvalue of a positive Gram matrix, relative to max(1, max|G|).
 POSITIVITY_TOL = 1e-9
-# Gram eigenvalues at most this times the largest one span the GNS null space.
+# Gram eigenvalues (on all of M_n, density eigenvalues) at most this times the
+# largest one span the GNS null space.
 GRAM_NULL_TOL = 1e-10
 # How far a vector state's vector may be from norm 1.
 UNIT_VECTOR_TOL = 1e-9

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from cstarkit.algebra import _pairing
+from cstarkit import states
+from cstarkit.algebra import _combine_each, _pairing
 
 
 def rand_matrix(rng, n, scale=1.0):
@@ -32,6 +33,26 @@ def product_coords(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.
     for i, a in enumerate(left):
         out[i] = _pairing(a @ right, rows)
     return out
+
+
+def reference_gram_gns(alg, state):
+    """states.gns as it was on every algebra before all of M_n took the
+    density path: one eigh of the d x d Gram matrix and one (d, k, k) block.
+    Kept verbatim, apart from the name, the tolerance literal and keyword
+    arguments for the representation's fields."""
+    g = states._positive_gram(alg, state)
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    keep = w > 1e-10 * max(float(w[-1]) if w.size else 0.0, 0.0)
+    vk, wk = v[:, keep], w[keep]
+    coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
+    pinv = vk / np.sqrt(wk)[None, :]  # d x k
+    (d, n, _), k = alg.basis.shape, len(wk)
+    prods = (alg.basis[:, None] @ _combine_each(pinv.T, alg.basis)[None]).reshape(d, k, n * n)
+    block = coset_map @ alg.basis.conj().reshape(d, n * n) @ prods.swapaxes(1, 2)
+    cyclic = coset_map @ alg.identity_coords if alg.unital else None
+    return states.GnsRepresentation(
+        alg, (block,), coset_map=coset_map, state=state, cyclic_vector=cyclic
+    )
 
 
 def exp_series_oracle(m, terms=60):

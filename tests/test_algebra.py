@@ -104,6 +104,20 @@ class TestFromGenerators:
             assert alg.contains(b)
 
 
+class TestWordsClosureScale:
+    """The words closure spans the same algebra at any scale of its generators."""
+
+    JORDAN = np.diag([1.0, 2.0, 2.0, 2.0]) + np.eye(4, k=1)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300, 1e-160, 1e-300])
+    @pytest.mark.parametrize("flags, dim", [({"include_adjoints": False}, 4), ({"real_field": True}, 16)])
+    def test_jordan_generator(self, scale, flags, dim):
+        alg = algebra.algebra_from_generators([scale * self.JORDAN], **flags)
+        assert alg.dim == dim
+        _assert_same_span(alg.basis, algebra.algebra_from_generators([self.JORDAN], **flags).basis)
+        assert alg.contains(scale * self.JORDAN)
+
+
 class TestFindIdentity:
     def test_full_matrix_algebra(self):
         alg = algebra.full_matrix_algebra(2)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_matrix
+from conftest import rand_matrix, reference_gram_gns
 from cstarkit import algebra, cli, gelfand, linalg, qm, spectral, states
 from cstarkit.errors import MalformedInput
 
@@ -973,7 +973,7 @@ def _reference_cmd_gns(args) -> dict:
     alg = algebra.full_matrix_algebra(n)
     values = [complex(np.trace(rho @ b)) for b in alg.basis]
     state = states.make_state(alg, values)
-    rep = states.gns(alg, state)
+    rep = reference_gram_gns(alg, state)
     hom_resid, contraction, state_resid = _reference_gns_residuals(alg, state, rep, args.seed)
     return {
         "inputs": {"input": cli.matrix_to_json(rho)},
@@ -1010,12 +1010,20 @@ def _reference_cmd_spectrum(args) -> dict:
     }
 
 
-def _assert_bytes_match_reference(tmp_path, argv, reference):
-    """cli.run(argv) writes exactly the report that reference(args) builds."""
+def _assert_bytes_match_reference(tmp_path, argv, reference, residual_tol=None):
+    """cli.run(argv) writes exactly the report that reference(args) builds;
+    with residual_tol, each residual value within residual_tol of the
+    reference's and every other byte the same."""
     out = tmp_path / "new.json"
     assert cli.run([*argv, "--out", str(out)]) == 0
     args = cli.build_parser().parse_args(argv)
     report = {"command": args.command, "seed": args.seed, **reference(args)}
+    if residual_tol is not None:
+        written = json.loads(out.read_text())["residuals"]
+        assert written.keys() == report["residuals"].keys()
+        for key, want in report["residuals"].items():
+            assert abs(written[key]["value"] - want["value"]) <= residual_tol, key
+            want["value"] = written[key]["value"]
     assert out.read_text() == _json_layout(report)
 
 
@@ -1027,7 +1035,9 @@ def _density(rng, n, rank):
 
 
 class TestStackedGnsEquivalence:
-    """gns samples its checks in stacks and still writes the per-sample loop's bytes."""
+    """gns samples its checks in stacks on the n x n block of a (x) I_r, and
+    writes the bytes of the per-sample loop on the Gram path's (n r) x (n r)
+    images, apart from residual values within 1e-12."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("rank", ["full", 2])
@@ -1037,21 +1047,65 @@ class TestStackedGnsEquivalence:
         path = write_matrix(tmp_path / "rho.json", rho)
         for seed in (0, 981):
             argv = ["gns", "--input", path, "--seed", str(seed)]
-            _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_gns)
+            _assert_bytes_match_reference(tmp_path, argv, _reference_cmd_gns, residual_tol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_residuals_without_cyclic_vector(self, n):
+        """The stacked checks give the per-sample loop's bits on a Gram-path
+        representation, and agree within 1e-12 on the multiplicity form."""
         rng = np.random.default_rng(n)
         alg = algebra.full_matrix_algebra(n)
         rho = _density(rng, n, min(2, n))
         state = states.make_state(alg, [complex(np.trace(rho @ b)) for b in alg.basis])
-        rep = states.gns(alg, state)
-        for r in (rep, dataclasses.replace(rep, cyclic_vector=None)):
-            for seed in (1, 44):
-                got = cli._gns_sample_residuals(r, seed)
-                hom, contraction, state_resid = _reference_gns_residuals(alg, state, r, seed)
-                assert got == (hom, max(0.0, contraction), state_resid)
-        assert cli._gns_sample_residuals(dataclasses.replace(rep, cyclic_vector=None), 1)[2] == 0.0
+        for rep, tol in ((reference_gram_gns(alg, state), 0.0), (states.gns(alg, state), 1e-12)):
+            for r in (rep, dataclasses.replace(rep, cyclic_vector=None)):
+                for seed in (1, 44):
+                    got = cli._gns_sample_residuals(r, seed)
+                    hom, contraction, state_resid = _reference_gns_residuals(alg, state, r, seed)
+                    want = (hom, max(0.0, contraction), state_resid)
+                    assert np.max(np.abs(np.subtract(got, want))) <= tol
+            assert cli._gns_sample_residuals(dataclasses.replace(rep, cyclic_vector=None), 1)[2] == 0.0
+
+
+def _gns_verdicts(rep, seed=4):
+    """Whether each gns residual of rep is within GNS_REPORT_TOL."""
+    return [value <= cli.GNS_REPORT_TOL for value in cli._gns_sample_residuals(rep, seed)]
+
+
+class TestGnsResidualsFlip:
+    """Each gns residual fails when the representation data is perturbed.  On
+    the matrix units the block is the basis itself, so the images are the
+    samples and the homomorphism and contraction checks read exactly 0."""
+
+    @pytest.fixture(params=[(2, 1), (3, 3), (4, 2), (6, 2)], ids=lambda p: f"n{p[0]}-rank{p[1]}")
+    def rep(self, request):
+        n, rank = request.param
+        rho = _density(np.random.default_rng([n, rank]), n, rank)
+        alg = algebra.full_matrix_algebra(n)
+        rep = states.gns(alg, states.make_state(alg, states._trace_values(alg, rho)))
+        assert rep.hilbert_dim == n * rank
+        hom, contraction, state_resid = cli._gns_sample_residuals(rep, 4)
+        assert hom == contraction == 0.0 and state_resid <= cli.GNS_REPORT_TOL
+        return rep
+
+    def test_transposed_block_flips_star_homomorphism(self, rep):
+        flipped = dataclasses.replace(rep, blocks=(rep.blocks[0].swapaxes(1, 2),))
+        assert _gns_verdicts(flipped)[:2] == [False, True]
+
+    def test_similar_block_flips_star_homomorphism(self, rep):
+        """a -> S a S^-1 for a non-unitary S is multiplicative but not a *-map."""
+        s = np.diag(np.arange(1.0, rep.algebra.ambient_dim + 1))
+        similar = dataclasses.replace(rep, blocks=(s @ rep.blocks[0] @ np.linalg.inv(s),))
+        assert _gns_verdicts(similar)[0] is False
+
+    def test_scaled_block_flips_contraction_excess(self, rep):
+        scaled = dataclasses.replace(rep, blocks=(rep.blocks[0] * (1 + 1e-6),))
+        assert _gns_verdicts(scaled)[1] is False
+
+    def test_perturbed_cyclic_vector_flips_state_reproduction(self, rep):
+        x = rep.cyclic_vector.copy()
+        x[0] += 1e-6
+        assert _gns_verdicts(dataclasses.replace(rep, cyclic_vector=x)) == [True, True, False]
 
 
 class TestOneDecompositionSpectrumEquivalence:
@@ -1222,6 +1276,38 @@ def test_characters_of_a_64_circulant(tmp_path):
     assert results["count"] == results["algebra_dim"] == 64
 
 
+# Run in a fresh interpreter, whose peak resident set is the run's own.  A
+# (d, n r, n r) representation at n = 24 would take about 6 GB.
+_GNS_AT_N24 = """
+import json
+import resource
+import sys
+import numpy as np
+from cstarkit import cli
+rng = np.random.default_rng(24)
+g = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+rho = g @ g.conj().T
+with open(sys.argv[1], "w") as fh:
+    json.dump(cli.matrix_to_json(rho / np.trace(rho).real), fh)
+code = cli.run(["gns", "--input", sys.argv[1], "--out", sys.argv[2]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_gns_of_a_full_rank_24_density(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _GNS_AT_N24,
+         str(tmp_path / "rho.json"), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["results"] == {"hilbert_dim": 576, "algebra_dim": 576}
+    assert int(proc.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
+
+
 class TestNoStructureTensor:
     """No subcommand forms the structure constants or a dense sum of several blocks."""
 
@@ -1234,17 +1320,19 @@ class TestNoStructureTensor:
 
     @pytest.mark.parametrize("command", list(cli._HANDLERS))
     def test_product_coords_unused(self, tmp_path, monkeypatch, command):
-        """Each subcommand applies representations one block at a time."""
-        blocks = []
-        apply_each = states.Representation._apply_each
+        """Each subcommand applies representations one block at a time, and
+        none forms a full image with its multiplicities."""
+        blocks, full = [], []
+        block_images_each = states.Representation._block_images_each
 
-        def recording_apply_each(self, mats):
+        def recording_block_images_each(self, mats):
             blocks.append(len(self.blocks))
-            return apply_each(self, mats)
+            return block_images_each(self, mats)
 
-        monkeypatch.setattr(states.Representation, "_apply_each", recording_apply_each)
+        monkeypatch.setattr(states.Representation, "_block_images_each", recording_block_images_each)
+        monkeypatch.setattr(states.Representation, "_apply_each", lambda *a: full.append(1))
         run_to_file(tmp_path, [command, *_seeded_argvs(tmp_path)[command]])
-        assert all(k == 1 for k in blocks)
+        assert all(k == 1 for k in blocks) and not full
         assert blocks or command != "gns"
 
 

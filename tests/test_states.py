@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import product_coords, rand_matrix
+from conftest import product_coords, rand_matrix, reference_gram_gns
 from cstarkit import algebra, linalg, states
 from cstarkit.errors import AlgebraMismatch, DimensionMismatch, NotPositive, NotUnitVector
 
@@ -523,10 +523,94 @@ class TestStackedUniversalEquivalence:
         m2 = algebra.full_matrix_algebra(2)
         vector = states.gns(m2, states.vector_state(m2, [1.0, 0.0]))
         total = states.direct_sum_reps([vector, states.gns(m2, states.trace_state(m2)), vector])
-        assert [b.shape[1] for b in total.blocks] == [2, 4, 2]
+        sizes = [b.shape[1] * m for b, m in zip(total.blocks, total.multiplicities)]
+        assert sizes == [2, 4, 2]
         mats = algebra._random_matrices(m2, np.random.default_rng(5), 9)
         dense = linalg._op_norm_each(total._apply_each(mats))
         assert np.max(np.abs(total._norm_each(mats) - dense)) <= 1e-12
+
+
+def _reference_universal_integers(alg):
+    """(hilbert_dim, state_count) of universal_rep with every summand on the Gram path."""
+    bbs = alg.basis @ alg.basis.conj().swapaxes(1, 2)
+    family = [states.trace_state(alg)] if alg.unital else []
+    family += [states.norming_state(algebra.Element(alg, bb @ bb)) for bb in bbs]
+    return sum(reference_gram_gns(alg, f).hilbert_dim for f in family), len(family)
+
+
+class TestGnsMultiplicity:
+    """On all of M_n, gns is a -> a (x) I_r with the Gram path's integers, and
+    the Gram path stays on every other algebra."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("rank", ["full", 2, 1])
+    def test_hilbert_dim(self, n, rank):
+        r = n if rank == "full" else min(rank, n)
+        g = rand_matrix(np.random.default_rng([n, r]), n)[:, :r]
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        alg = algebra.full_matrix_algebra(n)
+        state = states.make_state(alg, states._trace_values(alg, rho))
+        rep = states.gns(alg, state)
+        assert rep.blocks[0] is alg.basis and rep.multiplicities == (r,)
+        assert rep.hilbert_dim == reference_gram_gns(alg, state).hilbert_dim == n * r
+        assert rep.coset_map.shape == (n * r, n * n) and rep.cyclic_vector.shape == (n * r,)
+        assert np.max(np.abs(rep.coset_map @ alg.identity_coords - rep.cyclic_vector)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_universal_on_generated_full_matrix_algebras(self, n):
+        alg = _generated(n, 30 + n)
+        assert alg.dim == n * n
+        report = states.universal_rep(alg, samples=3)
+        got = (report.representation.hilbert_dim, report.state_count)
+        assert got == _reference_universal_integers(alg)
+
+    def test_universal_off_full_matrix_algebra_keeps_the_gram_path(self):
+        e12 = np.zeros((3, 3))
+        e12[0, 1] = 1.0
+        alg = algebra.algebra_from_generators([e12])
+        assert alg.dim == 5  # M_2 + C
+        report = states.universal_rep(alg, samples=3)
+        rep = report.representation
+        assert (rep.hilbert_dim, report.state_count) == _reference_universal_integers(alg)
+        assert set(rep.multiplicities) == {1}
+        f = states.trace_state(alg)
+        (got,), (want,) = states.gns(alg, f).blocks, reference_gram_gns(alg, f).blocks
+        assert np.array_equal(got, want)
+
+    def test_real_field_keeps_the_gram_path(self):
+        alg = _generated(3, 7, real_field=True)
+        assert alg.dim == 9
+        f = states.trace_state(alg)
+        rep, want = states.gns(alg, f), reference_gram_gns(alg, f)
+        assert rep.multiplicities == (1,) and np.array_equal(rep.blocks[0], want.blocks[0])
+
+    def test_direct_sum_keeps_multiplicities(self):
+        m2 = algebra.full_matrix_algebra(2)
+        vector = states.gns(m2, states.vector_state(m2, [1.0, 0.0]))
+        total = states.direct_sum_reps([vector, states.gns(m2, states.trace_state(m2))])
+        assert total.multiplicities == (1, 2) and total.hilbert_dim == 6
+        a = algebra._random_matrices(m2, np.random.default_rng(3), 1)[0]
+        want = np.zeros((6, 6), dtype=complex)
+        want[:2, :2], want[2:, 2:] = a, np.kron(a, np.eye(2))
+        assert np.array_equal(total.apply(a), want)
+
+    def test_norms_of_distinct_and_shared_blocks(self):
+        """Characters of C^3 as 1 x 1 blocks, one shared by two summands: the
+        norm of an image is the largest of its distinct blocks' norms."""
+        alg = diag_algebra([1.0, 2.0, 3.0])
+        from cstarkit.gelfand import characters
+
+        reps = [states.gns(alg, states.make_state(alg, chi.values)) for chi in characters(alg)]
+        total = states.direct_sum_reps([*reps, reps[0]])
+        mats = algebra._random_matrices(alg, np.random.default_rng(8), 9)
+        want = np.max(np.abs(np.diagonal(mats, axis1=1, axis2=2)), axis=1)
+        assert np.max(np.abs(total._norm_each(mats) - want)) <= 1e-12
+        assert np.max(np.abs(linalg._op_norm_each(total._apply_each(mats)) - want)) <= 1e-12
+
+    def test_one_multiplicity_per_block(self):
+        m2 = algebra.full_matrix_algebra(2)
+        with pytest.raises(ValueError):
+            states.Representation(m2, (m2.basis,), (1, 2))
 
 
 class TestGnsGram:
@@ -670,12 +754,12 @@ class TestStructureFreeEquivalence:
         for f in family:
             assert np.max(np.abs(states.gram_matrix(alg, f) - _reference_gram(alg, f))) <= 1e-12
             rep = states.gns(alg, f)
-            (block,) = rep.blocks
-            assert block.shape == _reference_gns_matrices(alg, f).shape
+            images = rep._apply_each(alg.basis)
+            assert images.shape == _reference_gns_matrices(alg, f).shape
             # the same coset map: the GNS matrices are then fixed
             pinv = rep.coset_map.conj().T / np.sum(np.abs(rep.coset_map) ** 2, axis=1)
             want = _reference_left_multiplication(alg, rep.coset_map, pinv)
-            assert np.max(np.abs(block - want), initial=0.0) <= 1e-12
+            assert np.max(np.abs(images - want), initial=0.0) <= 1e-12
         for v in [f.values for f in family] + [raw]:
             got = states.functional(alg, v).multiplicativity_residual()
             assert abs(got - _reference_multiplicativity_residual(alg, v)) <= 1e-12
