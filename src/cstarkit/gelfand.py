@@ -3,14 +3,14 @@
 Characters are found from joint eigenvectors of the algebra acting on the
 ambient space: each eigenvector v yields a candidate functional
 a -> (v* a v) / (v* v), and candidates failing multiplicativity are
-dropped.  Both paths use the fixed generic z = sum_k c_k b_k of
-``algebra._generic_coords``.  On a *-closed algebra, a C*-algebra, the
-characters are the joint eigenspaces, read off one eigendecomposition of
-h = (z + z*) / 2: every b_k commutes with h and keeps its eigenspaces, one
-stacked product checks that it acts on each as a scalar, and one that
-fails is split by the Hermitian spanning set.  Otherwise the candidates
-are the eigenvectors of one eig of z.  All are checked for
-multiplicativity and deduplicated as one stack, as ``states.Functional``s.
+dropped.  The candidates are the eigenvectors of one eig of the fixed
+generic z = sum_k c_k b_k of ``algebra._generic_coords``, at whose values
+distinct characters differ.  A *-closed algebra is a C*-algebra with
+exactly dim characters; when rounding ties two of them at z, as it can on
+a basis built for it, fewer are found, and the candidates are taken again
+from the joint eigenspaces that the Hermitian spanning set splits off.
+All are checked for multiplicativity and deduplicated as one stack, as
+``states.Functional``s.
 """
 
 from __future__ import annotations
@@ -97,12 +97,6 @@ def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
     return [h for h in parts if np.linalg.norm(h) > ZERO_NORM]
 
 
-def _generic_hermitian(alg: Algebra) -> np.ndarray:
-    """h = (z + z*) / 2 for z = sum_k (cos k + i sqrt(2) sin k) b_k."""
-    z = alg.from_coords(_generic_coords(alg.dim)[0])
-    return (z + z.conj().T) / 2.0
-
-
 def _clusters(w: np.ndarray) -> list[tuple[int, int]]:
     """Index ranges [s, e) of ascending eigenvalues split at gaps above
     EIGENSPACE_TOL * (1 + max|w|)."""
@@ -126,33 +120,6 @@ def _split(blocks: list[np.ndarray], hermitians) -> list[np.ndarray]:
             refined.extend(blk @ u[:, s:e] for s, e in _clusters(w))
         blocks = refined
     return blocks
-
-
-def _joint_eigenvectors(alg: Algebra) -> np.ndarray:
-    """One unit vector from each joint eigenspace of a *-closed commutative algebra, as columns.
-
-    Every b_k commutes with the generic Hermitian element h, so it keeps each
-    eigenspace of h, and a one-column eigenspace is a joint eigenvector.  A
-    wider one is kept when every b_k compresses to a scalar on it, checked
-    for all of them in one stacked product Q* B Q; the rest are split by the
-    Hermitian spanning set.
-    """
-    w, q = np.linalg.eigh(_generic_hermitian(alg))
-    spans = _clusters(w)
-    if len(spans) == len(w):
-        return q
-    widths = np.array([e - s for s, e in spans])
-    label = np.repeat(np.arange(len(spans)), widths)
-    comp = q.conj().T @ alg.basis @ q
-    scalar = np.add.reduceat(np.diagonal(comp, axis1=1, axis2=2), [s for s, _ in spans], axis=1)
-    scalar = (scalar / widths)[:, label]
-    dev = np.abs(comp - scalar[:, :, None] * np.eye(len(w))) * (label[:, None] == label)
-    fails = ~(dev <= EIGENSPACE_TOL * (1.0 + np.abs(scalar))[:, :, None]).all(axis=(0, 2))
-    vecs = []
-    for s, e in spans:
-        blocks = _split([q[:, s:e]], _hermitian_spanning_set(alg)) if fails[s] else [q[:, s:e]]
-        vecs.extend(blk[:, 0] for blk in blocks)
-    return np.stack(vecs, axis=1)
 
 
 def _candidate_values(alg: Algebra, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,24 +177,32 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     for nilpotent non-unital algebras and shorter than dim(alg) when the
     Gelfand transform has a kernel.
 
-    On a *-closed algebra one vector per joint eigenspace gives them all;
-    otherwise the candidates are the eigenvectors of one eig of the generic
+    The candidates are the eigenvectors of one eig of the generic
     z = sum_k c_k b_k.  Distinct characters differ at z, as the frequency +k
     of chi(z) - psi(z) = sum_k c_k (chi - psi)(b_k) comes from the term k
     alone (_generic_coords).  A keeps z's eigenspace at chi(z), so where that
     is a line it is chi's joint eigenvector; eig's vectors in a wider one are
     left to the multiplicativity filter.
+
+    On a *-closed algebra z is normal, and each of its eigenspaces is one
+    joint eigenspace.  A vector off by delta gives a convex mix of
+    characters, whose residual is about delta^2, so eig finds them all
+    unless rounding ties two values chi(z) within about 1e-12 ||z||, as it
+    can on a basis built for it.  Such an algebra is a C*-algebra, so it has
+    exactly dim characters; where fewer are found, the candidates are taken
+    again from the joint eigenspaces into which the Hermitian spanning set
+    splits the ambient space (_split).
     """
     if alg.real_field:
         raise ComplexFieldRequired("characters are computed over the complex field")
     if not alg.abelian:
         raise NonAbelian("the algebra has non-commuting basis elements")
-    if alg.star_closed:
-        vecs = _joint_eigenvectors(alg)
-    else:
-        z = alg.from_coords(_generic_coords(alg.dim)[0])
-        vecs = linalg._lapack(np.linalg.eig, z)[1]
-    chars = tuple(Character(alg, v) for v in _sorted(_consider(alg, vecs)))
+    z = alg.from_coords(_generic_coords(alg.dim)[0])
+    found = _consider(alg, linalg._lapack(np.linalg.eig, z)[1])
+    if len(found) < alg.dim and alg.star_closed:
+        blocks = _split([np.eye(alg.ambient_dim, dtype=complex)], _hermitian_spanning_set(alg))
+        found = _consider(alg, np.stack([blk[:, 0] for blk in blocks], axis=1))
+    chars = tuple(Character(alg, v) for v in _sorted(found))
     return GelfandSpectrumData(alg, chars)
 
 

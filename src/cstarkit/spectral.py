@@ -72,11 +72,11 @@ def clustering_radius(values: np.ndarray) -> float:
     return CLUSTER_SCALE * (1.0 + peak)
 
 
-def _dedupe(values) -> tuple[list, float] | tuple[list[list], list[float]]:
+def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[float]]:
     """Cluster eigenvalues; returns representatives (cluster means) and the radius.
 
-    values is one row of n points, or a (k, n) stack of rows; a stack gives
-    the list of each row's representatives and the list of the rows' radii.
+    values is an array: one row of n points, or a (k, n) stack of rows; a
+    stack gives the list of each row's representatives and of the rows' radii.
     In each row, points are taken in (re, im) order, each joining the first
     cluster whose mean lies within the radius.  Rows whose pairwise gaps all
     exceed the radius by a margin that numpy's and Python's complex abs
@@ -84,13 +84,10 @@ def _dedupe(values) -> tuple[list, float] | tuple[list[list], list[float]]:
     greedy rule together, on running sums and counts (_greedy_clusters).
     numpy divides an array of sums by their counts as it divides one
     complex scalar by an int, and np.hypot is Python's complex abs, so each
-    ndarray row of a stack gives what it gives alone, and what the
-    one-point-at-a-time loop gives.  A list row's final means are divided as
-    Python divides, but its greedy steps compare with numpy's means, so it
-    matches the loop only where no point lies within an ulp of the radius.
+    row of a stack gives what it gives alone, and what the
+    one-point-at-a-time loop gives.
     """
-    z = np.asarray(values)
-    rows = np.atleast_2d(z)
+    rows = np.atleast_2d(values)
     k, n = rows.shape
     radii = CLUSTER_SCALE * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
     order = np.lexsort((rows.imag, rows.real), axis=-1)
@@ -105,14 +102,10 @@ def _dedupe(values) -> tuple[list, float] | tuple[list[list], list[float]]:
     if not single.all():
         greedy = ~single
         sums[greedy], counts[greedy] = _greedy_clusters(zs[greedy], radii[greedy])
-    if isinstance(values, np.ndarray):
-        means = sums / np.maximum(counts, 1)  # as each numpy scalar divides by an int
-        points = [list(mrow[crow > 0]) for mrow, crow in zip(means, counts)]
-    else:  # Python scalars divide as Python does
-        pairs = zip(sums.tolist(), counts.tolist())
-        points = [[s / c for s, c in zip(srow, crow) if c] for srow, crow in pairs]
+    means = sums / np.maximum(counts, 1)  # as each numpy scalar divides by an int
+    points = [list(mrow[crow > 0]) for mrow, crow in zip(means, counts)]
     radii = radii.tolist()
-    return (points, radii) if z.ndim == 2 else (points[0], radii[0])
+    return (points, radii) if values.ndim == 2 else (points[0], radii[0])
 
 
 def _greedy_clusters(zs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ NEUMANN_TOL = 1e-12
 
 # Max-norm distance within which two characters are one; relative rank cut of the transform.
 DEDUPE_RADIUS = 1e-7
-# Relative gap between eigenspaces of the generic element, and scalar defect on one.
+# Relative gap at which characters' fallback split cuts a block's compressed eigenvalues.
 EIGENSPACE_TOL = 1e-8
 # Multiplicativity residual of a character, and the size up to which its values are all 0.
 MULTIPLICATIVE_TOL = 1e-8

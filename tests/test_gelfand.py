@@ -383,7 +383,7 @@ NOT_STAR_CLOSED = {
 
 
 class TestStarClosedCharacters:
-    """*-closed algebras take only the deterministic joint-eigenspace path."""
+    """*-closed algebras get one character per joint eigenspace, drawing no random numbers."""
 
     @pytest.mark.parametrize("name", sorted(STAR_ABELIAN))
     def test_distinct_joint_eigenvalues_without_rng(self, monkeypatch, name):
@@ -625,6 +625,18 @@ def _seeded_runs(name):
     return alg, [_reference_characters(alg, seed) for seed in REFERENCE_SEEDS]
 
 
+NATURAL_STAR_ABELIAN = {
+    **{name: (lambda make=make: make(np.random.default_rng(77))) for name, make in STAR_ABELIAN.items()},
+    **{
+        f"{label}-{n}": (
+            lambda label=label, n=n: algebra.algebra_from_generators([_benchmark_like(label, n, 1000 * n)])
+        )
+        for label in ("distinct", "doubled", "circulant")
+        for n in (6, 8, 11, 12, 16)
+    },
+}
+
+
 class TestGenericSplitEquivalence:
     """characters() from one generic element, candidates checked in one stack,
     give the reference's characters in the reference's order."""
@@ -652,29 +664,32 @@ class TestGenericSplitEquivalence:
             self.assert_same(spec, _reference_characters(alg))
             assert len(spec) == (n // 2 if label == "doubled" else n)
 
-    def test_scalar_generic_element_falls_back_to_splitting(self, monkeypatch):
-        alg = algebra.algebra_from_generators([doubled_normal(np.random.default_rng(5), 6)])
-        splits = []
-
-        def split(blocks, hermitians):
-            splits.append(blocks[0].shape[1])
-            return gelfand._split.__wrapped__(blocks, hermitians)
-
-        split.__wrapped__ = gelfand._split
-        monkeypatch.setattr(gelfand, "_generic_hermitian", lambda a: np.eye(a.ambient_dim))
-        monkeypatch.setattr(gelfand, "_split", split)
+    def test_characters_tied_at_the_generic_element(self):
+        """C^2 in a rotated frame, on an orthonormal basis whose two characters
+        take one value at z: eig's vectors mix them, and the split finds both."""
+        c = algebra._generic_coords(2)[0]
+        q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        # m[j, k] = chi_j(b_k), unitary, with row 0 - row 1 = sqrt(2) (c_2, -c_1) / ||c||
+        m = q @ np.array([[c[1], -c[0]], c.conj()]) / np.linalg.norm(c)
+        rng = np.random.default_rng(3)
+        r, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        alg = algebra.Algebra(np.stack([(r * m[:, k]) @ r.conj().T for k in range(2)]))
+        assert alg.abelian and alg.star_closed
+        assert abs((m @ c)[0] - (m @ c)[1]) <= 1e-15
         spec = gelfand.characters(alg)
-        assert splits == [6]
-        assert len(spec) == 4
+        assert len(spec) == alg.dim == 2
         self.assert_same(spec, _reference_characters(alg))
 
-    def test_one_wide_block_is_split_in_place(self, monkeypatch):
-        """h separating all but two joint eigenspaces: only that block is split."""
-        alg = diag_algebra([1.0, 2.0, 3.0, 4.0])
-        monkeypatch.setattr(
-            gelfand, "_generic_hermitian", lambda a: np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex)
-        )
-        self.assert_same(gelfand.characters(alg), _reference_characters(alg))
+    @pytest.mark.parametrize("name", sorted(NATURAL_STAR_ABELIAN))
+    def test_natural_inputs_never_split(self, monkeypatch, name):
+        """Every natural *-closed input gets its dim characters from the one eig."""
+        alg = NATURAL_STAR_ABELIAN[name]()
+
+        def split(*args):
+            raise AssertionError("characters() took the splitting fallback")
+
+        monkeypatch.setattr(gelfand, "_split", split)
+        assert len(gelfand.characters(alg)) == alg.dim
 
     @pytest.mark.parametrize("name", sorted(NOT_STAR_CLOSED))
     @pytest.mark.parametrize("seed", REFERENCE_SEEDS)

@@ -622,7 +622,7 @@ class TestDedupeEquivalence:
         yield np.array([1j, 0.0, -1j, complex(0.0, -0.0)])
         yield np.array([0.0, 0.6e-7, 1.2e-7], dtype=complex)
         yield np.array([1.0, 2.0, 2.0 + 1e-12])
-        yield [complex(-0.0, 2.0), 1 + 0j, complex(1.0, -0.0)]
+        yield np.array([complex(-0.0, 2.0), 1 + 0j, complex(1.0, -0.0)])
         for factor in (0.5, 1 - 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 5e-10, 1 + 2e-9, 1 + 1e-6, 3.0):
             yield _pair_at_gap(factor)
             yield 1e6 * _pair_at_gap(factor)
@@ -645,8 +645,8 @@ class TestDedupeEquivalence:
         for re, im in (("-0x1.9d767e0557b65p-24", "-0x1.d1084593487fep-26"),
                        ("-0x1.4db362266fb3ap-24", "0x1.0e641a9724619p-24")):
             yield np.array([0j, complex(float.fromhex(re), float.fromhex(im))])
-        yield [1 + 0j, complex(1.0, 1e-12), complex(1.0 - 3e-12, -0.0), 5j, 1 + 1e-12j, 5j]
-        yield _chain(-1.0, 0.6, 8).tolist()
+        yield np.array([1 + 0j, complex(1.0, 1e-12), complex(1.0 - 3e-12, -0.0), 5j, 1 + 1e-12j, 5j])
+        yield _chain(-1.0, 0.6, 8)
 
     def test_exact_output(self):
         for values in self._inputs():
@@ -661,7 +661,7 @@ class TestDedupeEquivalence:
         clusters, stacks of random clustered rows, and empty stacks."""
         by_length = {}
         for values in TestDedupeEquivalence._inputs():
-            if isinstance(values, np.ndarray) and values.dtype == complex:
+            if values.dtype == complex:
                 by_length.setdefault(len(values), []).append(values)
         yield from (np.stack(rows) for rows in by_length.values())
         rng = np.random.default_rng(58)
@@ -676,7 +676,9 @@ class TestDedupeEquivalence:
         yield np.zeros((0, 4), dtype=complex)
         yield np.zeros((3, 0), dtype=complex)
         yield np.zeros((0, 0), dtype=complex)
-        yield [[1 + 0j, complex(1.0, 1e-12), 3 + 0j, 1 - 2e-12j], [0j, 2j, 1 + 0j, complex(-0.0, 2.0)]]
+        yield np.array(
+            [[1 + 0j, complex(1.0, 1e-12), 3 + 0j, 1 - 2e-12j], [0j, 2j, 1 + 0j, complex(-0.0, 2.0)]]
+        )
 
     def test_each_row_of_a_stack_is_its_own_call(self):
         for stack in self._stacks():
