@@ -1,13 +1,13 @@
 """Positive linear functionals, states, and the GNS construction.
 
 A functional is stored by its values on the algebra's orthonormal basis,
-so functionals on proper subalgebras are intrinsic; on the algebra it is
-f(a) = tr(D a) for the density D = sum_l f(b_l) b_l*.  Positivity is
-decided by the Gram matrix G[i, j] = f(e_i* e_j), the form <[a], [b]> =
-f(b* a) in coordinates, and the GNS Hilbert space is the quotient by its
-null space.  On all of M_n over the complex field that space is C^n (x) C^r,
-r = rank D, and the GNS representation is a -> a (x) I_r, read from one
-eigendecomposition of D.  A representation is its blocks with their
+so functionals on proper subalgebras are intrinsic; on the algebra A it is
+f(a) = tr(D a) for the density D = sum_l f(b_l) b_l*, which lies in A when
+A is *-closed.  So f is positive exactly when D >= 0 (a negative eigenspace's
+projection p is a polynomial in D, with f(p) < 0), and with W = V diag(sqrt(w))
+over D's kept eigenpairs, f(b* a) = <a W, b W>: [a] -> a W maps the GNS space
+onto H = A W in C^n (x) C^r, r = rank D, and the GNS representation is
+a -> a (x) I_r on H.  A representation is its blocks with their
 multiplicities; a direct sum keeps both.
 """
 
@@ -41,7 +41,8 @@ from .tolerances import (
 @dataclass(frozen=True, eq=False)
 class Functional:
     """A linear functional given by its values, a read-only complex (d,) array,
-    on the algebra basis; its Gram matrix and positivity test are cached."""
+    on the algebra basis; its density, the eigendecomposition of the density's
+    Hermitian part and the positivity test are cached."""
 
     algebra: Algebra
     values: np.ndarray
@@ -64,15 +65,23 @@ class Functional:
         return float(_multiplicativity_residuals(v, _basis_products(alg, v, alg.basis))[0])
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        return gram_matrix(self.algebra, self)
+    def _density(self) -> np.ndarray:
+        return _combine_each(self.values[None], self.algebra.basis.conj().swapaxes(1, 2))[0]
+
+    @cached_property
+    def _density_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        dens = self._density
+        return np.linalg.eigh((dens + dens.conj().T) / 2.0)
 
     @cached_property
     def _positivity(self) -> PositivityReport:
-        g = self._gram
-        scale = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
-        defect = float(np.linalg.norm(g - g.conj().T)) / scale
-        w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+        """D's Hermitian defect sqrt(n) ||D - D*||_F and least eigenvalue, relative
+        to max(1, max|D_ij|): on the matrix units, the Gram matrix's defect and scale."""
+        if not self.algebra.star_closed:
+            raise NotStarClosed("positivity needs a *-closed algebra (the density must lie in it)")
+        dens, (w, _) = self._density, self._density_eigh
+        scale = max(1.0, float(np.max(np.abs(dens), initial=0.0)))
+        defect = float(np.sqrt(len(dens)) * np.linalg.norm(dens - dens.conj().T)) / scale
         min_eig = float(w[0]) if w.size else 0.0
         positive = defect <= POSITIVITY_TOL and min_eig >= -POSITIVITY_TOL * scale
         return PositivityReport(positive, min_eig, defect)
@@ -138,27 +147,30 @@ def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
 
 
 def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:
-    """Positivity (f(a*a) >= 0 on the span) via the Gram matrix's eigenvalues."""
+    """Positivity (f(a*a) >= 0 on the span) via the density's eigenvalues."""
     _same_algebra(alg, f)
     return f._positivity
 
 
-def _positive_gram(alg: Algebra, f: Functional) -> np.ndarray:
-    """f's Gram matrix once f passes the positivity test; NotPositive naming the failed test."""
+def _positive_density(alg: Algebra, f: Functional) -> tuple[np.ndarray, np.ndarray]:
+    """The density's eigenpairs w > GRAM_NULL_TOL * max w once f passes the
+    positivity test; NotPositive naming the failed test."""
     report = is_positive_functional(alg, f)
     if not report.positive:
         if not report.hermitian_defect <= POSITIVITY_TOL:
-            test = f"Gram matrix Hermitian defect {report.hermitian_defect:.3e} exceeds"
+            test = f"density Hermitian defect {report.hermitian_defect:.3e} exceeds"
         else:
-            test = f"min Gram eigenvalue {report.min_gram_eigenvalue:.3e} is below -max(1, |G|) *"
+            test = f"min density eigenvalue {report.min_gram_eigenvalue:.3e} is below -max(1, |D|) *"
         raise NotPositive(f"{test} {POSITIVITY_TOL:.1e}")
-    return f._gram
+    w, v = f._density_eigh
+    keep = w > GRAM_NULL_TOL * max(float(w[-1]) if w.size else 0.0, 0.0)
+    return w[keep], v[:, keep]
 
 
 def make_state(alg: Algebra, values) -> State:
     """Validate positivity and normalization, then build a State."""
     f = State(alg, values)
-    _positive_gram(alg, f)
+    _positive_density(alg, f)
     if not alg.unital:
         raise NotUnital("states are normalized against the algebra identity")
     nrm = f(alg.identity_matrix)
@@ -183,13 +195,13 @@ def functional_norm(alg: Algebra, f: Functional) -> float:
     """||f|| = f(1) for positive functionals on unital algebras."""
     if not alg.unital:
         raise NotUnital("the norm formula needs an identity")
-    _positive_gram(alg, f)
+    _positive_density(alg, f)
     return float(f(alg.identity_matrix).real)
 
 
 def cauchy_schwarz_residual(f: Functional, a: Element, b: Element) -> float:
     """f(a*a) f(b*b) - |f(b*a)|^2, non-negative for positive functionals."""
-    _positive_gram(f.algebra, f)
+    _positive_density(f.algebra, f)
     ma, mb = a.matrix, b.matrix
     faa = f(linalg.adjoint(ma) @ ma).real
     fbb = f(linalg.adjoint(mb) @ mb).real
@@ -273,49 +285,32 @@ class GnsRepresentation(Representation):
     cyclic_vector: np.ndarray | None = None
 
 
-def _kept_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of h's Hermitian part whose eigenvalues exceed
-    GRAM_NULL_TOL times the largest one."""
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    keep = w > GRAM_NULL_TOL * max(float(w[-1]) if w.size else 0.0, 0.0)
-    return w[keep], v[:, keep]
-
-
 def gns(alg: Algebra, state: Functional) -> GnsRepresentation:
-    """GNS representation of a positive functional.
+    """GNS representation of a positive functional: a (x) I_r on H = A W (see the
+    module docstring), from one eigendecomposition of its density; the block form
+    of Murota, Kanno, Kojima & Kojima, JJIAM 27 (2010), without computing it.
 
-    On all of M_n over the complex field (alg.dim == n^2, any orthonormal
-    basis) it is pi(a) = a (x) I_r on C^n (x) C^r, from one eigendecomposition
-    of the density D = sum_l f(b_l) b_l* (Murota, Kanno, Kojima & Kojima,
-    JJIAM 27 (2010)): the Gram matrix is unitarily I_n (x) D^T, so the kept
-    eigenvalues w > GRAM_NULL_TOL * max w of D give r and n r, the same
-    integers.  With W = V_kept diag(sqrt(w_kept)), an n x r matrix, [b] maps to
-    (b W).ravel(), the cyclic vector is W.ravel(), and the one block is the
-    basis itself with multiplicity r.
-
-    Other algebras and real fields keep the Gram path until every algebra
-    carries its block structure: the Hilbert space is the coordinate space
-    modulo the Gram null space (eigenvalues <= GRAM_NULL_TOL * max are
-    treated as zero), and left multiplication descends to pi(b_i)[s, t] =
-    <b_i w_t, u_s>, where w_t = sum_j pinv[j, t] b_j and u_s = sum_l
-    conj(coset_map[s, l]) b_l.
+    [b] maps to (b W).ravel().  On all of M_n (alg.dim == n^2, any orthonormal
+    basis, either field) H is all of C^n (x) C^r: the one block is the basis
+    with multiplicity r, and the cyclic vector is W.ravel().  Otherwise H is
+    spanned by the left singular vectors U of the coset matrix whose squared
+    singular values, the Gram matrix's eigenvalues, exceed GRAM_NULL_TOL times
+    the largest: the block is U* (b (x) I_r) U, the cosets and the cyclic
+    vector are compressed by U*.
     """
-    g = _positive_gram(alg, state)
-    d, n, _ = alg.basis.shape
-    if not alg.real_field and d == n * n:
-        wk, vk = _kept_eigh(_combine_each(state.values[None], alg.basis.conj().swapaxes(1, 2))[0])
-        root = vk * np.sqrt(wk)  # W, n x r
-        coset_map = (alg.basis @ root).reshape(d, -1).T
+    wk, vk = _positive_density(alg, state)
+    (d, n, _), r = alg.basis.shape, len(wk)
+    root = vk * np.sqrt(wk)  # W, n x r
+    cosets = (alg.basis @ root).reshape(d, n * r).T
+    if d == n * n:
         cyclic = root.ravel() if alg.unital else None
-        return GnsRepresentation(alg, (alg.basis,), (len(wk),), coset_map, state, cyclic)
-    wk, vk = _kept_eigh(g)
-    coset_map = (np.sqrt(wk)[:, None]) * vk.conj().T  # k x d
-    pinv = vk / np.sqrt(wk)[None, :]  # d x k
-    k = len(wk)
-    prods = (alg.basis[:, None] @ _combine_each(pinv.T, alg.basis)[None]).reshape(d, k, n * n)
-    block = coset_map @ alg.basis.conj().reshape(d, n * n) @ prods.swapaxes(1, 2)
-    cyclic = coset_map @ alg.identity_coords if alg.unital else None
-    return GnsRepresentation(alg, (block,), (1,), coset_map, state, cyclic)
+        return GnsRepresentation(alg, (alg.basis,), (r,), cosets, state, cyclic)
+    u, s, _ = np.linalg.svd(cosets, full_matrices=False)
+    u = u[:, s * s > GRAM_NULL_TOL * np.max(s, initial=0.0) ** 2]
+    uh, k = u.conj().T, u.shape[1]
+    block = uh @ (alg.basis @ u.reshape(n, r * k)).reshape(d, n * r, k)
+    cyclic = uh @ root.ravel() if alg.unital else None
+    return GnsRepresentation(alg, (block,), (1,), uh @ cosets, state, cyclic)
 
 
 def direct_sum_reps(reps) -> Representation:

@@ -55,10 +55,11 @@ UNIT_VALUE_TOL = 1e-6
 
 # -- States and GNS (states)
 
-# Hermitian defect and negative eigenvalue of a positive Gram matrix, relative to max(1, max|G|).
+# Hermitian defect and negative eigenvalue of a positive functional's density D,
+# relative to max(1, max|D_ij|).
 POSITIVITY_TOL = 1e-9
-# Gram eigenvalues (on all of M_n, density eigenvalues) at most this times the
-# largest one span the GNS null space.
+# Density eigenvalues, and squared singular values of the GNS coset matrix (the
+# Gram eigenvalues), at most this times the largest one span the GNS null space.
 GRAM_NULL_TOL = 1e-10
 # How far a vector state's vector may be from norm 1.
 UNIT_VECTOR_TOL = 1e-9

@@ -36,11 +36,13 @@ def product_coords(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.
 
 
 def reference_gram_gns(alg, state):
-    """states.gns as it was on every algebra before all of M_n took the
-    density path: one eigh of the d x d Gram matrix and one (d, k, k) block.
-    Kept verbatim, apart from the name, the tolerance literal and keyword
-    arguments for the representation's fields."""
-    g = states._positive_gram(alg, state)
+    """states.gns as it was on every algebra before it took the density path:
+    one eigh of the d x d Gram matrix and one (d, k, k) block.  Kept verbatim,
+    apart from the name, the tolerance literal, keyword arguments for the
+    representation's fields, and the Gram matrix read from states.gram_matrix
+    after the positivity gate."""
+    states._positive_density(alg, state)
+    g = states.gram_matrix(alg, state)
     w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
     keep = w > 1e-10 * max(float(w[-1]) if w.size else 0.0, 0.0)
     vk, wk = v[:, keep], w[keep]

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import product_coords, rand_matrix, reference_gram_gns
-from cstarkit import algebra, linalg, states
-from cstarkit.errors import AlgebraMismatch, DimensionMismatch, NotPositive, NotUnitVector
+from cstarkit import algebra, cli, linalg, states
+from cstarkit.errors import (
+    AlgebraMismatch,
+    DimensionMismatch,
+    NotPositive,
+    NotStarClosed,
+    NotUnital,
+    NotUnitVector,
+)
 
 
 def diag_algebra(entries):
@@ -538,9 +545,27 @@ def _reference_universal_integers(alg):
     return sum(reference_gram_gns(alg, f).hilbert_dim for f in family), len(family)
 
 
+def _e12(n):
+    """The matrix unit E_12 of M_n."""
+    e = np.zeros((n, n))
+    e[0, 1] = 1.0
+    return e
+
+
+def _assert_gram_integers_and_blocks(alg, f):
+    """gns(alg, f) has the Gram path's hilbert_dim, and its block images of the
+    basis are left multiplication read through its own coset map, to 1e-12."""
+    rep = states.gns(alg, f)
+    assert rep.hilbert_dim == reference_gram_gns(alg, f).hilbert_dim
+    pinv = rep.coset_map.conj().T / np.sum(np.abs(rep.coset_map) ** 2, axis=1)
+    want = _reference_left_multiplication(alg, rep.coset_map, pinv)
+    assert np.max(np.abs(rep._apply_each(alg.basis) - want), initial=0.0) <= 1e-12
+    return rep
+
+
 class TestGnsMultiplicity:
-    """On all of M_n, gns is a -> a (x) I_r with the Gram path's integers, and
-    the Gram path stays on every other algebra."""
+    """On all of M_n, gns is a -> a (x) I_r, and on every algebra it has the
+    Gram path's integers."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("rank", ["full", 2, 1])
@@ -564,25 +589,26 @@ class TestGnsMultiplicity:
         got = (report.representation.hilbert_dim, report.state_count)
         assert got == _reference_universal_integers(alg)
 
-    def test_universal_off_full_matrix_algebra_keeps_the_gram_path(self):
-        e12 = np.zeros((3, 3))
-        e12[0, 1] = 1.0
-        alg = algebra.algebra_from_generators([e12])
+    def test_universal_off_full_matrix_algebra_keeps_the_gram_integers(self):
+        alg = algebra.algebra_from_generators([_e12(3)])
         assert alg.dim == 5  # M_2 + C
         report = states.universal_rep(alg, samples=3)
         rep = report.representation
         assert (rep.hilbert_dim, report.state_count) == _reference_universal_integers(alg)
         assert set(rep.multiplicities) == {1}
-        f = states.trace_state(alg)
-        (got,), (want,) = states.gns(alg, f).blocks, reference_gram_gns(alg, f).blocks
-        assert np.array_equal(got, want)
+        for f in (states.trace_state(alg), states.vector_state(alg, np.ones(3) / np.sqrt(3))):
+            _assert_gram_integers_and_blocks(alg, f)
 
-    def test_real_field_keeps_the_gram_path(self):
-        alg = _generated(3, 7, real_field=True)
-        assert alg.dim == 9
-        f = states.trace_state(alg)
-        rep, want = states.gns(alg, f), reference_gram_gns(alg, f)
-        assert rep.multiplicities == (1,) and np.array_equal(rep.blocks[0], want.blocks[0])
+    def test_real_field_keeps_the_gram_integers(self):
+        """All of M_3 over the reals takes the multiplicity form; M_2 + C over
+        the reals the compressed block."""
+        full = _generated(3, 7, real_field=True)
+        summand = algebra.algebra_from_generators([_e12(3)], real_field=True)
+        assert (full.dim, summand.dim) == (9, 5)
+        rep = _assert_gram_integers_and_blocks(full, states.trace_state(full))
+        assert rep.blocks[0] is full.basis and rep.multiplicities == (3,)
+        rep = _assert_gram_integers_and_blocks(summand, states.trace_state(summand))
+        assert rep.multiplicities == (1,) and rep.hilbert_dim == 5
 
     def test_direct_sum_keeps_multiplicities(self):
         m2 = algebra.full_matrix_algebra(2)
@@ -614,14 +640,20 @@ class TestGnsMultiplicity:
 
 
 class TestGnsGram:
-    def test_one_gram_matrix_per_call(self, monkeypatch):
-        alg = algebra.full_matrix_algebra(3)
+    @pytest.mark.parametrize("gens", [None, [_e12(3)]], ids=["M3", "M2+C"])
+    def test_no_gram_matrix_built(self, monkeypatch, gens):
+        """make_state, gns and universal_rep build no d x d Gram matrix, on all
+        of M_3 and on M_2 + C (the algebra generated by E_12 in M_3)."""
+        alg = algebra.algebra_from_generators(gens) if gens else algebra.full_matrix_algebra(3)
+        assert alg.dim == (5 if gens else 9)
         calls = []
-        gram = states.gram_matrix
-        monkeypatch.setattr(states, "gram_matrix", lambda *a: calls.append(1) or gram(*a))
-        state = density_state(alg, random_density(np.random.default_rng(12), 3))
+        for name in ("gram_matrix", "_basis_products"):
+            monkeypatch.setattr(states, name, lambda *a, name=name: calls.append(name))
+        rho = random_density(np.random.default_rng(12), 3)
+        state = states.make_state(alg, states._trace_values(alg, rho))
         states.gns(alg, state)
-        assert len(calls) == 1
+        states.universal_rep(alg, samples=3)
+        assert calls == []
 
     def test_not_positive_still_rejected(self):
         m2 = algebra.full_matrix_algebra(2)
@@ -666,7 +698,7 @@ class TestNotPositiveMessage:
         m2 = algebra.full_matrix_algebra(2)
         f = states.functional(m2, [1.0, 0.0, 0.0, -1.0])
         for call in (states.make_state, states.gns):
-            with pytest.raises(NotPositive, match="min Gram eigenvalue -1.000e"):
+            with pytest.raises(NotPositive, match="min density eigenvalue -1.000e"):
                 call(m2, f if call is states.gns else f.values)
 
 
@@ -776,6 +808,117 @@ class TestStructureFreeEquivalence:
         rho = random_density(np.random.default_rng(n), n)
         want = [complex(np.trace(rho @ b)) for b in alg.basis]
         assert states._trace_values(alg, rho).tolist() == want
+
+
+def _reference_positivity(alg, f):
+    """Functional._positivity as it was on the Gram matrix G[i, j] = f(e_i* e_j),
+    kept verbatim apart from the name and the tolerance literals."""
+    g = states.gram_matrix(alg, f)
+    scale = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
+    defect = float(np.linalg.norm(g - g.conj().T)) / scale
+    w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+    min_eig = float(w[0]) if w.size else 0.0
+    positive = defect <= 1e-9 and min_eig >= -1e-9 * scale
+    return states.PositivityReport(positive, min_eig, defect)
+
+
+def _density_of(alg, values):
+    return np.tensordot(values, alg.basis.conj().swapaxes(1, 2), axes=1)
+
+
+class TestDensityPositivity:
+    """The density's verdict against the Gram rule: the same verdict; the same
+    least eigenvalue whenever either is negative; and a Hermitian defect
+    sqrt(n) ||D - D*||_F at least ||G - G*||_F, equal on the matrix units, so
+    at least the Gram defect wherever max(1, max|D|) <= max(1, max|G|), as on
+    every state."""
+
+    @staticmethod
+    def assert_against_reference(alg, f, near_state):
+        got, want = states.is_positive_functional(alg, f), _reference_positivity(alg, f)
+        assert got.positive == want.positive
+        if min(got.min_gram_eigenvalue, want.min_gram_eigenvalue) < 0.0:
+            assert abs(got.min_gram_eigenvalue - want.min_gram_eigenvalue) <= 1e-12
+        new_scale = max(1.0, float(np.max(np.abs(_density_of(alg, f.values)))))
+        old_scale = max(1.0, float(np.max(np.abs(states.gram_matrix(alg, f)))))
+        assert not near_state or new_scale == old_scale == 1.0
+        new, old = got.hermitian_defect * new_scale, want.hermitian_defect * old_scale
+        assert new >= old * (1.0 - 1e-12) - 1e-15
+        d, n = alg.dim, alg.ambient_dim
+        if d == n * n and np.array_equal(alg.basis.reshape(d, d), np.eye(d)):
+            assert new_scale == old_scale
+            assert abs(got.hermitian_defect - want.hermitian_defect) <= 1e-12 * old + 1e-15
+        elif new_scale <= old_scale:
+            assert got.hermitian_defect >= want.hermitian_defect * (1.0 - 1e-12) - 1e-15
+
+    @pytest.mark.parametrize("alg, family", _algebras_with_states())
+    def test_states_and_negative_eigenvalues(self, alg, family):
+        for f in family:
+            self.assert_against_reference(alg, f, near_state=True)
+            dens = _density_of(alg, f.values)
+            shift = np.linalg.eigvalsh((dens + dens.conj().T) / 2.0)[0] + 1e-8
+            shifted = states.functional(alg, states._trace_values(alg, dens - shift * alg.identity_matrix))
+            report = states.is_positive_functional(alg, shifted)
+            assert not report.positive and abs(report.min_gram_eigenvalue + 1e-8) <= 1e-12
+            self.assert_against_reference(alg, shifted, near_state=True)
+
+    @pytest.mark.parametrize("alg, family", _algebras_with_states())
+    def test_non_hermitian(self, alg, family):
+        rng = np.random.default_rng(42)
+        for f in family:
+            raw = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+            for scale, near_state in ((1e-3, True), (1.0, False), (100.0, False)):
+                g = states.functional(alg, 0.9 * f.values + scale * raw)
+                assert not states.is_positive_functional(alg, g).positive
+                self.assert_against_reference(alg, g, near_state)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rand_matrix(rng, n))
+    return q
+
+
+class TestGnsRounding:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ill_conditioned_density_on_three_blocks(self, seed):
+        """A state on M_3 + M_2 + C (d = 14) whose density has eigenvalues
+        from 1 to 1e-9: the Gram path's pinv = V / sqrt(w) gave *-homomorphism
+        residuals up to 7e-12; the density path stays near rounding."""
+        m3, m2, m1 = (algebra.full_matrix_algebra(k) for k in (3, 2, 1))
+        alg = algebra.direct_sum_algebras(algebra.direct_sum_algebras(m3, m2), m1)
+        assert alg.dim == 14
+        rng = np.random.default_rng(seed)
+        w = rng.permutation(np.logspace(0, -9, 6))
+        u = np.zeros((6, 6), dtype=complex)
+        u[:3, :3], u[3:5, 3:5], u[5, 5] = _unitary(rng, 3), _unitary(rng, 2), 1.0
+        rho = (u * w) @ u.conj().T
+        state = states.make_state(alg, states._trace_values(alg, rho / np.trace(rho).real))
+        rep = states.gns(alg, state)
+        assert rep.hilbert_dim == reference_gram_gns(alg, state).hilbert_dim == 14
+        for sample_seed in (0, 1):
+            assert cli._gns_sample_residuals(rep, sample_seed)[0] <= 1e-12
+
+
+class TestTypedErrors:
+    def test_not_star_closed_on_upper_triangular(self):
+        units = [np.diag([1.0, 0.0]), _e12(2), np.diag([0.0, 1.0])]
+        t2 = algebra.algebra_from_generators(units, include_adjoints=False)
+        assert t2.dim == 3 and not t2.star_closed
+        values = states._trace_values(t2, np.eye(2) / 2.0)
+        with pytest.raises(NotStarClosed):
+            states.is_positive_functional(t2, states.functional(t2, values))
+        with pytest.raises(NotStarClosed):
+            states.make_state(t2, values)
+        with pytest.raises(NotStarClosed):
+            states.gns(t2, states.functional(t2, values))
+
+    def test_not_unital_on_the_span_of_e12(self):
+        alg = algebra.algebra_from_generators([_e12(2)], include_identity=False, include_adjoints=False)
+        assert alg.dim == 1 and not alg.unital
+        with pytest.raises(NotUnital):
+            states.trace_state(alg)
+        with pytest.raises(NotUnital):
+            states.functional_norm(alg, states.functional(alg, [1.0]))
 
 
 def _peak_bytes(call):
