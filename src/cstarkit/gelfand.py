@@ -11,6 +11,13 @@ a basis built for it, fewer are found, and the candidates are taken again
 from the joint eigenspaces that the Hermitian spanning set splits off.
 All are checked for multiplicativity and deduplicated as one stack, as
 ``states.Functional``s.
+
+The isometry report checks sup|a-hat| = r(a) = ||a|| on seeded samples.
+Samples of a commutative *-algebra commute and are normal, so one eigh
+diagonalises them all, and each sample keeps the diagonal as its spectrum
+only when its off-diagonal rest is certified small; the others take a
+general eig.  Its residuals are absolute gaps, so a missing character fails
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .spectral import _spectrum_report
+from .spectral import _joint_eigvals, _spectrum_report
 from .states import Functional, _basis_products, _multiplicativity_residuals
 from .tolerances import (
     DEDUPE_RADIUS,
@@ -235,15 +242,21 @@ def gelfand_isometry_report(
 ) -> IsometryReport:
     """Compare sup|a-hat|, r(a) and ||a|| over seeded sample elements.
 
-    sup|a-hat| - r(a) stays within tolerance for every abelian algebra;
-    sup|a-hat| - ||a|| vanishes exactly when the algebra is a *-closed
-    C*-subalgebra.  A nonzero transform kernel (the radical) is flagged.
-    The characters are deterministic; seed draws only the samples.
+    max |sup|a-hat| - r(a)| stays within tolerance for every abelian algebra
+    whose characters were all found (a missing one leaves sup|a-hat| below
+    r(a), and the gap shows); max |sup|a-hat| - ||a||| vanishes exactly when
+    the algebra is a *-closed C*-subalgebra.  A nonzero transform kernel (the
+    radical) is flagged.  The characters are deterministic; seed draws only
+    the samples.
 
-    The samples are one stack: one batched eigvals, and one stacked
-    clustering of those eigenvalues, give every r(a) as spectrum(a).radius
-    gives it.  The kernel is decided from the singular values of the
-    character values, and the full SVD runs only for a kernel example.
+    The samples are one stack.  Their eigenvalues come from one joint eigh
+    (spectral._joint_eigvals), each sample certified by its off-diagonal
+    rest, and a sample that fails the certificate (one of a stack that is
+    not normal, say) from eig_general; one stacked clustering of those
+    eigenvalues gives every r(a) as spectrum(a).radius does, to rounding.
+    The op norms are an independent stacked SVD.  The kernel is decided from
+    the singular values of the character values, and the full SVD runs only
+    for a kernel example.
     """
     spec = characters(alg)
     rng = np.random.default_rng(seed + 1)
@@ -251,7 +264,7 @@ def gelfand_isometry_report(
     values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    radii = [rep.radius for rep in _spectrum_report(linalg.eig_general(mats), "complex")]
+    radii = [rep.radius for rep in _spectrum_report(_joint_eigvals(mats), "complex")]
     norms = linalg._op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:
@@ -268,8 +281,8 @@ def gelfand_isometry_report(
         tuple(sups),
         tuple(radii),
         tuple(norms),
-        max((s - r) for s, r in zip(sups, radii)) if sups else 0.0,
-        max((s - n) for s, n in zip(sups, norms)) if sups else 0.0,
+        max((abs(s - r) for s, r in zip(sups, radii)), default=0.0),
+        max((abs(s - n) for s, n in zip(sups, norms)), default=0.0),
         kernel_detected,
         kernel_example,
     )

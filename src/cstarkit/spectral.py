@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element, left_regular_matrix
+from .algebra import Algebra, Element, _generic_coords, left_regular_matrix
 from .errors import (
     BudgetExceeded,
     NotContractive,
@@ -25,7 +25,7 @@ from .errors import (
     Overflow,
     SingularResolvent,
 )
-from .tolerances import CLASSIFY_TOL, CLUSTER_SCALE, ELEMENT_TOL, NEUMANN_TOL
+from .tolerances import CLASSIFY_TOL, CLUSTER_SCALE, ELEMENT_TOL, JOINT_EIG_TOL, NEUMANN_TOL
 
 NEUMANN_MAX_TERMS = 10_000
 
@@ -178,6 +178,41 @@ def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport | list
     if np.ndim(eigs) == 2:
         return [_report(p, r, field_mode) for p, r in zip(points, radius)]
     return _report(points, radius, field_mode)
+
+
+def _joint_eigvals(mats: np.ndarray) -> np.ndarray:
+    """eig_general of a (k, n, n) stack, from one eigh where its matrices are
+    commuting normal matrices, as the samples of a commutative *-algebra are.
+
+    Each a_s is first scaled by the power of two that brings its largest real
+    or imaginary part into [1/2, 1), exactly, so no norm below overflows or
+    underflows.  One unitary U diagonalises a commuting normal stack: the
+    eigenvectors of h = (z + z*)/2 for the generic z = sum_s c_s a_s
+    (_generic_coords), whose eigenvalues Re(sum_s c_s lambda_s) tell distinct
+    joint eigenvalues apart.  Sample s reads its eigenvalues off the diagonal
+    of D_s = U* a_s U and keeps them only when the rest E_s of D_s has
+    ||E_s||_F <= JOINT_EIG_TOL ||a_s||_F.  Then every eigenvalue of a_s lies
+    within ||E_s||_2 of the diagonal and, a_s being normal, the diagonal within
+    ||E_s||_2 of the eigenvalues (Bauer-Fike).  Every other sample (not
+    normal, off the commuting stack, or mixed by a near-tie of h) takes
+    eig_general unchanged.
+    """
+    parts = np.abs(np.ascontiguousarray(mats, dtype=complex).view(float))
+    e = np.frexp(parts.max(axis=(1, 2), initial=0.0))[1][:, None]
+    a = linalg.ldexp(mats, -e[:, :, None])
+    z = np.tensordot(_generic_coords(len(a))[0], a, axes=1)
+    h = (z + z.conj().T) / 2.0
+    if not np.isfinite(h).all():
+        return linalg.eig_general(mats)
+    u = linalg._lapack(np.linalg.eigh, h)[1]
+    d = u.conj().T @ a @ u
+    diag = np.arange(d.shape[-1])
+    eigs = linalg.ldexp(d[:, diag, diag], e)
+    d[:, diag, diag] = 0.0
+    held = np.linalg.norm(d, axis=(1, 2)) <= JOINT_EIG_TOL * np.linalg.norm(a, axis=(1, 2))
+    if not held.all():
+        eigs[~held] = linalg.eig_general(mats[~held])
+    return eigs
 
 
 def _report(points: list, radius: float, field_mode: str) -> SpectrumReport:

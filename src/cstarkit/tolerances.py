@@ -39,8 +39,15 @@ CLUSTER_SCALE = 1e-7
 CLASSIFY_TOL = 1e-9
 # Bound on the tail of neumann_inverse's series.
 NEUMANN_TOL = 1e-12
+# Off-diagonal rest E of U* a U, relative to ||a||_F, within which a sample keeps the
+# diagonal of the joint eigh as its eigenvalues (_joint_eigvals).  For a normal sample,
+# Bauer-Fike both ways moves r(a) by at most ||E||_2 <= 1e-10 ||a||_F; a gelfand sample
+# projects a complex Gaussian onto d orthonormal directions, so ||a||_F ~ sqrt(2 d), about
+# 11 at d = 64, and the bound, about 1.1e-9 there, stays far inside GELFAND_REPORT_TOL.
+JOINT_EIG_TOL = 1e-10
 
 # -- Characters and the GKZ criterion (gelfand)
+
 
 # Max-norm distance within which two characters are one; relative rank cut of the transform.
 DEDUPE_RADIUS = 1e-7
@@ -81,7 +88,7 @@ EXP_REPORT_TOL = 1e-9
 SQRT_REPORT_TOL = 1e-8
 # characters: the largest multiplicativity residual.
 CHARACTERS_REPORT_TOL = 1e-7
-# gelfand: sup|a-hat| - r(a), and sup|a-hat| - ||a|| on *-closed algebras.
+# gelfand: the largest |sup|a-hat| - r(a)|, and |sup|a-hat| - ||a||| on *-closed algebras.
 GELFAND_REPORT_TOL = 1e-8
 # gkz: |phi| at the witness.
 GKZ_REPORT_TOL = 1e-9

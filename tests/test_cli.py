@@ -1408,3 +1408,28 @@ class TestDiagonalQmEquivalence:
         assert cli.run(["qm", "--grid", "2000", "--levels", "2001"]) == 1
         assert "LevelOutOfRange" in capsys.readouterr().err
         assert calls == []
+
+
+class TestAbelianEdgeInputs:
+    """characters and gelfand on a 1 x 1 input, a scalar 16 x 16 matrix (every
+    sample scalar) and zero matrices: exit 0, one character, every residual
+    within its tolerance."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.array([[2.0 - 1.0j]]), (0.5 + 2.0j) * np.eye(16), np.zeros((1, 1)), np.zeros((5, 5))],
+        ids=["n1", "scalar16", "zero1", "zero5"],
+    )
+    @pytest.mark.parametrize("command", ["characters", "gelfand"])
+    def test_exits_zero_within_tolerance(self, tmp_path, command, m):
+        path = write_matrix(tmp_path / "m.json", m)
+        report = run_to_file(tmp_path, [command, "--input", path, "--seed", "3"])
+        results = report["results"]
+        assert results["algebra_dim"] == 1
+        if command == "characters":
+            assert results["count"] == 1
+        else:
+            assert results["samples"] == 20
+            assert results["star_closed"] and not results["kernel_detected"]
+        for residual in report["residuals"].values():
+            assert residual["value"] <= residual["tolerance"]

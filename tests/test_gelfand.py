@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import doubled_normal, match_multisets, product_coords
+from conftest import doubled_normal, match_multisets, product_coords, rand_hermitian
 from cstarkit import algebra, cli, gelfand, linalg, spectral, states
 from cstarkit.errors import ComplexFieldRequired, NonAbelian
 
@@ -129,6 +131,27 @@ class TestIsometryReport:
         report = gelfand.gelfand_isometry_report(alg, samples=20, seed=5)
         assert report.max_hat_minus_radius <= 1e-12
         assert abs(report.max_hat_minus_norm) <= 1e-12
+
+    def test_a_missing_character_fails_the_radius_residual(self, tmp_path, monkeypatch):
+        """Without the character at which the first sample's |a-hat| peaks, that
+        sample's sup falls below r(a), and the absolute gap shows it."""
+        found = gelfand.characters
+
+        def all_but_the_peak(alg):
+            spec = found(alg)
+            first = algebra._random_matrices(alg, np.random.default_rng(0 + 1), 1)[0]
+            peak = np.argmax(np.abs(gelfand.gelfand_transform(algebra.Element(alg, first), spec)))
+            kept = spec.characters[:peak] + spec.characters[peak + 1 :]
+            return gelfand.GelfandSpectrumData(alg, kept)
+
+        monkeypatch.setattr(gelfand, "characters", all_but_the_peak)
+        path, out = tmp_path / "m.json", tmp_path / "out.json"
+        path.write_text(json.dumps(cli.matrix_to_json(np.diag([1.0, 2.0j, -3.0]).astype(complex))))
+        assert cli.run(["gelfand", "--input", str(path), "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["results"]["algebra_dim"] == 3
+        residual = report["residuals"]["max_sup_transform_minus_radius"]
+        assert residual["value"] > residual["tolerance"]
 
 
 class TestCharKernel:
@@ -440,7 +463,8 @@ class TestFlagsDrawNoRandomNumbers:
 
 def _reference_isometry_report(alg, samples=100, seed=0):
     """gelfand_isometry_report with its per-sample loop, verbatim from before
-    the samples were stacked (module names added, characters unseeded)."""
+    the samples were stacked (module names added, characters unseeded), with
+    both residuals absolute gaps."""
     from cstarkit.algebra import Element, random_element
     from cstarkit.spectral import spectrum
 
@@ -469,8 +493,8 @@ def _reference_isometry_report(alg, samples=100, seed=0):
         tuple(sups),
         tuple(radii),
         tuple(norms),
-        max((s - r) for s, r in zip(sups, radii)) if sups else 0.0,
-        max((s - n) for s, n in zip(sups, norms)) if sups else 0.0,
+        max((abs(s - r) for s, r in zip(sups, radii)), default=0.0),
+        max((abs(s - n) for s, n in zip(sups, norms)), default=0.0),
         kernel_detected,
         kernel_example,
     )
@@ -485,30 +509,37 @@ def _similar_upper_triangular(n, seed):
 
 
 class TestStackedIsometryEquivalence:
-    """gelfand_isometry_report samples in stacks and reports the loop's exact values."""
+    """gelfand_isometry_report samples in stacks and reports the loop's values:
+    bit for bit where the samples are diagonal or not normal, and radii to
+    rounding where the joint eigh gives them."""
 
     @pytest.mark.parametrize(
-        "alg",
+        "alg, normal",
         [
-            diag_algebra([1.0, 2.0, 3.0]),
-            algebra.algebra_from_generators([np.eye(1)]),
-            algebra.algebra_from_generators([E12], include_adjoints=False),
-            algebra.algebra_from_generators([doubled_normal(np.random.default_rng(8), 8)]),
-            algebra.algebra_from_generators([doubled_normal(np.random.default_rng(9), 7)]),
-            gelfand.cyclic_group_algebra(8),
-            _similar_upper_triangular(4, 10),
+            (diag_algebra([1.0, 2.0, 3.0]), False),
+            (algebra.algebra_from_generators([np.eye(1)]), False),
+            (algebra.algebra_from_generators([E12], include_adjoints=False), False),
+            (algebra.algebra_from_generators([doubled_normal(np.random.default_rng(8), 8)]), True),
+            (algebra.algebra_from_generators([doubled_normal(np.random.default_rng(9), 7)]), True),
+            (gelfand.cyclic_group_algebra(8), True),
+            (_similar_upper_triangular(4, 10), False),
         ],
         ids=["diagonal", "scalars", "nilpotent", "doubled8", "doubled7", "cyclic8", "similar"],
     )
-    def test_report_values(self, alg):
+    def test_report_values(self, alg, normal):
         for samples, seed in ((20, 0), (20, 451), (3, 7), (1, 2), (0, 1)):
             got = gelfand.gelfand_isometry_report(alg, samples=samples, seed=seed)
             want = _reference_isometry_report(alg, samples=samples, seed=seed)
             assert got.sup_transform == want.sup_transform
-            assert got.spectral_radius == want.spectral_radius
             assert got.op_norm == want.op_norm
-            assert got.max_hat_minus_radius == want.max_hat_minus_radius
             assert got.max_hat_minus_norm == want.max_hat_minus_norm
+            if normal:
+                gaps = np.subtract(got.spectral_radius, want.spectral_radius)
+                assert np.abs(gaps).max(initial=0.0) <= 1e-12
+                assert abs(got.max_hat_minus_radius - want.max_hat_minus_radius) <= 1e-12
+            else:
+                assert got.spectral_radius == want.spectral_radius
+                assert got.max_hat_minus_radius == want.max_hat_minus_radius
             assert got.kernel_detected == want.kernel_detected
             if want.kernel_example is None:
                 assert got.kernel_example is None
@@ -895,3 +926,90 @@ class TestCharactersReportEquivalence:
             a = algebra.Element(alg, a)
             want = np.array([chi(a) for chi in spec], dtype=complex)
             assert _same_bits(gelfand.gelfand_transform(a, spec), want)
+
+
+def _counting_eig_general(monkeypatch):
+    """Patch linalg.eig_general to record the number of matrices of each call."""
+    rows, real = [], linalg.eig_general
+
+    def counted(m):
+        rows.append(len(m) if np.ndim(m) == 3 else 1)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "eig_general", counted)
+    return rows
+
+
+@st.composite
+def _commuting_normal_stacks(draw):
+    """U diag(lambda_s) U* over a seeded unitary U: k in {0, 1, 20}, n in 1..16,
+    eigenvalues distinct, repeated or tied to within 1e-9, scaled by 2^e."""
+    k, n = draw(st.sampled_from([0, 1, 20])), draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["distinct", "repeated", "near-tied"]))
+    e = draw(st.sampled_from([-1000, 0, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lam = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    if kind != "distinct":
+        lam = np.resize(lam[:, : max(1, n // 2)].T, (n, k)).T
+    if kind == "near-tied":
+        lam = lam + 1e-9 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    return ((u * lam[:, None, :]) @ u.conj().T) * 2.0**e
+
+
+class TestJointEigvalsEquivalence:
+    """spectral._joint_eigvals gives np.linalg.eigvals' multisets on commuting
+    normal stacks, and eig_general's bits on every sample it cannot certify."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_commuting_normal_stacks())
+    def test_commuting_normal_stacks(self, mats):
+        got = spectral._joint_eigvals(mats)
+        assert got.shape == mats.shape[:2]
+        for a, eigs in zip(mats, got):
+            tol = 1e-12 * max(1.0, np.linalg.norm(a, 2))
+            assert match_multisets(eigs, np.linalg.eigvals(a), tol)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.stack([2.0 * np.eye(4) + np.eye(4, k=1), np.eye(4, k=1) - 1j * np.eye(4)]),
+            lambda: algebra._random_matrices(
+                _similar_upper_triangular(4, 10), np.random.default_rng(3), 20
+            ),
+            lambda: np.stack([rand_hermitian(np.random.default_rng(s), 6) for s in (5, 6)]),
+        ],
+        ids=["jordan", "similar", "non-commuting-hermitian"],
+    )
+    def test_uncertified_stacks_take_eig_general(self, make, monkeypatch):
+        mats = make().astype(complex)
+        want = linalg.eig_general(mats)
+        rows = _counting_eig_general(monkeypatch)
+        assert np.array_equal(spectral._joint_eigvals(mats), want)
+        assert rows == [len(mats)]
+
+    def test_a_rotated_unitary_is_rejected(self, monkeypatch):
+        alg = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
+        mats = algebra._random_matrices(alg, np.random.default_rng(4), 20)
+        real_eigh, c, s = np.linalg.eigh, np.cos(1e-6), np.sin(1e-6)
+
+        def rotated(h):
+            w, u = real_eigh(h)
+            u[:, :2] = u[:, :2] @ np.array([[c, -s], [s, c]])
+            return w, u
+
+        want = linalg.eig_general(mats)
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        rows = _counting_eig_general(monkeypatch)
+        assert np.array_equal(spectral._joint_eigvals(mats), want)
+        assert rows == [len(mats)]
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_no_benchmark_sample_falls_back(self, label, n, monkeypatch):
+        rows = _counting_eig_general(monkeypatch)
+        for seed in range(5):
+            alg = algebra.algebra_from_generators([_benchmark_like(label, n, seed)])
+            report = gelfand.gelfand_isometry_report(alg, samples=20, seed=seed)
+            assert report.max_hat_minus_radius <= 1e-12
+        assert rows == []
