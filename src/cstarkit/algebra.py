@@ -483,10 +483,6 @@ def find_identity(alg: Algebra) -> Element | None:
     return None if m is None else Element(alg, m)
 
 
-def is_abelian(alg: Algebra) -> bool:
-    return alg.abelian
-
-
 def random_element(alg: Algebra, rng: np.random.Generator) -> Element:
     """The projection on A of a seeded Gaussian matrix (real when the field is real)."""
     return Element(alg, _random_matrices(alg, rng, 1)[0])

@@ -1,28 +1,32 @@
 """Characters of abelian algebras, the Gelfand transform, and the GKZ search.
 
-Characters are found from joint eigenvectors of the algebra acting on the
-ambient space: each eigenvector v yields a candidate functional
-a -> (v* a v) / (v* v), and candidates failing multiplicativity are
-dropped.  The candidates are the eigenvectors of one eig of the fixed
-generic z = sum_k c_k b_k of ``algebra._generic_coords``, at whose values
-distinct characters differ.  A *-closed algebra is a C*-algebra with
-exactly dim characters; when rounding ties two of them at z, as it can on
-a basis built for it, fewer are found, and the candidates are taken again
-from the joint eigenspaces that the Hermitian spanning set splits off.
-All are checked for multiplicativity and deduplicated as one stack, as
-``states.Functional``s.
+A *-closed commutative algebra is diagonalised by one unitary U, the joint
+frame of its basis (spectral._joint_frame): one eigh of a generic Hermitian
+combination of the basis.  When every U* b_k U is certified diagonal, frame
+vector i is a joint eigenvector and the diagonal entries (U* b_k U)_ii over
+k are its character's values; such an algebra is a C*-algebra with exactly
+dim characters, and those are the dim distinct nonzero columns.  When
+rounding ties two characters in the frame, as it can on a basis built for
+it, the certificate or the count fails, and the candidates are taken from
+the joint eigenspaces that the Hermitian spanning set splits off.  An
+algebra that is not *-closed takes its candidates from the eigenvectors of
+one eig of the fixed generic z = sum_k c_k b_k of ``algebra._generic_coords``,
+at whose values distinct characters differ, and keeps the multiplicative
+ones.  All are ``states.Functional``s, deduplicated as one stack.
 
 The isometry report checks sup|a-hat| = r(a) = ||a|| on seeded samples.
-Samples of a commutative *-algebra commute and are normal, so one eigh
-diagonalises them all, and each sample keeps the diagonal as its spectrum
-only when its off-diagonal rest is certified small; the others take a
-general eig.  Its residuals are absolute gaps, so a missing character fails
-them.
+Samples of a commutative *-algebra commute and are normal, so the
+characters' frame diagonalises them all, and each sample keeps the diagonal
+as its spectrum only when its off-diagonal rest is certified small; the
+others take a general eig.  The frame, the multiplicativity residuals and
+the SVD norms are computed apart, so a wrong frame fails a check instead of
+agreeing with itself.  The residuals are absolute gaps, so a missing
+character fails them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,8 +49,13 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .spectral import _joint_eigvals, _spectrum_report
-from .states import Functional, _basis_products, _multiplicativity_residuals
+from .spectral import _framed_diagonals, _joint_eigvals, _joint_frame, _spectrum_report
+from .states import (
+    Functional,
+    _basis_products,
+    _multiplicativity_bounds,
+    _multiplicativity_residuals,
+)
 from .tolerances import (
     DEDUPE_RADIUS,
     EIGENSPACE_TOL,
@@ -76,6 +85,8 @@ class Character(Functional):
 class GelfandSpectrumData:
     algebra: Algebra
     characters: tuple[Character, ...]
+    # The certified joint frame of the basis the characters were read in, else None.
+    frame: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.characters)
@@ -93,9 +104,8 @@ class GelfandSpectrumData:
         return v
 
     def multiplicativity_residuals(self) -> np.ndarray:
-        """Each character's multiplicativity_residual(), from one stacked product."""
-        prods = _basis_products(self.algebra, self.values, self.algebra.basis)
-        return _multiplicativity_residuals(self.values, prods)
+        """Each character's multiplicativity_residual(), bit for bit, from one stack."""
+        return _multiplicativity_bounds(self.algebra, self.values)
 
 
 def _hermitian_spanning_set(alg: Algebra) -> list[np.ndarray]:
@@ -149,7 +159,11 @@ def _consider(alg: Algebra, vecs: np.ndarray) -> list[np.ndarray]:
     """In column order, each column's candidate that is a character farther
     than DEDUPE_RADIUS from every one kept before it."""
     vals, prods = _candidate_values(alg, vecs)
-    vals = vals[_multiplicative(vals, prods)]
+    return _distinct(vals[_multiplicative(vals, prods)])
+
+
+def _distinct(vals: np.ndarray) -> list[np.ndarray]:
+    """In order, each row of vals farther than DEDUPE_RADIUS from every one kept before it."""
     close = np.abs(vals[:, None] - vals[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
     keep = np.ones(len(vals), dtype=bool)
     # a row is dropped only when close to an earlier kept one
@@ -184,33 +198,55 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     for nilpotent non-unital algebras and shorter than dim(alg) when the
     Gelfand transform has a kernel.
 
-    The candidates are the eigenvectors of one eig of the generic
+    A *-closed algebra is a C*-algebra with exactly dim characters, read off
+    the certified joint frame of its basis (_framed_characters), which the
+    result keeps as its frame.  Where rounding ties two characters in that
+    frame, as it can on a basis built for it, the candidates are taken
+    again from the joint eigenspaces into which the Hermitian spanning set
+    splits the ambient space (_split).
+
+    Any other algebra takes its candidates from one eig of the generic
     z = sum_k c_k b_k.  Distinct characters differ at z, as the frequency +k
     of chi(z) - psi(z) = sum_k c_k (chi - psi)(b_k) comes from the term k
     alone (_generic_coords).  A keeps z's eigenspace at chi(z), so where that
     is a line it is chi's joint eigenvector; eig's vectors in a wider one are
     left to the multiplicativity filter.
-
-    On a *-closed algebra z is normal, and each of its eigenspaces is one
-    joint eigenspace.  A vector off by delta gives a convex mix of
-    characters, whose residual is about delta^2, so eig finds them all
-    unless rounding ties two values chi(z) within about 1e-12 ||z||, as it
-    can on a basis built for it.  Such an algebra is a C*-algebra, so it has
-    exactly dim characters; where fewer are found, the candidates are taken
-    again from the joint eigenspaces into which the Hermitian spanning set
-    splits the ambient space (_split).
     """
     if alg.real_field:
         raise ComplexFieldRequired("characters are computed over the complex field")
     if not alg.abelian:
         raise NonAbelian("the algebra has non-commuting basis elements")
-    z = alg.from_coords(_generic_coords(alg.dim)[0])
-    found = _consider(alg, linalg._lapack(np.linalg.eig, z)[1])
-    if len(found) < alg.dim and alg.star_closed:
-        blocks = _split([np.eye(alg.ambient_dim, dtype=complex)], _hermitian_spanning_set(alg))
-        found = _consider(alg, np.stack([blk[:, 0] for blk in blocks], axis=1))
+    frame = None
+    if not alg.star_closed:
+        z = alg.from_coords(_generic_coords(alg.dim)[0])
+        found = _consider(alg, linalg._lapack(np.linalg.eig, z)[1])
+    else:
+        found, frame = _framed_characters(alg)
+        if frame is None:
+            blocks = _split([np.eye(alg.ambient_dim, dtype=complex)], _hermitian_spanning_set(alg))
+            found = _consider(alg, np.stack([blk[:, 0] for blk in blocks], axis=1))
     chars = tuple(Character(alg, v) for v in _sorted(found))
-    return GelfandSpectrumData(alg, chars)
+    return GelfandSpectrumData(alg, chars, frame)
+
+
+def _framed_characters(alg: Algebra) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The characters read off the joint frame U of the basis, and U; ([], None)
+    unless the frame is certified and gives exactly dim characters.
+
+    When every U* b_k U is diagonal to within its certificate
+    (spectral._framed_diagonals), frame vector i is a joint eigenvector, and
+    the diagonal entries (U* b_k U)_ii over k are its character's values.
+    Zero columns, from a kernel that every element kills, are no character.
+    """
+    u = _joint_frame(alg.basis)
+    if u is None:
+        return [], None
+    diags, held = _framed_diagonals(alg.basis, u)
+    if not held.all():
+        return [], None
+    vals = diags.T
+    found = _distinct(vals[np.abs(vals).max(axis=1, initial=0.0) > MULTIPLICATIVE_TOL])
+    return (found, u) if len(found) == alg.dim else ([], None)
 
 
 def gelfand_transform(a: Element, spec: GelfandSpectrumData) -> np.ndarray:
@@ -249,11 +285,13 @@ def gelfand_isometry_report(
     radical) is flagged.  The characters are deterministic; seed draws only
     the samples.
 
-    The samples are one stack.  Their eigenvalues come from one joint eigh
-    (spectral._joint_eigvals), each sample certified by its off-diagonal
-    rest, and a sample that fails the certificate (one of a stack that is
-    not normal, say) from eig_general; one stacked clustering of those
-    eigenvalues gives every r(a) as spectrum(a).radius does, to rounding.
+    The samples are one stack.  Their eigenvalues are read in the
+    characters' frame, or without one in the frame of one joint eigh of the
+    samples (spectral._joint_eigvals), each sample certified by its
+    off-diagonal rest, and a sample that fails the certificate (one of a
+    stack that is not normal, say) from eig_general.  One stacked clustering
+    of those eigenvalues gives every r(a) as spectrum(a).radius does, to
+    rounding.
     The op norms are an independent stacked SVD.  The kernel is decided from
     the singular values of the character values, and the full SVD runs only
     for a kernel example.
@@ -264,7 +302,7 @@ def gelfand_isometry_report(
     values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    radii = [rep.radius for rep in _spectrum_report(_joint_eigvals(mats), "complex")]
+    radii = [rep.radius for rep in _spectrum_report(_joint_eigvals(mats, spec.frame), "complex")]
     norms = linalg._op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:

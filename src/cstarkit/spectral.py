@@ -180,39 +180,63 @@ def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport | list
     return _report(points, radius, field_mode)
 
 
-def _joint_eigvals(mats: np.ndarray) -> np.ndarray:
-    """eig_general of a (k, n, n) stack, from one eigh where its matrices are
-    commuting normal matrices, as the samples of a commutative *-algebra are.
+def _joint_eigvals(mats: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """eig_general of a (k, n, n) stack, read off the diagonals of U* a_s U for
+    every sample that _framed_diagonals certifies, where the stack's matrices
+    are commuting normal matrices, as the samples of a commutative *-algebra
+    are.  U is the given frame u, or else the stack's own _joint_frame.
+    Every other sample (not normal, off the commuting stack, or mixed by a
+    near-tie in U) takes eig_general unchanged."""
+    if u is None:
+        u = _joint_frame(mats)
+        if u is None:
+            return linalg.eig_general(mats)
+    eigs, held = _framed_diagonals(mats, u)
+    if not held.all():
+        eigs[~held] = linalg.eig_general(mats[~held])
+    return eigs
 
-    Each a_s is first scaled by the power of two that brings its largest real
-    or imaginary part into [1/2, 1), exactly, so no norm below overflows or
-    underflows.  One unitary U diagonalises a commuting normal stack: the
-    eigenvectors of h = (z + z*)/2 for the generic z = sum_s c_s a_s
-    (_generic_coords), whose eigenvalues Re(sum_s c_s lambda_s) tell distinct
-    joint eigenvalues apart.  Sample s reads its eigenvalues off the diagonal
-    of D_s = U* a_s U and keeps them only when the rest E_s of D_s has
-    ||E_s||_F <= JOINT_EIG_TOL ||a_s||_F.  Then every eigenvalue of a_s lies
-    within ||E_s||_2 of the diagonal and, a_s being normal, the diagonal within
-    ||E_s||_2 of the eigenvalues (Bauer-Fike).  Every other sample (not
-    normal, off the commuting stack, or mixed by a near-tie of h) takes
-    eig_general unchanged.
-    """
+
+def _unit_scaled_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each a_s scaled by the power of two 2^-e_s that brings its largest real or
+    imaginary part into [1/2, 1), exactly, so no norm below overflows or
+    underflows; and the exponents e, shape (k, 1)."""
     parts = np.abs(np.ascontiguousarray(mats, dtype=complex).view(float))
     e = np.frexp(parts.max(axis=(1, 2), initial=0.0))[1][:, None]
-    a = linalg.ldexp(mats, -e[:, :, None])
+    return linalg.ldexp(mats, -e[:, :, None]), e
+
+
+def _joint_frame(mats: np.ndarray) -> np.ndarray | None:
+    """The unitary that diagonalises a commuting normal (k, n, n) stack, or None
+    where its generic Hermitian is not finite.
+
+    It is the eigenvectors of h = (z + z*)/2 for the generic z = sum_s c_s a_s
+    (_generic_coords) of the scaled stack, whose eigenvalues
+    Re(sum_s c_s lambda_s) tell distinct joint eigenvalues apart.  Nothing
+    here checks the frame; _framed_diagonals does.
+    """
+    a = _unit_scaled_each(mats)[0]
     z = np.tensordot(_generic_coords(len(a))[0], a, axes=1)
     h = (z + z.conj().T) / 2.0
-    if not np.isfinite(h).all():
-        return linalg.eig_general(mats)
-    u = linalg._lapack(np.linalg.eigh, h)[1]
+    return linalg._lapack(np.linalg.eigh, h)[1] if np.isfinite(h).all() else None
+
+
+def _framed_diagonals(mats: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of D_s = U* a_s U, shape (k, n), and which of them are
+    certified as the eigenvalues of a_s.
+
+    Sample s is certified when the rest E_s of D_s has ||E_s||_F <= JOINT_EIG_TOL
+    ||a_s||_F, both of a_s scaled by a power of two (_unit_scaled_each).  Then
+    every eigenvalue of a_s lies within ||E_s||_2 of the diagonal and, a_s being
+    normal, the diagonal within ||E_s||_2 of the eigenvalues (Bauer-Fike).
+    """
+    a, e = _unit_scaled_each(mats)
     d = u.conj().T @ a @ u
     diag = np.arange(d.shape[-1])
     eigs = linalg.ldexp(d[:, diag, diag], e)
     d[:, diag, diag] = 0.0
     held = np.linalg.norm(d, axis=(1, 2)) <= JOINT_EIG_TOL * np.linalg.norm(a, axis=(1, 2))
-    if not held.all():
-        eigs[~held] = linalg.eig_general(mats[~held])
-    return eigs
+    return eigs, held
 
 
 def _report(points: list, radius: float, field_mode: str) -> SpectrumReport:

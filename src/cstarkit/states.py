@@ -31,6 +31,7 @@ from .errors import (
 from .spectral import _matrix_of, _positive_eig
 from .tolerances import (
     CLASSIFY_TOL,
+    DENSITY_RANK_ONE_TOL,
     GRAM_NULL_TOL,
     POSITIVITY_TOL,
     UNIT_VALUE_TOL,
@@ -60,9 +61,10 @@ class Functional:
         return complex(np.dot(self.values, self.algebra.coords(_matrix_of(a))))
 
     def multiplicativity_residual(self) -> float:
-        """max |f(b_i b_j) - f(b_i) f(b_j)| over basis pairs: 0 for characters."""
-        v, alg = self.values[None], self.algebra
-        return float(_multiplicativity_residuals(v, _basis_products(alg, v, alg.basis))[0])
+        """max |f(b_i b_j) - f(b_i) f(b_j)| over basis pairs, or a certified upper
+        bound on it within DENSITY_RANK_ONE_TOL (_multiplicativity_bounds): 0 for
+        characters, to rounding."""
+        return float(_multiplicativity_bounds(self.algebra, self.values[None])[0])
 
     @cached_property
     def _density(self) -> np.ndarray:
@@ -124,6 +126,53 @@ def _basis_products(alg: Algebra, values: np.ndarray, left: np.ndarray) -> np.nd
         prods = lt @ _combine_each(values[s : s + step].conj(), alg.basis).conj()
         out[s : s + step] = prods.reshape(len(prods), m, n * n) @ flat.T
     return out
+
+
+def _multiplicativity_bounds(alg: Algebra, values: np.ndarray) -> np.ndarray:
+    """For each row f_c of values, max |f_c(b_i b_j) - f_c(b_i) f_c(b_j)| over basis
+    pairs, or an upper bound on it by at most DENSITY_RANK_ONE_TOL.
+
+    A character's density D_c is usually of rank one, so it is factored as
+    D_c ~ u w^T (_rank_one_factors).  Then f_c(b_i b_j) = tr(u w^T b_i b_j) is
+    (w^T b_i)(b_j u): c d n^2 work, not the c d n^3 of _basis_products.  The
+    remainder E = D_c - u w^T moves each product by |tr(E b_i b_j)| <=
+    ||E||_F ||b_i||_2 ||b_j||_F <= ||E||_F on the orthonormal basis, so ||E||_F
+    is added to the residual.  A row whose remainder exceeds DENSITY_RANK_ONE_TOL
+    takes _basis_products.  Every product here, and in _basis_products, is
+    taken as a stack of one product per row, so a row gets the same bits alone
+    as in any stack.
+    """
+    (k, d), n = values.shape, alg.ambient_dim
+    if d == 0:
+        return np.zeros(k)
+    u, w, remainder = _rank_one_factors(alg, values)
+    out, factored = np.empty(k), remainder <= DENSITY_RANK_ONE_TOL
+    fac = np.flatnonzero(factored)
+    if len(fac):
+        # (w_c^T b_i) (b_j u_c), from row stacks w_c^T [b_1 ... b_d] and columns b_j u_c
+        left = (w[fac, None, :] @ alg.basis.swapaxes(0, 1).reshape(n, d * n)).reshape(-1, d, n)
+        right = (alg.basis.reshape(d * n, n) @ u[fac, :, None]).reshape(-1, d, n)
+        prods = left @ right.swapaxes(1, 2)
+        del left, right  # 2 c d n entries, freed before the residual's c d^2 temporaries
+        out[fac] = _multiplicativity_residuals(values[fac], prods) + remainder[fac]
+    if not factored.all():
+        v = values[~factored]
+        out[~factored] = _multiplicativity_residuals(v, _basis_products(alg, v, alg.basis))
+    return out
+
+
+def _rank_one_factors(alg: Algebra, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each row's density D_c = sum_l f_c(b_l) b_l*: its column u at its largest
+    entry, its row w there over that entry (exact for a rank-one D_c; zero for
+    D_c = 0), and the Frobenius norm of D_c - u w^T."""
+    k, n = len(values), alg.ambient_dim
+    dens = _combine_each(values, alg.basis.conj().swapaxes(1, 2))
+    rows = np.arange(k)
+    p, q = np.divmod(np.abs(dens.reshape(k, n * n)).argmax(axis=1), n)
+    pivot = dens[rows, p, q]
+    u, w = dens[rows, :, q], dens[rows, p, :] / np.where(pivot == 0, 1.0, pivot)[:, None]
+    rest = (dens - u[:, :, None] * w[:, None, :]).reshape(k, n * n)
+    return u, w, np.linalg.norm(rest, axis=1)
 
 
 def _multiplicativity_residuals(values: np.ndarray, prods: np.ndarray) -> np.ndarray:

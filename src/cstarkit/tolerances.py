@@ -40,7 +40,8 @@ CLASSIFY_TOL = 1e-9
 # Bound on the tail of neumann_inverse's series.
 NEUMANN_TOL = 1e-12
 # Off-diagonal rest E of U* a U, relative to ||a||_F, within which a sample keeps the
-# diagonal of the joint eigh as its eigenvalues (_joint_eigvals).  For a normal sample,
+# diagonal of the joint eigh as its eigenvalues (_framed_diagonals), and a basis element
+# its characters' values (gelfand.characters).  For a normal sample,
 # Bauer-Fike both ways moves r(a) by at most ||E||_2 <= 1e-10 ||a||_F; a gelfand sample
 # projects a complex Gaussian onto d orthonormal directions, so ||a||_F ~ sqrt(2 d), about
 # 11 at d = 64, and the bound, about 1.1e-9 there, stays far inside GELFAND_REPORT_TOL.
@@ -70,6 +71,11 @@ POSITIVITY_TOL = 1e-9
 GRAM_NULL_TOL = 1e-10
 # How far a vector state's vector may be from norm 1.
 UNIT_VECTOR_TOL = 1e-9
+# Frobenius remainder ||D - u w^T|| of a functional's density past its rank-one factor from
+# the row and column of its largest entry, within which its multiplicativity residual is
+# read from the factor with the remainder added (_multiplicativity_bounds); a character's
+# density on a commutative *-closed algebra is usually rank one, to about 1e-16.
+DENSITY_RANK_ONE_TOL = 1e-13
 
 # -- Particle in a box (qm)
 

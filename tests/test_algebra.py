@@ -158,15 +158,15 @@ class TestFindIdentity:
 
 class TestIsAbelian:
     def test_diagonal_true(self):
-        assert algebra.is_abelian(diag_algebra([1.0, 2.0, 3.0]))
+        assert diag_algebra([1.0, 2.0, 3.0]).abelian
 
     def test_full_m2_false(self):
-        assert not algebra.is_abelian(algebra.full_matrix_algebra(2))
+        assert not algebra.full_matrix_algebra(2).abelian
 
     def test_circulant_true(self):
         from cstarkit.gelfand import cyclic_group_algebra
 
-        assert algebra.is_abelian(cyclic_group_algebra(4))
+        assert cyclic_group_algebra(4).abelian
 
     @pytest.mark.parametrize("t, abelian", [(1e-7, False), (1e-11, True)])
     def test_abelian_flips_at_the_tolerance(self, t, abelian):

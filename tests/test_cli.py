@@ -1276,11 +1276,13 @@ def test_characters_of_a_64_circulant(tmp_path):
     assert results["count"] == results["algebra_dim"] == 64
 
 
-# Run in a fresh interpreter, whose peak resident set is the run's own.  A
-# (d, n r, n r) representation at n = 24 would take about 6 GB.
+# Run in a fresh interpreter, which reports its own peak resident set, VmHWM.
+# Its ru_maxrss would not do: Linux carries the parent's peak over at exec, so
+# a child of a large test process reads the parent's size.  A (d, n r, n r)
+# representation at n = 24 would take about 6 GB.
 _GNS_AT_N24 = """
 import json
-import resource
+import re
 import sys
 import numpy as np
 from cstarkit import cli
@@ -1290,7 +1292,8 @@ rho = g @ g.conj().T
 with open(sys.argv[1], "w") as fh:
     json.dump(cli.matrix_to_json(rho / np.trace(rho).real), fh)
 code = cli.run(["gns", "--input", sys.argv[1], "--out", sys.argv[2]])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as fh:
+    print(re.search(r"^VmHWM:\\s*(\\d+) kB$", fh.read(), re.MULTILINE).group(1))
 sys.exit(code)
 """
 
@@ -1305,7 +1308,7 @@ def test_gns_of_a_full_rank_24_density(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["results"] == {"hilbert_dim": 576, "algebra_dim": 576}
-    assert int(proc.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(proc.stdout) < 200 * 1024  # VmHWM is in KiB
 
 
 class TestNoStructureTensor:

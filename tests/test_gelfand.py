@@ -630,6 +630,18 @@ def _reference_characters(alg, seed=0, tol=1e-8):
     return found
 
 
+def _spy(monkeypatch, module, name):
+    """Patch module.name to record each call's arguments and run as before."""
+    calls, real = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def _old_key_order(rows):
     key = lambda i: tuple((round(z.real, 6), round(z.imag, 6)) for z in rows[i])  # noqa: E731
     return sorted(range(len(rows)), key=key)
@@ -695,19 +707,25 @@ class TestGenericSplitEquivalence:
             self.assert_same(spec, _reference_characters(alg))
             assert len(spec) == (n // 2 if label == "doubled" else n)
 
-    def test_characters_tied_at_the_generic_element(self):
+    def test_characters_tied_at_the_generic_element(self, monkeypatch):
         """C^2 in a rotated frame, on an orthonormal basis whose two characters
-        take one value at z: eig's vectors mix them, and the split finds both."""
+        take one value at z: the joint frame's generic Hermitian, of the basis
+        scaled alike, is then a multiple of I, its frame fails the certificate,
+        and the split finds both."""
         c = algebra._generic_coords(2)[0]
         q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         # m[j, k] = chi_j(b_k), unitary, with row 0 - row 1 = sqrt(2) (c_2, -c_1) / ||c||
         m = q @ np.array([[c[1], -c[0]], c.conj()]) / np.linalg.norm(c)
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(0)
         r, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         alg = algebra.Algebra(np.stack([(r * m[:, k]) @ r.conj().T for k in range(2)]))
         assert alg.abelian and alg.star_closed
         assert abs((m @ c)[0] - (m @ c)[1]) <= 1e-15
+        exponents = spectral._unit_scaled_each(alg.basis)[1]
+        assert exponents.min() == exponents.max()
+        splits = _spy(monkeypatch, gelfand, "_split")
         spec = gelfand.characters(alg)
+        assert splits and spec.frame is None
         assert len(spec) == alg.dim == 2
         self.assert_same(spec, _reference_characters(alg))
 
@@ -1013,3 +1031,198 @@ class TestJointEigvalsEquivalence:
             report = gelfand.gelfand_isometry_report(alg, samples=20, seed=seed)
             assert report.max_hat_minus_radius <= 1e-12
         assert rows == []
+
+
+def _reference_eig_characters(alg):
+    """characters() before the joint frame, verbatim apart from names: one eig
+    of the generic z, and the split where that finds fewer than dim characters
+    of a *-closed algebra.  Returns the value rows in the characters' order."""
+    z = alg.from_coords(algebra._generic_coords(alg.dim)[0])
+    found = gelfand._consider(alg, linalg._lapack(np.linalg.eig, z)[1])
+    if len(found) < alg.dim and alg.star_closed:
+        blocks = gelfand._split(
+            [np.eye(alg.ambient_dim, dtype=complex)], gelfand._hermitian_spanning_set(alg)
+        )
+        found = gelfand._consider(alg, np.stack([blk[:, 0] for blk in blocks], axis=1))
+    return gelfand._sorted(found)
+
+
+SCALED_STAR_ABELIAN = {
+    f"{label}-{n}-x{scale:g}": (
+        lambda label=label, n=n, scale=scale: algebra.algebra_from_generators(
+            [_benchmark_like(label, n, 7 * n) * scale]
+        )
+    )
+    for label in ("distinct", "doubled", "circulant")
+    for n in (6, 16)
+    for scale in (1e300, 1e-300)
+}
+
+# NATURAL_STAR_ABELIAN, the scaled inputs, and one whose frame has columns that every element kills
+FRAMED_INPUTS = {
+    **NATURAL_STAR_ABELIAN,
+    **SCALED_STAR_ABELIAN,
+    "non-unital-diagonal": lambda: algebra.algebra_from_generators(
+        [np.diag([1.0, 0.0, 2.0, 0.0])], include_identity=False
+    ),
+}
+
+
+def _no_call(name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return raising
+
+
+def _rotate_first_two(u):
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    u = u.copy()
+    u[:, :2] = u[:, :2] @ np.array([[c, -s], [s, c]])
+    return u
+
+
+class TestFramedCharactersEquivalence:
+    """characters() of a *-closed algebra, read off the certified joint frame of
+    its basis, against the eig-of-z path it replaced: the same count and
+    order, and values within 1e-12."""
+
+    @staticmethod
+    def assert_same(spec, want):
+        got = [np.asarray(chi.values) for chi in spec]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(FRAMED_INPUTS))
+    def test_natural_inputs_take_the_frame(self, monkeypatch, name):
+        """No eig and no split on any natural *-closed input."""
+        alg = FRAMED_INPUTS[name]()
+        assert alg.star_closed and alg.abelian
+        want = _reference_eig_characters(alg)
+        monkeypatch.setattr(np.linalg, "eig", _no_call("np.linalg.eig"))
+        splits = _spy(monkeypatch, gelfand, "_split")
+        spec = gelfand.characters(alg)
+        assert spec.frame is not None and not splits
+        self.assert_same(spec, want)
+
+    def test_a_rotated_frame_fails_the_certificate(self, monkeypatch):
+        """Two frame vectors turned together by 1e-6 mix two characters: the
+        certificate rejects the frame, and the split finds the characters."""
+        alg = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
+        want = _reference_eig_characters(alg)
+        joint_frame = spectral._joint_frame
+        rotated = lambda mats: _rotate_first_two(joint_frame(mats))  # noqa: E731
+        monkeypatch.setattr(gelfand, "_joint_frame", rotated)
+        splits = _spy(monkeypatch, gelfand, "_split")
+        spec = gelfand.characters(alg)
+        assert splits and spec.frame is None
+        self.assert_same(spec, want)
+
+    @pytest.mark.parametrize("name", ["nilpotent", "upper-triangular", "e12-e13-diag"])
+    def test_not_star_closed_keeps_the_eig_path(self, name):
+        alg = NOT_STAR_CLOSED[name]()
+        spec = gelfand.characters(alg)
+        assert spec.frame is None
+        got = [np.asarray(chi.values) for chi in spec]
+        want = _reference_eig_characters(alg)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestFramedSamples:
+    """gelfand_isometry_report reads its samples in the characters' frame, with
+    _joint_eigvals' certificate and its eig_general fallback."""
+
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_star_closed_samples_use_the_characters_frame(self, monkeypatch, label):
+        alg = algebra.algebra_from_generators([_benchmark_like(label, 12, 5)])
+        want = _reference_isometry_report(alg, samples=20, seed=3)
+        # characters() takes its frame through gelfand's name; a frame of the samples would not
+        monkeypatch.setattr(spectral, "_joint_frame", _no_call("spectral._joint_frame"))
+        got = gelfand.gelfand_isometry_report(alg, samples=20, seed=3)
+        assert np.abs(np.subtract(got.spectral_radius, want.spectral_radius)).max() <= 1e-12
+        assert got.op_norm == want.op_norm
+
+    def test_without_a_frame_the_samples_take_their_own(self, monkeypatch):
+        alg = _similar_upper_triangular(4, 10)
+        assert gelfand.characters(alg).frame is None
+        calls = _spy(monkeypatch, spectral, "_joint_frame")
+        gelfand.gelfand_isometry_report(alg, samples=5, seed=1)
+        assert len(calls) == 1 and len(calls[0][0]) == 5
+
+    def test_a_rotated_frame_takes_eig_general(self, monkeypatch):
+        alg = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
+        frame = _rotate_first_two(gelfand.characters(alg).frame)
+        mats = algebra._random_matrices(alg, np.random.default_rng(4), 20)
+        want = linalg.eig_general(mats)
+        rows = _counting_eig_general(monkeypatch)
+        assert np.array_equal(spectral._joint_eigvals(mats, frame), want)
+        assert rows == [len(mats)]
+
+
+class TestFactoredResidualEquivalence:
+    """Multiplicativity residuals from rank-one density factors agree with the
+    contraction of the structure constants to 1e-12, and only densities off
+    rank one take _basis_products."""
+
+    @pytest.mark.parametrize("n", [6, 8, 16])
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_against_structure_constants(self, monkeypatch, label, n):
+        alg = algebra.algebra_from_generators([_benchmark_like(label, n, 3 * n)])
+        spec = gelfand.characters(alg)
+        want = _reference_multiplicative(alg, spec.values)[1]
+        calls = _spy(monkeypatch, states, "_basis_products")
+        got = spec.multiplicativity_residuals()
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # doubled eigenvalues give rank-two densities, all taken in one call
+        assert [len(args[1]) for args in calls] == ([len(spec)] if label == "doubled" else [])
+        for chi, g in zip(spec, got):
+            assert chi.multiplicativity_residual() == g
+
+    def test_zero_density(self, monkeypatch):
+        alg = gelfand.cyclic_group_algebra(4)
+        monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
+        assert states.functional(alg, np.zeros(4)).multiplicativity_residual() == 0.0
+        zero = algebra.algebra_from_generators([np.zeros((2, 2))], include_identity=False)
+        assert states._multiplicativity_bounds(zero, np.zeros((3, 0))).tolist() == [0.0] * 3
+
+    def test_remainder_at_the_tolerance(self, monkeypatch):
+        """A character perturbed by 1e-14: at a tolerance equal to its remainder
+        the factor gives a certified upper bound; one float below, the products."""
+        alg = gelfand.cyclic_group_algebra(8)
+        noise = np.random.default_rng(5).standard_normal(8)
+        vals = gelfand.characters(alg).values[3] + 1e-14 * noise
+        rem = float(states._rank_one_factors(alg, vals[None])[2][0])
+        assert 0.0 < rem <= states.DENSITY_RANK_ONE_TOL
+        want = _reference_multiplicative(alg, vals[None])[1][0]
+        for tol, factored in ((rem, True), (np.nextafter(rem, 0.0), False)):
+            monkeypatch.setattr(states, "DENSITY_RANK_ONE_TOL", tol)
+            calls = _spy(monkeypatch, states, "_basis_products")
+            got = states.functional(alg, vals).multiplicativity_residual()
+            monkeypatch.undo()
+            assert bool(calls) is not factored
+            assert abs(got - want) <= 1e-12
+            assert got >= want - 1e-15
+
+    def test_the_factor_bounds_the_residual_off_rank_one(self, monkeypatch):
+        """Characters perturbed by 1e-9, all taken through the factor: the
+        reported value lies within twice the remainder above the residual."""
+        alg = gelfand.cyclic_group_algebra(8)
+        rng = np.random.default_rng(19)
+        vals = gelfand.characters(alg).values[3] + 1e-9 * (
+            rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))
+        )
+        rem = states._rank_one_factors(alg, vals)[2]
+        want = _reference_multiplicative(alg, vals)[1]
+        monkeypatch.setattr(states, "DENSITY_RANK_ONE_TOL", 1.0)
+        monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
+        got = states._multiplicativity_bounds(alg, vals)
+        assert np.all(got >= want - 1e-15) and np.all(got <= want + 2.0 * rem + 1e-15)
+
+    def test_cyclic_64_takes_the_factor_throughout(self, monkeypatch):
+        alg = gelfand.cyclic_group_algebra(64)
+        spec = gelfand.characters(alg)
+        monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
+        resid = spec.multiplicativity_residuals()
+        assert resid.shape == (64,) and resid.max() <= 1e-12
