@@ -358,6 +358,11 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
     a_1 in rep's one block.  A multiplicity m repeats the block, so
     pi(a) = a_1 (x) I_m has a_1's norms, and with the cyclic vector as a
     k x m matrix X, <pi(a) x, x> = tr(X* a_1 X); no image is formed at full size.
+
+    No SVD is taken where the answer is fixed: an exactly zero defect reads 0
+    in _op_norm_each, and a sample whose image equals it in every bit (the
+    block of gns on all of M_n is the basis itself) has excess exactly 0.  Any
+    other sample, one differing in a single bit included, takes both norms.
     """
     alg, rng = rep.algebra, np.random.default_rng(seed)
     norm = linalg._op_norm_each
@@ -367,7 +372,8 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
     pa, pb, pab, pstar = np.split(images, 4)
     hom, star = pab - pa @ pb, pstar - pa.conj().swapaxes(1, 2)
     hom_resid = max(0.0, *norm(hom).tolist(), *norm(star).tolist())
-    contraction = max(0.0, *(norm(pa) - norm(a)).tolist())
+    moved = ~_same_bits(pa, a)
+    contraction = max([0.0, *(norm(pa[moved]) - norm(a[moved])).tolist()])
     state_resid = 0.0
     if rep.cyclic_vector is not None:
         a = algebra._random_matrices(alg, rng, 20)
@@ -378,6 +384,14 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
         # Python abs: numpy's complex abs can round differently
         state_resid = max(0.0, *(abs(p - q) for p, q in zip(lhs.tolist(), rhs.tolist())))
     return hom_resid, contraction, state_resid
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack x has the shape and every bit of y's."""
+    if x.shape != y.shape:
+        return np.zeros(len(x), dtype=bool)
+    bits = np.ascontiguousarray(x).view(np.uint64) == np.ascontiguousarray(y).view(np.uint64)
+    return bits.all(axis=(1, 2))
 
 
 def cmd_gns(args) -> dict:

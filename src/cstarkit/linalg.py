@@ -48,10 +48,21 @@ def op_norm(m) -> float:
 
 
 def _op_norm_each(mats: np.ndarray) -> np.ndarray:
-    """op_norm of each matrix of a (k, p, q) stack, from one stacked SVD."""
+    """op_norm of each matrix of a (k, p, q) stack, from one stacked SVD.
+
+    A matrix with no nonzero entry reads 0.0 without LAPACK (a subnormal or
+    NaN entry is nonzero); the rest take the SVD, the whole stack uncopied
+    when none is zero, so each norm has the bits of the matrix's SVD alone.
+    """
     if not mats.size:
         return np.zeros(len(mats))
-    return _lapack(np.linalg.svd, mats, compute_uv=False)[:, 0]
+    live = np.any(mats, axis=(1, 2))
+    if live.all():
+        return _lapack(np.linalg.svd, mats, compute_uv=False)[:, 0]
+    out = np.zeros(len(mats))
+    if live.any():
+        out[live] = _lapack(np.linalg.svd, mats[live], compute_uv=False)[:, 0]
+    return out
 
 
 def ldexp(m, e: int) -> np.ndarray:
@@ -70,17 +81,33 @@ def unit_scaled(m) -> np.ndarray:
     return ldexp(m, -e)
 
 
-def hermitian_residual(m: np.ndarray) -> float:
-    """Relative defect ||m - m*|| / ||m||, computed on unit_scaled(m).
+def _unit_scaled_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each a_s of a (k, p, q) stack scaled by the power of two 2^-e_s that brings
+    its largest real or imaginary part into [1/2, 1), exactly, so no norm below
+    overflows or underflows; and the exponents e, shape (k, 1)."""
+    parts = np.abs(np.ascontiguousarray(mats, dtype=complex).view(float))
+    e = np.frexp(parts.max(axis=(1, 2), initial=0.0))[1][:, None]
+    return ldexp(mats, -e[:, :, None]), e
 
-    Exactly Hermitian input, the zero matrix included, returns 0.0 without
-    computing a norm.
-    """
-    scaled = unit_scaled(m)
-    skew = scaled - scaled.conj().T
-    if not skew.any():
-        return 0.0
-    return op_norm(skew) / op_norm(scaled)
+
+def hermitian_residual(m: np.ndarray) -> float:
+    """Relative defect ||m - m*|| / ||m||, computed on unit_scaled(m)."""
+    return float(_hermitian_residual_each(np.asarray(m)[None])[0])
+
+
+def _hermitian_residual_each(mats: np.ndarray) -> np.ndarray:
+    """hermitian_residual of each matrix of a (k, n, n) stack, each on its own
+    power-of-two scaling.  Exactly Hermitian matrices, the zero matrix
+    included, read 0.0 without computing a norm."""
+    scaled = _unit_scaled_each(mats)[0]
+    skew = scaled - scaled.conj().swapaxes(1, 2)
+    live = np.any(skew, axis=(1, 2))
+    if live.all():
+        return _op_norm_each(skew) / _op_norm_each(scaled)
+    out = np.zeros(len(mats))
+    if live.any():
+        out[live] = _op_norm_each(skew[live]) / _op_norm_each(scaled[live])
+    return out
 
 
 def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +184,3 @@ def _lapack(routine, a: np.ndarray, **kwargs):
     if not all(np.isfinite(p).all() for p in parts) and np.isfinite(a).all():
         raise Overflow(f"{routine.__name__} leaves the float range")
     return out
-
-
-def null_basis(g) -> list[np.ndarray]:
-    """Orthonormal basis of the (numerical) null space of a Hermitian PSD matrix.
-
-    Eigenvectors whose eigenvalue is within LINALG_TOL * ||g|| of zero are
-    kept; the count is dim - rank.  Raises NotHermitian for non-Hermitian input.
-    """
-    w, v = herm_eig(g)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) <= LINALG_TOL * scale
-    return [v[:, i].copy() for i in range(len(w)) if keep[i]]

@@ -25,6 +25,7 @@ from .errors import (
     Overflow,
     SingularResolvent,
 )
+from .linalg import _unit_scaled_each
 from .tolerances import CLASSIFY_TOL, CLUSTER_SCALE, ELEMENT_TOL, JOINT_EIG_TOL, NEUMANN_TOL
 
 NEUMANN_MAX_TERMS = 10_000
@@ -195,15 +196,6 @@ def _joint_eigvals(mats: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     if not held.all():
         eigs[~held] = linalg.eig_general(mats[~held])
     return eigs
-
-
-def _unit_scaled_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each a_s scaled by the power of two 2^-e_s that brings its largest real or
-    imaginary part into [1/2, 1), exactly, so no norm below overflows or
-    underflows; and the exponents e, shape (k, 1)."""
-    parts = np.abs(np.ascontiguousarray(mats, dtype=complex).view(float))
-    e = np.frexp(parts.max(axis=(1, 2), initial=0.0))[1][:, None]
-    return linalg.ldexp(mats, -e[:, :, None]), e
 
 
 def _joint_frame(mats: np.ndarray) -> np.ndarray | None:
@@ -401,19 +393,26 @@ def classify(a) -> ElementFlags:
 
 
 def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """eigh of a positive element, and max(1, ||a||); NotPositive for any other.
+    """eigh of a positive element, and max(1, ||a||); NotPositive for any other."""
+    w, v, scale = _positive_eig_each(linalg.require_square(_matrix_of(a))[None], tol)
+    return w[0], v[0], float(scale[0])
+
+
+def _positive_eig_each(mats: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """eigh of each matrix of a (k, n, n) stack, and each max(1, ||a||), from one
+    Hermitian test, one eigh and one op-norm stack; NotPositive unless every
+    matrix is positive.
 
     Positive is classify()'s test: Hermitian within tol, and no eigenvalue
     below -tol * max(1, ||a||).  Each test fails when it reads NaN.  The
     Hermitian test runs once, so eigh is called directly, not herm_eig.
     """
-    m = linalg.require_square(_matrix_of(a))
     message = "element is not positive (Hermitian with spectrum >= 0)"
-    if not linalg.hermitian_residual(m) <= tol:
+    if not np.all(linalg._hermitian_residual_each(mats) <= tol):
         raise NotPositive(message)
-    w, v = np.linalg.eigh(m)
-    scale = max(1.0, linalg.op_norm(m))
-    if w.size and not float(np.min(w)) >= -tol * scale:
+    w, v = np.linalg.eigh(mats)
+    scale = np.fmax(1.0, linalg._op_norm_each(mats))
+    if w.shape[-1] and not np.all(w.min(axis=1) >= -tol * scale):
         raise NotPositive(message)
     return w, v, scale
 

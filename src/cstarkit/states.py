@@ -19,19 +19,22 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element, _combine_each, _pairing_each, _random_matrices
+from .algebra import Algebra, Element, _combine_each, _dot_each, _pairing_each, _random_matrices
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    NotInAlgebra,
     NotPositive,
     NotStarClosed,
     NotUnital,
     NotUnitVector,
 )
-from .spectral import _matrix_of, _positive_eig
+from .linalg import _unit_scaled_each
+from .spectral import _matrix_of, _positive_eig_each
 from .tolerances import (
     CLASSIFY_TOL,
     DENSITY_RANK_ONE_TOL,
+    ELEMENT_TOL,
     GRAM_NULL_TOL,
     POSITIVITY_TOL,
     UNIT_VALUE_TOL,
@@ -42,8 +45,8 @@ from .tolerances import (
 @dataclass(frozen=True, eq=False)
 class Functional:
     """A linear functional given by its values, a read-only complex (d,) array,
-    on the algebra basis; its density, the eigendecomposition of the density's
-    Hermitian part and the positivity test are cached."""
+    on the algebra basis; its positivity test, and with it the eigendecomposition
+    of its density's Hermitian part (_density_eigh), are cached."""
 
     algebra: Algebra
     values: np.ndarray
@@ -67,26 +70,8 @@ class Functional:
         return float(_multiplicativity_bounds(self.algebra, self.values[None])[0])
 
     @cached_property
-    def _density(self) -> np.ndarray:
-        return _combine_each(self.values[None], self.algebra.basis.conj().swapaxes(1, 2))[0]
-
-    @cached_property
-    def _density_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        dens = self._density
-        return np.linalg.eigh((dens + dens.conj().T) / 2.0)
-
-    @cached_property
     def _positivity(self) -> PositivityReport:
-        """D's Hermitian defect sqrt(n) ||D - D*||_F and least eigenvalue, relative
-        to max(1, max|D_ij|): on the matrix units, the Gram matrix's defect and scale."""
-        if not self.algebra.star_closed:
-            raise NotStarClosed("positivity needs a *-closed algebra (the density must lie in it)")
-        dens, (w, _) = self._density, self._density_eigh
-        scale = max(1.0, float(np.max(np.abs(dens), initial=0.0)))
-        defect = float(np.sqrt(len(dens)) * np.linalg.norm(dens - dens.conj().T)) / scale
-        min_eig = float(w[0]) if w.size else 0.0
-        positive = defect <= POSITIVITY_TOL and min_eig >= -POSITIVITY_TOL * scale
-        return PositivityReport(positive, min_eig, defect)
+        return _positivities(self.algebra, [self])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +186,42 @@ def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:
     return f._positivity
 
 
-def _positive_density(alg: Algebra, f: Functional) -> tuple[np.ndarray, np.ndarray]:
-    """The density's eigenpairs w > GRAM_NULL_TOL * max w once f passes the
-    positivity test; NotPositive naming the failed test."""
-    report = is_positive_functional(alg, f)
+def _positivities(alg: Algebra, fs: list[Functional]) -> list[PositivityReport]:
+    """The positivity report of each functional of fs, from one stack of their
+    densities D and one eigh of the Hermitian parts; each f caches its report
+    and its eigenpairs (_density_eigh).  A report holds D's Hermitian defect
+    sqrt(n) ||D - D*||_F and least eigenvalue, relative to max(1, max|D_ij|):
+    on the matrix units, the Gram matrix's defect and scale."""
+    if not alg.star_closed:
+        raise NotStarClosed("positivity needs a *-closed algebra (the density must lie in it)")
+    values = np.array([f.values for f in fs]).reshape(len(fs), alg.dim)
+    dens = _combine_each(values, alg.basis.conj().swapaxes(1, 2))
+    dens_h = dens.conj().swapaxes(1, 2)
+    w, v = np.linalg.eigh((dens + dens_h) / 2.0)
+    scale = np.fmax(1.0, np.abs(dens).max(axis=(1, 2), initial=0.0))
+    defect = np.sqrt(alg.ambient_dim) * np.linalg.norm(dens - dens_h, axis=(1, 2)) / scale
+    min_eig = w[:, 0] if w.shape[1] else np.zeros(len(fs))
+    positive = (defect <= POSITIVITY_TOL) & (min_eig >= -POSITIVITY_TOL * scale)
+    reports = [PositivityReport(*r) for r in zip(positive.tolist(), min_eig.tolist(), defect.tolist())]
+    for f, wf, vf, report in zip(fs, w, v, reports):
+        vars(f).update(_density_eigh=(wf, vf), _positivity=report)
+    return reports
+
+
+def _require_positive(report: PositivityReport) -> None:
+    """NotPositive naming the failed test, unless the report is positive."""
     if not report.positive:
         if not report.hermitian_defect <= POSITIVITY_TOL:
             test = f"density Hermitian defect {report.hermitian_defect:.3e} exceeds"
         else:
             test = f"min density eigenvalue {report.min_gram_eigenvalue:.3e} is below -max(1, |D|) *"
         raise NotPositive(f"{test} {POSITIVITY_TOL:.1e}")
+
+
+def _positive_density(alg: Algebra, f: Functional) -> tuple[np.ndarray, np.ndarray]:
+    """The density's eigenpairs w > GRAM_NULL_TOL * max w once f passes the
+    positivity test; NotPositive naming the failed test."""
+    _require_positive(is_positive_functional(alg, f))
     w, v = f._density_eigh
     keep = w > GRAM_NULL_TOL * max(float(w[-1]) if w.size else 0.0, 0.0)
     return w[keep], v[:, keep]
@@ -218,26 +229,53 @@ def _positive_density(alg: Algebra, f: Functional) -> tuple[np.ndarray, np.ndarr
 
 def make_state(alg: Algebra, values) -> State:
     """Validate positivity and normalization, then build a State."""
-    f = State(alg, values)
-    _positive_density(alg, f)
+    return _make_states(alg, np.asarray(values, dtype=complex)[None])[0]
+
+
+def _make_states(alg: Algebra, values: np.ndarray) -> list[State]:
+    """make_state of each row of a complex (k, d) stack: each test over every row
+    before the next (one density eigh and one f(1) pairing), in make_state's
+    order, and the first row that fails a test raises.  Every test fails on NaN;
+    an empty stack has nothing to test."""
+    fs = [State(alg, v) for v in values]
+    if not fs:
+        return fs
+    for report in _positivities(alg, fs):
+        _require_positive(report)
     if not alg.unital:
         raise NotUnital("states are normalized against the algebra identity")
-    nrm = f(alg.identity_matrix)
-    if abs(nrm - 1.0) > UNIT_VALUE_TOL:
-        raise ValueError(f"functional has f(1) = {nrm}, expected 1")
-    return f
+    for nrm in _dot_each(values, alg.coords(alg.identity_matrix)).tolist():
+        if not abs(nrm - 1.0) <= UNIT_VALUE_TOL:
+            raise ValueError(f"functional has f(1) = {nrm}, expected 1")
+    return fs
 
 
 def vector_state(alg: Algebra, x) -> State:
     """The state f(a) = <a x, x> induced by a unit vector x."""
-    xv = np.asarray(x, dtype=complex).ravel()
-    if xv.shape[0] != alg.ambient_dim:
-        raise DimensionMismatch(
-            f"vector has length {xv.shape[0]}, ambient space is {alg.ambient_dim}"
-        )
-    if abs(float(np.linalg.norm(xv)) - 1.0) > UNIT_VECTOR_TOL:
-        raise NotUnitVector(f"vector norm {np.linalg.norm(xv):.12f} is not 1")
-    return make_state(alg, alg.basis @ xv @ xv.conj())
+    return _vector_states(alg, np.asarray(x, dtype=complex).ravel()[None])[0]
+
+
+def _vector_states(alg: Algebra, xs: np.ndarray) -> list[State]:
+    """vector_state of each row x of a (k, m) stack: f(b_l) = <b_l x, x>, taken n
+    vectors at a time so that each product stack has the basis's size.
+
+    ||x|| is read on x's power-of-two scaling, so a 1e200 entry gives its norm
+    without overflow and a NaN entry gives NaN; either is NotUnitVector.
+    """
+    n, xs = alg.ambient_dim, np.ascontiguousarray(xs, dtype=complex)
+    if xs.shape[1] != n:
+        raise DimensionMismatch(f"vector has length {xs.shape[1]}, ambient space is {n}")
+    scaled, e = _unit_scaled_each(xs[:, None, :])
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norms = np.ldexp(np.linalg.norm(scaled[:, 0], axis=1), e[:, 0])
+    for nrm in norms.tolist():
+        if not abs(nrm - 1.0) <= UNIT_VECTOR_TOL:
+            raise NotUnitVector(f"vector norm {nrm:.12f} is not 1")
+    values = np.empty((len(xs), alg.dim), dtype=complex)
+    for s in range(0, len(xs), n):
+        x = xs[s : s + n]
+        values[s : s + n] = ((alg.basis @ x[:, None, :, None])[..., 0] @ x.conj()[:, :, None])[..., 0]
+    return _make_states(alg, values)
 
 
 def functional_norm(alg: Algebra, f: Functional) -> float:
@@ -262,8 +300,30 @@ def norming_state(a: Element) -> State:
     """A state with f(a) = ||a||, from a top eigenvector of the positive element a."""
     if a.algebra is None:
         raise ValueError("norming_state needs an element with an explicit algebra")
-    _, v, _ = _positive_eig(a, CLASSIFY_TOL)
-    return vector_state(a.algebra, v[:, -1])
+    return _norming_states(a.algebra, a.matrix[None])[0]
+
+
+def _norming_states(alg: Algebra, mats: np.ndarray) -> list[State]:
+    """norming_state of each positive member of alg in a (k, n, n) stack: the
+    vector states of their top eigenvectors, from one _positive_eig_each."""
+    _, v, _ = _positive_eig_each(mats, CLASSIFY_TOL)
+    return _vector_states(alg, v[:, :, -1])
+
+
+def _require_members(alg: Algebra, mats: np.ndarray) -> None:
+    """Element(alg, m)'s checks on each matrix of a (k, n, n) stack, in one pass:
+    ValueError for an entry that is not finite, NotInAlgebra for a relative
+    projection residual (Algebra.membership_residual, on each matrix's own
+    power-of-two scaling) above ELEMENT_TOL."""
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
+    scaled = _unit_scaled_each(mats)[0]
+    rest = scaled - _combine_each(alg.coords(scaled), alg.basis)
+    scale = np.linalg.norm(scaled, axis=(1, 2))
+    resid = np.linalg.norm(rest, axis=(1, 2)) / np.where(scale == 0.0, 1.0, scale)
+    for r in resid.tolist():
+        if not r <= ELEMENT_TOL:
+            raise NotInAlgebra(f"projection residual {r:.3e} outside the span")
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,14 +455,18 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
 
     The family is the normalized trace, the supplied extra states, and a
     norming state of (b b*)^2 for each basis element b; it is large enough
-    to make the sum isometric at finite dimension.  The report carries the
-    max over sampled elements of | ||pi(a)|| - ||a|| |, the samples drawn as
-    successive random_element calls in one stack; ||pi(a)|| is the largest
-    norm of a's images in the blocks.
+    to make the sum isometric at finite dimension.  The d norming states are
+    built as one stack (_require_members, _norming_states), with the checks
+    and bits of norming_state(Element(alg, (b b*)^2)) taken one at a time.
+    The report carries the max over sampled elements of | ||pi(a)|| - ||a|| |,
+    the samples drawn as successive random_element calls in one stack;
+    ||pi(a)|| is the largest norm of a's images in the blocks.
     """
     bbs = alg.basis @ alg.basis.conj().swapaxes(1, 2)
+    squares = bbs @ bbs
     family = [trace_state(alg)] if alg.unital else []
-    family += [*extra_states, *(norming_state(Element(alg, bb @ bb)) for bb in bbs)]
+    _require_members(alg, squares)
+    family += [*extra_states, *_norming_states(alg, squares)]
     total = direct_sum_reps(gns(alg, f) for f in family)
     mats = _random_matrices(alg, np.random.default_rng(seed), samples)
     gaps = np.abs(total._norm_each(mats) - linalg._op_norm_each(mats))

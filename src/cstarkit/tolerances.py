@@ -28,7 +28,7 @@ SIMPLE_SPECTRUM_GAP = 1e-5
 
 # -- Dense kernels (linalg)
 
-# Relative to ||m||: herm_eig's Hermitian defect, invert's and null_basis's zero singular values.
+# Relative to ||m||: herm_eig's Hermitian defect, invert's zero singular values.
 LINALG_TOL = 1e-9
 
 # -- Spectra and element flags (spectral)

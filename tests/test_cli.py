@@ -158,6 +158,15 @@ class TestSubcommands:
         assert report["results"]["algebra_dim"] == 4
         assert report["residuals"]["max_isometry_residual"]["value"] <= 1e-7
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_universal_integers_on_real_gaussians(self, tmp_path, n):
+        """The benchmark's universal inputs: M_n, the trace state's GNS space
+        C^n (x) C^n, and one rank-one norming state per basis element."""
+        g = np.random.default_rng([n, 27]).standard_normal((n, n))
+        path = write_matrix(tmp_path / "g.json", g)
+        results = run_to_file(tmp_path, ["universal", "--input", path, "--seed", "7"])["results"]
+        assert results == {"algebra_dim": n * n, "hilbert_dim": n * n * (n + 1), "state_count": n * n + 1}
+
     def test_quotient_norm(self, tmp_path):
         doc = {
             "element": cli.matrix_to_json(np.diag([3.0, 1.0, 2.0]).astype(complex)),
@@ -1075,7 +1084,8 @@ def _gns_verdicts(rep, seed=4):
 class TestGnsResidualsFlip:
     """Each gns residual fails when the representation data is perturbed.  On
     the matrix units the block is the basis itself, so the images are the
-    samples and the homomorphism and contraction checks read exactly 0."""
+    samples and the homomorphism and contraction checks read exactly 0, with
+    no SVD; a block that differs in one bit takes the SVDs again."""
 
     @pytest.fixture(params=[(2, 1), (3, 3), (4, 2), (6, 2)], ids=lambda p: f"n{p[0]}-rank{p[1]}")
     def rep(self, request):
@@ -1101,6 +1111,21 @@ class TestGnsResidualsFlip:
     def test_scaled_block_flips_contraction_excess(self, rep):
         scaled = dataclasses.replace(rep, blocks=(rep.blocks[0] * (1 + 1e-6),))
         assert _gns_verdicts(scaled)[1] is False
+
+    def test_one_ulp_block_takes_the_svd(self, rep, monkeypatch):
+        """With one block entry one ulp off, every sample's image moves: the
+        homomorphism defects and both sides of the contraction take the SVD
+        again (the nudged E_11 stays Hermitian, so the *-defects stay exactly
+        0), and each residual stays within tolerance."""
+        block = rep.blocks[0].copy()
+        block[0, 0, 0] = np.nextafter(block[0, 0, 0].real, 2.0)
+        svd, stacks = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: stacks.append(len(a)) or svd(a, **kw))
+        cli._gns_sample_residuals(rep, 4)
+        assert stacks == []
+        residuals = cli._gns_sample_residuals(dataclasses.replace(rep, blocks=(block,)), 4)
+        assert stacks == [20, 20, 20]
+        assert 0.0 < residuals[0] and all(r <= cli.GNS_REPORT_TOL for r in residuals)
 
     def test_perturbed_cyclic_vector_flips_state_reproduction(self, rep):
         x = rep.cyclic_vector.copy()

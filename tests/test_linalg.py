@@ -5,7 +5,8 @@ import pytest
 
 from conftest import rand_hermitian, rand_matrix
 from cstarkit import linalg
-from cstarkit.errors import NotHermitian, Singular
+from cstarkit.errors import NoConvergence, NotHermitian, Singular
+from cstarkit.tolerances import LINALG_TOL
 
 
 class TestAdjoint:
@@ -56,6 +57,48 @@ class TestOpNorm:
         assert linalg.op_norm([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(1.0)
 
 
+class TestOpNormEach:
+    """Exactly zero matrices read 0.0 without LAPACK; every other matrix of a
+    stack keeps the bits of its SVD alone."""
+
+    def test_zero_rows_read_zero_and_live_rows_keep_their_bits(self):
+        rng = np.random.default_rng(8)
+        live = [rand_matrix(rng, 4) for _ in range(3)]
+        zero = np.zeros((4, 4), dtype=complex)
+        stack = np.stack([zero, live[0], zero, live[1], -zero, live[2]])
+        got = linalg._op_norm_each(stack)
+        assert got[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert got[[1, 3, 5]].tolist() == [linalg.op_norm(m) for m in live]
+        assert got[[1, 3, 5]].tolist() == np.linalg.svd(np.stack(live), compute_uv=False)[:, 0].tolist()
+
+    def test_all_zero_stack_needs_no_lapack(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("LAPACK called on an all-zero stack")
+
+        monkeypatch.setattr(linalg, "_lapack", no_svd)
+        assert linalg._op_norm_each(np.zeros((5, 3, 3), dtype=complex)).tolist() == [0.0] * 5
+        assert linalg.op_norm(np.zeros((2, 2))) == 0.0
+
+    def test_subnormal_row_is_not_zero(self):
+        tiny = np.zeros((3, 3), dtype=complex)
+        tiny[1, 2] = 5e-324
+        got = linalg._op_norm_each(np.stack([np.zeros((3, 3), dtype=complex), tiny]))
+        assert got[0] == 0.0
+        assert got[1] == np.linalg.svd(tiny, compute_uv=False)[0] == 5e-324
+
+    def test_nan_row_raises_as_alone(self):
+        bad = np.eye(3, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(NoConvergence):
+            linalg._op_norm_each(bad[None])
+        with pytest.raises(NoConvergence):
+            linalg._op_norm_each(np.stack([np.zeros((3, 3), dtype=complex), bad]))
+
+    def test_empty_stacks(self):
+        assert linalg._op_norm_each(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+        assert linalg._op_norm_each(np.zeros((2, 0, 0), dtype=complex)).tolist() == [0.0, 0.0]
+
+
 class TestHermitianResidual:
     def test_exactly_hermitian_needs_no_norm(self, monkeypatch):
         def no_norm(m):
@@ -63,6 +106,7 @@ class TestHermitianResidual:
 
         herm = rand_hermitian(np.random.default_rng(5), 50)
         monkeypatch.setattr(linalg, "op_norm", no_norm)
+        monkeypatch.setattr(linalg, "_op_norm_each", no_norm)
         for m in (herm, np.zeros((5, 5), dtype=complex), np.zeros((0, 0), dtype=complex)):
             assert linalg.hermitian_residual(m) == 0.0
 
@@ -70,6 +114,15 @@ class TestHermitianResidual:
         m = rand_matrix(np.random.default_rng(6), 7)
         expect = linalg.op_norm(m - m.conj().T) / linalg.op_norm(m)
         assert linalg.hermitian_residual(m) == expect
+
+    def test_stack_rows_keep_their_bits(self):
+        """Each matrix of a stack is scaled by its own power of two and read
+        as it is alone; Hermitian and zero ones read 0.0."""
+        rng = np.random.default_rng(9)
+        mats = [rand_matrix(rng, 5), rand_hermitian(rng, 5), 2.0**900 * rand_matrix(rng, 5), np.zeros((5, 5))]
+        got = linalg._hermitian_residual_each(np.array(mats, dtype=complex))
+        assert got.tolist() == [linalg.hermitian_residual(m) for m in mats]
+        assert got[1] == got[3] == 0.0 < got[0]
 
     @pytest.mark.parametrize("k", [1000, -1000])
     def test_power_of_two_scale_keeps_every_bit(self, k):
@@ -107,18 +160,26 @@ class TestEigGeneral:
         assert set(eigs) == {7.0 + 0j, 9.0 + 0j}
 
 
+def _null_vectors(g):
+    """The eigenvectors of herm_eig(g) whose eigenvalue is within LINALG_TOL of
+    zero, relative to the largest eigenvalue in magnitude: the null space of a
+    Hermitian PSD g."""
+    w, v = linalg.herm_eig(g)
+    return v[:, np.abs(w) <= LINALG_TOL * np.max(np.abs(w), initial=0.0)]
+
+
 class TestNullBasis:
     def test_zero_matrix_full_null(self):
-        assert len(linalg.null_basis(np.zeros((3, 3)))) == 3
+        assert _null_vectors(np.zeros((3, 3))).shape == (3, 3)
 
     def test_identity_empty(self):
-        assert linalg.null_basis(np.eye(3)) == []
+        assert _null_vectors(np.eye(3)).shape == (3, 0)
 
     def test_rank_one_projector(self):
         p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        vecs = linalg.null_basis(p)
-        assert len(vecs) == 1
-        assert np.linalg.norm(p @ vecs[0]) <= 1e-9
+        vecs = _null_vectors(p)
+        assert vecs.shape == (2, 1)
+        assert np.linalg.norm(p @ vecs[:, 0]) <= 1e-9
 
 
 class TestNormInvariants:

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cstarkit import algebra, cli, linalg, states
 from cstarkit.errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    NotInAlgebra,
     NotPositive,
     NotStarClosed,
     NotUnital,
@@ -67,6 +69,34 @@ class TestVectorState:
     def test_rejects_non_unit_vector(self):
         with pytest.raises(NotUnitVector):
             states.vector_state(algebra.full_matrix_algebra(2), [1.0, 1.0])
+
+    def test_nan_entry_is_not_a_unit_vector(self):
+        with pytest.raises(NotUnitVector, match="nan"):
+            states.vector_state(algebra.full_matrix_algebra(2), [np.nan, 0.0])
+
+    def test_huge_entry_is_not_a_unit_vector_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitVector) as info:
+                states.vector_state(algebra.full_matrix_algebra(2), [1e200, 0.0])
+            assert float(re.fullmatch(r"vector norm (\S+) is not 1", str(info.value))[1]) == 1e200
+            with pytest.raises(NotUnitVector, match="inf"):
+                states.vector_state(algebra.full_matrix_algebra(2), [1.5e308, 1.5e308j])
+
+    def test_nan_f_of_one_is_not_a_state(self, monkeypatch):
+        """The f(1) test fails when f(1) reads NaN, here from NaN identity coordinates."""
+        m2 = algebra.full_matrix_algebra(2)
+        values = states._trace_values(m2, np.eye(2) / 2.0)
+        assert m2.star_closed and m2.unital  # both flags read coords, so they are taken first
+        monkeypatch.setattr(algebra.Algebra, "coords", lambda self, m: np.full(self.dim, np.nan))
+        with pytest.raises(ValueError, match=r"f\(1\) = \(nan"):
+            states.make_state(m2, values)
+
+    def test_stacked_kernels_share_the_tests(self):
+        m2 = algebra.full_matrix_algebra(2)
+        for bad in ([np.nan, 0.0], [1e200, 0.0]):
+            with pytest.raises(NotUnitVector):
+                states._vector_states(m2, np.array([[1.0, 0.0], bad]))
 
 
 class TestPositivity:
@@ -535,6 +565,100 @@ class TestStackedUniversalEquivalence:
         mats = algebra._random_matrices(m2, np.random.default_rng(5), 9)
         dense = linalg._op_norm_each(total._apply_each(mats))
         assert np.max(np.abs(total._norm_each(mats) - dense)) <= 1e-12
+
+
+def _squares(alg):
+    """(b b*)^2 for each basis element b: the matrices universal_rep norms."""
+    bbs = alg.basis @ alg.basis.conj().swapaxes(1, 2)
+    return bbs @ bbs
+
+
+def _scaled_generator(scale):
+    g = np.random.default_rng(31).standard_normal((3, 3))
+    return algebra.algebra_from_generators([scale * g])
+
+
+_FAMILY_ALGEBRAS = {
+    **{f"gen{n}": (lambda n=n: _generated(n, 40 + n)) for n in range(1, 7)},
+    "M2+C": lambda: algebra.direct_sum_algebras(algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(1)),
+    "diagonal": lambda: diag_algebra([1.0, 2.0, 3.0]),
+    "gen3-real": lambda: _generated(3, 7, real_field=True),
+    "gen3x1e300": lambda: _scaled_generator(1e300),
+    "gen3x1e-300": lambda: _scaled_generator(1e-300),
+}
+
+
+class TestStackedNormingFamily:
+    """universal_rep's d norming states, built as one stack, have the bits of
+    norming_state(Element(alg, (b b*)^2)) taken one at a time, and of the
+    per-element formula: the top eigenvector x of eigh((b b*)^2), and the
+    values <b_l x, x> = (b_l x) . conj(x)."""
+
+    @pytest.mark.parametrize("name", list(_FAMILY_ALGEBRAS))
+    def test_values_and_density_eigh_bitwise(self, name):
+        alg = _FAMILY_ALGEBRAS[name]()
+        squares = _squares(alg)
+        family = states._norming_states(alg, squares)
+        assert len(family) == alg.dim
+        for f, sq in zip(family, squares):
+            one = states.norming_state(algebra.Element(alg, sq))
+            x = np.linalg.eigh(sq)[1][:, -1].copy()
+            assert np.array_equal(f.values, one.values)
+            assert np.array_equal(f.values, alg.basis @ x @ x.conj())
+            for got, want in zip(f._density_eigh, one._density_eigh):
+                assert np.array_equal(got, want)
+            assert f._positivity == one._positivity and f._positivity.positive
+        assert states.universal_rep(alg, samples=0).state_count == alg.dim + 1
+
+
+class TestStackedTypedErrors:
+    """Each check of the one-at-a-time path raises its typed error from the
+    stacked kernels when any one matrix, vector or row fails it."""
+
+    def test_members(self):
+        alg = diag_algebra([1.0, 2.0])
+        good = np.diag([1.0, 2.0]).astype(complex)
+        with pytest.raises(NotInAlgebra):
+            states._require_members(alg, np.stack([good, np.ones((2, 2), dtype=complex)]))
+        with pytest.raises(ValueError, match="finite"):
+            states._require_members(alg, np.stack([good, np.full((2, 2), np.nan, dtype=complex)]))
+        states._require_members(alg, np.stack([good, 1e300 * good, 1e-300 * good, 0 * good]))
+
+    def test_norming_needs_positive_members(self):
+        m2 = algebra.full_matrix_algebra(2)
+        eye = np.eye(2, dtype=complex)
+        for bad in (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(NotPositive):
+                states._norming_states(m2, np.stack([eye, bad.astype(complex)]))
+
+    def test_vectors(self):
+        m2 = algebra.full_matrix_algebra(2)
+        with pytest.raises(DimensionMismatch):
+            states._vector_states(m2, np.ones((2, 3)))
+        with pytest.raises(NotUnitVector):
+            states._vector_states(m2, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_states(self):
+        m2 = algebra.full_matrix_algebra(2)
+        trace = states._trace_values(m2, np.eye(2) / 2.0)
+        with pytest.raises(DimensionMismatch):
+            states._make_states(m2, np.ones((2, 3)))
+        with pytest.raises(NotPositive):
+            states._make_states(m2, np.stack([trace, -trace]))
+        with pytest.raises(ValueError, match=r"f\(1\) = \(2"):
+            states._make_states(m2, np.stack([trace, 2 * trace]))
+        units = [np.diag([1.0, 0.0]), _e12(2), np.diag([0.0, 1.0])]
+        t2 = algebra.algebra_from_generators(units, include_adjoints=False)
+        t2_trace = states._trace_values(t2, np.eye(2) / 2.0)
+        with pytest.raises(NotStarClosed):
+            states._make_states(t2, np.stack([t2_trace, t2_trace]))
+        zero = algebra.algebra_from_generators([np.zeros((2, 2))], include_identity=False)
+        assert zero.dim == 0 and zero.star_closed
+        with pytest.raises(NotUnital):
+            states._make_states(zero, np.zeros((2, 0)))
+        assert states._make_states(zero, np.zeros((0, 0))) == []
+        with pytest.raises(ValueError, match="at least one representation"):
+            states.universal_rep(zero)  # no state to build, as one at a time
 
 
 def _reference_universal_integers(alg):
