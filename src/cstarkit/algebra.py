@@ -265,7 +265,7 @@ def _words_closure(gens: np.ndarray, include_identity: bool) -> np.ndarray:
     power of two of linalg.unit_scaled, which keeps the span and keeps
     ||g||_F and the words in range at any scale of the input.
     """
-    gens = np.stack([linalg.unit_scaled(g) for g in gens])
+    gens = linalg._unit_scaled_each(gens)[0]
     n = gens.shape[-1]
     start = [np.eye(n, dtype=complex)] if include_identity else []
     rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
@@ -280,13 +280,15 @@ def _words_closure(gens: np.ndarray, include_identity: bool) -> np.ndarray:
 
 def _components(joined: np.ndarray) -> np.ndarray:
     """The first index of each index's connected component, for a symmetric
-    boolean adjacency matrix with a true diagonal.  Squaring the reach
-    matrix t times covers the paths of length up to 2^t."""
-    reach = joined.astype(float)
+    boolean adjacency matrix or each of a stack of them: a component is the
+    indices linked by a chain of edges.  Squaring the reach matrix, the
+    adjacency with a true diagonal, t times covers the chains of up to 2^t
+    edges."""
+    reach = (joined | np.eye(joined.shape[-1], dtype=bool)).astype(float)
     while True:
         grown = (reach @ reach > 0).astype(float)
         if np.array_equal(grown, reach):
-            return np.argmax(reach, axis=1)
+            return np.argmax(reach, axis=-1)
         reach = grown
 
 
@@ -327,14 +329,12 @@ def _commutant_closure(gens: np.ndarray) -> np.ndarray | None:
     z = _combine_each(_generic_coords(len(gens))[0][None], gens)[0]
     w, q = linalg._lapack(np.linalg.eigh, (z + z.conj().T) / 2.0)
     close = np.diff(w) <= SIMPLE_SPECTRUM_GAP * max(-w[0], w[-1])  # neighbours in one cluster
-    parts = gens[:k].view(float)  # linalg.unit_scaled of each g, in one pass
-    e = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
-    unit = np.ldexp(parts, -e[:, None, None]).view(complex)
+    unit = linalg._unit_scaled_each(gens[:k])[0]
     scale = MEMBERSHIP_TOL * np.linalg.norm(unit, axis=(1, 2))[:, None, None]
     coupling = q.conj().T @ unit @ q  # that of g* is its adjoint
     joined = (np.abs(coupling) > scale).any(axis=0)
     joined[np.arange(n - 1), np.arange(1, n)] |= close
-    comp = _components(joined | joined.T | np.eye(n, dtype=bool))
+    comp = _components(joined | joined.T)
     clustered = np.zeros(n, dtype=bool)
     clustered[comp[:-1][close]] = True
     clustered = clustered[comp]

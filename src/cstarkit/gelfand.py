@@ -36,6 +36,7 @@ from .algebra import (
     Algebra,
     Element,
     SubspaceBasis,
+    _components,
     _dot_each,
     _generic_coords,
     _pairing_each,
@@ -156,20 +157,19 @@ def _multiplicative(vals: np.ndarray, prods: np.ndarray) -> np.ndarray:
 
 
 def _consider(alg: Algebra, vecs: np.ndarray) -> list[np.ndarray]:
-    """In column order, each column's candidate that is a character farther
-    than DEDUPE_RADIUS from every one kept before it."""
+    """The characters among the columns' candidates, in column order, one per
+    cluster (_distinct)."""
     vals, prods = _candidate_values(alg, vecs)
     return _distinct(vals[_multiplicative(vals, prods)])
 
 
 def _distinct(vals: np.ndarray) -> list[np.ndarray]:
-    """In order, each row of vals farther than DEDUPE_RADIUS from every one kept before it."""
+    """In order, the first row of vals of each cluster: the rows linked by a
+    chain of max-norm gaps, each within DEDUPE_RADIUS (algebra._components)."""
+    if len(vals) < 2:
+        return list(vals)
     close = np.abs(vals[:, None] - vals[None]).max(axis=2, initial=0.0) <= DEDUPE_RADIUS
-    keep = np.ones(len(vals), dtype=bool)
-    # a row is dropped only when close to an earlier kept one
-    for i in np.flatnonzero(np.tril(close, -1).any(axis=1)):
-        keep[i] = not (close[i, :i] & keep[:i]).any()
-    return list(vals[keep])
+    return list(vals[_components(close) == np.arange(len(vals))])
 
 
 def _rounded_order(vals: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Spectra, spectral radius limits, exponentials and functional calculus.
 
-Spectra are always the ambient-matrix eigenvalues, deduplicated with a
-clustering radius of CLUSTER_SCALE * (1 + radius); for elements of non-unital
-algebras this matches the convention of passing to the unitization.  The
+Spectra are always the ambient-matrix eigenvalues, clustered: points linked
+by a chain of gaps, each within r = CLUSTER_SCALE * (1 + radius), are one
+spectral point, their mean.  For elements of non-unital algebras this
+matches the convention of passing to the unitization.  The
 real field mode filters to (numerically) real eigenvalues and may yield
 the empty set.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element, _generic_coords, left_regular_matrix
+from .algebra import Algebra, Element, _components, _generic_coords, left_regular_matrix
 from .errors import (
     BudgetExceeded,
     NotContractive,
@@ -78,69 +79,35 @@ def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[f
 
     values is an array: one row of n points, or a (k, n) stack of rows; a
     stack gives the list of each row's representatives and of the rows' radii.
-    In each row, points are taken in (re, im) order, each joining the first
-    cluster whose mean lies within the radius.  Rows whose pairwise gaps all
-    exceed the radius by a margin that numpy's and Python's complex abs
-    cannot straddle are single points throughout.  The other rows take the
-    greedy rule together, on running sums and counts (_greedy_clusters).
-    numpy divides an array of sums by their counts as it divides one
-    complex scalar by an int, and np.hypot is Python's complex abs, so each
-    row of a stack gives what it gives alone, and what the
-    one-point-at-a-time loop gives.
+    In each row, a cluster is the points linked by a chain of gaps, each
+    within r, the row's radius: a connected component of the graph
+    |z_i - z_j| <= r, found for every row with such a pair by one
+    algebra._components call.  np.hypot is Python's complex abs.  Each mean
+    is summed over its points in (re, im) order and listed at its first
+    point, and numpy divides an array of sums by their counts as it divides
+    one complex scalar by an int, so each row of a stack gives what it gives
+    alone.
     """
     rows = np.atleast_2d(values)
     k, n = rows.shape
     radii = CLUSTER_SCALE * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
     order = np.lexsort((rows.imag, rows.real), axis=-1)
     zs = np.take_along_axis(rows, order, axis=1)
-    # 0 + z as in sum(cl): a -0.0 part becomes 0.0
-    sums, counts = 0 + zs, np.ones((k, n), dtype=int)
-    finite = np.isfinite(rows).all(axis=1)
-    gaps = np.abs(rows[finite, :, None] - rows[finite, None, :])
-    gaps[:, np.arange(n), np.arange(n)] = np.inf
-    single = np.zeros(k, dtype=bool)
-    single[finite] = (gaps > radii[finite, None, None] * (1.0 + 1e-9)).all(axis=(1, 2))
-    if not single.all():
-        greedy = ~single
-        sums[greedy], counts[greedy] = _greedy_clusters(zs[greedy], radii[greedy])
-    means = sums / np.maximum(counts, 1)  # as each numpy scalar divides by an int
+    d = zs[:, :, None] - zs[:, None, :]
+    joined = np.hypot(d.real, d.imag) <= radii[:, None, None]
+    joined[:, np.arange(n), np.arange(n)] = False
+    first = np.tile(np.arange(n), (k, 1))
+    linked = joined.any(axis=(1, 2))
+    if linked.any():
+        first[linked] = _components(joined[linked])
+    at = (first + n * np.arange(k)[:, None]).ravel()
+    sums = np.zeros(k * n, dtype=zs.dtype)
+    np.add.at(sums, at, zs.ravel())  # in (re, im) order from 0, as sum(cl): -0.0 becomes 0.0
+    counts = np.bincount(at, minlength=k * n).reshape(k, n)
+    means = sums.reshape(k, n) / np.maximum(counts, 1)  # as each numpy scalar divides by an int
     points = [list(mrow[crow > 0]) for mrow, crow in zip(means, counts)]
     radii = radii.tolist()
     return (points, radii) if values.ndim == 2 else (points[0], radii[0])
-
-
-def _greedy_clusters(zs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums and counts of _dedupe's clusters of each sorted row of zs, each
-    cluster at the column of its first point and zero elsewhere.
-
-    A point joins a cluster only within the radius r of its mean, and in
-    (re, im) order every mean lies, up to rounding, left of the point taken
-    last.  So where the sorted real parts step by more than 2 r no later
-    point joins an earlier cluster, and a row splits into runs that share
-    none.  The runs take the greedy rule in lockstep, step s taking the s-th
-    point of each run at once.
-    """
-    k, n = zs.shape
-    col = np.arange(n)
-    cut = np.zeros((k, n), dtype=bool)
-    cut[:, 1:] = zs.real[:, 1:] - zs.real[:, :-1] > 2 * radii[:, None]
-    first = np.maximum.accumulate(np.where(cut, col, 0), axis=1)
-    place = col - first
-    sums, counts = 0 + zs, np.ones((k, n), dtype=int)
-    means = sums / counts
-    for s in range(1, int(place.max(initial=0)) + 1):
-        rows, at = np.nonzero(place == s)
-        start = first[rows, at]
-        d = zs[rows, at, None] - means[rows[:, None], start[:, None] + col[:s]]
-        near = np.hypot(d.real, d.imag) <= radii[rows, None]
-        j = near.argmax(axis=1)
-        joins = near[np.arange(len(rows)), j]
-        rows, at, to = rows[joins], at[joins], start[joins] + j[joins]
-        sums[rows, to] += zs[rows, at]
-        counts[rows, to] += 1
-        means[rows, to] = sums[rows, to] / counts[rows, to]
-        sums[rows, at], counts[rows, at], means[rows, at] = 0, 0, np.nan
-    return sums, counts
 
 
 def _matrix_of(a) -> np.ndarray:

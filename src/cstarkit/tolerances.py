@@ -33,7 +33,8 @@ LINALG_TOL = 1e-9
 
 # -- Spectra and element flags (spectral)
 
-# Eigenvalues within CLUSTER_SCALE * (1 + max |eigenvalue|) of each other are one spectral point.
+# Eigenvalues linked by a chain of gaps, each within r = CLUSTER_SCALE * (1 + max |eigenvalue|),
+# are one spectral point.
 CLUSTER_SCALE = 1e-7
 # Relative residual of classify's flags, of positivity (sqrt_positive) and of a scalar commutator.
 CLASSIFY_TOL = 1e-9

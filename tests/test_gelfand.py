@@ -1226,3 +1226,64 @@ class TestFactoredResidualEquivalence:
         monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
         resid = spec.multiplicativity_residuals()
         assert resid.shape == (64,) and resid.max() <= 1e-12
+
+
+def _reference_distinct(vals):
+    """gelfand._distinct's loop before single linkage: in order, each row
+    farther than DEDUPE_RADIUS from every one kept before it."""
+    close = np.abs(vals[:, None] - vals[None]).max(axis=2, initial=0.0) <= gelfand.DEDUPE_RADIUS
+    keep = np.ones(len(vals), dtype=bool)
+    # a row is dropped only when close to an earlier kept one
+    for i in np.flatnonzero(np.tril(close, -1).any(axis=1)):
+        keep[i] = not (close[i, :i] & keep[:i]).any()
+    return list(vals[keep])
+
+
+def _rows_about(rng, centres, sizes, spread):
+    """Rows within spread * DEDUPE_RADIUS (max-norm) of the given centres, shuffled."""
+    rows = [c + spread * gelfand.DEDUPE_RADIUS * (rng.random((m, len(c))) - 0.5) * 2
+            for c, m in zip(centres, sizes)]
+    return rng.permutation(np.concatenate(rows))
+
+
+class TestDistinctRowsEquivalence:
+    """gelfand._distinct keeps the first row of each single-linkage cluster."""
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [2, 0, 4, 1, 3]])
+    def test_chain_keeps_one_row(self, order):
+        """Rows 0.6 DEDUPE_RADIUS apart, in order along the chain or not."""
+        base = np.array([1.0, 0.5j, -2.0 + 1j])
+        vals = (base + 0.6 * gelfand.DEDUPE_RADIUS * np.arange(5)[:, None])[order]
+        got = gelfand._distinct(vals)
+        assert len(got) == 1 and np.array_equal(got[0], vals[0])
+        assert len(_reference_distinct(vals)) == 3
+
+    def test_rows_that_are_not_chains_keep_the_loop_rows(self):
+        rng = np.random.default_rng(61)
+        inputs = [np.zeros((0, 3), dtype=complex), np.ones((1, 3), dtype=complex)]
+        for d in (1, 3, 8):
+            for sizes in ([1], [4], [1, 1, 1], [3, 1, 2, 5]):
+                shape = (len(sizes), d)
+                centres = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for spread in (0.0, 1e-9, 0.45):
+                    inputs.append(_rows_about(rng, centres, sizes, spread))
+        for vals in inputs:
+            got, want = gelfand._distinct(vals), _reference_distinct(vals)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_character_candidates_keep_the_loop_rows(self, monkeypatch):
+        """Every candidate stack that characters() passes on its way."""
+        seen = []
+        distinct = gelfand._distinct
+        monkeypatch.setattr(gelfand, "_distinct", lambda vals: seen.append(vals) or distinct(vals))
+        rng = np.random.default_rng(62)
+        for make in STAR_ABELIAN.values():
+            gelfand.characters(make(rng))
+        for make in NOT_STAR_CLOSED.values():
+            gelfand.characters(make())
+        assert len(seen) >= len(STAR_ABELIAN) + len(NOT_STAR_CLOSED)
+        for vals in seen:
+            got, want = distinct(vals), _reference_distinct(vals)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

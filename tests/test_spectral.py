@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exp_series_oracle, match_multisets, rand_hermitian, rand_matrix
 from cstarkit import algebra, linalg, spectral
@@ -581,6 +583,29 @@ def _reference_dedupe(values):
     return [sum(cl) / len(cl) for cl in clusters], radius
 
 
+def _reference_linkage(values):
+    """Single linkage, one pair at a time: union every pair with Python
+    abs(z_i - z_j) <= radius, then sum each cluster's mean in (re, im) order,
+    the clusters in the order of their first point."""
+    radius = spectral.clustering_radius(values)
+    order = sorted(values, key=lambda z: (z.real, z.imag))
+    parent = list(range(len(order)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(order)):
+        for j in range(i):
+            if abs(order[i] - order[j]) <= radius:
+                parent[max(root(i), root(j))] = min(root(i), root(j))
+    clusters: dict[int, list] = {}
+    for i, z in enumerate(order):
+        clusters.setdefault(root(i), []).append(z)
+    return [sum(cl) / len(cl) for cl in clusters.values()], radius
+
+
 def _exact(points):
     """Type and bit pattern of each point, so -0.0 and 0.0 differ."""
     return [(type(p), float(p.real).hex(), float(p.imag).hex()) for p in points]
@@ -612,47 +637,53 @@ def _chain(start, step, count):
 class TestDedupeEquivalence:
     @staticmethod
     def _inputs():
+        """Rows, each with whether it is a chain: a row whose single-linkage
+        clusters differ from the greedy rule's, in which each point joined the
+        first cluster whose running mean lay within the radius."""
         rng = np.random.default_rng(57)
-        yield np.zeros(0, dtype=complex)
-        yield np.array([2.0 - 1j])
-        yield np.array([complex(-0.0, -0.0)])
-        yield np.array([complex(-0.0, 1.0), complex(2.0, -0.0)])
-        yield np.array([1.0 + 1j, 1.0 + 1j])
-        yield np.array([3.0, 1.0, 3.0, 1.0, 2.0], dtype=complex)
-        yield np.array([1j, 0.0, -1j, complex(0.0, -0.0)])
-        yield np.array([0.0, 0.6e-7, 1.2e-7], dtype=complex)
-        yield np.array([1.0, 2.0, 2.0 + 1e-12])
-        yield np.array([complex(-0.0, 2.0), 1 + 0j, complex(1.0, -0.0)])
+        yield np.zeros(0, dtype=complex), False
+        yield np.array([2.0 - 1j]), False
+        yield np.array([complex(-0.0, -0.0)]), False
+        yield np.array([complex(-0.0, 1.0), complex(2.0, -0.0)]), False
+        yield np.array([1.0 + 1j, 1.0 + 1j]), False
+        yield np.array([3.0, 1.0, 3.0, 1.0, 2.0], dtype=complex), False
+        yield np.array([1j, 0.0, -1j, complex(0.0, -0.0)]), False
+        yield np.array([0.0, 0.6e-7, 1.2e-7], dtype=complex), False
+        yield np.array([1.0, 2.0, 2.0 + 1e-12]), False
+        yield np.array([complex(-0.0, 2.0), 1 + 0j, complex(1.0, -0.0)]), False
         for factor in (0.5, 1 - 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 5e-10, 1 + 2e-9, 1 + 1e-6, 3.0):
-            yield _pair_at_gap(factor)
-            yield 1e6 * _pair_at_gap(factor)
+            yield _pair_at_gap(factor), False
+            yield 1e6 * _pair_at_gap(factor), False
         for n in (2, 5, 16, 64):
-            yield np.linalg.eigvals(rand_matrix(rng, n))
-            yield np.linalg.eigvalsh(rand_hermitian(rng, n))
-            yield np.repeat(np.linalg.eigvals(rand_matrix(rng, n)), 2)
+            yield np.linalg.eigvals(rand_matrix(rng, n)), False
+            yield np.linalg.eigvalsh(rand_hermitian(rng, n)), False
+            yield np.repeat(np.linalg.eigvals(rand_matrix(rng, n)), 2), False
         for m in (3, 5, 7, 16):
             for spread in (0.0, 1e-9, 0.2, 0.45, 0.8):
-                yield _clustered_row(rng, [m, 1, m], spread)
+                yield _clustered_row(rng, [m, 1, m], spread), (m, spread) == (7, 0.8)
         for step in (0.6, 0.6j, 0.6 * np.exp(0.7j), -0.6):
-            yield _chain(1.0 + 0.5j, step, 9)
-            yield np.concatenate([_chain(0.0, step, 7), _chain(2.0, step, 3)])
+            yield _chain(1.0 + 0.5j, step, 9), True
+            yield np.concatenate([_chain(0.0, step, 7), _chain(2.0, step, 3)]), False
         for scale in (1e-300, 1e300):
-            yield _clustered_row(rng, [3, 5, 1], 0.3, scale)
-            yield scale * np.array([1.0, 1.0, 1.0, 2.0, 2.0 + 1e-12j])
+            yield _clustered_row(rng, [3, 5, 1], 0.3, scale), False
+            yield scale * np.array([1.0, 1.0, 1.0, 2.0, 2.0 + 1e-12j]), False
         # in radii r: 0.9 joins 0, and 1.8, within r of 0.9 alone, starts a cluster after 1.3 + 0.95i
-        yield 1.0 + 2e-7 * np.array([0.0, 0.9, 1.3 + 0.95j, 1.8])
+        yield 1.0 + 2e-7 * np.array([0.0, 0.9, 1.3 + 0.95j, 1.8]), True
         # gaps that numpy's array abs puts past the radius and Python's abs within it
         for re, im in (("-0x1.9d767e0557b65p-24", "-0x1.d1084593487fep-26"),
                        ("-0x1.4db362266fb3ap-24", "0x1.0e641a9724619p-24")):
-            yield np.array([0j, complex(float.fromhex(re), float.fromhex(im))])
-        yield np.array([1 + 0j, complex(1.0, 1e-12), complex(1.0 - 3e-12, -0.0), 5j, 1 + 1e-12j, 5j])
-        yield _chain(-1.0, 0.6, 8)
+            yield np.array([0j, complex(float.fromhex(re), float.fromhex(im))]), False
+        yield np.array(
+            [1 + 0j, complex(1.0, 1e-12), complex(1.0 - 3e-12, -0.0), 5j, 1 + 1e-12j, 5j]
+        ), False
+        yield _chain(-1.0, 0.6, 8), True
 
     def test_exact_output(self):
-        for values in self._inputs():
+        """The greedy rule's bits on every row but the chains, and only there."""
+        for values, chain in self._inputs():
             got, radius = spectral._dedupe(values)
             want, want_radius = _reference_dedupe(values)
-            assert _exact(got) == _exact(want)
+            assert (_exact(got) == _exact(want)) is not chain
             assert radius == want_radius
 
     @staticmethod
@@ -660,7 +691,7 @@ class TestDedupeEquivalence:
         """Stacks of the inputs of each length, which mix rows with and without
         clusters, stacks of random clustered rows, and empty stacks."""
         by_length = {}
-        for values in TestDedupeEquivalence._inputs():
+        for values, _ in TestDedupeEquivalence._inputs():
             if values.dtype == complex:
                 by_length.setdefault(len(values), []).append(values)
         yield from (np.stack(rows) for rows in by_length.values())
@@ -686,7 +717,7 @@ class TestDedupeEquivalence:
             assert len(got) == len(radii) == len(stack)
             for row, points, radius in zip(stack, got, radii):
                 alone, alone_radius = spectral._dedupe(row)
-                want, want_radius = _reference_dedupe(row)
+                want, want_radius = _reference_linkage(row)
                 assert _exact(points) == _exact(alone) == _exact(want)
                 assert radius == alone_radius == want_radius
 
@@ -694,6 +725,43 @@ class TestDedupeEquivalence:
     def test_gap_below_and_above_the_radius(self, factor, count):
         points, _ = spectral._dedupe(_pair_at_gap(factor))
         assert len(points) == count
+
+
+def _chain_rows():
+    """Finite rows of random walks in steps of up to about two clustering radii."""
+    start = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    steps = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False), max_size=24)
+    scale = st.sampled_from([1e-200, 1.0, 1e200])
+    return st.builds(
+        lambda z, dz, s: s * (z + np.cumsum(np.array(dz, dtype=complex)) * 1e-7 * (1 + abs(z))),
+        start, steps, scale,
+    )
+
+
+class TestLinkageEquivalence:
+    """_dedupe's clusters are single linkage: _reference_linkage, bit for bit."""
+
+    def test_exact_output(self):
+        for values, _ in TestDedupeEquivalence._inputs():
+            got, radius = spectral._dedupe(values)
+            want, want_radius = _reference_linkage(values)
+            assert _exact(got) == _exact(want)
+            assert radius == want_radius
+
+    def test_chain_is_one_cluster(self):
+        values = _chain(0.0, 0.6, 5)
+        points, _ = spectral._dedupe(values)
+        assert _exact(points) == _exact(_reference_linkage(values)[0])
+        assert len(points) == 1
+        assert len(_reference_dedupe(values)[0]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chain_rows())
+    def test_negation_and_conjugation_keep_the_count(self, values):
+        """Both maps keep every gap and the radius exactly, so the clusters too."""
+        count = len(spectral._dedupe(values)[0])
+        assert len(spectral._dedupe(-values)[0]) == count
+        assert len(spectral._dedupe(values.conj())[0]) == count
 
 
 class TestPositiveEigendecomposition:

@@ -15,8 +15,6 @@ PACKAGE = Path(cstarkit.__file__).resolve().parent
 # Small float literals that are not tolerances, as (file, top-level name, value).
 NOT_TOLERANCES = Counter(
     {
-        # rounding margin that keeps _dedupe's all-singletons fast path exact
-        ("spectral.py", "_dedupe", 1e-9): 1,
         # rounding margin of neumann_inverse's Frobenius stopping test
         ("spectral.py", "neumann_inverse", 1e-12): 1,
         # lower end of the --length domain [1e-100, 1e100]
