@@ -1246,6 +1246,12 @@ def _rows_about(rng, centres, sizes, spread):
     return rng.permutation(np.concatenate(rows))
 
 
+def _assert_keeps_the_loop_rows(distinct, vals):
+    got, want = distinct(vals), _reference_distinct(vals)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestDistinctRowsEquivalence:
     """gelfand._distinct keeps the first row of each single-linkage cluster."""
 
@@ -1268,9 +1274,7 @@ class TestDistinctRowsEquivalence:
                 for spread in (0.0, 1e-9, 0.45):
                     inputs.append(_rows_about(rng, centres, sizes, spread))
         for vals in inputs:
-            got, want = gelfand._distinct(vals), _reference_distinct(vals)
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            _assert_keeps_the_loop_rows(gelfand._distinct, vals)
 
     def test_character_candidates_keep_the_loop_rows(self, monkeypatch):
         """Every candidate stack that characters() passes on its way."""
@@ -1284,6 +1288,4 @@ class TestDistinctRowsEquivalence:
             gelfand.characters(make())
         assert len(seen) >= len(STAR_ABELIAN) + len(NOT_STAR_CLOSED)
         for vals in seen:
-            got, want = distinct(vals), _reference_distinct(vals)
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            _assert_keeps_the_loop_rows(distinct, vals)
