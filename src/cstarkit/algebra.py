@@ -14,7 +14,10 @@ place of one per basis element or pair: A is commutative when two
 generic elements commute, *-closed when a generic z has z* in A, and a
 subspace is a left (right) ideal when a x (x a) lies in it for generic a
 in A and x in it.  Coordinates, products and left-regular matrices are
-matmuls or contractions of the basis.
+matmuls or contractions of the basis.  Whether m lies in a span is read by one
+stacked kernel, ||m - P m||_F / ||m||_F on m scaled by its own exact power of
+two, so 2^j m reads as m.  The words closure and ideal_check keep an absolute
+scale: a product that rounds to near zero must not be judged by its own norm.
 
 Orthonormal bases are grown by one routine, classical Gram-Schmidt run
 twice per candidate.  The C*-algebra generated by a set S, with the
@@ -72,6 +75,22 @@ def _project_out(rows: np.ndarray, rows_c: np.ndarray, x: np.ndarray) -> np.ndar
     for _ in range(2):
         x = x - (x @ rows_c.T) @ rows
     return x
+
+
+def _membership_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """||m - P m||_F / ||m||_F for each m of a (k, n, n) stack, P the projection on
+    the span of the orthonormal (d, n, n) basis, with m first scaled by its own
+    exact power of two (linalg._unit_scaled_each): no square leaves the float
+    range, 2^j m reads as m, and the divisor's floor of 1/2 touches only the zero
+    matrix, as any other has a part of modulus at least 1/2.  One product per
+    matrix and np.linalg.norm's re.re + im.im give a row the bits of its lone call."""
+    k, n = len(mats), mats.shape[-1]
+    rows = basis.reshape(len(basis), n * n)
+    flat = linalg._unit_scaled_each(mats)[0].reshape(k, 1, n * n)
+    both = np.concatenate([flat - (flat.conj() @ rows.T).conj() @ rows, flat])  # rests, then mats
+    re, im = both.real, both.imag
+    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+    return norms[:k] / np.maximum(norms[k:], 0.5)
 
 
 def _extend_rows(rows: np.ndarray, cands, scale=None) -> np.ndarray:
@@ -219,15 +238,8 @@ class Algebra:
     def from_coords(self, c) -> np.ndarray:
         return _combine_each(np.asarray(c, dtype=complex)[None], self.basis)[0]
 
-    def project(self, m: np.ndarray) -> np.ndarray:
-        return self.from_coords(self.coords(m))
-
     def membership_residual(self, m: np.ndarray) -> float:
-        m = linalg.unit_scaled(_require_ambient(self, np.asarray(m)))  # squares stay in range
-        scale = float(np.linalg.norm(m))
-        if scale == 0.0:
-            return 0.0
-        return float(np.linalg.norm(m - self.project(m))) / scale
+        return float(_membership_residuals(self.basis, _require_ambient(self, np.asarray(m))[None])[0])
 
     def contains(self, m: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(m) <= tol
@@ -247,6 +259,17 @@ def _require_ambient(alg: Algebra, m: np.ndarray) -> np.ndarray:
             f"matrix shape {m.shape[-2:]} does not match the algebra's ambient {n} x {n}"
         )
     return m
+
+
+def _require_members(alg: Algebra, mats: np.ndarray) -> None:
+    """Element(alg, m)'s checks on each matrix of a (k, n, n) stack, in one pass:
+    DimensionMismatch off alg's M_n, ValueError for an entry that is not finite,
+    NotInAlgebra for a membership residual above ELEMENT_TOL."""
+    if not np.isfinite(_require_ambient(alg, mats)).all():
+        raise ValueError("matrix entries must be finite")
+    for r in _membership_residuals(alg.basis, mats).tolist():
+        if not r <= ELEMENT_TOL:
+            raise NotInAlgebra(f"projection residual {r:.3e} outside the span")
 
 
 def _words_closure(gens: np.ndarray, include_identity: bool) -> np.ndarray:
@@ -350,8 +373,7 @@ def _commutant_closure(gens: np.ndarray) -> np.ndarray | None:
         lead = np.searchsorted(c, comp[c])
         sub = _clustered_closure(sub, lead, np.concatenate([scale, scale]))
         basis = np.concatenate([basis, q[:, c] @ sub @ q[:, c].conj().T])
-    resid = unit - _combine_each(_pairing(unit, basis), basis)
-    return basis if np.all(np.linalg.norm(resid, axis=(1, 2)) <= scale[:, 0, 0]) else None
+    return basis if np.all(_membership_residuals(basis, unit) <= MEMBERSHIP_TOL) else None
 
 
 def algebra_from_generators(
@@ -391,8 +413,8 @@ def algebra_from_generators(
     component where every generator is a scalar, A holds the multiples of
     its projection; the other clustered components, as for a (x) I_2 with a
     generic, are closed together by words on the compressed generators.
-    One stacked projection certifies the basis: every generator must lie
-    in its span within MEMBERSHIP_TOL.
+    One call of _membership_residuals certifies the basis: every generator
+    must lie in its span within MEMBERSHIP_TOL.
 
     The whole closure is grown from words without the identity or the
     adjoints, over the real field, or when the certificate fails.
@@ -432,9 +454,7 @@ class Element:
         m = linalg.require_square(linalg.as_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         if self.algebra is not None:
-            resid = self.algebra.membership_residual(m)
-            if resid > ELEMENT_TOL:
-                raise NotInAlgebra(f"projection residual {resid:.3e} outside the span")
+            _require_members(self.algebra, m[None])
 
     @property
     def coords(self) -> np.ndarray:
@@ -539,12 +559,12 @@ class SubspaceBasis:
 
     def __post_init__(self):
         alg, n = self.algebra, self.algebra.ambient_dim
-        mats = [_require_ambient(alg, linalg.as_matrix(m)) for m in self.matrices]
-        mats = np.array(mats, dtype=complex).reshape(-1, n, n)
-        resid = np.linalg.norm(mats - _combine_each(alg.coords(mats), alg.basis), axis=(1, 2))
-        if not np.all(resid <= ELEMENT_TOL * np.linalg.norm(mats, axis=(1, 2))):
+        mats = tuple(_require_ambient(alg, linalg.as_matrix(m)) for m in self.matrices)
+        object.__setattr__(self, "matrices", mats)
+        scaled = linalg._unit_scaled_each(np.array(mats, dtype=complex).reshape(-1, n, n))[0]
+        if not np.all(_membership_residuals(alg.basis, scaled) <= ELEMENT_TOL):
             raise NotSubspace("matrix outside the algebra span")
-        onb = _extend_rows(np.zeros((0, n * n), dtype=complex), mats)
+        onb = _extend_rows(np.zeros((0, n * n), dtype=complex), scaled)
         if len(onb) < len(mats):
             raise NotSubspace("matrices are linearly dependent")
         object.__setattr__(self, "onb", onb.reshape(-1, n, n))
@@ -553,14 +573,9 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.onb)
 
-    def residual(self, m: np.ndarray) -> float:
-        m = _require_ambient(self.algebra, np.asarray(m))
-        rows = self.onb.reshape(self.dim, m.size)
-        return float(np.linalg.norm(_project_out(rows, rows.conj(), m.ravel())))
-
 
 def subspace(alg: Algebra, mats) -> SubspaceBasis:
-    return SubspaceBasis(alg, tuple(linalg.as_matrix(m) for m in mats))
+    return SubspaceBasis(alg, tuple(mats))
 
 
 def ideal_check(alg: Algebra, s: SubspaceBasis) -> str:

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra, Element, _combine_each, _dot_each, _pairing_each, _random_matrices
+from .algebra import _require_members
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
-    NotInAlgebra,
     NotPositive,
     NotStarClosed,
     NotUnital,
@@ -34,7 +34,6 @@ from .spectral import _matrix_of, _positive_eig_each
 from .tolerances import (
     CLASSIFY_TOL,
     DENSITY_RANK_ONE_TOL,
-    ELEMENT_TOL,
     GRAM_NULL_TOL,
     POSITIVITY_TOL,
     UNIT_VALUE_TOL,
@@ -310,22 +309,6 @@ def _norming_states(alg: Algebra, mats: np.ndarray) -> list[State]:
     return _vector_states(alg, v[:, :, -1])
 
 
-def _require_members(alg: Algebra, mats: np.ndarray) -> None:
-    """Element(alg, m)'s checks on each matrix of a (k, n, n) stack, in one pass:
-    ValueError for an entry that is not finite, NotInAlgebra for a relative
-    projection residual (Algebra.membership_residual, on each matrix's own
-    power-of-two scaling) above ELEMENT_TOL."""
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix entries must be finite")
-    scaled = _unit_scaled_each(mats)[0]
-    rest = scaled - _combine_each(alg.coords(scaled), alg.basis)
-    scale = np.linalg.norm(scaled, axis=(1, 2))
-    resid = np.linalg.norm(rest, axis=(1, 2)) / np.where(scale == 0.0, 1.0, scale)
-    for r in resid.tolist():
-        if not r <= ELEMENT_TOL:
-            raise NotInAlgebra(f"projection residual {r:.3e} outside the span")
-
-
 @dataclass(frozen=True, eq=False)
 class Representation:
     """A *-homomorphism into block-diagonal matrices, held as its blocks with
@@ -456,7 +439,8 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     The family is the normalized trace, the supplied extra states, and a
     norming state of (b b*)^2 for each basis element b; it is large enough
     to make the sum isometric at finite dimension.  The d norming states are
-    built as one stack (_require_members, _norming_states), with the checks
+    built as one stack (_require_members, algebra's one membership kernel on each
+    square's own power-of-two scaling, then _norming_states), with the checks
     and bits of norming_state(Element(alg, (b b*)^2)) taken one at a time.
     The report carries the max over sampled elements of | ||pi(a)|| - ||a|| |,
     the samples drawn as successive random_element calls in one stack;

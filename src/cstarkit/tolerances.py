@@ -13,9 +13,9 @@ sizes), and the rounding margins that keep a fast path exact.
 
 # -- Spans and elements (algebra)
 
-# Relative residual within which a candidate lies in a span: basis growth, unit, flags, ideals.
+# Relative residual within which a candidate lies in a span: growth, unit, flags, ideals, certificate.
 MEMBERSHIP_TOL = 1e-9
-# Relative projection residual within which a given matrix is accepted as an element.
+# Residual of algebra._membership_residuals within which a matrix is an element or subspace member.
 ELEMENT_TOL = 1e-8
 # Norm below which a matrix counts as zero: Hermitian spanning set, GKZ kernel draws.
 ZERO_NORM = 1e-12

@@ -240,11 +240,6 @@ class TestWrongShapeMembership:
         with pytest.raises(DimensionMismatch):
             algebra.element(algebra.full_matrix_algebra(2), np.eye(3))
 
-    def test_subspace_residual(self):
-        s = algebra.subspace(algebra.full_matrix_algebra(2), [E11])
-        with pytest.raises(DimensionMismatch):
-            s.residual(np.eye(3))
-
     def test_coset_coords(self):
         m2 = algebra.full_matrix_algebra(2)
         q = algebra.quotient(m2, algebra.subspace(m2, []))
@@ -264,6 +259,46 @@ class TestMembershipAtExtremeScales:
         with pytest.raises(NotInAlgebra):
             algebra.element(tri, linalg.ldexp(x, j))
         algebra.element(tri, linalg.ldexp(np.triu(x), j))
+
+    @pytest.mark.parametrize("j", [664, -664, 1000, -1000])
+    def test_subspace_basis_is_scale_free(self, j):
+        """Squares of the entries of 2^664 m overflow and those of 2^-664 m
+        underflow, yet the checks and the basis read the power-of-two-scaled stack."""
+        alg, mats = _second_block_matrices(np.random.default_rng(38))
+        want = algebra.subspace(alg, mats).onb
+        assert np.array_equal(algebra.subspace(alg, [linalg.ldexp(m, j) for m in mats]).onb, want)
+
+    def test_mixed_stack_rows_are_their_own_calls(self):
+        """Each row of a stack of members, non-members, near misses on both sides
+        of ELEMENT_TOL and the zero matrix, at five scales, has the residual bits of
+        its one-matrix call and the verdict of m at every scale; the bits of m too
+        while the entries stay normal (at 2^-1000 the near misses' do not)."""
+        tri = _triangular(3)
+        x = rand_matrix(np.random.default_rng(39), 3)
+        up, low = np.triu(x), np.tril(x, -1)
+        off = np.linalg.norm(up) / np.linalg.norm(low) * low
+        tol = algebra.ELEMENT_TOL
+        mats = [x, up, 0 * x, up + 0.5 * tol * off, up + 2 * tol * off]
+        shifts = [0, 664, -664, 1000, -1000]
+        stack = np.stack([linalg.ldexp(m, j) for j in shifts for m in mats])
+        order = np.random.default_rng(40).permutation(len(stack))
+        got = np.empty(len(stack))
+        got[order] = algebra._membership_residuals(tri.basis, stack[order])
+        alone = [algebra._membership_residuals(tri.basis, m[None])[0] for m in stack]
+        assert np.array_equal(got, alone)
+        got = got.reshape(len(shifts), len(mats))
+        assert np.array_equal(got[:-1], np.tile(got[0], (len(shifts) - 1, 1)))
+        verdicts = got <= tol
+        assert verdicts.tolist() == [[False, True, True, True, False]] * len(shifts)
+        assert got[0, 2] == 0.0
+
+
+def _second_block_matrices(rng):
+    """M_2 (+) M_2 and three Gaussian matrices of its second summand."""
+    alg = algebra.direct_sum_algebras(algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(2))
+    mats = np.zeros((3, 4, 4), dtype=complex)
+    mats[:, 2:, 2:] = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    return alg, list(mats)
 
 
 class TestQuotient:
@@ -1329,7 +1364,7 @@ class TestCommutantClosureEquivalence:
         """A certificate that finds the generators outside the span returns the
         words loop's basis, bit for bit."""
         g = rand_matrix(np.random.default_rng(8), 3)
-        monkeypatch.setattr(algebra, "_pairing", lambda m, rows: np.zeros((len(m), len(rows))))
+        monkeypatch.setattr(algebra, "_membership_residuals", lambda basis, mats: np.ones(len(mats)))
         assert algebra._commutant_closure(np.stack([g, g.conj().T])) is None
         assert np.array_equal(algebra.algebra_from_generators([g]).basis, _words([g]))
 

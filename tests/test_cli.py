@@ -838,6 +838,38 @@ class TestFloatRange:
         assert err.startswith("error: Overflow: ")
 
 
+class TestQuotientNormAtExtremeScales:
+    """quotient-norm on M_2 (+) M_2 modulo its second summand, element and ideal
+    scaled by 2^j, returns 2^j times the unscaled value ||a||.  The squares of
+    the entries leave the float range at j = +-664; the membership checks and the
+    ideal's basis read each matrix on its own power-of-two scaling.  The value is
+    not bit-exact, as the SVD rescales its input inside LAPACK."""
+
+    @staticmethod
+    def _value(tmp_path, j):
+        rng = np.random.default_rng(41)
+        element = np.zeros((4, 4), dtype=complex)
+        element[:2, :2], element[2:, 2:] = rand_matrix(rng, 2), rand_matrix(rng, 2)
+        ideal = np.zeros((4, 4, 4), dtype=complex)
+        ideal[np.arange(4), 2 + np.arange(4) // 2, 2 + np.arange(4) % 2] = 1.0
+        doc = {
+            "element": cli.matrix_to_json(linalg.ldexp(element, j)),
+            "ideal": [cli.matrix_to_json(linalg.ldexp(e, j)) for e in ideal],
+        }
+        path = tmp_path / f"qn{j}.json"
+        path.write_text(json.dumps(doc))
+        report = run_to_file(tmp_path, ["quotient-norm", "--input", str(path)])
+        assert report["inputs"]["input"]["ideal_dim"] == 4
+        return report["results"]["quotient_norm"], np.linalg.norm(element[:2, :2], 2)
+
+    @pytest.mark.parametrize("j", [664, -664, 1000, -1000])
+    def test_value_scales_with_the_input(self, tmp_path, j):
+        want, norm_a = self._value(tmp_path, 0)
+        assert abs(want - norm_a) <= 1e-14 * norm_a
+        got, _ = self._value(tmp_path, j)
+        assert abs(math.ldexp(got, -j) - want) <= 1e-14 * want
+
+
 _FUZZ_COMMANDS = [
     "spectrum", "radius", "exp", "sqrt", "neumann", "characters",
     "gelfand", "gkz", "gns", "universal", "quotient-norm",

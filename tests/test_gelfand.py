@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import doubled_normal, match_multisets, product_coords, rand_hermitian
 from cstarkit import algebra, cli, gelfand, linalg, spectral, states
-from cstarkit.errors import ComplexFieldRequired, NonAbelian
+from cstarkit.errors import ComplexFieldRequired, NonAbelian, WitnessNotFound
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -208,6 +208,32 @@ class TestGkzWitness:
         assert out.min_singular_value > 1e-8
         assert np.linalg.svd(out.witness.matrix, compute_uv=False)[-1] > 1e-8
 
+    @staticmethod
+    def _no_witness_can_pass(monkeypatch):
+        """M_2 and its normalised trace, with INVERTIBLE_TOL above 1: a draw scaled
+        to norm 1 has smallest singular value at most 1, so none is a witness."""
+        monkeypatch.setattr(gelfand, "INVERTIBLE_TOL", 1.5)
+        alg = algebra.full_matrix_algebra(2)
+        return alg, [0.5 * complex(np.trace(b)) for b in alg.basis]
+
+    def test_witness_not_found_after_every_attempt(self, monkeypatch):
+        alg, values = self._no_witness_can_pass(monkeypatch)
+        assert alg.identity_coords is not None  # cached, so from_coords below counts draws only
+        draws = []
+        from_coords = algebra.Algebra.from_coords
+        monkeypatch.setattr(algebra.Algebra, "from_coords", lambda a, c: draws.append(c) or from_coords(a, c))
+        with pytest.raises(WitnessNotFound, match=f"in {gelfand.GKZ_ATTEMPTS} attempts"):
+            gelfand.gkz_witness(alg, values)
+        assert len(draws) == gelfand.GKZ_ATTEMPTS
+
+    def test_cli_exits_1_with_witness_not_found(self, monkeypatch, tmp_path, capsys):
+        self._no_witness_can_pass(monkeypatch)
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(cli.matrix_to_json(0.5 * np.eye(2, dtype=complex))))
+        assert cli.run(["gkz", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: WitnessNotFound: ") and "Traceback" not in err
+
 
 class TestCyclicGroupAlgebra:
     def test_delta_is_convolution_identity(self):
@@ -318,7 +344,7 @@ class TestGelfandInvariants:
         for i in range(len(kernels)):
             for j in range(i + 1, len(kernels)):
                 # some basis vector of one kernel escapes the span of the other
-                escapes = any(kernels[j].residual(m) > 1e-6 for m in kernels[i].onb)
+                escapes = any(algebra._membership_residuals(kernels[j].onb, kernels[i].onb) > 1e-6)
                 assert escapes
 
     def test_transform_multiplicative(self):

@@ -619,10 +619,10 @@ class TestStackedTypedErrors:
         alg = diag_algebra([1.0, 2.0])
         good = np.diag([1.0, 2.0]).astype(complex)
         with pytest.raises(NotInAlgebra):
-            states._require_members(alg, np.stack([good, np.ones((2, 2), dtype=complex)]))
+            algebra._require_members(alg, np.stack([good, np.ones((2, 2), dtype=complex)]))
         with pytest.raises(ValueError, match="finite"):
-            states._require_members(alg, np.stack([good, np.full((2, 2), np.nan, dtype=complex)]))
-        states._require_members(alg, np.stack([good, 1e300 * good, 1e-300 * good, 0 * good]))
+            algebra._require_members(alg, np.stack([good, np.full((2, 2), np.nan, dtype=complex)]))
+        algebra._require_members(alg, np.stack([good, 1e300 * good, 1e-300 * good, 0 * good]))
 
     def test_norming_needs_positive_members(self):
         m2 = algebra.full_matrix_algebra(2)
