@@ -17,8 +17,8 @@ Reports hold their matrices and complex lists as complex numpy arrays.
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 of the report with each array in its list form (a 2-d array as its matrix
 document, a 1-d one as its [[re, im], ...] list), plus a newline, and the
-same input and ``--seed`` give byte-identical reports; only gelfand, gkz,
-gns and universal read the echoed ``--seed``.  :func:`emit_report` writes
+same input and ``--seed`` give byte-identical reports; only gelfand, gns
+and universal read the echoed ``--seed``.  :func:`emit_report` writes
 that layout with its own encoder, because the standard library falls back
 to its pure-Python encoder whenever ``indent`` is set, and writes each
 array straight from its reals without building per-entry lists.
@@ -335,8 +335,8 @@ def cmd_gkz(args) -> dict:
     phi_one = complex(np.dot(values, alg.identity_coords))
     if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise MalformedInput(f"gkz expects a matrix of trace 1, got phi(1) = {phi_one}")
-    outcome = gelfand.gkz_witness(alg, values, seed=args.seed)
-    results = {"is_character": outcome.is_character, "attempts_used": outcome.attempts_used}
+    outcome = gelfand.gkz_witness(alg, values)
+    results = {"is_character": outcome.is_character}
     residuals = {"phi_at_identity_minus_one": _residual(abs(phi_one - 1.0), UNIT_VALUE_TOL)}
     if outcome.witness is not None:
         results["witness"] = outcome.witness.matrix

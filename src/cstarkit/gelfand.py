@@ -1,4 +1,4 @@
-"""Characters of abelian algebras, the Gelfand transform, and the GKZ search.
+"""Characters of abelian algebras, the Gelfand transform, and the GKZ criterion.
 
 A *-closed commutative algebra is diagonalised by one unitary U, the joint
 frame of its basis (spectral._joint_frame): one eigh of a generic Hermitian
@@ -13,6 +13,8 @@ algebra that is not *-closed takes its candidates from the eigenvectors of
 one eig of the fixed generic z = sum_k c_k b_k of ``algebra._generic_coords``,
 at whose values distinct characters differ, and keeps the multiplicative
 ones.  All are ``states.Functional``s, deduplicated as one stack.
+
+The GKZ check draws no random numbers: its one witness is z - (phi(z) / phi(1)) 1.
 
 The isometry report checks sup|a-hat| = r(a) = ||a|| on seeded samples.
 Samples of a commutative *-algebra commute and are normal, so the
@@ -65,10 +67,6 @@ from .tolerances import (
     UNIT_VALUE_TOL,
     ZERO_NORM,
 )
-
-# Random kernel elements gkz_witness draws before it gives up.
-GKZ_ATTEMPTS = 200
-
 
 @dataclass(frozen=True, eq=False)
 class Character(Functional):
@@ -348,17 +346,17 @@ class GkzOutcome:
     witness: Element | None
     phi_at_witness: complex | None
     min_singular_value: float | None
-    attempts_used: int
 
 
-def gkz_witness(alg: Algebra, phi_values, seed: int = 0) -> GkzOutcome:
+def gkz_witness(alg: Algebra, phi_values) -> GkzOutcome:
     """Check the character criterion: phi(1) = 1 and phi never zero on invertibles.
 
-    A multiplicative phi is certified as a character.  Otherwise the search
-    returns an invertible element of ker(phi) (smallest singular value above
-    INVERTIBLE_TOL after normalization), which witnesses that phi violates
-    the invertibility condition.  WitnessNotFound is raised after
-    GKZ_ATTEMPTS random kernel elements.
+    A phi that is no character has phi(z) outside sigma(z) for z off a proper
+    algebraic set, as the generic z of ``algebra._generic_coords`` is, so
+    x = z - (phi(z) / phi(1)) 1 is invertible in ker(phi): x / ||x|| is the
+    witness when its smallest singular value exceeds INVERTIBLE_TOL.  A
+    character fails that test, as chi(z) lies in sigma(z); then the product
+    check certifies a multiplicative phi, and any other raises WitnessNotFound.
     """
     if alg.real_field:
         raise ComplexFieldRequired("the criterion is stated over the complex field")
@@ -369,25 +367,23 @@ def gkz_witness(alg: Algebra, phi_values, seed: int = 0) -> GkzOutcome:
     if abs(phi_one - 1.0) > UNIT_VALUE_TOL:
         raise ValueError(f"phi(1) = {phi_one} is not 1")
 
+    # phi(1) z - phi(z) 1 times 2^-k, on phi's values scaled by 2^-k, stays finite
+    c, e, s = _generic_coords(alg.dim)[0], alg.identity_coords, linalg.unit_scaled(phi.values)
+    a, b = np.dot(s, e), np.dot(s, c)
+    x = alg.from_coords(a * c - b * e)
+    svals = linalg._lapack(np.linalg.svd, x, compute_uv=False)
+    # x is zero, as in C 1 where z is scalar, when its terms cancel to rounding
+    terms = abs(a) * np.linalg.norm(c) + abs(b) * np.linalg.norm(e)
+    smin = float(svals[-1] / svals[0]) if np.linalg.norm(x) > ZERO_NORM * terms else 0.0
+    if smin > INVERTIBLE_TOL:
+        witness = Element(alg, x / svals[0])
+        return GkzOutcome(False, witness, phi(witness), smin)
     v = phi.values[None]
     if _multiplicative(v, _basis_products(alg, v, alg.basis))[0]:
-        return GkzOutcome(True, None, None, None, 0)
-
-    kernel = _null_coords(phi.values)
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, GKZ_ATTEMPTS + 1):
-        coef = rng.standard_normal(kernel.shape[0]) + 1j * rng.standard_normal(kernel.shape[0])
-        c = coef @ kernel
-        m = alg.from_coords(c)
-        nrm = linalg.op_norm(m)
-        if nrm < ZERO_NORM:
-            continue
-        m = m / nrm
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals[-1] > INVERTIBLE_TOL:
-            witness = Element(alg, m)
-            return GkzOutcome(False, witness, phi(witness), float(svals[-1]), attempt)
-    raise WitnessNotFound(f"no invertible kernel element found in {GKZ_ATTEMPTS} attempts")
+        return GkzOutcome(True, None, None, None)
+    raise WitnessNotFound(
+        f"phi is not multiplicative, and its witness has smallest singular value {smin:.3e}"
+    )
 
 
 def conv(x, y) -> np.ndarray:

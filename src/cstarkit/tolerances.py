@@ -7,8 +7,8 @@ share a meaning and a value share the name.  A relative tolerance is
 multiplied by the scale its comment names.
 
 Not tolerances, and so kept beside the code they bound: the budgets
-(Neumann terms, quotient-norm ellipsoid steps, GKZ attempts, sample stack
-sizes), and the rounding margins that keep a fast path exact.
+(Neumann terms, quotient-norm ellipsoid steps, sample stack sizes), and the
+rounding margins that keep a fast path exact.
 """
 
 # -- Spans and elements (algebra)
@@ -17,7 +17,7 @@ sizes), and the rounding margins that keep a fast path exact.
 MEMBERSHIP_TOL = 1e-9
 # Residual of algebra._membership_residuals within which a matrix is an element or subspace member.
 ELEMENT_TOL = 1e-8
-# Norm below which a matrix counts as zero: Hermitian spanning set, GKZ kernel draws.
+# Norm below which a matrix counts as zero: Hermitian spanning set; GKZ witness, relative to its terms.
 ZERO_NORM = 1e-12
 # Width of the certified quotient-norm bracket, with the element scaled to norm in [1/2, 1).
 QUOTIENT_NORM_GAP = 1e-10

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import rand_matrix, reference_gram_gns
 from cstarkit import algebra, cli, gelfand, linalg, qm, spectral, states
 from cstarkit.errors import MalformedInput
+from cstarkit.tolerances import GKZ_REPORT_TOL, INVERTIBLE_TOL
 
 
 def write_matrix(path, m):
@@ -140,6 +141,37 @@ class TestSubcommands:
         assert not report["results"]["is_character"]
         assert report["residuals"]["phi_at_witness"]["value"] <= 1e-9
         assert report["results"]["min_singular_value"] > 1e-8
+
+    @pytest.mark.parametrize("entry", [2.0**33, 1e10, 2.0**332, 2.0**1000])
+    def test_gkz_scaled_entry(self, tmp_path, entry):
+        """phi(a) = a_11 + v a_12 has a witness in its kernel to rounding, however large v."""
+        path = write_matrix(tmp_path / "g.json", [[1.0, 0.0], [entry, 0.0]])
+        report = run_to_file(tmp_path, ["gkz", "--input", path])
+        assert not report["results"]["is_character"]
+        assert report["residuals"]["phi_at_witness"]["value"] <= GKZ_REPORT_TOL
+        assert report["results"]["min_singular_value"] > INVERTIBLE_TOL
+
+    @pytest.mark.parametrize("trace", [1.0 + 9e-7, 1.0 - 9e-7])
+    def test_gkz_trace_off_one(self, tmp_path, trace):
+        """A density whose trace misses 1 by less than UNIT_VALUE_TOL: the witness
+        is in ker(phi), not in the kernel of phi / phi(1) rounded to phi."""
+        rng = np.random.default_rng(9)
+        g = rand_matrix(rng, 3)
+        rho = g @ g.conj().T
+        path = write_matrix(tmp_path / "rho.json", trace * rho / np.trace(rho).real)
+        report = run_to_file(tmp_path, ["gkz", "--input", path])
+        assert report["residuals"]["phi_at_identity_minus_one"]["value"] > 1e-7
+        assert report["residuals"]["phi_at_witness"]["value"] <= GKZ_REPORT_TOL
+
+    def test_gkz_reads_no_seed(self, tmp_path):
+        path = write_matrix(tmp_path / "rho.json", np.diag([0.25, 0.75]))
+        texts = []
+        for seed in ("0", "9"):
+            out = tmp_path / f"seed{seed}.json"
+            assert cli.run(["gkz", "--input", path, "--seed", seed, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert '"seed": 0' in texts[0]
+        assert texts[0].replace('"seed": 0', '"seed": 9') == texts[1]
 
     def test_gns_density_matrix(self, tmp_path):
         path = write_matrix(tmp_path / "rho.json", np.diag([0.5, 0.5]))
@@ -1199,8 +1231,8 @@ def _reference_cmd_gkz(args) -> dict:
     phi_one = complex(np.dot(values, alg.identity_coords))
     if abs(phi_one - 1.0) > 1e-6:
         raise MalformedInput(f"gkz expects a matrix of trace 1, got phi(1) = {phi_one}")
-    outcome = gelfand.gkz_witness(alg, values, seed=args.seed)
-    results = {"is_character": outcome.is_character, "attempts_used": outcome.attempts_used}
+    outcome = gelfand.gkz_witness(alg, values)
+    results = {"is_character": outcome.is_character}
     residuals = {"phi_at_identity_minus_one": cli._residual(abs(phi_one - 1.0), 1e-6)}
     if outcome.witness is not None:
         results["witness"] = cli.matrix_to_json(outcome.witness.matrix)
@@ -1258,7 +1290,7 @@ class TestBasisIndependentReports:
     built in: every algebra the command line builds, put through a seeded
     unitary change of basis, gives the same integers, booleans and order, and
     values within 1e-12.  gkz is left out: its algebra is always the matrix
-    units of M_n, and it draws its witness in coordinates of the kernel.
+    units of M_n, and its witness is built from the generic coordinates of that basis.
     universal runs on M_2 only: its norming family has one state per basis
     element, so on an algebra of several blocks its hilbert_dim depends on
     the basis."""

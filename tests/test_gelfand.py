@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import doubled_normal, match_multisets, product_coords, rand_hermitian
 from cstarkit import algebra, cli, gelfand, linalg, spectral, states
 from cstarkit.errors import ComplexFieldRequired, NonAbelian, WitnessNotFound
+from cstarkit.tolerances import GKZ_REPORT_TOL, INVERTIBLE_TOL
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -202,7 +203,7 @@ class TestGkzWitness:
         alg = algebra.full_matrix_algebra(2)
         rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         values = [complex(np.trace(rho @ b)) for b in alg.basis]
-        out = gelfand.gkz_witness(alg, values, seed=6)
+        out = gelfand.gkz_witness(alg, values)
         assert not out.is_character
         assert abs(out.phi_at_witness) <= 1e-9
         assert out.min_singular_value > 1e-8
@@ -210,21 +211,23 @@ class TestGkzWitness:
 
     @staticmethod
     def _no_witness_can_pass(monkeypatch):
-        """M_2 and its normalised trace, with INVERTIBLE_TOL above 1: a draw scaled
-        to norm 1 has smallest singular value at most 1, so none is a witness."""
+        """M_2 and its normalised trace, with INVERTIBLE_TOL above 1: the witness
+        scaled to norm 1 has smallest singular value at most 1, so it fails and
+        the product check decides."""
         monkeypatch.setattr(gelfand, "INVERTIBLE_TOL", 1.5)
         alg = algebra.full_matrix_algebra(2)
         return alg, [0.5 * complex(np.trace(b)) for b in alg.basis]
 
-    def test_witness_not_found_after_every_attempt(self, monkeypatch):
+    def test_witness_not_found_when_the_witness_fails(self, monkeypatch):
         alg, values = self._no_witness_can_pass(monkeypatch)
-        assert alg.identity_coords is not None  # cached, so from_coords below counts draws only
-        draws = []
-        from_coords = algebra.Algebra.from_coords
-        monkeypatch.setattr(algebra.Algebra, "from_coords", lambda a, c: draws.append(c) or from_coords(a, c))
-        with pytest.raises(WitnessNotFound, match=f"in {gelfand.GKZ_ATTEMPTS} attempts"):
+        with pytest.raises(WitnessNotFound, match="smallest singular value"):
             gelfand.gkz_witness(alg, values)
-        assert len(draws) == gelfand.GKZ_ATTEMPTS
+
+    def test_character_passes_when_the_witness_fails(self, monkeypatch):
+        self._no_witness_can_pass(monkeypatch)
+        alg = diag_algebra([1.0, 2.0])
+        out = gelfand.gkz_witness(alg, gelfand.characters(alg).characters[1].values)
+        assert out.is_character and out.witness is None
 
     def test_cli_exits_1_with_witness_not_found(self, monkeypatch, tmp_path, capsys):
         self._no_witness_can_pass(monkeypatch)
@@ -233,6 +236,62 @@ class TestGkzWitness:
         assert cli.run(["gkz", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: WitnessNotFound: ") and "Traceback" not in err
+
+
+@st.composite
+def _densities(draw):
+    """A density of any rank on C^n, n = 1..6, or I/n."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return np.eye(n, dtype=complex) / n
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestGkzCriterion:
+    """The one generic witness: a state on M_n (n >= 2) gets an invertible element
+    of its kernel, and a character of an abelian algebra is certified."""
+
+    @staticmethod
+    def _assert_witness(out, phi):
+        assert not out.is_character
+        w = out.witness.matrix
+        assert abs(phi(w)) <= GKZ_REPORT_TOL and abs(out.phi_at_witness) <= GKZ_REPORT_TOL
+        svals = np.linalg.svd(w, compute_uv=False)
+        assert svals[-1] / svals[0] > INVERTIBLE_TOL and out.min_singular_value > INVERTIBLE_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(_densities())
+    def test_densities_on_m_n(self, rho):
+        n = len(rho)
+        alg = algebra.full_matrix_algebra(n)
+        out = gelfand.gkz_witness(alg, states._trace_values(alg, rho))
+        if n == 1:
+            assert out.is_character and out.witness is None
+        else:
+            self._assert_witness(out, lambda w: np.trace(rho @ w))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_scalar_algebra(self, n):
+        """In C I_n, z is scalar, so z - phi(z) 1 is rounding and no witness."""
+        alg = algebra.algebra_from_generators([np.eye(n)], include_identity=True)
+        out = gelfand.gkz_witness(alg, 1.0 / alg.identity_coords)
+        assert out.is_character and out.witness is None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cyclic_group_algebra(self, n):
+        alg = gelfand.cyclic_group_algebra(n)
+        chars = gelfand.characters(alg).characters
+        for chi in chars:
+            assert gelfand.gkz_witness(alg, chi.values).is_character
+        for i in range(n):
+            for j in range(i + 1, n):
+                mean = (chars[i].values + chars[j].values) / 2
+                out = gelfand.gkz_witness(alg, mean)
+                self._assert_witness(out, lambda w: (chars[i](w) + chars[j](w)) / 2)
 
 
 class TestCyclicGroupAlgebra:
