@@ -19,13 +19,13 @@ stacked kernel, ||m - P m||_F / ||m||_F on m scaled by its own exact power of
 two, so 2^j m reads as m.  The words closure and ideal_check keep an absolute
 scale: a product that rounds to near zero must not be judged by its own norm.
 
-Orthonormal bases are grown by one routine, classical Gram-Schmidt run
-twice per candidate.  The C*-algebra generated by a set S, with the
-identity and the adjoints, is its double commutant S'': the eigenvectors
-of one generic Hermitian element split it into full matrix blocks, and
-only eigenvalues too close to tell apart are closed by words.  Without
-the identity or the adjoints, or over the reals, the algebra is the span
-of the words in S, grown by left-multiplying each newly added basis row
+Orthonormal bases are grown by one routine, block classical Gram-Schmidt
+run twice with one rank decision per block.  The C*-algebra generated by a
+set S, with the identity and the adjoints, is its double commutant S'': the
+eigenvectors of one generic Hermitian element split it into full matrix
+blocks, and only eigenvalues too close to tell apart are closed by words.
+Without the identity or the adjoints, or over the reals, the algebra is the
+span of the words in S, grown by left-multiplying each newly added basis row
 by every generator until no row is added.  A quotient is its parent and its
 ideal: its coset basis and unit coset are derived on first use, and
 cosets multiply through representatives.  The quotient norm is exact on
@@ -67,16 +67,6 @@ def _pairing(m, rows: np.ndarray) -> np.ndarray:
     return (flat.conj() @ rows.reshape(k, n * n).T).conj()
 
 
-def _project_out(rows: np.ndarray, rows_c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x minus its projection on the span of orthonormal rows, in two passes.
-
-    rows_c is rows.conj(), kept by the caller so that no pass copies the rows.
-    """
-    for _ in range(2):
-        x = x - (x @ rows_c.T) @ rows
-    return x
-
-
 def _membership_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """||m - P m||_F / ||m||_F for each m of a (k, n, n) stack, P the projection on
     the span of the orthonormal (d, n, n) basis, with m first scaled by its own
@@ -94,34 +84,33 @@ def _membership_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _extend_rows(rows: np.ndarray, cands, scale=None) -> np.ndarray:
-    """Append each candidate, in order, whose residual exceeds MEMBERSHIP_TOL * its
-    scale, by default its norm.
+    """rows, a (k, N) array of orthonormal rows, followed by an orthonormal
+    basis of what a stack of m candidates of N entries each adds to their span.
 
-    rows is a (k, N) array of orthonormal rows and cands a stack of m
-    candidates of N entries each.  Every candidate is orthogonalized by
-    classical Gram-Schmidt run twice against the rows accepted before it,
-    which is as orthogonal as modified Gram-Schmidt.  A candidate already
-    inside span(rows) stays inside the larger span, so those are dropped
-    in one block before the sequential pass.  The conjugates of the
-    accepted rows grow in a buffer beside them, so no pass copies the rows.
+    Block classical Gram-Schmidt run twice, one BLAS-3 pass each.  The first
+    divides each candidate by its scale, by default its norm, projects the
+    block off rows, drops each candidate whose residual is at most
+    MEMBERSHIP_TOL, and keeps the right singular vectors of one SVD of the
+    rest above that level: the accepted span is that singular subspace.  Every
+    candidate lies within the level of it, and a direction of singular value s
+    has a candidate whose component along it is at least s / sqrt(m), so the
+    span can differ from the one-candidate-at-a-time verdict only for a
+    candidate within a factor sqrt(m) of the level.  After one pass a direction
+    whose residual is 1e-9 still carries about eps / 1e-9 ~ 2e-7 of the old
+    rows, so the second pass (twice is enough: Giraud, Langou, Rozloznik & van
+    den Eshof, Numer. Math. 101, 2005) projects the kept rows V off rows again,
+    to B = V - D with B B* = I - D D*, and orthonormalises B again by one
+    Newton-Schulz step B + (B - B B* B) / 2, which squares that defect.
     """
     cands = np.asarray(cands, dtype=complex).reshape(len(cands), rows.shape[1])
     scale = np.linalg.norm(cands, axis=1) if scale is None else scale
-    rows_c = rows.conj()
-    resid = _project_out(rows, rows_c, cands)
-    live = np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL * scale
-    out = np.concatenate([rows, resid[live]])
-    out_c = np.empty_like(out)
-    k = len(rows)
-    out_c[:k] = rows_c
-    for v, s in zip(resid[live], scale[live]):
-        v = _project_out(out[:k], out_c[:k], v)
-        rem = float(np.linalg.norm(v))
-        if rem > MEMBERSHIP_TOL * s:
-            out[k] = v / rem
-            out_c[k] = out[k].conj()
-            k += 1
-    return out[:k]
+    block = cands[scale > 0] / scale[scale > 0, None]
+    block = block - (block @ rows.conj().T) @ rows
+    block = block[np.linalg.norm(block, axis=1) > MEMBERSHIP_TOL]
+    _, s, vh = linalg._lapack(np.linalg.svd, block, full_matrices=False)
+    block = vh[s > MEMBERSHIP_TOL]
+    block = block - (block @ rows.conj().T) @ rows
+    return np.concatenate([rows, block + (block - (block @ block.conj().T) @ block) / 2.0])
 
 
 def _generic_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -349,10 +338,11 @@ def _commutant_closure(gens: np.ndarray) -> np.ndarray | None:
     compressed generators within the coupling threshold set to 0.
     """
     k, n = len(gens) // 2, gens.shape[-1]
-    z = _combine_each(_generic_coords(len(gens))[0][None], gens)[0]
+    scaled = linalg._unit_scaled_each(gens)[0]  # g and g* by one power of two
+    z = _combine_each(_generic_coords(len(gens))[0][None], scaled)[0]
     w, q = linalg._lapack(np.linalg.eigh, (z + z.conj().T) / 2.0)
     close = np.diff(w) <= SIMPLE_SPECTRUM_GAP * max(-w[0], w[-1])  # neighbours in one cluster
-    unit = linalg._unit_scaled_each(gens[:k])[0]
+    unit = scaled[:k]
     scale = MEMBERSHIP_TOL * np.linalg.norm(unit, axis=(1, 2))[:, None, None]
     coupling = q.conj().T @ unit @ q  # that of g* is its adjoint
     joined = (np.abs(coupling) > scale).any(axis=0)

@@ -208,15 +208,17 @@ def cmd_spectrum(args) -> dict:
     # within the clustering radius of z (or the nearest one, should none)
     # give ||(m - zI)v|| / ||v||.  Each is at least sigma_min(m - zI), so
     # their maximum over z bounds the smallest singular values from above,
-    # and a residual within tolerance still certifies every point.
-    mv = m @ v
+    # and a residual within tolerance still certifies every point.  m and z
+    # enter exactly scaled by 2^-e, scale = frac 2^e, so no square overflows.
+    frac, e = np.frexp(scale)
+    mv = linalg.ldexp(m, -e) @ v
     v_norms = np.linalg.norm(v, axis=0)
     eig_resid = 0.0
-    for z in rep.points:
+    for z, z_scaled in zip(rep.points, linalg.ldexp(rep.points, -e)):
         dist = np.abs(w - z)
         near = dist <= max(radius, float(dist.min()))
-        r = np.linalg.norm(mv[:, near] - z * v[:, near], axis=0) / v_norms[near]
-        eig_resid = max(eig_resid, float(r.max()) / scale)
+        r = np.linalg.norm(mv[:, near] - z_scaled * v[:, near], axis=0) / v_norms[near]
+        eig_resid = max(eig_resid, float(r.max()) / frac)
     return {
         "inputs": {"input": m, "field": args.field},
         "results": {

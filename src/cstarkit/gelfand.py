@@ -176,9 +176,11 @@ def _rounded_order(vals: np.ndarray) -> np.ndarray:
 
     The entries are numpy floats, whose round is np.round, so one np.round of
     every key and one lexsort, real part before imaginary, give that order.
+    A part from max / 1e6 on, where np.round overflows, is an integer: its own key.
     """
     parts = np.stack([vals.real, vals.imag], axis=2).reshape(len(vals), 2 * vals.shape[1])
-    return np.lexsort(np.round(parts, 6).T[::-1])
+    fine = np.abs(parts) < np.finfo(float).max / 1e6
+    return np.lexsort(np.where(fine, np.round(np.where(fine, parts, 0.0), 6), parts).T[::-1])
 
 
 def _sorted(found: list) -> list:
@@ -356,7 +358,7 @@ def gkz_witness(alg: Algebra, phi_values) -> GkzOutcome:
     x = z - (phi(z) / phi(1)) 1 is invertible in ker(phi): x / ||x|| is the
     witness when its smallest singular value exceeds INVERTIBLE_TOL.  A
     character fails that test, as chi(z) lies in sigma(z); then the product
-    check certifies a multiplicative phi, and any other raises WitnessNotFound.
+    check of phi / phi(1) certifies a character, and any other raises WitnessNotFound.
     """
     if alg.real_field:
         raise ComplexFieldRequired("the criterion is stated over the complex field")
@@ -378,7 +380,7 @@ def gkz_witness(alg: Algebra, phi_values) -> GkzOutcome:
     if smin > INVERTIBLE_TOL:
         witness = Element(alg, x / svals[0])
         return GkzOutcome(False, witness, phi(witness), smin)
-    v = phi.values[None]
+    v = phi.values[None] / phi_one
     if _multiplicative(v, _basis_products(alg, v, alg.basis))[0]:
         return GkzOutcome(True, None, None, None)
     raise WitnessNotFound(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import doubled_normal, rand_matrix
 from cstarkit import algebra, gelfand, linalg, states
-from cstarkit.tolerances import QUOTIENT_NORM_GAP
+from cstarkit.tolerances import MEMBERSHIP_TOL, QUOTIENT_NORM_GAP
 from cstarkit.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -759,6 +759,51 @@ def _pair_coords(alg, m):
     return np.array([np.vdot(b, m) for b in alg.basis])
 
 
+# The sequential Gram-Schmidt that grew every basis before the block routine,
+# kept verbatim as the reference for algebra._extend_rows and the closures.
+
+
+def _project_out(rows: np.ndarray, rows_c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x minus its projection on the span of orthonormal rows, in two passes.
+
+    rows_c is rows.conj(), kept by the caller so that no pass copies the rows.
+    """
+    for _ in range(2):
+        x = x - (x @ rows_c.T) @ rows
+    return x
+
+
+def _extend_rows(rows: np.ndarray, cands, scale=None) -> np.ndarray:
+    """Append each candidate, in order, whose residual exceeds MEMBERSHIP_TOL * its
+    scale, by default its norm.
+
+    rows is a (k, N) array of orthonormal rows and cands a stack of m
+    candidates of N entries each.  Every candidate is orthogonalized by
+    classical Gram-Schmidt run twice against the rows accepted before it,
+    which is as orthogonal as modified Gram-Schmidt.  A candidate already
+    inside span(rows) stays inside the larger span, so those are dropped
+    in one block before the sequential pass.  The conjugates of the
+    accepted rows grow in a buffer beside them, so no pass copies the rows.
+    """
+    cands = np.asarray(cands, dtype=complex).reshape(len(cands), rows.shape[1])
+    scale = np.linalg.norm(cands, axis=1) if scale is None else scale
+    rows_c = rows.conj()
+    resid = _project_out(rows, rows_c, cands)
+    live = np.linalg.norm(resid, axis=1) > MEMBERSHIP_TOL * scale
+    out = np.concatenate([rows, resid[live]])
+    out_c = np.empty_like(out)
+    k = len(rows)
+    out_c[:k] = rows_c
+    for v, s in zip(resid[live], scale[live]):
+        v = _project_out(out[:k], out_c[:k], v)
+        rem = float(np.linalg.norm(v))
+        if rem > MEMBERSHIP_TOL * s:
+            out[k] = v / rem
+            out_c[k] = out[k].conj()
+            k += 1
+    return out[:k]
+
+
 class TestStructureReference:
     """The stacked core against per-pair loops over the basis, to 1e-12."""
 
@@ -797,7 +842,7 @@ class TestStructureReference:
         d, n = alg.dim, alg.ambient_dim
         adjoints = alg.basis.conj().swapaxes(1, 2).reshape(d, n * n)
         rows = alg.basis.reshape(d, n * n)
-        resid = algebra._project_out(rows, rows.conj(), adjoints)
+        resid = _project_out(rows, rows.conj(), adjoints)
         assert alg.star_closed == bool(
             np.all(np.linalg.norm(resid, axis=1) <= algebra.MEMBERSHIP_TOL)
         )
@@ -885,17 +930,18 @@ class TestUnitWithoutLeastSquaresEquivalence:
 
 
 def _all_pairs_closure(gens, include_identity=True, include_adjoints=True):
-    """Reference closure: an adjoint pass, then every basis pair's product, per round."""
+    """Reference closure: an adjoint pass, then every basis pair's product, per
+    round, grown by the sequential _extend_rows."""
     n = gens[0].shape[0]
     start = [np.eye(n, dtype=complex)] if include_identity else []
-    rows = algebra._extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
+    rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [*start, *gens])
     for _ in range(n * n + 1):
         size = len(rows)
         if include_adjoints:
-            rows = algebra._extend_rows(rows, rows.reshape(-1, n, n).conj().swapaxes(1, 2))
+            rows = _extend_rows(rows, rows.reshape(-1, n, n).conj().swapaxes(1, 2))
         current = rows.reshape(-1, n, n)
         for b in current:
-            rows = algebra._extend_rows(rows, b @ current)
+            rows = _extend_rows(rows, b @ current)
         if len(rows) == size:
             break
     return rows.reshape(-1, n, n)
@@ -954,6 +1000,150 @@ class TestClosureReference:
             assert alg.membership_residual(b) <= 1e-9
         for b in alg.basis:
             assert ref.membership_residual(b) <= 1e-9
+
+
+def _unitary_rows(rng, size):
+    """The rows of a seeded size x size unitary."""
+    return np.linalg.qr(rand_matrix(rng, size))[0].T
+
+
+def _span_residual(a, b):
+    """The largest residual of a row of a off the span of the orthonormal rows b;
+    unlike _assert_same_span, it takes empty stacks."""
+    return float(np.max(np.linalg.norm(a - (a @ b.conj().T) @ b, axis=1), initial=0.0))
+
+
+class TestBlockGramSchmidtEquivalence:
+    """algebra._extend_rows, block classical Gram-Schmidt run twice with one
+    rank decision per block, against the sequential routine it replaced: the
+    same row count, spans that contain each other to 1e-12, and orthonormal
+    rows to 1e-13."""
+
+    @staticmethod
+    def _check(rows, cands, scale=None):
+        got = algebra._extend_rows(rows, cands, scale)
+        ref = _extend_rows(rows, cands, scale)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[: len(rows)], rows)
+        assert max(_span_residual(got, ref), _span_residual(ref, got)) <= 1e-12
+        assert np.linalg.norm(got @ got.conj().T - np.eye(len(got)), 2) <= 1e-13
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matrix_units(self, n):
+        units = np.eye(n * n, dtype=complex)
+        empty = np.zeros((0, n * n), dtype=complex)
+        assert len(self._check(empty, units)) == n * n
+        order = np.random.default_rng(n).permutation(n * n)
+        assert len(self._check(units[: n * n // 2], units[order])) == n * n
+
+    @pytest.mark.parametrize("size, k", [(4, 0), (9, 3), (16, 15)])
+    def test_orthonormal_rows(self, size, k):
+        u = _unitary_rows(np.random.default_rng(size), size)
+        assert len(self._check(u[:k], u[k:])) == size
+        assert len(self._check(u[:k], u[:k])) == k  # inside the span already
+
+    def test_planted_dependencies(self):
+        rng = np.random.default_rng(5)
+        u = _unitary_rows(rng, 16)
+        c = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        inside = rng.standard_normal((2, 3)) @ u[:3]
+        cands = np.concatenate([c[:2], [c[0] + c[1]], c[2:], [2.0 * c[2] - c[3], c[0]], inside])
+        assert len(self._check(np.zeros((0, 16), dtype=complex), cands)) == 6
+        assert len(self._check(u[:3], cands)) == 7
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_zero_and_empty_stacks(self, k, m):
+        rows = _unitary_rows(np.random.default_rng(k), 9)[:k]
+        assert len(self._check(rows, np.zeros((m, 9), dtype=complex))) == k
+        assert len(self._check(rows, np.zeros((m, 9), dtype=complex), np.zeros(m))) == k
+
+    @pytest.mark.parametrize("factor, added", [(10.0, 3), (0.1, 0)])
+    def test_residuals_about_the_level(self, factor, added):
+        """Candidates a + t b, a in span(rows) and b off it, both of norm 1, with
+        t = factor * MEMBERSHIP_TOL: on matrix units, where the projection is
+        exact, and on a random unitary, where the b fill the complement."""
+        rng = np.random.default_rng(7)
+        t = factor * MEMBERSHIP_TOL
+        for u in (np.eye(9, dtype=complex), _unitary_rows(rng, 9)):
+            a = (rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))) @ u[:6]
+            b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) @ u[6:]
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            b /= np.linalg.norm(b, axis=1)[:, None]
+            assert len(self._check(u[:6], a + t * b)) == 6 + added
+
+    def test_many_candidates_below_the_level(self):
+        """16 candidates, each off span(rows) by 0.5 MEMBERSHIP_TOL along one b:
+        each is dropped alone, though the block's singular value along b is
+        sqrt(16) 0.5 MEMBERSHIP_TOL, above the level."""
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        u = np.eye(9, dtype=complex)
+        assert len(self._check(u[:6], a @ u[:6] + 0.5 * MEMBERSHIP_TOL * u[8])) == 6
+
+    @pytest.mark.parametrize("factor", [10.0, 1.5])
+    def test_second_pass_restores_orthogonality(self, factor):
+        """One new direction whose residual is factor * MEMBERSHIP_TOL: one pass
+        would leave about eps / residual of the old rows in it, and its norm
+        short of 1 by the square of that."""
+        u = _unitary_rows(np.random.default_rng(8), 64)
+        cand = np.ones(63) @ u[:63] / np.sqrt(63.0) + factor * MEMBERSHIP_TOL * u[63]
+        assert len(self._check(u[:63], cand[None])) == 64
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_word_scales(self, n):
+        """Words g b at the scale ||g||_F, as the words closure passes them, for a
+        Gaussian g, a nilpotent one, the zero matrix and a rank-one a c*: on a
+        row x whose columns lie in the kernel of c*, a c* x is all rounding."""
+        rng = np.random.default_rng(n)
+        a, c = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)) for _ in range(2))
+        gens = np.stack([rand_matrix(rng, n), np.eye(n, k=1), np.zeros((n, n)), a @ c.conj().T])
+        gens = linalg._unit_scaled_each(gens)[0]
+        norms = np.linalg.norm(gens, axis=(1, 2))
+        rows = _extend_rows(np.zeros((0, n * n), dtype=complex), [np.eye(n), *gens[:2]])
+        words = gens[:, None] @ rows.reshape(1, -1, n, n)
+        self._check(rows, words.reshape(-1, n * n), np.repeat(norms, len(rows)))
+        x = (np.eye(n) - c @ c.conj().T / (c.conj().T @ c)) @ rand_matrix(rng, n)
+        x = (x / np.linalg.norm(x)).reshape(1, n * n)
+        self._check(x, (gens @ x.reshape(n, n)).reshape(-1, n * n), norms)
+        assert len(self._check(x, (gens[3] @ x.reshape(n, n)).reshape(1, -1), norms[3:])) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(0, 16), st.integers(0, 16), st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_rank_r_stacks(self, n, k, r, extra, seed):
+        """r + extra candidates of rank r off k orthonormal rows, each with a
+        part inside their span."""
+        rng = np.random.default_rng(seed)
+        size = n * n
+        k = min(k, size)
+        r = min(r, size - k)
+        u = _unitary_rows(rng, size)
+        m = r + extra
+        cands = (rng.standard_normal((m, k)) @ u[:k]
+                 + (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) @ u[k : k + r])
+        assert len(self._check(u[:k], cands)) == k + r
+
+
+class TestWordsClosureFullDimension:
+    """Words closures that reach all of M_n, the sizes the words loop handles today."""
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_real_pair(self, n):
+        rng = np.random.default_rng(n)
+        gens = [rng.standard_normal((n, n)), rng.standard_normal((n, n))]
+        assert algebra.algebra_from_generators(gens, real_field=True).dim == n * n
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_tensor_with_identity(self, n):
+        """C*(a (x) I_2) is M_n (x) I_2: every eigenvalue of the generic h is
+        doubled, so the whole of it is closed by words on clustered components."""
+        g = np.kron(rand_matrix(np.random.default_rng(n), n), np.eye(2))
+        assert algebra.algebra_from_generators([g]).dim == n * n
 
 
 class TestStackedSampleEquivalence:
@@ -1289,6 +1479,17 @@ class TestCommutantClosureEquivalence:
         entries, so it leaves the float range at 1e+-300."""
         scaled, plain = sets
         self._check(scaled, ref=plain)
+
+    def test_hermitian_near_the_largest_float(self):
+        """A 4 x 4 Hermitian whose largest part is 1.5e308: the generic element
+        sums the generators, so each is scaled first."""
+        g = rand_matrix(np.random.default_rng(15), 4)
+        g = g + g.conj().T
+        g = g / np.abs(g.view(float)).max() * 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alg = self._check([g])
+        assert alg.dim == 4
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_sizes(self, n):

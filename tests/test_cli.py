@@ -163,6 +163,15 @@ class TestSubcommands:
         assert report["residuals"]["phi_at_identity_minus_one"]["value"] > 1e-7
         assert report["residuals"]["phi_at_witness"]["value"] <= GKZ_REPORT_TOL
 
+    @pytest.mark.parametrize("trace", [1.0 + 9e-7, 1.0 - 9e-7])
+    def test_gkz_one_by_one(self, tmp_path, trace):
+        """On C, phi = trace is the one character: phi(1 1) - phi(1)^2 misses 0 by
+        about 9e-7, above MULTIPLICATIVE_TOL, so the product check reads
+        phi / phi(1)."""
+        path = write_matrix(tmp_path / "rho.json", [[trace]])
+        report = run_to_file(tmp_path, ["gkz", "--input", path])
+        assert report["results"]["is_character"]
+
     def test_gkz_reads_no_seed(self, tmp_path):
         path = write_matrix(tmp_path / "rho.json", np.diag([0.25, 0.75]))
         texts = []
@@ -831,7 +840,8 @@ class TestPositivityExits:
 
 
 class TestFloatRange:
-    """Inputs whose arithmetic leaves the float range exit 1 with Overflow, and no warning."""
+    """Inputs whose arithmetic leaves the float range exit 1 with Overflow, and no
+    warning; inputs whose results are in range give them."""
 
     @staticmethod
     def _run(tmp_path, command, m):
@@ -841,15 +851,75 @@ class TestFloatRange:
             code = cli.run([command, "--input", path])
         return code, err.getvalue()
 
+    @staticmethod
+    def _report(tmp_path, argv, name="out.json"):
+        """The report of a run that must exit 0 and warn of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_to_file(tmp_path, argv, name)
+
     def test_spectrum_whose_eig_is_not_finite(self, tmp_path):
         m = [[3.280811678258314e300 + 1.7976931348623155e308j]]
         assert self._run(tmp_path, "spectrum", m) == (1, "error: Overflow: eig leaves the float range\n")
 
     @pytest.mark.parametrize("command", ["spectrum", "characters", "gelfand", "universal"])
     def test_overflowing_entry(self, tmp_path, command):
-        code, err = self._run(tmp_path, command, [[1e308 + 1e308j]])
-        assert code == 1
-        assert err.startswith("error: Overflow: ")
+        """[[1e308 + 1e308j]] has |z| = 1.41e308, in range: its report has the
+        integers, booleans and verdicts of [[1 + 1j]], and its values are 1e308
+        times as large."""
+        huge = self._report(tmp_path, [command, "--input", write_matrix(
+            tmp_path / "huge.json", [[1e308 + 1e308j]])], "huge.out.json")
+        one = self._report(tmp_path, [command, "--input", write_matrix(
+            tmp_path / "one.json", [[1.0 + 1.0j]])], "one.out.json")
+        for r, s in zip(huge["residuals"].values(), one["residuals"].values()):
+            assert (r["value"] <= r["tolerance"]) == (s["value"] <= s["tolerance"])
+
+        def walk(x, y):
+            assert type(x) is type(y)
+            if isinstance(x, dict):
+                assert x.keys() == y.keys()
+                for key in x:
+                    walk(x[key], y[key])
+            elif isinstance(x, list):
+                assert len(x) == len(y)
+                for u, v in zip(x, y):
+                    walk(u, v)
+            elif isinstance(x, float):
+                assert abs(x - 1e308 * y) <= 1e-12 * abs(x)
+            else:
+                assert x == y
+
+        walk(huge["results"], one["results"])
+        walk(huge["inputs"], one["inputs"])
+
+    @pytest.mark.parametrize(
+        "m, values", [([[1e303]], [[1e303, 0.0]]),
+                      (np.diag([2e302, 1e302]), [[1e302, 0.0], [2e302, 0.0]])],
+    )
+    def test_characters_beyond_the_rounding_range(self, tmp_path, m, values):
+        """The report orders characters by their values rounded to 6 decimals,
+        which would multiply these by 1e6 past the largest float."""
+        path = write_matrix(tmp_path / "m.json", m)
+        results = self._report(tmp_path, ["characters", "--input", path])["results"]
+        assert results["values_at_input"] == values
+
+    def test_spectrum_residual_at_1e300(self, tmp_path):
+        """The residual ||(m - zI) v|| squares entries near 1e301."""
+        g = rand_matrix(np.random.default_rng(6), 6)
+        path = write_matrix(tmp_path / "m.json", 1e300 * (g + g.conj().T))
+        r = self._report(tmp_path, ["spectrum", "--input", path])["residuals"]
+        assert r["max_eigenvalue_residual"]["value"] <= 1e-13
+
+    def test_generators_at_the_top_of_the_range(self, tmp_path):
+        """The closure's generic element sums the generators: on [[1.5e308]] it
+        leaves the float range unless each is scaled first."""
+        path = write_matrix(tmp_path / "m.json", [[1.5e308]])
+        for command in ("gelfand", "universal"):
+            assert self._report(tmp_path, [command, "--input", path])["results"]["algebra_dim"] == 1
+        doc = {"element": cli.matrix_to_json(np.array([[1.5e308 + 0j]])), "ideal": []}
+        (tmp_path / "qn.json").write_text(json.dumps(doc))
+        report = self._report(tmp_path, ["quotient-norm", "--input", str(tmp_path / "qn.json")])
+        assert report["results"]["quotient_norm"] == 1.5e308
 
     def test_exp_bound_beyond_the_float_range_is_inf(self, tmp_path):
         path = write_matrix(tmp_path / "n.json", [[0.0, 1e100], [0.0, 0.0]])
