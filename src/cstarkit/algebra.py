@@ -150,6 +150,9 @@ class Algebra:
 
     basis: np.ndarray
     real_field: bool = False
+    # The unitary Q of the eigh that algebra_from_generators' commutant closure
+    # built the basis from, else None.  Unchecked: gelfand certifies it before use.
+    frame: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -324,11 +327,11 @@ def _clustered_closure(sub: np.ndarray, lead: np.ndarray, thr: np.ndarray) -> np
     return np.concatenate(blocks)
 
 
-def _commutant_closure(gens: np.ndarray) -> np.ndarray | None:
+def _commutant_closure(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The (d, n, n) orthonormal basis of the unital *-algebra generated by
     gens, k matrices followed by their k adjoints, from the eigenvectors q_i
-    of its generic Hermitian h (see algebra_from_generators); None when the
-    basis fails its certificate.
+    of its generic Hermitian h (see algebra_from_generators), and the unitary
+    Q of those q_i; None when the basis fails its certificate.
 
     Each g is first scaled exactly by the power of two that brings its
     largest part into [1/2, 1).  The basis lists the components without a
@@ -363,7 +366,7 @@ def _commutant_closure(gens: np.ndarray) -> np.ndarray | None:
         lead = np.searchsorted(c, comp[c])
         sub = _clustered_closure(sub, lead, np.concatenate([scale, scale]))
         basis = np.concatenate([basis, q[:, c] @ sub @ q[:, c].conj().T])
-    return basis if np.all(_membership_residuals(basis, unit) <= MEMBERSHIP_TOL) else None
+    return (basis, q) if np.all(_membership_residuals(basis, unit) <= MEMBERSHIP_TOL) else None
 
 
 def algebra_from_generators(
@@ -404,7 +407,9 @@ def algebra_from_generators(
     its projection; the other clustered components, as for a (x) I_2 with a
     generic, are closed together by words on the compressed generators.
     One call of _membership_residuals certifies the basis: every generator
-    must lie in its span within MEMBERSHIP_TOL.
+    must lie in its span within MEMBERSHIP_TOL.  The algebra keeps Q as its
+    frame, from which gelfand.characters reads a commutative algebra's
+    characters once the frame passes their certificate.
 
     The whole closure is grown from words without the identity or the
     adjoints, over the real field, or when the certificate fails.
@@ -422,9 +427,9 @@ def algebra_from_generators(
         mats += [m.conj().T for m in mats]
     gens = np.stack(mats)
     if n and include_identity and include_adjoints and not real_field:
-        basis = _commutant_closure(gens)
-        if basis is not None:
-            return Algebra(basis)
+        closure = _commutant_closure(gens)
+        if closure is not None:
+            return Algebra(closure[0], frame=closure[1])
     return Algebra(_words_closure(gens, include_identity), real_field)
 
 

@@ -208,15 +208,17 @@ def cmd_spectrum(args) -> dict:
     # within the clustering radius of z (or the nearest one, should none)
     # give ||(m - zI)v|| / ||v||.  Each is at least sigma_min(m - zI), so
     # their maximum over z bounds the smallest singular values from above,
-    # and a residual within tolerance still certifies every point.  m and z
-    # enter exactly scaled by 2^-e, scale = frac 2^e, so no square overflows.
+    # and a residual within tolerance still certifies every point.  m, w, z
+    # and the radius enter exactly scaled by 2^-e, scale = frac 2^e, so no
+    # square or distance overflows.
     frac, e = np.frexp(scale)
     mv = linalg.ldexp(m, -e) @ v
     v_norms = np.linalg.norm(v, axis=0)
+    w_scaled, radius_scaled = linalg.ldexp(w, -e), np.ldexp(radius, -e)
     eig_resid = 0.0
-    for z, z_scaled in zip(rep.points, linalg.ldexp(rep.points, -e)):
-        dist = np.abs(w - z)
-        near = dist <= max(radius, float(dist.min()))
+    for z_scaled in linalg.ldexp(rep.points, -e):
+        dist = np.abs(w_scaled - z_scaled)
+        near = dist <= max(radius_scaled, float(dist.min()))
         r = np.linalg.norm(mv[:, near] - z_scaled * v[:, near], axis=0) / v_norms[near]
         eig_resid = max(eig_resid, float(r.max()) / frac)
     return {
@@ -361,7 +363,7 @@ def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[flo
     pi(a) = a_1 (x) I_m has a_1's norms, and with the cyclic vector as a
     k x m matrix X, <pi(a) x, x> = tr(X* a_1 X); no image is formed at full size.
 
-    No SVD is taken where the answer is fixed: an exactly zero defect reads 0
+    No norm is computed where the answer is fixed: an exactly zero defect reads 0
     in _op_norm_each, and a sample whose image equals it in every bit (the
     block of gns on all of M_n is the basis itself) has excess exactly 0.  Any
     other sample, one differing in a single bit included, takes both norms.

@@ -1,14 +1,18 @@
 """Characters of abelian algebras, the Gelfand transform, and the GKZ criterion.
 
-A *-closed commutative algebra is diagonalised by one unitary U, the joint
-frame of its basis (spectral._joint_frame): one eigh of a generic Hermitian
-combination of the basis.  When every U* b_k U is certified diagonal, frame
-vector i is a joint eigenvector and the diagonal entries (U* b_k U)_ii over
-k are its character's values; such an algebra is a C*-algebra with exactly
-dim characters, and those are the dim distinct nonzero columns.  When
-rounding ties two characters in the frame, as it can on a basis built for
-it, the certificate or the count fails, and the candidates are taken from
-the joint eigenspaces that the Hermitian spanning set splits off.  An
+A *-closed commutative algebra is diagonalised by one unitary U: the frame
+Q that algebra_from_generators kept from the eigh its closure ran
+(Algebra.frame), or else the joint frame of its basis
+(spectral._joint_frame), one eigh of a generic Hermitian combination of the
+basis.  When every U* b_k U is certified diagonal, frame vector i is a
+joint eigenvector and the diagonal entries (U* b_k U)_ii over k are its
+character's values; such an algebra is a C*-algebra with exactly dim
+characters, and those are the dim distinct nonzero columns.  Q fails where
+the closure's generic Hermitian ties two characters, and the joint frame
+takes over.  When rounding ties two characters in the joint frame too, as
+it can on a basis built for it, the certificate or the count fails, and
+the candidates are taken from the joint eigenspaces that the Hermitian
+spanning set splits off.  An
 algebra that is not *-closed takes its candidates from the eigenvectors of
 one eig of the fixed generic z = sum_k c_k b_k of ``algebra._generic_coords``,
 at whose values distinct characters differ, and keeps the multiplicative
@@ -19,11 +23,12 @@ The GKZ check draws no random numbers: its one witness is z - (phi(z) / phi(1)) 
 The isometry report checks sup|a-hat| = r(a) = ||a|| on seeded samples.
 Samples of a commutative *-algebra commute and are normal, so the
 characters' frame diagonalises them all, and each sample keeps the diagonal
-as its spectrum only when its off-diagonal rest is certified small; the
-others take a general eig.  The frame, the multiplicativity residuals and
-the SVD norms are computed apart, so a wrong frame fails a check instead of
-agreeing with itself.  The residuals are absolute gaps, so a missing
-character fails them.
+as its spectrum, and its largest modulus as r(a), only when its
+off-diagonal rest is certified small; the others take a general eig.  The
+frame, the multiplicativity residuals and the norms (one stacked Gram
+eigvalsh, linalg._op_norm_each) are computed apart, so a wrong frame fails
+a check instead of agreeing with itself.  The residuals are absolute gaps,
+so a missing character fails them.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .spectral import _framed_diagonals, _joint_eigvals, _joint_frame, _spectrum_report
+from .spectral import _framed_diagonals, _joint_frame, _joint_spectra, _spectrum_report
 from .states import (
     Functional,
     _basis_products,
@@ -84,7 +89,7 @@ class Character(Functional):
 class GelfandSpectrumData:
     algebra: Algebra
     characters: tuple[Character, ...]
-    # The certified joint frame of the basis the characters were read in, else None.
+    # The certified frame the characters were read in (the algebra's own or its basis's joint frame), else None.
     frame: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -199,11 +204,11 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     Gelfand transform has a kernel.
 
     A *-closed algebra is a C*-algebra with exactly dim characters, read off
-    the certified joint frame of its basis (_framed_characters), which the
-    result keeps as its frame.  Where rounding ties two characters in that
-    frame, as it can on a basis built for it, the candidates are taken
-    again from the joint eigenspaces into which the Hermitian spanning set
-    splits the ambient space (_split).
+    a certified frame (_framed_characters): the algebra's own, else the
+    joint frame of its basis.  The result keeps it as its frame.  Where
+    rounding ties two characters in both, as it can on a basis built for
+    it, the candidates are taken again from the joint eigenspaces into which
+    the Hermitian spanning set splits the ambient space (_split).
 
     Any other algebra takes its candidates from one eig of the generic
     z = sum_k c_k b_k.  Distinct characters differ at z, as the frequency +k
@@ -230,34 +235,53 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
 
 
 def _framed_characters(alg: Algebra) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """The characters read off the joint frame U of the basis, and U; ([], None)
-    unless the frame is certified and gives exactly dim characters.
+    """The characters read off a frame U, and U; ([], None) when no frame gives
+    them.  U is the algebra's own frame, kept from its closure, when it passes
+    _characters_in_frame, else the joint frame of the basis when that passes.
+
+    The closure's frame splits h's eigenspaces only as far as h does, so
+    two characters that h ties stay mixed in it and fail the certificate;
+    the basis's generic Hermitian tells them apart.
+    """
+    if alg.frame is not None:
+        found = _characters_in_frame(alg, alg.frame)
+        if found is not None:
+            return found, alg.frame
+    u = _joint_frame(alg.basis)
+    found = None if u is None else _characters_in_frame(alg, u)
+    return ([], None) if found is None else (found, u)
+
+
+def _characters_in_frame(alg: Algebra, u: np.ndarray) -> list[np.ndarray] | None:
+    """The characters read off the frame u; None unless u is certified and
+    gives exactly dim characters.
 
     When every U* b_k U is diagonal to within its certificate
     (spectral._framed_diagonals), frame vector i is a joint eigenvector, and
     the diagonal entries (U* b_k U)_ii over k are its character's values.
     Zero columns, from a kernel that every element kills, are no character.
     """
-    u = _joint_frame(alg.basis)
-    if u is None:
-        return [], None
     diags, held = _framed_diagonals(alg.basis, u)
     if not held.all():
-        return [], None
+        return None
     vals = diags.T
     found = _distinct(vals[np.abs(vals).max(axis=1, initial=0.0) > MULTIPLICATIVE_TOL])
-    return (found, u) if len(found) == alg.dim else ([], None)
+    return found if len(found) == alg.dim else None
 
 
 def gelfand_transform(a: Element, spec: GelfandSpectrumData) -> np.ndarray:
     """The vector (chi_1(a), ..., chi_k(a)) over the algebra's characters.
 
     One dot product of each row of spec.values with a's coordinates, as
-    chi(a) takes it.
+    chi(a) takes it, on a scaled by the power of two 2^-e that brings its
+    largest real or imaginary part into [1/2, 1), then scaled back by 2^e.
+    The scaling is exact, and keeps in range the coordinate sqrt(k) chi(a)
+    on a cluster's unit P / sqrt(k).
     """
     if a.algebra is not spec.algebra:
         raise AlgebraMismatch("element and character data belong to different algebras")
-    return _dot_each(spec.values, spec.algebra.coords(a.matrix)[None])
+    scaled, e = linalg._unit_scaled_each(a.matrix[None])
+    return linalg.ldexp(_dot_each(spec.values, spec.algebra.coords(scaled)), e[0, 0])
 
 
 @dataclass(frozen=True)
@@ -287,14 +311,20 @@ def gelfand_isometry_report(
 
     The samples are one stack.  Their eigenvalues are read in the
     characters' frame, or without one in the frame of one joint eigh of the
-    samples (spectral._joint_eigvals), each sample certified by its
-    off-diagonal rest, and a sample that fails the certificate (one of a
-    stack that is not normal, say) from eig_general.  One stacked clustering
-    of those eigenvalues gives every r(a) as spectrum(a).radius does, to
-    rounding.
-    The op norms are an independent stacked SVD.  The kernel is decided from
-    the singular values of the character values, and the full SVD runs only
-    for a kernel example.
+    samples (spectral._joint_spectra), each sample certified by its
+    off-diagonal rest E, and a sample that fails the certificate (one of a
+    stack that is not normal, say) from eig_general.  A certified sample's
+    r(a) is max_i |d_i| over its framed diagonal d: a being normal, each d_i
+    lies within ||E||_2 of an eigenvalue and each eigenvalue within ||E||_2
+    of some d_i (Bauer-Fike), so the maximum is r(a) within ||E||_2, where
+    clustering would average distinct eigenvalues closer than
+    CLUSTER_SCALE (1 + r(a)).  Only the samples that took eig_general are
+    clustered, in one stack, for r(a) as spectrum(a).radius gives it: a
+    defective sample's eigenvalues scatter, and their mean is the better
+    estimate.
+    The op norms are an independent stack of Gram eigenvalues
+    (linalg._op_norm_each).  The kernel is decided from the singular values
+    of the character values, and the full SVD runs only for a kernel example.
     """
     spec = characters(alg)
     rng = np.random.default_rng(seed + 1)
@@ -302,7 +332,11 @@ def gelfand_isometry_report(
     values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    radii = [rep.radius for rep in _spectrum_report(_joint_eigvals(mats, spec.frame), "complex")]
+    eigs, held = _joint_spectra(mats, spec.frame)
+    radii = np.hypot(eigs.real, eigs.imag).max(axis=1, initial=0.0)  # Python's complex abs
+    if not held.all():
+        radii[~held] = [rep.radius for rep in _spectrum_report(eigs[~held], "complex")]
+    radii = radii.tolist()
     norms = linalg._op_norm_each(mats).tolist()
     kernel_example = None
     if len(spec) == 0:

@@ -87,14 +87,23 @@ def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[f
     point, and numpy divides an array of sums by their counts as it divides
     one complex scalar by an int, so each row of a stack gives what it gives
     alone.
+
+    A row whose largest real or imaginary part is 1 or more is clustered and
+    averaged in the units of the power of two 2^e that brings that part into
+    [1/2, 1): exact for every point that stays normal, and no gap or sum
+    leaves the float range.  The means are scaled back by 2^e, as floats for
+    a real row.  Smaller rows keep their units, in which r cannot overflow.
     """
     rows = np.atleast_2d(values)
     k, n = rows.shape
     radii = CLUSTER_SCALE * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
+    peak = np.fmax(np.abs(rows.real), np.abs(rows.imag)).max(axis=1, initial=0.0)
+    e = np.fmax(np.frexp(peak)[1], 0)
+    scale = linalg.ldexp if np.iscomplexobj(rows) else np.ldexp
     order = np.lexsort((rows.imag, rows.real), axis=-1)
-    zs = np.take_along_axis(rows, order, axis=1)
+    zs = scale(np.take_along_axis(rows, order, axis=1), -e[:, None])
     d = zs[:, :, None] - zs[:, None, :]
-    joined = np.hypot(d.real, d.imag) <= radii[:, None, None]
+    joined = np.hypot(d.real, d.imag) <= np.ldexp(radii, -e)[:, None, None]
     joined[:, np.arange(n), np.arange(n)] = False
     first = np.tile(np.arange(n), (k, 1))
     linked = joined.any(axis=(1, 2))
@@ -105,6 +114,7 @@ def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[f
     np.add.at(sums, at, zs.ravel())  # in (re, im) order from 0, as sum(cl): -0.0 becomes 0.0
     counts = np.bincount(at, minlength=k * n).reshape(k, n)
     means = sums.reshape(k, n) / np.maximum(counts, 1)  # as each numpy scalar divides by an int
+    means = scale(means, e[:, None])
     points = [list(mrow[crow > 0]) for mrow, crow in zip(means, counts)]
     radii = radii.tolist()
     return (points, radii) if values.ndim == 2 else (points[0], radii[0])
@@ -149,20 +159,26 @@ def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport | list
 
 
 def _joint_eigvals(mats: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """The eigenvalues of _joint_spectra(mats, u), without the certificate."""
+    return _joint_spectra(mats, u)[0]
+
+
+def _joint_spectra(mats: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """eig_general of a (k, n, n) stack, read off the diagonals of U* a_s U for
     every sample that _framed_diagonals certifies, where the stack's matrices
     are commuting normal matrices, as the samples of a commutative *-algebra
-    are.  U is the given frame u, or else the stack's own _joint_frame.
-    Every other sample (not normal, off the commuting stack, or mixed by a
-    near-tie in U) takes eig_general unchanged."""
+    are; and which samples were so certified.  U is the given frame u, or
+    else the stack's own _joint_frame.  Every other sample (not normal, off
+    the commuting stack, or mixed by a near-tie in U) takes eig_general
+    unchanged."""
     if u is None:
         u = _joint_frame(mats)
         if u is None:
-            return linalg.eig_general(mats)
+            return linalg.eig_general(mats), np.zeros(len(mats), dtype=bool)
     eigs, held = _framed_diagonals(mats, u)
     if not held.all():
         eigs[~held] = linalg.eig_general(mats[~held])
-    return eigs
+    return eigs, held
 
 
 def _joint_frame(mats: np.ndarray) -> np.ndarray | None:
@@ -270,7 +286,7 @@ def neumann_inverse(a: Element, tol: float = NEUMANN_TOL) -> Element:
     term = e.copy()
     total = e.copy()
     cutoff = tol * (1.0 - nrm)
-    # ||t|| >= ||t||_F / sqrt(n) decides most stopping tests without an SVD.
+    # ||t|| >= ||t||_F / sqrt(n) decides most stopping tests without an op norm.
     frob_cutoff = cutoff * math.sqrt(m.shape[0]) * (1.0 + 1e-12)
     k = 0
     while np.linalg.norm(term) > frob_cutoff or linalg.op_norm(term) > cutoff:

@@ -355,7 +355,7 @@ class Representation:
     def _norm_each(self, mats: np.ndarray) -> np.ndarray:
         """The norm of the image of each matrix of a stack: its largest block
         norm (a multiplicity repeats a block's singular values), with each
-        distinct block taken once and those of one size in one stacked SVD."""
+        distinct block taken once and those of one size in one op-norm stack."""
         coords = _pairing_each(mats, self.algebra.basis)
         distinct = list({id(b): b for b in self.blocks}.values())
         norms = np.zeros(len(mats))

@@ -903,6 +903,25 @@ class TestFloatRange:
         results = self._report(tmp_path, ["characters", "--input", path])["results"]
         assert results["values_at_input"] == values
 
+    @pytest.mark.parametrize("command", ["spectrum", "characters"])
+    @pytest.mark.parametrize(
+        "m", [1e308 * np.eye(2), 1.3e308 * np.eye(2), 1.7e308 * np.eye(3), np.diag([1.6e308, 1.6e308, -1.6e308])],
+        ids=["1e308-I2", "1.3e308-I2", "1.7e308-I3", "diag-1.6e308"],
+    )
+    def test_points_at_the_top_of_the_range(self, tmp_path, command, m):
+        """Cluster sums and gaps, and a cluster's coordinate sqrt(k) chi(a),
+        leave the float range here, though every point is in range: the report
+        is 2^8 times that of m / 2^8, bit for bit."""
+        top = self._report(tmp_path, [command, "--input", write_matrix(tmp_path / "top.json", m)], "top.out.json")
+        low = self._report(
+            tmp_path, [command, "--input", write_matrix(tmp_path / "low.json", m / 256)], "low.out.json"
+        )
+        key = "points" if command == "spectrum" else "values_at_input"
+        assert top["results"][key] == (256 * np.array(low["results"][key])).tolist()
+        assert len(top["results"][key]) == len(np.unique(np.diag(m)))
+        for r, s in zip(top["residuals"].values(), low["residuals"].values()):
+            assert (r["value"] <= r["tolerance"]) == (s["value"] <= s["tolerance"])
+
     def test_spectrum_residual_at_1e300(self, tmp_path):
         """The residual ||(m - zI) v|| squares entries near 1e301."""
         g = rand_matrix(np.random.default_rng(6), 6)
@@ -1219,7 +1238,7 @@ class TestGnsResidualsFlip:
     """Each gns residual fails when the representation data is perturbed.  On
     the matrix units the block is the basis itself, so the images are the
     samples and the homomorphism and contraction checks read exactly 0, with
-    no SVD; a block that differs in one bit takes the SVDs again."""
+    no norm computed; a block that differs in one bit takes the norms again."""
 
     @pytest.fixture(params=[(2, 1), (3, 3), (4, 2), (6, 2)], ids=lambda p: f"n{p[0]}-rank{p[1]}")
     def rep(self, request):
@@ -1248,13 +1267,13 @@ class TestGnsResidualsFlip:
 
     def test_one_ulp_block_takes_the_svd(self, rep, monkeypatch):
         """With one block entry one ulp off, every sample's image moves: the
-        homomorphism defects and both sides of the contraction take the SVD
-        again (the nudged E_11 stays Hermitian, so the *-defects stay exactly
-        0), and each residual stays within tolerance."""
+        homomorphism defects and both sides of the contraction take the norm
+        kernel's eigvalsh again (the nudged E_11 stays Hermitian, so the
+        *-defects stay exactly 0), and each residual stays within tolerance."""
         block = rep.blocks[0].copy()
         block[0, 0, 0] = np.nextafter(block[0, 0, 0].real, 2.0)
-        svd, stacks = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: stacks.append(len(a)) or svd(a, **kw))
+        eigvalsh, stacks = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, **kw: stacks.append(len(a)) or eigvalsh(a, **kw))
         cli._gns_sample_residuals(rep, 4)
         assert stacks == []
         residuals = cli._gns_sample_residuals(dataclasses.replace(rep, blocks=(block,)), 4)

@@ -1,5 +1,6 @@
 """Characters, the Gelfand transform, GKZ witnesses, the cyclic group algebra."""
 
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -1192,9 +1193,11 @@ class TestFramedCharactersEquivalence:
         self.assert_same(spec, want)
 
     def test_a_rotated_frame_fails_the_certificate(self, monkeypatch):
-        """Two frame vectors turned together by 1e-6 mix two characters: the
-        certificate rejects the frame, and the split finds the characters."""
-        alg = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
+        """Two frame vectors turned together by 1e-6 mix two characters: with
+        both the stored frame and the joint frame so turned, the certificate
+        rejects each, and the split finds the characters."""
+        built = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
+        alg = dataclasses.replace(built, frame=_rotate_first_two(built.frame))
         want = _reference_eig_characters(alg)
         joint_frame = spectral._joint_frame
         rotated = lambda mats: _rotate_first_two(joint_frame(mats))  # noqa: E731
@@ -1213,6 +1216,60 @@ class TestFramedCharactersEquivalence:
         want = _reference_eig_characters(alg)
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _tie_input():
+    """A normal 4 x 4 whose eigenvalues 0 and 0.5i conj(k) / |k| the closure's
+    generic Hermitian ties, k = c_1 + conj(c_2) of _generic_coords(2): h takes
+    Re(k lambda) on the eigenvalue lambda, 0 on both."""
+    c = algebra._generic_coords(2)[0]
+    k = c[0] + np.conj(c[1])
+    lam = np.array([0.0, 0.5j * np.conj(k) / abs(k), 1.0, -1.0 + 0.3j])
+    u, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) + 1j * np.eye(4))
+    return (u * lam) @ u.conj().T, lam
+
+
+class TestClosureFrameEquivalence:
+    """characters() reads a closure-built algebra in the closure's own frame,
+    with no second eigh, and gets the characters of the same basis read in
+    its joint frame; a frame that fails its certificate gives way to the
+    joint frame before the split."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [name for name in sorted(FRAMED_INPUTS) if name.split("-")[0] in ("distinct", "doubled", "circulant")],
+    )
+    def test_the_stored_frame_needs_no_joint_frame(self, monkeypatch, name):
+        alg = FRAMED_INPUTS[name]()
+        assert alg.frame is not None
+        want = gelfand.characters(algebra.Algebra(alg.basis))
+        assert want.frame is not None
+        calls = _spy(monkeypatch, gelfand, "_joint_frame")
+        spec = gelfand.characters(alg)
+        assert calls == [] and spec.frame is alg.frame
+        assert len(spec) == len(want) == alg.dim
+        for got, ref in zip(spec, want):
+            assert np.max(np.abs(got.values - ref.values), initial=0.0) <= 1e-12
+
+    def test_a_tie_of_the_closure_takes_the_joint_frame(self, monkeypatch):
+        m, lam = _tie_input()
+        alg = algebra.algebra_from_generators([m])
+        assert alg.dim == 4 and alg.frame is not None
+        assert not spectral._framed_diagonals(alg.basis, alg.frame)[1].all()
+        frames = _spy(monkeypatch, gelfand, "_joint_frame")
+        splits = _spy(monkeypatch, gelfand, "_split")
+        spec = gelfand.characters(alg)
+        assert len(frames) == 1 and not splits
+        assert spec.frame is not None and spec.frame is not alg.frame
+        values = gelfand.gelfand_transform(algebra.Element(alg, m), spec)
+        assert match_multisets(values, lam, 1e-12)
+
+    def test_the_tie_input_passes_the_isometry(self):
+        alg = algebra.algebra_from_generators([_tie_input()[0]])
+        report = gelfand.gelfand_isometry_report(alg, samples=20, seed=0)
+        assert not report.kernel_detected
+        assert report.max_hat_minus_radius <= 1e-12
+        assert report.max_hat_minus_norm <= 1e-12
 
 
 class TestFramedSamples:
@@ -1235,6 +1292,23 @@ class TestFramedSamples:
         calls = _spy(monkeypatch, spectral, "_joint_frame")
         gelfand.gelfand_isometry_report(alg, samples=5, seed=1)
         assert len(calls) == 1 and len(calls[0][0]) == 5
+
+    @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
+    def test_certified_samples_are_not_clustered(self, monkeypatch, label):
+        """A certified sample's radius is the largest |d_i| of its framed
+        diagonal, with no _dedupe; the reference clusters every sample."""
+        alg = algebra.algebra_from_generators([_benchmark_like(label, 8, 2)])
+        want = _reference_isometry_report(alg, samples=20, seed=5)
+        calls = _spy(monkeypatch, spectral, "_dedupe")
+        got = gelfand.gelfand_isometry_report(alg, samples=20, seed=5)
+        assert calls == []
+        assert np.abs(np.subtract(got.spectral_radius, want.spectral_radius)).max() <= 1e-12
+
+    def test_only_the_samples_off_the_frame_are_clustered(self, monkeypatch):
+        alg = _similar_upper_triangular(4, 10)
+        calls = _spy(monkeypatch, spectral, "_dedupe")
+        gelfand.gelfand_isometry_report(alg, samples=5, seed=1)
+        assert len(calls) == 1 and calls[0][0].shape == (5, 4)
 
     def test_a_rotated_frame_takes_eig_general(self, monkeypatch):
         alg = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_hermitian, rand_matrix
 from cstarkit import linalg
-from cstarkit.errors import NoConvergence, NotHermitian, Singular
+from cstarkit.errors import NoConvergence, NotHermitian, Overflow, Singular
 from cstarkit.tolerances import LINALG_TOL
 
 
@@ -59,7 +59,7 @@ class TestOpNorm:
 
 class TestOpNormEach:
     """Exactly zero matrices read 0.0 without LAPACK; every other matrix of a
-    stack keeps the bits of its SVD alone."""
+    stack keeps the bits it has alone."""
 
     def test_zero_rows_read_zero_and_live_rows_keep_their_bits(self):
         rng = np.random.default_rng(8)
@@ -69,7 +69,8 @@ class TestOpNormEach:
         got = linalg._op_norm_each(stack)
         assert got[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
         assert got[[1, 3, 5]].tolist() == [linalg.op_norm(m) for m in live]
-        assert got[[1, 3, 5]].tolist() == np.linalg.svd(np.stack(live), compute_uv=False)[:, 0].tolist()
+        svd = np.linalg.svd(np.stack(live), compute_uv=False)[:, 0]
+        assert np.all(np.abs(got[[1, 3, 5]] - svd) <= 1e-13 * svd)
 
     def test_all_zero_stack_needs_no_lapack(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -97,6 +98,63 @@ class TestOpNormEach:
     def test_empty_stacks(self):
         assert linalg._op_norm_each(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
         assert linalg._op_norm_each(np.zeros((2, 0, 0), dtype=complex)).tolist() == [0.0, 0.0]
+
+
+def _gram_stacks():
+    """Named (k, p, q) stacks for the Gram kernel: wide and tall, zero and
+    subnormal matrices, rank one, and entries near 1e300 and 1e-300."""
+    rng = np.random.default_rng(31)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    tiny = np.zeros((3, 3), dtype=complex)
+    tiny[1, 2] = 5e-324
+    u, v = gauss(6, 5, 1), gauss(6, 1, 4)
+    yield "wide", gauss(6, 3, 7)
+    yield "tall", gauss(6, 7, 3)
+    yield "zero-and-subnormal", np.stack([np.zeros((3, 3)), tiny, 1e-310 * gauss(3, 3), -tiny,
+                                          np.zeros((3, 3)), 2e-308 * gauss(3, 3)])
+    yield "rank-one", np.concatenate([u @ v, (u @ v)[:, :, :1]], axis=2)
+    yield "rank-one-real", np.einsum("ki,kj->kij", rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
+    yield "1e300", 1e300 * gauss(8, 5, 5)
+    yield "1e-300", 1e-300 * gauss(8, 5, 5)
+    yield "mixed-scales", np.stack([1e300 * gauss(4, 4), 1e-300 * gauss(4, 4), gauss(4, 4)])
+
+
+GRAM_STACKS = dict(_gram_stacks())
+
+
+class TestGramOpNormEquivalence:
+    """_op_norm_each, sqrt(lambda_max) of each scaled Gram matrix, agrees with
+    the largest singular value within 1e-13 relative; each matrix keeps the
+    bits it has alone, and the errors stay those of the SVD."""
+
+    @pytest.mark.parametrize("name", sorted(GRAM_STACKS))
+    def test_against_the_svd(self, name):
+        stack = np.asarray(GRAM_STACKS[name], dtype=complex)
+        got = linalg._op_norm_each(stack)
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert got.tolist() == [linalg.op_norm(m) for m in stack]
+
+    def test_exact_on_a_single_entry(self):
+        for z in (5e-324, 3.0 - 4.0j, 1.5e308, -1e-300j):
+            m = np.zeros((2, 3), dtype=complex)
+            m[1, 0] = z
+            assert linalg.op_norm(m) == abs(z)
+
+    def test_nan_raises_no_convergence(self):
+        bad = np.ones((2, 3, 4), dtype=complex)
+        bad[1, 2, 3] = complex(0.0, np.nan)
+        with pytest.raises(NoConvergence):
+            linalg._op_norm_each(bad)
+
+    @pytest.mark.parametrize(
+        "m", [np.full((2, 2), 1.7e308), np.array([[1.5e308 + 1.5e308j]]), np.full((3, 2), 1e308)],
+        ids=["rank-one", "complex-entry", "tall"],
+    )
+    def test_norm_past_the_float_range_raises_overflow(self, m):
+        with pytest.raises(Overflow):
+            linalg._op_norm_each(np.stack([np.eye(m.shape[0], m.shape[1]), m]))
+        assert linalg.op_norm(m / 4) == pytest.approx(np.linalg.svd(m / 4, compute_uv=False)[0], rel=1e-13)
 
 
 class TestHermitianResidual:

@@ -721,6 +721,22 @@ class TestDedupeEquivalence:
                 assert _exact(points) == _exact(alone) == _exact(want)
                 assert radius == alone_radius == want_radius
 
+    def test_rows_at_both_ends_of_the_range(self):
+        """A row near the largest float is clustered on its power-of-two
+        scaling, 2^k times the same row near 1 bit for bit; a subnormal row
+        keeps its own units, where its radius is in range."""
+        near_one = np.array([1.7, 1.7, 1.7, -1.6, -1.6 + 1e-9j, 0.3j])
+        top = np.ldexp(near_one.real, 1023) + 1j * np.ldexp(near_one.imag, 1023)
+        tiny = np.array([5e-324, 1e-320, -4.76e-319j, 0.0, 2e-323, 3e-319])
+        points, radii = spectral._dedupe(np.stack([top, tiny, near_one]))
+        want = spectral._dedupe(near_one)[0]
+        assert _exact(points[0]) == _exact(
+            [np.complex128(complex(math.ldexp(z.real, 1023), math.ldexp(z.imag, 1023))) for z in want]
+        )
+        assert len(points[0]) == 3
+        assert _exact(points[1]) == _exact(_reference_linkage(tiny)[0])
+        assert radii[1] == spectral._dedupe(tiny)[1]
+
     @pytest.mark.parametrize("factor, count", [(1 - 1e-6, 1), (1 + 1e-6, 2)])
     def test_gap_below_and_above_the_radius(self, factor, count):
         points, _ = spectral._dedupe(_pair_at_gap(factor))
@@ -789,8 +805,8 @@ class TestPositiveEigendecomposition:
 
     def test_op_norm_failure_is_no_convergence(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(linalg.np.linalg, "svd", fail)
+        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
             linalg.op_norm(np.eye(2))
