@@ -3,9 +3,11 @@
 An Algebra is its basis: one stacked orthonormal, multiplication-closed
 (d, n, n) array under the trace pairing <x, y> = trace(y* x) (the
 Frobenius inner product), plus a flag for the scalar field (real or
-complex coefficients).  Everything else is derived from the basis on
-first use and cached: the unit and the commutativity and *-closure
-flags.  The unit is read off as I_n when I_n lies in the span, which
+complex coefficients).  The unit and the commutativity and *-closure
+flags are cached.  A constructor that proves them seeds them: M_n, the
+circulants, direct sums and C*(S) are *-closed and hold I_n by their
+definition.  Every other algebra derives them from the basis on first
+use.  The unit is read off as I_n when I_n lies in the span, which
 holds for every algebra generated with the identity; only an algebra
 without I_n (a corner, a unitization, a non-unital algebra) solves a
 least-squares system for it.  The flags and the ideal test each take
@@ -146,7 +148,11 @@ def _generic_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """A subalgebra of M_n: an orthonormal, multiplication-closed (d, n, n) basis."""
+    """A subalgebra of M_n: an orthonormal, multiplication-closed (d, n, n) basis.
+
+    The flags and the unit below are derived on first use, unless the
+    constructor wrote them into the cache (_seed_flags).
+    """
 
     basis: np.ndarray
     real_field: bool = False
@@ -188,14 +194,25 @@ class Algebra:
         return self.contains(z.conj().T)
 
     @cached_property
+    def _eye_coords(self) -> np.ndarray | None:
+        """coords(I_n) when I_n lies in A (within MEMBERSHIP_TOL), else None (also for d = 0)."""
+        if not self.dim:
+            return None
+        eye = np.eye(self.ambient_dim, dtype=complex)
+        c = self.coords(eye)
+        if np.linalg.norm(eye - self.from_coords(c)) / np.linalg.norm(eye) <= MEMBERSHIP_TOL:
+            return c
+        return None
+
+    @cached_property
     def identity_coords(self) -> np.ndarray | None:
         """Coordinates of the two-sided unit, or None (also for d = 0).
 
         When I_n lies in A (within MEMBERSHIP_TOL) it is the unit, since
         I_n a = a I_n = a for every a and a unit is unique, so its
-        coordinates are read off in O(d n^2) by one projection.  Otherwise, with
-        G = sum_k b_k b_k* and H = sum_k b_k* b_k, x in A is the unit
-        exactly when x G = G and H x = H:
+        coordinates are read off in O(d n^2) by one projection (_eye_coords).
+        Otherwise, with G = sum_k b_k b_k* and H = sum_k b_k* b_k, x in A is
+        the unit exactly when x G = G and H x = H:
           - x G = G says x is the identity on range(G), the sum of the
             ranges of the b_k, so x a = a for every a in A;
           - H x = H says x* is the identity on range(H), the sum of the
@@ -204,12 +221,8 @@ class Algebra:
         The coordinates of x solve these 2 n^2 equations by least squares.
         """
         d, b = self.dim, self.basis
-        if not d:
-            return None
-        eye = np.eye(self.ambient_dim, dtype=complex)
-        c = self.coords(eye)
-        if np.linalg.norm(eye - self.from_coords(c)) / np.linalg.norm(eye) <= MEMBERSHIP_TOL:
-            return c
+        if self._eye_coords is not None or not d:
+            return self._eye_coords
         adj = b.conj().swapaxes(1, 2)
         g, h = np.sum(b @ adj, axis=0), np.sum(adj @ b, axis=0)
         system = np.concatenate([(b @ g).reshape(d, -1), (h @ b).reshape(d, -1)], axis=1).T
@@ -241,6 +254,19 @@ class Algebra:
         if self.identity_coords is None:
             return None
         return self.from_coords(self.identity_coords)
+
+
+def _seed_flags(alg: Algebra, star_closed=None, abelian=None, unital=False) -> Algebra:
+    """alg, with the flags its constructor proved written into the cache that
+    the lazy properties read: a flag left None, and the unit without unital,
+    stay derived on first use.  unital says that I_n lies in A, so the unit is
+    coords(I_n), the bits the lazy path returns once I_n passes its test."""
+    seeds = {"star_closed": star_closed, "abelian": abelian}
+    vars(alg).update({k: v for k, v in seeds.items() if v is not None})
+    if unital:
+        c = alg.coords(np.eye(alg.ambient_dim, dtype=complex))
+        vars(alg).update(_eye_coords=c, identity_coords=c)
+    return alg
 
 
 def _require_ambient(alg: Algebra, m: np.ndarray) -> np.ndarray:
@@ -327,11 +353,14 @@ def _clustered_closure(sub: np.ndarray, lead: np.ndarray, thr: np.ndarray) -> np
     return np.concatenate(blocks)
 
 
-def _commutant_closure(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _commutant_closure(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool | None] | None:
     """The (d, n, n) orthonormal basis of the unital *-algebra generated by
     gens, k matrices followed by their k adjoints, from the eigenvectors q_i
-    of its generic Hermitian h (see algebra_from_generators), and the unitary
-    Q of those q_i; None when the basis fails its certificate.
+    of its generic Hermitian h (see algebra_from_generators), the unitary Q
+    of those q_i, and whether the algebra is commutative, None when a
+    cluster leaves that to the lazy test; None when the basis fails its
+    certificate.  Without a cluster it is commutative exactly when every
+    component is a single index, as M_k is for k = 1 alone.
 
     Each g is first scaled exactly by the power of two that brings its
     largest part into [1/2, 1).  The basis lists the components without a
@@ -358,6 +387,7 @@ def _commutant_closure(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
     order = order[~clustered[order]]
     i, j = np.nonzero(comp[order][:, None] == comp[order])
     basis = q.T[order[i], :, None] * q.T.conj()[order[j], None, :]
+    abelian = None if clustered.any() else bool(np.array_equal(comp, np.arange(n)))
     if clustered.any():
         c = np.flatnonzero(clustered)
         sub = coupling[:, c[:, None], c]
@@ -366,7 +396,8 @@ def _commutant_closure(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
         lead = np.searchsorted(c, comp[c])
         sub = _clustered_closure(sub, lead, np.concatenate([scale, scale]))
         basis = np.concatenate([basis, q[:, c] @ sub @ q[:, c].conj().T])
-    return (basis, q) if np.all(_membership_residuals(basis, unit) <= MEMBERSHIP_TOL) else None
+    certified = np.all(_membership_residuals(basis, unit) <= MEMBERSHIP_TOL)
+    return (basis, q, abelian) if certified else None
 
 
 def algebra_from_generators(
@@ -409,10 +440,14 @@ def algebra_from_generators(
     One call of _membership_residuals certifies the basis: every generator
     must lie in its span within MEMBERSHIP_TOL.  The algebra keeps Q as its
     frame, from which gelfand.characters reads a commutative algebra's
-    characters once the frame passes their certificate.
+    characters once the frame passes their certificate.  C*(S) is *-closed
+    and holds I_n, and off the clusters its basis is exactly *-closed, so
+    these flags and the unit are seeded; commutativity too, where no cluster
+    leaves it open.
 
     The whole closure is grown from words without the identity or the
-    adjoints, over the real field, or when the certificate fails.
+    adjoints, over the real field, or when the certificate fails; its flags
+    and unit are derived on first use.
     """
     mats = [linalg.require_square(linalg.as_matrix(g)) for g in gens]
     if not mats:
@@ -429,13 +464,16 @@ def algebra_from_generators(
     if n and include_identity and include_adjoints and not real_field:
         closure = _commutant_closure(gens)
         if closure is not None:
-            return Algebra(closure[0], frame=closure[1])
+            basis, q, abelian = closure
+            return _seed_flags(Algebra(basis, frame=q), True, abelian, unital=True)
     return Algebra(_words_closure(gens, include_identity), real_field)
 
 
 def full_matrix_algebra(n: int) -> Algebra:
-    """All of M_n, with the matrix units as orthonormal basis."""
-    return Algebra(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+    """All of M_n, with the matrix units as orthonormal basis: *-closed, with
+    the unit I_n when n >= 1, and commutative for n <= 1 alone."""
+    alg = Algebra(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+    return _seed_flags(alg, True, n <= 1, unital=n >= 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -784,9 +822,18 @@ def pair_regular_norm(calg: Algebra, a, b) -> float:
 
 
 def direct_sum_algebras(a: Algebra, b: Algebra) -> Algebra:
-    """Block-diagonal sum; the block norm is the max of the block norms."""
+    """Block-diagonal sum; the block norm is the max of the block norms.
+
+    A (+) B is *-closed (commutative) exactly when A and B both are, read off
+    the summands' flags.  I_n lies in it exactly when each summand holds its
+    own identity, which seeds the unit.  A summand whose unit is not its
+    identity (a corner, or {0}, which has none) leaves the unit to the lazy
+    path: A (+) {0} has the unit (1_A, 0), which is not I_n.
+    """
     na, nb = a.ambient_dim, b.ambient_dim
     cands = np.zeros((a.dim + b.dim, na + nb, na + nb), dtype=complex)
     cands[: a.dim, :na, :na] = a.basis
     cands[a.dim :, na:, na:] = b.basis
-    return Algebra(cands, a.real_field and b.real_field)
+    alg = Algebra(cands, a.real_field and b.real_field)
+    unital = a._eye_coords is not None and b._eye_coords is not None
+    return _seed_flags(alg, a.star_closed and b.star_closed, a.abelian and b.abelian, unital)

@@ -48,6 +48,7 @@ from .algebra import (
     _generic_coords,
     _pairing_each,
     _random_matrices,
+    _seed_flags,
     subspace,
 )
 from .errors import (
@@ -450,12 +451,15 @@ def cyclic_group_algebra(n: int) -> Algebra:
 
     Basis entries are normalized powers of the cyclic shift; the product
     of circulants is the circulant of the cyclic convolution, and the
-    characters evaluate to the discrete Fourier transform.
+    characters evaluate to the discrete Fourier transform.  The group is
+    abelian and the adjoint of the k-th power is the (N - k)-th, so the
+    algebra is seeded commutative, *-closed, and with the unit I_N, the
+    zeroth power.
     """
     if n < 1:
         raise ValueError("the cyclic order must be at least 1")
     # the k-th power of the shift is the circulant of the k-th unit vector
-    return Algebra(circulant(np.eye(n)) / np.sqrt(n))
+    return _seed_flags(Algebra(circulant(np.eye(n)) / np.sqrt(n)), True, True, unital=True)
 
 
 def circulant_element(alg: Algebra, c) -> Element:

@@ -2,10 +2,10 @@
 
 Spectra are always the ambient-matrix eigenvalues, clustered: points linked
 by a chain of gaps, each within r = CLUSTER_SCALE * (1 + radius), are one
-spectral point, their mean.  For elements of non-unital algebras this
-matches the convention of passing to the unitization.  The
-real field mode filters to (numerically) real eigenvalues and may yield
-the empty set.
+spectral point, their mean, or the point itself when they are equal.  For
+elements of non-unital algebras this matches the convention of passing to
+the unitization.  The real field mode filters to (numerically) real
+eigenvalues and may yield the empty set.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[f
     is summed over its points in (re, im) order and listed at its first
     point, and numpy divides an array of sums by their counts as it divides
     one complex scalar by an int, so each row of a stack gives what it gives
-    alone.
+    alone.  A cluster whose points are all equal is listed at that point
+    (with +0.0 for a zero part, as the sum from 0 gives): fl(fl(2c) + c) / 3
+    can miss c by one ulp, as 0.7 I_3 showed.
 
     A row whose largest real or imaginary part is 1 or more is clustered and
     averaged in the units of the power of two 2^e that brings that part into
@@ -101,7 +103,8 @@ def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[f
     e = np.fmax(np.frexp(peak)[1], 0)
     scale = linalg.ldexp if np.iscomplexobj(rows) else np.ldexp
     order = np.lexsort((rows.imag, rows.real), axis=-1)
-    zs = scale(np.take_along_axis(rows, order, axis=1), -e[:, None])
+    sorted_rows = np.take_along_axis(rows, order, axis=1)
+    zs = scale(sorted_rows, -e[:, None])
     d = zs[:, :, None] - zs[:, None, :]
     joined = np.hypot(d.real, d.imag) <= np.ldexp(radii, -e)[:, None, None]
     joined[:, np.arange(n), np.arange(n)] = False
@@ -115,6 +118,8 @@ def _dedupe(values: np.ndarray) -> tuple[list, float] | tuple[list[list], list[f
     counts = np.bincount(at, minlength=k * n).reshape(k, n)
     means = sums.reshape(k, n) / np.maximum(counts, 1)  # as each numpy scalar divides by an int
     means = scale(means, e[:, None])
+    unequal = np.bincount(at, (sorted_rows.ravel() != sorted_rows.ravel()[at]), minlength=k * n)
+    means = np.where(unequal.reshape(k, n) == 0, sorted_rows + 0.0, means)
     points = [list(mrow[crow > 0]) for mrow, crow in zip(means, counts)]
     radii = radii.tolist()
     return (points, radii) if values.ndim == 2 else (points[0], radii[0])
@@ -156,11 +161,6 @@ def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport | list
     if np.ndim(eigs) == 2:
         return [_report(p, r, field_mode) for p, r in zip(points, radius)]
     return _report(points, radius, field_mode)
-
-
-def _joint_eigvals(mats: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """The eigenvalues of _joint_spectra(mats, u), without the certificate."""
-    return _joint_spectra(mats, u)[0]
 
 
 def _joint_spectra(mats: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

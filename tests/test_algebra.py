@@ -1352,7 +1352,8 @@ class TestFlagMemory:
     below one (d, n, n) stack, which every per-basis product stack takes."""
 
     def test_flags_on_cyclic_64(self):
-        alg = gelfand.cyclic_group_algebra(64)
+        # on the bare basis, as cyclic_group_algebra seeds its flags
+        alg = algebra.Algebra(gelfand.cyclic_group_algebra(64).basis)
         peak = _traced_peak(lambda: (alg.abelian, alg.star_closed))
         assert alg.abelian and alg.star_closed
         assert peak < alg.basis.nbytes / 8
@@ -1598,3 +1599,187 @@ def test_circulant_closure_stops_at_its_dimension():
     assert proc.returncode == 0, proc.stderr
     want = [[n, n, True] for n in (48, 64, 96, 128) for _ in range(4)] + [[128, 128, True]]
     assert json.loads(proc.stdout) == want
+
+
+def _flag_bits(alg):
+    """The flags and the bits of the unit's coordinates."""
+    c = alg.identity_coords
+    return alg.star_closed, alg.abelian, alg.unital, None if c is None else c.tobytes()
+
+
+def _flag_corpus():
+    """Generator sets of size n = 1..8 at scales 1, 1e+-100 and 1e+-300: one or two
+    Gaussians, circulants, scalars, zero and E_1n, and for even n a normal matrix
+    with doubled eigenvalues and a (x) I_2, whose eigenvalues are all doubled."""
+    rng = np.random.default_rng(33)
+    for n in range(1, 9):
+        e1n = np.zeros((n, n))
+        e1n[0, -1] = 1.0
+        sets = [
+            [rand_matrix(rng, n)],
+            [rand_matrix(rng, n), rand_matrix(rng, n)],
+            [gelfand.circulant(rng.standard_normal(n) + 1j * rng.standard_normal(n))],
+            [2.5 * np.eye(n)],
+            [np.zeros((n, n))],
+            [e1n],
+        ]
+        if n % 2 == 0:
+            sets += [[doubled_normal(rng, n)], [np.kron(rand_matrix(rng, n // 2), np.eye(2))]]
+        for gens in sets:
+            for scale in (1.0, 1e100, 1e-100, 1e300, 1e-300):
+                yield [scale * g for g in gens]
+
+
+def _idempotent_span():
+    """span{p} for the idempotent p = [[1, 1], [0, 0]]: unital with the unit p,
+    which is not Hermitian, so the projection of I_2 (p / 2) is not the unit."""
+    p = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return algebra.algebra_from_generators([p], include_identity=False, include_adjoints=False)
+
+
+def _summands():
+    """Summands for the direct-sum checks: seeded, lazy, non-unital, a corner,
+    {0}, and real-field algebras."""
+    rng = np.random.default_rng(34)
+    real = rng.standard_normal((3, 3))
+    return {
+        "m1": algebra.full_matrix_algebra(1),
+        "m2": algebra.full_matrix_algebra(2),
+        "cyclic3": gelfand.cyclic_group_algebra(3),
+        "generated": algebra.algebra_from_generators([rand_matrix(rng, 3)]),
+        "doubled": algebra.algebra_from_generators([doubled_normal(rng, 4)]),
+        "diag2": diag_algebra([1.0, 2.0]),
+        "upper": algebra.algebra_from_generators(_upper_units(3), include_adjoints=False),
+        "corner": _corner(),
+        "upper-corner": _upper_corner(),
+        "idempotent": _idempotent_span(),
+        "nilpotent": algebra.algebra_from_generators(
+            [E12], include_identity=False, include_adjoints=False
+        ),
+        "zero": algebra.Algebra(np.zeros((0, 1, 1), dtype=complex)),
+        "real": algebra.algebra_from_generators([real], real_field=True),
+        "real-diag": algebra.algebra_from_generators([np.diag([1.0, -1.0])], real_field=True),
+    }
+
+
+class TestConstructionFlagsEquivalence:
+    """The flags and unit a constructor seeds are those a fresh Algebra on the
+    same basis derives on first use, bit for bit, and reading them probes nothing."""
+
+    @staticmethod
+    def _check(alg):
+        fresh = algebra.Algebra(alg.basis, alg.real_field)
+        assert _flag_bits(alg) == _flag_bits(fresh)
+
+    def test_generated(self):
+        """Every set of the corpus takes the commutant path, which seeds."""
+        corpus = [*_flag_corpus()]
+        for gens in corpus:
+            alg = algebra.algebra_from_generators(gens)
+            assert "star_closed" in vars(alg)
+            self._check(alg)
+        assert len(corpus) == 280
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_full_matrix_algebra(self, n):
+        alg = algebra.full_matrix_algebra(n)
+        self._check(alg)
+        assert (alg.star_closed, alg.abelian, alg.unital) == (True, n <= 1, n >= 1)
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 16, 32])
+    def test_cyclic_group_algebra(self, n):
+        alg = gelfand.cyclic_group_algebra(n)
+        self._check(alg)
+        assert alg.star_closed and alg.abelian and alg.unital
+
+    def test_direct_sums(self):
+        summands = _summands()
+        for a in summands.values():
+            for b in summands.values():
+                s = algebra.direct_sum_algebras(a, b)
+                self._check(s)
+                assert s.real_field == (a.real_field and b.real_field)
+        for gens in [*_flag_corpus()][::7]:
+            a = algebra.algebra_from_generators(gens)
+            self._check(algebra.direct_sum_algebras(a, summands["m2"]))
+
+    def test_seeded_flags_run_no_probe(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        m2 = algebra.full_matrix_algebra(2)
+        seeded = [
+            algebra.full_matrix_algebra(1),
+            algebra.full_matrix_algebra(3),
+            gelfand.cyclic_group_algebra(5),
+            algebra.direct_sum_algebras(m2, m2),
+            algebra.direct_sum_algebras(diag_algebra([1.0, 2.0]), algebra.full_matrix_algebra(1)),
+            algebra.algebra_from_generators([rand_matrix(rng, 4)]),
+            algebra.algebra_from_generators([_normal_matrix(rng, 4)]),
+        ]
+        calls = []
+        for name in ("_generic_coords", "_membership_residuals"):
+            monkeypatch.setattr(algebra, name, lambda *a, name=name: calls.append(name))
+        flags = [(alg.star_closed, alg.abelian, alg.unital) for alg in seeded]
+        assert calls == []
+        assert [f[1] for f in flags] == [True, False, True, False, True, False, True]
+        assert all(f[0] and f[2] for f in flags)
+
+    def test_clustered_closure_leaves_commutativity_lazy(self):
+        """a (x) I_2 doubles every eigenvalue: whether its words commute is left
+        to the generic test, which finds M_4 (x) I_2 not commutative."""
+        g = np.kron(rand_matrix(np.random.default_rng(36), 4), np.eye(2))
+        alg = algebra.algebra_from_generators([g])
+        assert "abelian" not in vars(alg)
+        assert alg.star_closed and alg.unital and not alg.abelian
+
+
+class TestSeededFlagEdges:
+    def test_m0_and_m1(self):
+        m0, m1 = algebra.full_matrix_algebra(0), algebra.full_matrix_algebra(1)
+        assert (m0.dim, m0.star_closed, m0.abelian, m0.unital) == (0, True, True, False)
+        assert (m1.star_closed, m1.abelian) == (True, True)
+        assert np.array_equal(m1.identity_coords, [1.0])
+
+    def test_cyclic_of_order_one(self):
+        alg = gelfand.cyclic_group_algebra(1)
+        assert alg.star_closed and alg.abelian
+        assert np.array_equal(alg.identity_matrix, np.eye(1))
+
+    def test_sum_with_the_zero_algebra(self):
+        """A (+) {0} has the unit (1_A, 0), though {0} itself has none."""
+        zero = algebra.Algebra(np.zeros((0, 1, 1), dtype=complex))
+        assert not zero.unital
+        m2 = algebra.full_matrix_algebra(2)
+        for s, at in ((algebra.direct_sum_algebras(m2, zero), slice(0, 2)),
+                      (algebra.direct_sum_algebras(zero, m2), slice(1, 3))):
+            want = np.zeros((3, 3))
+            want[at, at] = np.eye(2)
+            assert s.unital and s.star_closed and not s.abelian
+            assert np.linalg.norm(s.identity_matrix - want) <= 1e-12
+
+    def test_sum_with_a_summand_that_is_not_star_closed(self):
+        upper = algebra.algebra_from_generators(_upper_units(2), include_adjoints=False)
+        s = algebra.direct_sum_algebras(upper, algebra.full_matrix_algebra(2))
+        assert not upper.star_closed and not s.star_closed
+        assert s.unital and not s.abelian
+
+    def test_diagonal_sum_is_commutative(self):
+        s = algebra.direct_sum_algebras(diag_algebra([1.0, 2.0]), algebra.full_matrix_algebra(1))
+        assert s.dim == 3 and s.abelian and s.star_closed and s.unital
+
+    def test_sum_whose_unit_is_not_the_identity(self):
+        """A corner's or an idempotent's unit is not its I_n, so the sum's unit
+        is solved for: (p, I_2), not the projection of I_n."""
+        m2 = algebra.full_matrix_algebra(2)
+        for a in (_corner(), _idempotent_span()):
+            s = algebra.direct_sum_algebras(a, m2)
+            n = a.ambient_dim
+            want = np.zeros((n + 2, n + 2), dtype=complex)
+            want[:n, :n], want[n:, n:] = a.identity_matrix, np.eye(2)
+            assert np.linalg.norm(s.identity_matrix - want) <= 1e-9
+
+    def test_real_field_summands(self):
+        rng = np.random.default_rng(37)
+        real = algebra.algebra_from_generators([rng.standard_normal((2, 2))], real_field=True)
+        s = algebra.direct_sum_algebras(real, real)
+        assert s.real_field and s.star_closed and s.unital and not s.abelian
+        assert not algebra.direct_sum_algebras(real, algebra.full_matrix_algebra(1)).real_field

@@ -1062,13 +1062,14 @@ def _commuting_normal_stacks(draw):
 
 
 class TestJointEigvalsEquivalence:
-    """spectral._joint_eigvals gives np.linalg.eigvals' multisets on commuting
-    normal stacks, and eig_general's bits on every sample it cannot certify."""
+    """spectral._joint_spectra's eigenvalues are np.linalg.eigvals' multisets on
+    commuting normal stacks, and eig_general's bits on every sample it cannot
+    certify."""
 
     @settings(max_examples=150, deadline=None)
     @given(_commuting_normal_stacks())
     def test_commuting_normal_stacks(self, mats):
-        got = spectral._joint_eigvals(mats)
+        got = spectral._joint_spectra(mats)[0]
         assert got.shape == mats.shape[:2]
         for a, eigs in zip(mats, got):
             tol = 1e-12 * max(1.0, np.linalg.norm(a, 2))
@@ -1089,7 +1090,7 @@ class TestJointEigvalsEquivalence:
         mats = make().astype(complex)
         want = linalg.eig_general(mats)
         rows = _counting_eig_general(monkeypatch)
-        assert np.array_equal(spectral._joint_eigvals(mats), want)
+        assert np.array_equal(spectral._joint_spectra(mats)[0], want)
         assert rows == [len(mats)]
 
     def test_a_rotated_unitary_is_rejected(self, monkeypatch):
@@ -1105,7 +1106,7 @@ class TestJointEigvalsEquivalence:
         want = linalg.eig_general(mats)
         monkeypatch.setattr(np.linalg, "eigh", rotated)
         rows = _counting_eig_general(monkeypatch)
-        assert np.array_equal(spectral._joint_eigvals(mats), want)
+        assert np.array_equal(spectral._joint_spectra(mats)[0], want)
         assert rows == [len(mats)]
 
     @pytest.mark.parametrize("n", [6, 8, 12, 16])
@@ -1274,7 +1275,7 @@ class TestClosureFrameEquivalence:
 
 class TestFramedSamples:
     """gelfand_isometry_report reads its samples in the characters' frame, with
-    _joint_eigvals' certificate and its eig_general fallback."""
+    _joint_spectra's certificate and its eig_general fallback."""
 
     @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
     def test_star_closed_samples_use_the_characters_frame(self, monkeypatch, label):
@@ -1316,7 +1317,7 @@ class TestFramedSamples:
         mats = algebra._random_matrices(alg, np.random.default_rng(4), 20)
         want = linalg.eig_general(mats)
         rows = _counting_eig_general(monkeypatch)
-        assert np.array_equal(spectral._joint_eigvals(mats, frame), want)
+        assert np.array_equal(spectral._joint_spectra(mats, frame)[0], want)
         assert rows == [len(mats)]
 
 

@@ -565,8 +565,15 @@ class TestSpectrumNeumannEquivalence:
         assert np.array_equal(spectral.neumann_inverse(a).matrix, want)
 
 
+def _representative(cl):
+    """A cluster's point when all its points are equal, else its mean summed in
+    order from 0; 0 + z is the first step of that sum, so -0.0 becomes 0.0."""
+    return 0 + cl[0] if all(z == cl[0] for z in cl) else sum(cl) / len(cl)
+
+
 def _reference_dedupe(values):
-    """_dedupe's greedy loop, verbatim from before it gained the singleton case."""
+    """_dedupe's greedy loop, verbatim from before it gained the singleton case,
+    with a cluster of equal points listed at that point."""
     radius = spectral.clustering_radius(values)
     order = sorted(values, key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
@@ -580,13 +587,14 @@ def _reference_dedupe(values):
                 break
         if not placed:
             clusters.append([z])
-    return [sum(cl) / len(cl) for cl in clusters], radius
+    return [_representative(cl) for cl in clusters], radius
 
 
 def _reference_linkage(values):
     """Single linkage, one pair at a time: union every pair with Python
     abs(z_i - z_j) <= radius, then sum each cluster's mean in (re, im) order,
-    the clusters in the order of their first point."""
+    the clusters in the order of their first point; a cluster of equal points
+    is listed at that point."""
     radius = spectral.clustering_radius(values)
     order = sorted(values, key=lambda z: (z.real, z.imag))
     parent = list(range(len(order)))
@@ -603,7 +611,7 @@ def _reference_linkage(values):
     clusters: dict[int, list] = {}
     for i, z in enumerate(order):
         clusters.setdefault(root(i), []).append(z)
-    return [sum(cl) / len(cl) for cl in clusters.values()], radius
+    return [_representative(cl) for cl in clusters.values()], radius
 
 
 def _exact(points):
@@ -778,6 +786,26 @@ class TestLinkageEquivalence:
         count = len(spectral._dedupe(values)[0])
         assert len(spectral._dedupe(-values)[0]) == count
         assert len(spectral._dedupe(values.conj())[0]) == count
+
+
+class TestEqualPointEquivalence:
+    """A cluster of equal points is listed at that point: the spectrum of c I_k
+    is c and its radius |c|, bit for bit, where the mean fl(fl(2c) + c) / 3 put
+    0.7 I_3 at 0.6999999999999998."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.7, 1 / 3, 1.7e308])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_scalar_matrix(self, c, k):
+        for m in (c * np.eye(k), -c * np.eye(k)):
+            report = spectral.spectrum(amb(m))
+            assert _exact(report.points) == _exact([np.complex128(m[0, 0])])
+            assert report.radius == c
+
+    def test_mean_of_unequal_points_is_kept(self):
+        """Beside an equal cluster, a cluster of unequal points keeps its mean."""
+        values = np.array([0.7, 0.7, 0.7, 5.0, 5.0 + 2e-9, 5.0 + 5e-9], dtype=complex)
+        points, _ = spectral._dedupe(values)
+        assert _exact(points) == _exact([np.complex128(0.7), sum(values[3:]) / 3])
 
 
 class TestPositiveEigendecomposition:
