@@ -32,6 +32,14 @@ by every generator until no row is added.  A quotient is its parent and its
 ideal: its coset basis and unit coset are derived on first use, and
 cosets multiply through representatives.  The quotient norm is exact on
 *-closed parents and certified by central-cut ellipsoid steps elsewhere.
+
+Each algebra has one frame, a unitary that diagonalises every element when
+A is *-closed and commutative (the Gelfand representation C(Delta) in
+finite dimension).  C*(S) is seeded with the eigenvectors its closure
+took; every other algebra derives its frame on first use from one eigh of
+a generic Hermitian combination of its basis.  Nothing here certifies the
+frame: gelfand reads characters and samples in it only where it passes
+spectral._framed_diagonals.
 """
 
 from __future__ import annotations
@@ -150,15 +158,12 @@ def _generic_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
 class Algebra:
     """A subalgebra of M_n: an orthonormal, multiplication-closed (d, n, n) basis.
 
-    The flags and the unit below are derived on first use, unless the
-    constructor wrote them into the cache (_seed_flags).
+    The flags, the unit and the frame below are derived on first use, unless
+    the constructor wrote them into the cache (_seed_flags).
     """
 
     basis: np.ndarray
     real_field: bool = False
-    # The unitary Q of the eigh that algebra_from_generators' commutant closure
-    # built the basis from, else None.  Unchecked: gelfand certifies it before use.
-    frame: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -192,6 +197,21 @@ class Algebra:
         """
         z = self.from_coords(_generic_coords(self.dim)[0])
         return self.contains(z.conj().T)
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The eigenvectors U of h = (z + z*) / 2, z = sum_k c_k b_k over the basis
+        scaled by powers of two (_generic_coords), unless the constructor seeded them.
+
+        On a *-closed commutative A the b_k are commuting normal matrices, and
+        h takes Re(sum_k c_k chi(b_k)) on the joint eigenvector of the character
+        chi, which tells distinct characters apart, so U diagonalises every
+        element.  Unchecked: spectral._framed_diagonals certifies it where it
+        is read.
+        """
+        a = linalg._unit_scaled_each(self.basis)[0]
+        z = np.tensordot(_generic_coords(self.dim)[0], a, axes=1)
+        return linalg._lapack(np.linalg.eigh, (z + z.conj().T) / 2.0)[1]
 
     @cached_property
     def _eye_coords(self) -> np.ndarray | None:
@@ -256,12 +276,13 @@ class Algebra:
         return self.from_coords(self.identity_coords)
 
 
-def _seed_flags(alg: Algebra, star_closed=None, abelian=None, unital=False) -> Algebra:
-    """alg, with the flags its constructor proved written into the cache that
-    the lazy properties read: a flag left None, and the unit without unital,
-    stay derived on first use.  unital says that I_n lies in A, so the unit is
-    coords(I_n), the bits the lazy path returns once I_n passes its test."""
-    seeds = {"star_closed": star_closed, "abelian": abelian}
+def _seed_flags(alg: Algebra, star_closed=None, abelian=None, unital=False, frame=None) -> Algebra:
+    """alg, with the flags and the frame its constructor proved written into the
+    cache that the lazy properties read: a value left None, and the unit
+    without unital, stay derived on first use.  unital says that I_n lies in A,
+    so the unit is coords(I_n), the bits the lazy path returns once I_n passes
+    its test."""
+    seeds = {"star_closed": star_closed, "abelian": abelian, "frame": frame}
     vars(alg).update({k: v for k, v in seeds.items() if v is not None})
     if unital:
         c = alg.coords(np.eye(alg.ambient_dim, dtype=complex))
@@ -438,16 +459,16 @@ def algebra_from_generators(
     its projection; the other clustered components, as for a (x) I_2 with a
     generic, are closed together by words on the compressed generators.
     One call of _membership_residuals certifies the basis: every generator
-    must lie in its span within MEMBERSHIP_TOL.  The algebra keeps Q as its
-    frame, from which gelfand.characters reads a commutative algebra's
-    characters once the frame passes their certificate.  C*(S) is *-closed
-    and holds I_n, and off the clusters its basis is exactly *-closed, so
-    these flags and the unit are seeded; commutativity too, where no cluster
-    leaves it open.
+    must lie in its span within MEMBERSHIP_TOL.  C*(S) is *-closed and holds
+    I_n, and off the clusters its basis is exactly *-closed, so these flags
+    and the unit are seeded; commutativity too, where no cluster leaves it
+    open.  Q is seeded as the frame (Algebra.frame): where h is simple it
+    diagonalises a commutative A, and where h ties two characters the frame
+    fails gelfand's certificate.
 
     The whole closure is grown from words without the identity or the
-    adjoints, over the real field, or when the certificate fails; its flags
-    and unit are derived on first use.
+    adjoints, over the real field, or when the certificate fails; its flags,
+    unit and frame are derived on first use.
     """
     mats = [linalg.require_square(linalg.as_matrix(g)) for g in gens]
     if not mats:
@@ -465,7 +486,7 @@ def algebra_from_generators(
         closure = _commutant_closure(gens)
         if closure is not None:
             basis, q, abelian = closure
-            return _seed_flags(Algebra(basis, frame=q), True, abelian, unital=True)
+            return _seed_flags(Algebra(basis), True, abelian, unital=True, frame=q)
     return Algebra(_words_closure(gens, include_identity), real_field)
 
 

@@ -1,28 +1,25 @@
 """Characters of abelian algebras, the Gelfand transform, and the GKZ criterion.
 
-A *-closed commutative algebra is diagonalised by one unitary U: the frame
-Q that algebra_from_generators kept from the eigh its closure ran
-(Algebra.frame), or else the joint frame of its basis
-(spectral._joint_frame), one eigh of a generic Hermitian combination of the
-basis.  When every U* b_k U is certified diagonal, frame vector i is a
-joint eigenvector and the diagonal entries (U* b_k U)_ii over k are its
-character's values; such an algebra is a C*-algebra with exactly dim
-characters, and those are the dim distinct nonzero columns.  Q fails where
-the closure's generic Hermitian ties two characters, and the joint frame
-takes over.  When rounding ties two characters in the joint frame too, as
-it can on a basis built for it, the certificate or the count fails, and
-the candidates are taken from the joint eigenspaces that the Hermitian
-spanning set splits off.  An
-algebra that is not *-closed takes its candidates from the eigenvectors of
-one eig of the fixed generic z = sum_k c_k b_k of ``algebra._generic_coords``,
-at whose values distinct characters differ, and keeps the multiplicative
-ones.  All are ``states.Functional``s, deduplicated as one stack.
+A *-closed commutative algebra is C(Delta): one unitary U diagonalises every
+element, and U is the algebra's frame (Algebra.frame), the Q its closure
+took or one eigh of a generic Hermitian combination of its basis.  When
+every U* b_k U is certified diagonal, frame vector i is a joint eigenvector
+and the diagonal entries (U* b_k U)_ii over k are its character's values;
+such an algebra is a C*-algebra with exactly dim characters, and those are
+the dim distinct nonzero columns.  Where the frame's Hermitian ties two
+characters, as the closure's can, they stay mixed in U and the certificate
+or the count fails; the candidates are then taken from the joint
+eigenspaces that the Hermitian spanning set splits off.  An algebra that is
+not *-closed takes its candidates from the eigenvectors of one eig of the
+fixed generic z = sum_k c_k b_k of ``algebra._generic_coords``, at whose
+values distinct characters differ, and keeps the multiplicative ones.  All
+are ``states.Functional``s, deduplicated as one stack.
 
 The GKZ check draws no random numbers: its one witness is z - (phi(z) / phi(1)) 1.
 
 The isometry report checks sup|a-hat| = r(a) = ||a|| on seeded samples.
 Samples of a commutative *-algebra commute and are normal, so the
-characters' frame diagonalises them all, and each sample keeps the diagonal
+algebra's frame diagonalises them all, and each sample keeps the diagonal
 as its spectrum, and its largest modulus as r(a), only when its
 off-diagonal rest is certified small; the others take a general eig.  The
 frame, the multiplicativity residuals and the norms (one stacked Gram
@@ -33,7 +30,7 @@ so a missing character fails them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +55,7 @@ from .errors import (
     NotUnital,
     WitnessNotFound,
 )
-from .spectral import _framed_diagonals, _joint_frame, _joint_spectra, _spectrum_report
+from .spectral import _framed_diagonals, _joint_spectra, _spectrum_report
 from .states import (
     Functional,
     _basis_products,
@@ -90,8 +87,6 @@ class Character(Functional):
 class GelfandSpectrumData:
     algebra: Algebra
     characters: tuple[Character, ...]
-    # The certified frame the characters were read in (the algebra's own or its basis's joint frame), else None.
-    frame: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.characters)
@@ -205,11 +200,11 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     Gelfand transform has a kernel.
 
     A *-closed algebra is a C*-algebra with exactly dim characters, read off
-    a certified frame (_framed_characters): the algebra's own, else the
-    joint frame of its basis.  The result keeps it as its frame.  Where
-    rounding ties two characters in both, as it can on a basis built for
-    it, the candidates are taken again from the joint eigenspaces into which
-    the Hermitian spanning set splits the ambient space (_split).
+    its frame (Algebra.frame) when _characters_in_frame certifies it.  Where
+    the frame's Hermitian ties two characters, as the closure's can, or
+    rounding ties them on a basis built for it, the candidates are taken
+    again from the joint eigenspaces into which the Hermitian spanning set
+    splits the ambient space (_split).
 
     Any other algebra takes its candidates from one eig of the generic
     z = sum_k c_k b_k.  Distinct characters differ at z, as the frequency +k
@@ -222,35 +217,15 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
         raise ComplexFieldRequired("characters are computed over the complex field")
     if not alg.abelian:
         raise NonAbelian("the algebra has non-commuting basis elements")
-    frame = None
     if not alg.star_closed:
         z = alg.from_coords(_generic_coords(alg.dim)[0])
         found = _consider(alg, linalg._lapack(np.linalg.eig, z)[1])
     else:
-        found, frame = _framed_characters(alg)
-        if frame is None:
+        found = _characters_in_frame(alg, alg.frame)
+        if found is None:
             blocks = _split([np.eye(alg.ambient_dim, dtype=complex)], _hermitian_spanning_set(alg))
             found = _consider(alg, np.stack([blk[:, 0] for blk in blocks], axis=1))
-    chars = tuple(Character(alg, v) for v in _sorted(found))
-    return GelfandSpectrumData(alg, chars, frame)
-
-
-def _framed_characters(alg: Algebra) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """The characters read off a frame U, and U; ([], None) when no frame gives
-    them.  U is the algebra's own frame, kept from its closure, when it passes
-    _characters_in_frame, else the joint frame of the basis when that passes.
-
-    The closure's frame splits h's eigenspaces only as far as h does, so
-    two characters that h ties stay mixed in it and fail the certificate;
-    the basis's generic Hermitian tells them apart.
-    """
-    if alg.frame is not None:
-        found = _characters_in_frame(alg, alg.frame)
-        if found is not None:
-            return found, alg.frame
-    u = _joint_frame(alg.basis)
-    found = None if u is None else _characters_in_frame(alg, u)
-    return ([], None) if found is None else (found, u)
+    return GelfandSpectrumData(alg, tuple(Character(alg, v) for v in _sorted(found)))
 
 
 def _characters_in_frame(alg: Algebra, u: np.ndarray) -> list[np.ndarray] | None:
@@ -310,11 +285,11 @@ def gelfand_isometry_report(
     radical) is flagged.  The characters are deterministic; seed draws only
     the samples.
 
-    The samples are one stack.  Their eigenvalues are read in the
-    characters' frame, or without one in the frame of one joint eigh of the
-    samples (spectral._joint_spectra), each sample certified by its
-    off-diagonal rest E, and a sample that fails the certificate (one of a
-    stack that is not normal, say) from eig_general.  A certified sample's
+    The samples are one stack.  Their eigenvalues are read in the algebra's
+    frame (Algebra.frame, spectral._joint_spectra), each sample certified by
+    its off-diagonal rest E, and a sample that fails the certificate (one of
+    an algebra that is not *-closed, or mixed by a tie in the frame) from
+    eig_general.  A certified sample's
     r(a) is max_i |d_i| over its framed diagonal d: a being normal, each d_i
     lies within ||E||_2 of an eigenvalue and each eigenvalue within ||E||_2
     of some d_i (Bauer-Fike), so the maximum is r(a) within ||E||_2, where
@@ -333,7 +308,7 @@ def gelfand_isometry_report(
     values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    eigs, held = _joint_spectra(mats, spec.frame)
+    eigs, held = _joint_spectra(mats, alg.frame)
     radii = np.hypot(eigs.real, eigs.imag).max(axis=1, initial=0.0)  # Python's complex abs
     if not held.all():
         radii[~held] = [rep.radius for rep in _spectrum_report(eigs[~held], "complex")]

@@ -137,10 +137,9 @@ def momentum_operator(grid: BoxGrid, periodic: bool = True) -> Element:
     n = grid.points
     if n < 3:
         raise ValueError("momentum discretization needs at least 3 points")
-    d = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        d[j, j + 1] = 1.0
-        d[j + 1, j] = -1.0
+    d, i = np.zeros((n, n), dtype=complex), np.arange(n - 1)
+    d[i, i + 1] = 1
+    d[i + 1, i] = -1
     if periodic:
         d[0, n - 1] = -1.0
         d[n - 1, 0] = 1.0

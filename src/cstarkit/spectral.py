@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element, _components, _generic_coords, left_regular_matrix
+from .algebra import Algebra, Element, _components, left_regular_matrix
 from .errors import (
     BudgetExceeded,
     NotContractive,
@@ -163,37 +163,16 @@ def _spectrum_report(eigs: np.ndarray, field_mode: str) -> SpectrumReport | list
     return _report(points, radius, field_mode)
 
 
-def _joint_spectra(mats: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _joint_spectra(mats: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eig_general of a (k, n, n) stack, read off the diagonals of U* a_s U for
-    every sample that _framed_diagonals certifies, where the stack's matrices
-    are commuting normal matrices, as the samples of a commutative *-algebra
-    are; and which samples were so certified.  U is the given frame u, or
-    else the stack's own _joint_frame.  Every other sample (not normal, off
-    the commuting stack, or mixed by a near-tie in U) takes eig_general
-    unchanged."""
-    if u is None:
-        u = _joint_frame(mats)
-        if u is None:
-            return linalg.eig_general(mats), np.zeros(len(mats), dtype=bool)
+    every sample that _framed_diagonals certifies in the frame u, as the
+    samples of a commutative *-algebra are in its Algebra.frame; and which
+    samples were so certified.  Every other sample (not normal, off the
+    frame, or mixed by a near-tie in it) takes eig_general unchanged."""
     eigs, held = _framed_diagonals(mats, u)
     if not held.all():
         eigs[~held] = linalg.eig_general(mats[~held])
     return eigs, held
-
-
-def _joint_frame(mats: np.ndarray) -> np.ndarray | None:
-    """The unitary that diagonalises a commuting normal (k, n, n) stack, or None
-    where its generic Hermitian is not finite.
-
-    It is the eigenvectors of h = (z + z*)/2 for the generic z = sum_s c_s a_s
-    (_generic_coords) of the scaled stack, whose eigenvalues
-    Re(sum_s c_s lambda_s) tell distinct joint eigenvalues apart.  Nothing
-    here checks the frame; _framed_diagonals does.
-    """
-    a = _unit_scaled_each(mats)[0]
-    z = np.tensordot(_generic_coords(len(a))[0], a, axes=1)
-    h = (z + z.conj().T) / 2.0
-    return linalg._lapack(np.linalg.eigh, h)[1] if np.isfinite(h).all() else None
 
 
 def _framed_diagonals(mats: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,9 +40,9 @@ CLUSTER_SCALE = 1e-7
 CLASSIFY_TOL = 1e-9
 # Bound on the tail of neumann_inverse's series.
 NEUMANN_TOL = 1e-12
-# Off-diagonal rest E of U* a U, relative to ||a||_F, within which a sample keeps the
-# diagonal of the joint eigh as its eigenvalues (_framed_diagonals), and a basis element
-# its characters' values (gelfand.characters).  For a normal sample,
+# Off-diagonal rest E of U* a U, U the algebra's frame (Algebra.frame), relative to
+# ||a||_F, within which a sample keeps the diagonal as its eigenvalues (_framed_diagonals),
+# and a basis element its characters' values (gelfand.characters).  For a normal sample,
 # Bauer-Fike both ways moves r(a) by at most ||E||_2 <= 1e-10 ||a||_F; a gelfand sample
 # projects a complex Gaussian onto d orthonormal directions, so ||a||_F ~ sqrt(2 d), about
 # 11 at d = 64, and the bound, about 1.1e-9 there, stays far inside GELFAND_REPORT_TOL.

@@ -357,6 +357,26 @@ class TestQuotient:
         with pytest.raises(NotTwoSided):
             algebra.quotient(m2, algebra.subspace(m2, [E11, E12]))
 
+    def test_identity_coset_is_the_unit_of_the_quotient(self):
+        k = 2
+        alg = algebra.direct_sum_algebras(algebra.full_matrix_algebra(k), algebra.full_matrix_algebra(k))
+        second = [np.kron(np.diag([0.0, 1.0]), np.eye(k)[:, [i]] @ np.eye(k)[[j]]) for i in range(k) for j in range(k)]
+        q = algebra.quotient(alg, algebra.subspace(alg, second))
+        one = q.identity_coset
+        assert one is not None and one.shape == (q.dim,)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            x = rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim)
+            assert np.max(np.abs(q.coset_multiply(one, x) - x)) <= 1e-12
+            assert np.max(np.abs(q.coset_multiply(x, one) - x)) <= 1e-12
+
+    def test_a_non_unital_parent_has_no_identity_coset(self):
+        e12, e23, e13 = (np.eye(3)[:, [i]] @ np.eye(3)[[j]] for i, j in [(0, 1), (1, 2), (0, 2)])
+        alg = algebra.algebra_from_generators([e12, e23], include_identity=False, include_adjoints=False)
+        assert alg.dim == 3 and not alg.unital
+        q = algebra.quotient(alg, algebra.subspace(alg, [e13]))
+        assert q.dim == 2 and q.identity_coset is None
+
 
 class TestQuotientNorm:
     def setup_method(self):
@@ -695,6 +715,18 @@ class TestElementInvariants:
         rng = np.random.default_rng(15)
         a = algebra.random_element(alg, rng)
         assert np.allclose(alg.from_coords(a.coords), a.matrix, atol=1e-12)
+
+    def test_subtraction_negation_and_scalars(self):
+        alg = diag_algebra([1.0, 5.0, 2.0])
+        rng = np.random.default_rng(16)
+        a, b = algebra.random_element(alg, rng), algebra.random_element(alg, rng)
+        for got, want in [
+            (a - b, a.matrix - b.matrix),
+            (-a, -a.matrix),
+            (a * 2.5j, a.matrix * 2.5j),
+            (3 * a, a.matrix * 3.0),
+        ]:
+            assert got.algebra is alg and np.array_equal(got.matrix, want)
 
 
 def _normal_matrix(rng, n):

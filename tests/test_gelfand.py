@@ -1,6 +1,5 @@
 """Characters, the Gelfand transform, GKZ witnesses, the cyclic group algebra."""
 
-import dataclasses
 import functools
 import json
 import tracemalloc
@@ -127,6 +126,16 @@ class TestIsometryReport:
         hat = gelfand.gelfand_transform(ker, spec)
         assert np.max(np.abs(hat)) <= 1e-6
         assert ker.norm() > 0.1
+
+    def test_an_algebra_without_characters_is_all_kernel(self):
+        alg = algebra.algebra_from_generators(
+            [np.eye(3, k=1)], include_identity=False, include_adjoints=False
+        )
+        assert alg.dim == 2 and len(gelfand.characters(alg)) == 0
+        report = gelfand.gelfand_isometry_report(alg, samples=10, seed=2)
+        assert report.kernel_detected
+        assert report.kernel_example.algebra is alg
+        assert np.array_equal(report.kernel_example.matrix, alg.basis[0])
 
     def test_one_dimensional_algebra_exact(self):
         alg = algebra.algebra_from_generators([np.eye(1)], include_identity=True)
@@ -766,6 +775,18 @@ NATURAL_STAR_ABELIAN = {
 }
 
 
+def _tied_at_z():
+    """C^2 on an orthonormal basis whose two characters take one value at the
+    generic z: the algebra, m[j, k] = chi_j(b_k), and the coefficients c of z."""
+    c = algebra._generic_coords(2)[0]
+    q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    # m is unitary, with row 0 - row 1 = sqrt(2) (c_2, -c_1) / ||c||
+    m = q @ np.array([[c[1], -c[0]], c.conj()]) / np.linalg.norm(c)
+    rng = np.random.default_rng(0)
+    r, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return algebra.Algebra(np.stack([(r * m[:, k]) @ r.conj().T for k in range(2)])), m, c
+
+
 class TestGenericSplitEquivalence:
     """characters() from one generic element, candidates checked in one stack,
     give the reference's characters in the reference's order."""
@@ -795,23 +816,18 @@ class TestGenericSplitEquivalence:
 
     def test_characters_tied_at_the_generic_element(self, monkeypatch):
         """C^2 in a rotated frame, on an orthonormal basis whose two characters
-        take one value at z: the joint frame's generic Hermitian, of the basis
-        scaled alike, is then a multiple of I, its frame fails the certificate,
+        take one value at z: the generic Hermitian of the basis, scaled alike,
+        is then a multiple of I, the algebra's frame fails the certificate,
         and the split finds both."""
-        c = algebra._generic_coords(2)[0]
-        q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-        # m[j, k] = chi_j(b_k), unitary, with row 0 - row 1 = sqrt(2) (c_2, -c_1) / ||c||
-        m = q @ np.array([[c[1], -c[0]], c.conj()]) / np.linalg.norm(c)
-        rng = np.random.default_rng(0)
-        r, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        alg = algebra.Algebra(np.stack([(r * m[:, k]) @ r.conj().T for k in range(2)]))
+        alg, m, c = _tied_at_z()
         assert alg.abelian and alg.star_closed
         assert abs((m @ c)[0] - (m @ c)[1]) <= 1e-15
         exponents = spectral._unit_scaled_each(alg.basis)[1]
         assert exponents.min() == exponents.max()
+        assert not spectral._framed_diagonals(alg.basis, alg.frame)[1].all()
         splits = _spy(monkeypatch, gelfand, "_split")
         spec = gelfand.characters(alg)
-        assert splits and spec.frame is None
+        assert splits
         assert len(spec) == alg.dim == 2
         self.assert_same(spec, _reference_characters(alg))
 
@@ -1069,7 +1085,7 @@ class TestJointEigvalsEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(_commuting_normal_stacks())
     def test_commuting_normal_stacks(self, mats):
-        got = spectral._joint_spectra(mats)[0]
+        got = spectral._joint_spectra(mats, _reference_joint_frame(mats))[0]
         assert got.shape == mats.shape[:2]
         for a, eigs in zip(mats, got):
             tol = 1e-12 * max(1.0, np.linalg.norm(a, 2))
@@ -1090,7 +1106,7 @@ class TestJointEigvalsEquivalence:
         mats = make().astype(complex)
         want = linalg.eig_general(mats)
         rows = _counting_eig_general(monkeypatch)
-        assert np.array_equal(spectral._joint_spectra(mats)[0], want)
+        assert np.array_equal(spectral._joint_spectra(mats, _reference_joint_frame(mats))[0], want)
         assert rows == [len(mats)]
 
     def test_a_rotated_unitary_is_rejected(self, monkeypatch):
@@ -1106,7 +1122,7 @@ class TestJointEigvalsEquivalence:
         want = linalg.eig_general(mats)
         monkeypatch.setattr(np.linalg, "eigh", rotated)
         rows = _counting_eig_general(monkeypatch)
-        assert np.array_equal(spectral._joint_spectra(mats)[0], want)
+        assert np.array_equal(spectral._joint_spectra(mats, _reference_joint_frame(mats))[0], want)
         assert rows == [len(mats)]
 
     @pytest.mark.parametrize("n", [6, 8, 12, 16])
@@ -1169,10 +1185,22 @@ def _rotate_first_two(u):
     return u
 
 
+def _counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record the shape of each matrix it is given."""
+    shapes, real = [], np.linalg.eigh
+
+    def counted(h, *args, **kwargs):
+        shapes.append(np.shape(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
 class TestFramedCharactersEquivalence:
-    """characters() of a *-closed algebra, read off the certified joint frame of
-    its basis, against the eig-of-z path it replaced: the same count and
-    order, and values within 1e-12."""
+    """characters() of a *-closed algebra, read off the certified frame of the
+    algebra, against the eig-of-z path it replaced: the same count and order,
+    and values within 1e-12."""
 
     @staticmethod
     def assert_same(spec, want):
@@ -1190,29 +1218,26 @@ class TestFramedCharactersEquivalence:
         monkeypatch.setattr(np.linalg, "eig", _no_call("np.linalg.eig"))
         splits = _spy(monkeypatch, gelfand, "_split")
         spec = gelfand.characters(alg)
-        assert spec.frame is not None and not splits
+        assert spectral._framed_diagonals(alg.basis, alg.frame)[1].all() and not splits
         self.assert_same(spec, want)
 
     def test_a_rotated_frame_fails_the_certificate(self, monkeypatch):
         """Two frame vectors turned together by 1e-6 mix two characters: with
-        both the stored frame and the joint frame so turned, the certificate
-        rejects each, and the split finds the characters."""
+        the algebra's frame so turned, the certificate rejects it, and the
+        split finds the characters."""
         built = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
-        alg = dataclasses.replace(built, frame=_rotate_first_two(built.frame))
+        alg = algebra._seed_flags(algebra.Algebra(built.basis), frame=_rotate_first_two(built.frame))
         want = _reference_eig_characters(alg)
-        joint_frame = spectral._joint_frame
-        rotated = lambda mats: _rotate_first_two(joint_frame(mats))  # noqa: E731
-        monkeypatch.setattr(gelfand, "_joint_frame", rotated)
         splits = _spy(monkeypatch, gelfand, "_split")
         spec = gelfand.characters(alg)
-        assert splits and spec.frame is None
+        assert splits
         self.assert_same(spec, want)
 
     @pytest.mark.parametrize("name", ["nilpotent", "upper-triangular", "e12-e13-diag"])
     def test_not_star_closed_keeps_the_eig_path(self, name):
         alg = NOT_STAR_CLOSED[name]()
         spec = gelfand.characters(alg)
-        assert spec.frame is None
+        assert "frame" not in vars(alg)
         got = [np.asarray(chi.values) for chi in spec]
         want = _reference_eig_characters(alg)
         assert len(got) == len(want)
@@ -1233,8 +1258,8 @@ def _tie_input():
 class TestClosureFrameEquivalence:
     """characters() reads a closure-built algebra in the closure's own frame,
     with no second eigh, and gets the characters of the same basis read in
-    its joint frame; a frame that fails its certificate gives way to the
-    joint frame before the split."""
+    its derived frame; a frame that fails its certificate gives way to the
+    split."""
 
     @pytest.mark.parametrize(
         "name",
@@ -1242,26 +1267,23 @@ class TestClosureFrameEquivalence:
     )
     def test_the_stored_frame_needs_no_joint_frame(self, monkeypatch, name):
         alg = FRAMED_INPUTS[name]()
-        assert alg.frame is not None
+        assert "frame" in vars(alg)
         want = gelfand.characters(algebra.Algebra(alg.basis))
-        assert want.frame is not None
-        calls = _spy(monkeypatch, gelfand, "_joint_frame")
+        shapes = _counting_eigh(monkeypatch)
         spec = gelfand.characters(alg)
-        assert calls == [] and spec.frame is alg.frame
+        assert shapes == []
         assert len(spec) == len(want) == alg.dim
         for got, ref in zip(spec, want):
             assert np.max(np.abs(got.values - ref.values), initial=0.0) <= 1e-12
 
-    def test_a_tie_of_the_closure_takes_the_joint_frame(self, monkeypatch):
+    def test_a_tie_of_the_closure_takes_the_split(self, monkeypatch):
         m, lam = _tie_input()
         alg = algebra.algebra_from_generators([m])
-        assert alg.dim == 4 and alg.frame is not None
+        assert alg.dim == 4 and "frame" in vars(alg)
         assert not spectral._framed_diagonals(alg.basis, alg.frame)[1].all()
-        frames = _spy(monkeypatch, gelfand, "_joint_frame")
         splits = _spy(monkeypatch, gelfand, "_split")
         spec = gelfand.characters(alg)
-        assert len(frames) == 1 and not splits
-        assert spec.frame is not None and spec.frame is not alg.frame
+        assert len(splits) == 1
         values = gelfand.gelfand_transform(algebra.Element(alg, m), spec)
         assert match_multisets(values, lam, 1e-12)
 
@@ -1274,25 +1296,27 @@ class TestClosureFrameEquivalence:
 
 
 class TestFramedSamples:
-    """gelfand_isometry_report reads its samples in the characters' frame, with
+    """gelfand_isometry_report reads its samples in the algebra's frame, with
     _joint_spectra's certificate and its eig_general fallback."""
 
     @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
     def test_star_closed_samples_use_the_characters_frame(self, monkeypatch, label):
         alg = algebra.algebra_from_generators([_benchmark_like(label, 12, 5)])
         want = _reference_isometry_report(alg, samples=20, seed=3)
-        # characters() takes its frame through gelfand's name; a frame of the samples would not
-        monkeypatch.setattr(spectral, "_joint_frame", _no_call("spectral._joint_frame"))
+        # the seeded frame is read as it is; a frame of the samples would take an eigh
+        monkeypatch.setattr(np.linalg, "eigh", _no_call("np.linalg.eigh"))
         got = gelfand.gelfand_isometry_report(alg, samples=20, seed=3)
         assert np.abs(np.subtract(got.spectral_radius, want.spectral_radius)).max() <= 1e-12
         assert got.op_norm == want.op_norm
 
     def test_without_a_frame_the_samples_take_their_own(self, monkeypatch):
+        """An algebra that is not *-closed has no frame that certifies its
+        characters; its samples are still read in the one it derives."""
         alg = _similar_upper_triangular(4, 10)
-        assert gelfand.characters(alg).frame is None
-        calls = _spy(monkeypatch, spectral, "_joint_frame")
+        assert not alg.star_closed
+        calls = _spy(monkeypatch, gelfand, "_joint_spectra")
         gelfand.gelfand_isometry_report(alg, samples=5, seed=1)
-        assert len(calls) == 1 and len(calls[0][0]) == 5
+        assert len(calls) == 1 and len(calls[0][0]) == 5 and calls[0][1] is alg.frame
 
     @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
     def test_certified_samples_are_not_clustered(self, monkeypatch, label):
@@ -1313,12 +1337,68 @@ class TestFramedSamples:
 
     def test_a_rotated_frame_takes_eig_general(self, monkeypatch):
         alg = algebra.algebra_from_generators([_benchmark_like("distinct", 8, 4)])
-        frame = _rotate_first_two(gelfand.characters(alg).frame)
+        frame = _rotate_first_two(alg.frame)
         mats = algebra._random_matrices(alg, np.random.default_rng(4), 20)
         want = linalg.eig_general(mats)
         rows = _counting_eig_general(monkeypatch)
         assert np.array_equal(spectral._joint_spectra(mats, frame)[0], want)
         assert rows == [len(mats)]
+
+
+def _reference_joint_frame(mats):
+    """spectral._joint_frame before it moved into Algebra.frame, verbatim apart
+    from names: the eigenvectors of the generic Hermitian of the scaled stack,
+    or None where that is not finite."""
+    a = linalg._unit_scaled_each(mats)[0]
+    z = np.tensordot(algebra._generic_coords(len(a))[0], a, axes=1)
+    h = (z + z.conj().T) / 2.0
+    return linalg._lapack(np.linalg.eigh, h)[1] if np.isfinite(h).all() else None
+
+
+class TestFrameEquivalence:
+    """Algebra.frame is one cached unitary per algebra: the closure's Q where
+    algebra_from_generators seeds it, else one eigh of the basis, bit for bit
+    the joint frame it replaced, and characters read in either agree."""
+
+    @pytest.mark.parametrize("name", sorted(FRAMED_INPUTS))
+    def test_the_frame_is_seeded_or_derived_once(self, monkeypatch, name):
+        alg = FRAMED_INPUTS[name]()
+        seeded = "frame" in vars(alg)
+        shapes = _counting_eigh(monkeypatch)
+        frame = alg.frame
+        assert alg.frame is frame
+        assert shapes == ([] if seeded else [(alg.ambient_dim,) * 2])
+        # C*(S) built by the commutant closure seeds its Q; the circulants and the words closure do not
+        assert seeded == (not name.startswith("cyclic-") and name != "non-unital-diagonal")
+
+    @pytest.mark.parametrize("name", sorted(FRAMED_INPUTS))
+    def test_a_bare_algebra_derives_its_frame_once(self, monkeypatch, name):
+        alg = FRAMED_INPUTS[name]()
+        want = gelfand.characters(alg)
+        bare = algebra.Algebra(alg.basis)
+        shapes = _counting_eigh(monkeypatch)
+        spec = gelfand.characters(bare)
+        gelfand.gelfand_isometry_report(bare, samples=5, seed=0)
+        assert shapes == [(alg.ambient_dim,) * 2]
+        assert len(spec) == len(want) == alg.dim
+        for got, ref in zip(spec, want):
+            assert np.max(np.abs(got.values - ref.values), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_the_derived_frame_is_the_old_joint_frame(self, n):
+        alg = gelfand.cyclic_group_algebra(n)
+        want = _reference_joint_frame(alg.basis)
+        assert "frame" not in vars(alg)
+        assert alg.frame.dtype == want.dtype and np.array_equal(alg.frame, want)
+
+    def test_every_character_of_the_tie_inputs(self):
+        m, lam = _tie_input()
+        alg = algebra.algebra_from_generators([m])
+        spec = gelfand.characters(alg)
+        assert len(spec) == alg.dim == 4
+        assert match_multisets(gelfand.gelfand_transform(algebra.Element(alg, m), spec), lam, 1e-12)
+        tied = _tied_at_z()[0]
+        assert len(gelfand.characters(tied)) == tied.dim == 2
 
 
 class TestFactoredResidualEquivalence:

@@ -156,6 +156,29 @@ class TestMomentumOperator:
         assert report.scalar_residual > 0.1 * g.hbar  # boundary rows break it
 
 
+def _momentum_by_loop(grid, periodic):
+    """momentum_operator as it was built, one entry pair per loop step."""
+    n = grid.points
+    d = np.zeros((n, n), dtype=complex)
+    for j in range(n - 1):
+        d[j, j + 1] = 1.0
+        d[j + 1, j] = -1.0
+    if periodic:
+        d[0, n - 1] = -1.0
+        d[n - 1, 0] = 1.0
+    return (-1j * grid.hbar / (2.0 * grid.spacing)) * d
+
+
+class TestMomentumEquivalence:
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_bit_identical_to_the_loop(self, n, periodic):
+        g = qm.BoxGrid(length=1.7, points=n, hbar=0.3)
+        got = qm.momentum_operator(g, periodic=periodic).matrix
+        want = _momentum_by_loop(g, periodic)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestEigenstateFunctional:
     def grid_and_algebra(self):
         g = qm.BoxGrid(length=1.0, points=24)
