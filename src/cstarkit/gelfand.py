@@ -12,8 +12,8 @@ or the count fails; the candidates are then taken from the joint
 eigenspaces that the Hermitian spanning set splits off.  An algebra that is
 not *-closed takes its candidates from the eigenvectors of one eig of the
 fixed generic z = sum_k c_k b_k of ``algebra._generic_coords``, at whose
-values distinct characters differ, and keeps the multiplicative ones.  All
-are ``states.Functional``s, deduplicated as one stack.
+values distinct characters differ, and keeps the multiplicative ones, which
+must be linearly independent.  All are ``states.Functional``s, deduplicated as one stack.
 
 The GKZ check draws no random numbers: its one witness is z - (phi(z) / phi(1)) 1.
 
@@ -51,6 +51,7 @@ from .algebra import (
 from .errors import (
     AlgebraMismatch,
     ComplexFieldRequired,
+    NoConvergence,
     NonAbelian,
     NotUnital,
     WitnessNotFound,
@@ -58,7 +59,7 @@ from .errors import (
 from .spectral import _framed_diagonals, _joint_spectra, _spectrum_report
 from .states import (
     Functional,
-    _basis_products,
+    _factor_products,
     _multiplicativity_bounds,
     _multiplicativity_residuals,
 )
@@ -141,25 +142,19 @@ def _split(blocks: list[np.ndarray], hermitians) -> list[np.ndarray]:
 
 def _candidate_values(alg: Algebra, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row j holds (v* b_k v) / (v* v) over the basis, for column v = vecs[:, j], and
-    its products f(b_i b_k) = (b_i* v)* (b_k v) / (v* v): O(c d (n + d)) memory for c columns."""
-    bv = alg.basis @ vecs
+    its products f(b_i b_k) from its density's exact factor u = v, w = conj(v) / (v* v)
+    (_factor_products): O(c d (n + d)) memory for c columns."""
     nv = np.einsum("ij,ij->j", vecs.conj(), vecs).real
-    prods = (vecs.conj().T @ alg.basis).swapaxes(0, 1) @ bv.transpose(2, 1, 0) / nv[:, None, None]
-    return np.einsum("ij,kij->jk", vecs.conj(), bv) / nv[:, None], prods
-
-
-def _multiplicative(vals: np.ndarray, prods: np.ndarray) -> np.ndarray:
-    """Which rows of vals are nonzero and multiplicative on basis pairs, given their
-    products prods[c, i, j] = f_c(b_i b_j), both within MULTIPLICATIVE_TOL."""
-    zero = np.abs(vals).max(axis=1, initial=0.0) <= MULTIPLICATIVE_TOL
-    return ~zero & (_multiplicativity_residuals(vals, prods) <= MULTIPLICATIVE_TOL)
+    vals = np.einsum("ij,kij->jk", vecs.conj(), alg.basis @ vecs) / nv[:, None]
+    return vals, _factor_products(alg.basis, vecs.T, (vecs.conj() / nv).T)
 
 
 def _consider(alg: Algebra, vecs: np.ndarray) -> list[np.ndarray]:
-    """The characters among the columns' candidates, in column order, one per
-    cluster (_distinct)."""
+    """The characters among the columns' candidates, those nonzero and multiplicative
+    on basis pairs within MULTIPLICATIVE_TOL, in column order, one per cluster (_distinct)."""
     vals, prods = _candidate_values(alg, vecs)
-    return _distinct(vals[_multiplicative(vals, prods)])
+    nonzero = np.abs(vals).max(axis=1, initial=0.0) > MULTIPLICATIVE_TOL
+    return _distinct(vals[nonzero & (_multiplicativity_residuals(vals, prods) <= MULTIPLICATIVE_TOL)])
 
 
 def _distinct(vals: np.ndarray) -> list[np.ndarray]:
@@ -211,7 +206,9 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     of chi(z) - psi(z) = sum_k c_k (chi - psi)(b_k) comes from the term k
     alone (_generic_coords).  A keeps z's eigenspace at chi(z), so where that
     is a line it is chi's joint eigenvector; eig's vectors in a wider one are
-    left to the multiplicativity filter.
+    left to the multiplicativity filter.  A defective eigenvalue of z scatters
+    eig's vectors past DEDUPE_RADIUS, and each may pass the filter; distinct
+    characters are linearly independent, so then NoConvergence is raised.
     """
     if alg.real_field:
         raise ComplexFieldRequired("characters are computed over the complex field")
@@ -220,12 +217,20 @@ def characters(alg: Algebra) -> GelfandSpectrumData:
     if not alg.star_closed:
         z = alg.from_coords(_generic_coords(alg.dim)[0])
         found = _consider(alg, linalg._lapack(np.linalg.eig, z)[1])
+        if found and (rank := _rank(np.array(found))) < len(found):
+            raise NoConvergence(f"characters: {len(found)} candidates from eig of z, of rank {rank}")
     else:
         found = _characters_in_frame(alg, alg.frame)
         if found is None:
             blocks = _split([np.eye(alg.ambient_dim, dtype=complex)], _hermitian_spanning_set(alg))
             found = _consider(alg, np.stack([blk[:, 0] for blk in blocks], axis=1))
     return GelfandSpectrumData(alg, tuple(Character(alg, v) for v in _sorted(found)))
+
+
+def _rank(values: np.ndarray) -> int:
+    """The number of singular values of values above DEDUPE_RADIUS * max(1, s_0)."""
+    svals = np.linalg.svd(values, compute_uv=False)
+    return int(np.sum(svals > DEDUPE_RADIUS * max(1.0, svals[0])))
 
 
 def _characters_in_frame(alg: Algebra, u: np.ndarray) -> list[np.ndarray] | None:
@@ -287,9 +292,9 @@ def gelfand_isometry_report(
 
     The samples are one stack.  Their eigenvalues are read in the algebra's
     frame (Algebra.frame, spectral._joint_spectra), each sample certified by
-    its off-diagonal rest E, and a sample that fails the certificate (one of
-    an algebra that is not *-closed, or mixed by a tie in the frame) from
-    eig_general.  A certified sample's
+    its off-diagonal rest E, and a sample mixed by a tie in the frame from
+    eig_general, as every sample of an algebra that is not *-closed, which
+    derives no frame.  A certified sample's
     r(a) is max_i |d_i| over its framed diagonal d: a being normal, each d_i
     lies within ||E||_2 of an eigenvalue and each eigenvalue within ||E||_2
     of some d_i (Bauer-Fike), so the maximum is r(a) within ||E||_2, where
@@ -308,7 +313,10 @@ def gelfand_isometry_report(
     values = spec.values
     hats = _dot_each(values[None], _pairing_each(mats, alg.basis)[:, None])
     sups = np.abs(hats).max(axis=1, initial=0.0).tolist()
-    eigs, held = _joint_spectra(mats, alg.frame)
+    if alg.star_closed:
+        eigs, held = _joint_spectra(mats, alg.frame)
+    else:
+        eigs, held = linalg.eig_general(mats), np.zeros(len(mats), dtype=bool)
     radii = np.hypot(eigs.real, eigs.imag).max(axis=1, initial=0.0)  # Python's complex abs
     if not held.all():
         radii[~held] = [rep.radius for rep in _spectrum_report(eigs[~held], "complex")]
@@ -320,9 +328,7 @@ def gelfand_isometry_report(
         if kernel_detected:
             kernel_example = Element(alg, alg.basis[0])
     else:
-        svals = np.linalg.svd(values, compute_uv=False)
-        rank = int(np.sum(svals > DEDUPE_RADIUS * max(1.0, svals[0])))
-        kernel_detected = rank < alg.dim
+        kernel_detected = _rank(values) < alg.dim
         if kernel_detected:
             kernel_example = Element(alg, alg.from_coords(np.linalg.svd(values)[2][-1].conj()))
     return IsometryReport(
@@ -390,8 +396,7 @@ def gkz_witness(alg: Algebra, phi_values) -> GkzOutcome:
     if smin > INVERTIBLE_TOL:
         witness = Element(alg, x / svals[0])
         return GkzOutcome(False, witness, phi(witness), smin)
-    v = phi.values[None] / phi_one
-    if _multiplicative(v, _basis_products(alg, v, alg.basis))[0]:
+    if _multiplicativity_bounds(alg, phi.values[None] / phi_one)[0] <= MULTIPLICATIVE_TOL:
         return GkzOutcome(True, None, None, None)
     raise WitnessNotFound(
         f"phi is not multiplicative, and its witness has smallest singular value {smin:.3e}"

@@ -33,7 +33,7 @@ from .linalg import _unit_scaled_each
 from .spectral import _matrix_of, _positive_eig_each
 from .tolerances import (
     CLASSIFY_TOL,
-    DENSITY_RANK_ONE_TOL,
+    DENSITY_FACTOR_TOL,
     GRAM_NULL_TOL,
     POSITIVITY_TOL,
     UNIT_VALUE_TOL,
@@ -64,8 +64,8 @@ class Functional:
 
     def multiplicativity_residual(self) -> float:
         """max |f(b_i b_j) - f(b_i) f(b_j)| over basis pairs, or a certified upper
-        bound on it within DENSITY_RANK_ONE_TOL (_multiplicativity_bounds): 0 for
-        characters, to rounding."""
+        bound on it within DENSITY_FACTOR_TOL, from its density factored to its own
+        rank (_multiplicativity_bounds): 0 for characters, to rounding."""
         return float(_multiplicativity_bounds(self.algebra, self.values[None])[0])
 
     @cached_property
@@ -99,64 +99,52 @@ def _trace_values(alg: Algebra, rho) -> np.ndarray:
     return alg.basis.reshape(alg.dim, n * n) @ np.asarray(rho, dtype=complex).T.ravel()
 
 
-def _basis_products(alg: Algebra, values: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """F[c, i, j] = f_c(left_i b_j) = tr(D_c left_i b_j) for the functionals with values[c]
-    and members left_i: the products (D_c left_i)^T stacked, paired with each b_j.  The
-    functionals are taken in slices whose product stacks hold about d^3 entries."""
-    k, m, (d, n, _) = len(values), len(left), alg.basis.shape
-    step, out = max(1, d**3 // (m * n * n or 1)), np.empty((k, m, d), dtype=complex)
-    lt, flat = left.swapaxes(1, 2).reshape(m * n, n), alg.basis.reshape(d, n * n)
-    for s in range(0, k, step):
-        prods = lt @ _combine_each(values[s : s + step].conj(), alg.basis).conj()
-        out[s : s + step] = prods.reshape(len(prods), m, n * n) @ flat.T
-    return out
-
-
 def _multiplicativity_bounds(alg: Algebra, values: np.ndarray) -> np.ndarray:
     """For each row f_c of values, max |f_c(b_i b_j) - f_c(b_i) f_c(b_j)| over basis
-    pairs, or an upper bound on it by at most DENSITY_RANK_ONE_TOL.
+    pairs, or an upper bound on it by at most DENSITY_FACTOR_TOL.
 
-    A character's density D_c is usually of rank one, so it is factored as
-    D_c ~ u w^T (_rank_one_factors).  Then f_c(b_i b_j) = tr(u w^T b_i b_j) is
-    (w^T b_i)(b_j u): c d n^2 work, not the c d n^3 of _basis_products.  The
-    remainder E = D_c - u w^T moves each product by |tr(E b_i b_j)| <=
-    ||E||_F ||b_i||_2 ||b_j||_F <= ||E||_F on the orthonormal basis, so ||E||_F
-    is added to the residual.  A row whose remainder exceeds DENSITY_RANK_ONE_TOL
-    takes _basis_products.  Every product here, and in _basis_products, is
-    taken as a stack of one product per row, so a row gets the same bits alone
-    as in any stack.
+    Each density is factored to its own rank by complete pivoting (_pivot_step),
+    D_c = sum_t u_t w_t^T + E with ||E||_F <= DENSITY_FACTOR_TOL or n steps, so
+    f_c(b_i b_j) = sum_t (w_t^T b_i)(b_j u_t) (_factor_products, c d n^2 work a
+    step) within |tr(E b_i b_j)| <= ||E||_F ||b_i||_2 ||b_j||_F = ||E||_F, which
+    is added.  Each step is one stack of one product per row, so a row gets the
+    same bits alone as in any stack.
     """
     (k, d), n = values.shape, alg.ambient_dim
     if d == 0:
         return np.zeros(k)
-    u, w, remainder = _rank_one_factors(alg, values)
-    out, factored = np.empty(k), remainder <= DENSITY_RANK_ONE_TOL
-    fac = np.flatnonzero(factored)
-    if len(fac):
-        # (w_c^T b_i) (b_j u_c), from row stacks w_c^T [b_1 ... b_d] and columns b_j u_c
-        left = (w[fac, None, :] @ alg.basis.swapaxes(0, 1).reshape(n, d * n)).reshape(-1, d, n)
-        right = (alg.basis.reshape(d * n, n) @ u[fac, :, None]).reshape(-1, d, n)
-        prods = left @ right.swapaxes(1, 2)
-        del left, right  # 2 c d n entries, freed before the residual's c d^2 temporaries
-        out[fac] = _multiplicativity_residuals(values[fac], prods) + remainder[fac]
-    if not factored.all():
-        v = values[~factored]
-        out[~factored] = _multiplicativity_residuals(v, _basis_products(alg, v, alg.basis))
-    return out
+    u, w, rest, remainder = _pivot_step(_combine_each(values, alg.basis.conj().swapaxes(1, 2)))
+    prods, live = _factor_products(alg.basis, u, w), np.arange(k)
+    for _ in range(n - 1):
+        more = remainder[live] > DENSITY_FACTOR_TOL
+        if not more.any():
+            break
+        live, rest = live[more], rest[more]
+        u, w, rest, remainder[live] = _pivot_step(rest)
+        prods[live] += _factor_products(alg.basis, u, w)
+    return _multiplicativity_residuals(values, prods) + remainder
 
 
-def _rank_one_factors(alg: Algebra, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For each row's density D_c = sum_l f_c(b_l) b_l*: its column u at its largest
-    entry, its row w there over that entry (exact for a rank-one D_c; zero for
-    D_c = 0), and the Frobenius norm of D_c - u w^T."""
-    k, n = len(values), alg.ambient_dim
-    dens = _combine_each(values, alg.basis.conj().swapaxes(1, 2))
+def _pivot_step(rest: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step of complete pivoting on each matrix R of a (k, n, n) stack: its column
+    u at its largest entry, its row w there over that entry (zero for R = 0), the
+    rest R - u w^T and its Frobenius norm."""
+    k, n, _ = rest.shape
     rows = np.arange(k)
-    p, q = np.divmod(np.abs(dens.reshape(k, n * n)).argmax(axis=1), n)
-    pivot = dens[rows, p, q]
-    u, w = dens[rows, :, q], dens[rows, p, :] / np.where(pivot == 0, 1.0, pivot)[:, None]
-    rest = (dens - u[:, :, None] * w[:, None, :]).reshape(k, n * n)
-    return u, w, np.linalg.norm(rest, axis=1)
+    p, q = np.divmod(np.abs(rest.reshape(k, n * n)).argmax(axis=1), n)
+    pivot = rest[rows, p, q]
+    u, w = rest[rows, :, q], rest[rows, p, :] / np.where(pivot == 0, 1.0, pivot)[:, None]
+    rest = rest - u[:, :, None] * w[:, None, :]
+    return u, w, rest, np.linalg.norm(rest.reshape(k, n * n), axis=1)
+
+
+def _factor_products(basis: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """prods[c, i, j] = (w_c^T b_i)(b_j u_c) = tr(u_c w_c^T b_i b_j) for the rows u_c and
+    w_c of two (c, n) stacks: row stacks w_c^T [b_1 ... b_d] against columns b_j u_c."""
+    (d, n, _), m = basis.shape, len(u)
+    left = (w[:, None, :] @ basis.swapaxes(0, 1).reshape(n, d * n)).reshape(m, d, n)
+    right = (basis.reshape(d * n, n) @ u[:, :, None]).reshape(m, d, n)
+    return left @ right.swapaxes(1, 2)
 
 
 def _multiplicativity_residuals(values: np.ndarray, prods: np.ndarray) -> np.ndarray:
@@ -172,11 +160,14 @@ def _same_algebra(alg: Algebra, f: Functional) -> None:
 
 
 def gram_matrix(alg: Algebra, f: Functional) -> np.ndarray:
-    """G[i, j] = f(e_i* e_j); Hermitian PSD exactly when f is positive on the span."""
+    """G[i, j] = f(e_i* e_j) = tr(D e_i* e_j), from the products (D e_i*)^T paired with
+    each e_j; Hermitian PSD exactly when f is positive on the span."""
     _same_algebra(alg, f)
     if not alg.star_closed:
         raise NotStarClosed("positivity needs a *-closed algebra (e_i* e_j must stay inside)")
-    return _basis_products(alg, f.values[None], alg.basis.conj().swapaxes(1, 2))[0]
+    d, n, _ = alg.basis.shape
+    prods = alg.basis.conj().reshape(d * n, n) @ _combine_each(f.values[None].conj(), alg.basis).conj()
+    return (prods.reshape(1, d, n * n) @ alg.basis.reshape(d, n * n).T)[0]
 
 
 def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:

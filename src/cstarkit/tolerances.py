@@ -72,11 +72,11 @@ POSITIVITY_TOL = 1e-9
 GRAM_NULL_TOL = 1e-10
 # How far a vector state's vector may be from norm 1.
 UNIT_VECTOR_TOL = 1e-9
-# Frobenius remainder ||D - u w^T|| of a functional's density past its rank-one factor from
-# the row and column of its largest entry, within which its multiplicativity residual is
-# read from the factor with the remainder added (_multiplicativity_bounds); a character's
-# density on a commutative *-closed algebra is usually rank one, to about 1e-16.
-DENSITY_RANK_ONE_TOL = 1e-13
+# The Frobenius remainder at which pivoting stops: a density's multiplicativity residual is
+# read from its factor with the remainder added (states._multiplicativity_bounds); a
+# character's density on a commutative *-closed algebra has the rank of its eigenvalue's
+# multiplicity, to about 1e-16.
+DENSITY_FACTOR_TOL = 1e-13
 
 # -- Particle in a box (qm)
 

@@ -35,6 +35,21 @@ def product_coords(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.
     return out
 
 
+def densities(alg, values) -> np.ndarray:
+    """The density sum_l f_c(b_l) b_l* of each row f_c of values."""
+    return _combine_each(values, alg.basis.conj().swapaxes(1, 2))
+
+
+def pivoted_products(alg, values) -> np.ndarray:
+    """prods[c, i, j] = f_c(b_i b_j) from all n steps of complete pivoting on each density."""
+    rest = densities(alg, values)
+    prods = np.zeros((len(values), alg.dim, alg.dim), dtype=complex)
+    for _ in range(alg.ambient_dim):
+        u, w, rest, _ = states._pivot_step(rest)
+        prods += states._factor_products(alg.basis, u, w)
+    return prods
+
+
 def reference_gram_gns(alg, state):
     """states.gns as it was on every algebra before it took the density path:
     one eigh of the d x d Gram matrix and one (d, k, k) block.  Kept verbatim,

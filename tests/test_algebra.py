@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doubled_normal, rand_matrix
+from conftest import doubled_normal, pivoted_products, rand_matrix
 from cstarkit import algebra, gelfand, linalg, states
 from cstarkit.tolerances import MEMBERSHIP_TOL, QUOTIENT_NORM_GAP
 from cstarkit.errors import (
@@ -845,7 +845,8 @@ class TestStructureReference:
 
     def test_structure_constants(self, alg):
         """f(x b_j) from the density against the per-pair structure constants
-        C[i, j, l] = <b_i b_j, b_l>, for x = b_i and, on *-closed algebras, x = b_i*."""
+        C[i, j, l] = <b_i b_j, b_l>: for x = b_i from the density's pivoted
+        factor, and, on *-closed algebras, for x = b_i* from gram_matrix."""
         d = alg.dim
         adjoints = alg.basis.conj().swapaxes(1, 2)
         ref = np.zeros((2, d, d, d), dtype=complex)
@@ -855,11 +856,11 @@ class TestStructureReference:
                 ref[1, i, j] = _pair_coords(alg, adjoints[i] @ bj)
         rng = np.random.default_rng(32)
         values = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
-        for left, c in [(alg.basis, ref[0]), (adjoints, ref[1])][: 1 + alg.star_closed]:
-            got = states._basis_products(alg, values, left)
-            assert got.shape == (3, d, d)
-            want = np.einsum("ijl,cl->cij", c, values)
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        want = np.einsum("xijl,cl->xcij", ref, values)
+        assert np.max(np.abs(pivoted_products(alg, values) - want[0]), initial=0.0) <= 1e-12
+        for f, g in zip(values, want[1]) if alg.star_closed else ():
+            gram = states.gram_matrix(alg, states.functional(alg, f))
+            assert np.max(np.abs(gram - g), initial=0.0) <= 1e-12
 
     def test_abelian_flag(self, alg):
         commute = all(

@@ -317,11 +317,16 @@ class TestCliContract:
             ('{"rows": true, "cols": 1, "data": [[1, 0]]}', "JSON integers"),
             ('{"rows": "1", "cols": 1, "data": [[1, 0]]}', "JSON integers"),
             ('{"rows": 1, "cols": 2, "data": [[1, 0, 2], [3]]}', "[re, im] pairs"),
+            ('{"rows": 1, "cols": 1, "data": [[NaN, 0]]}', "must be finite"),
+            ('{"rows": 1, "cols": 1, "data": [[0, Infinity]]}', "must be finite"),
+            ('{"rows": 1, "cols": 1, "data": [[-Infinity, 0]]}', "must be finite"),
+            ('{"rows": 1, "cols": 1, "data": [[1e400, 0]]}', "must be finite"),
         ],
         ids=[
             "400-digit-entry", "5000-digit-entry", "negative-shape", "null-data",
             "string-entries", "padded-string-entries", "boolean-entries", "null-entry",
             "fractional-rows", "boolean-rows", "string-rows", "uneven-pairs",
+            "nan-entry", "infinity-entry", "minus-infinity-entry", "1e400-entry",
         ],
     )
     def test_malformed_matrix_document_exit_2(self, tmp_path, capsys, text, rule):
@@ -861,6 +866,10 @@ class TestFloatRange:
     def test_spectrum_whose_eig_is_not_finite(self, tmp_path):
         m = [[3.280811678258314e300 + 1.7976931348623155e308j]]
         assert self._run(tmp_path, "spectrum", m) == (1, "error: Overflow: eig leaves the float range\n")
+
+    def test_exp_whose_norm_is_too_large_to_scale(self, tmp_path):
+        message = "error: Overflow: operator norm 1e+308 is too large to scale below 0.5\n"
+        assert self._run(tmp_path, "exp", [[1e308]]) == (1, message)
 
     @pytest.mark.parametrize("command", ["spectrum", "characters", "gelfand", "universal"])
     def test_overflowing_entry(self, tmp_path, command):

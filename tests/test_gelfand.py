@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import doubled_normal, match_multisets, product_coords, rand_hermitian
+from conftest import (
+    densities,
+    doubled_normal,
+    match_multisets,
+    pivoted_products,
+    product_coords,
+    rand_hermitian,
+)
 from cstarkit import algebra, cli, gelfand, linalg, spectral, states
-from cstarkit.errors import ComplexFieldRequired, NonAbelian, WitnessNotFound
+from cstarkit.errors import ComplexFieldRequired, NoConvergence, NonAbelian, WitnessNotFound
 from cstarkit.tolerances import GKZ_REPORT_TOL, INVERTIBLE_TOL
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -500,6 +507,36 @@ NOT_STAR_CLOSED = {
 }
 
 
+def _rotated(m, seed):
+    """W m W* for a seeded unitary W: one generator of an algebra that is not *-closed."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+    return w @ m @ w.conj().T
+
+
+class TestEigPathRank:
+    """Distinct characters are linearly independent: where a defective eigenvalue
+    of the generic z scatters eig's vectors past DEDUPE_RADIUS, the candidates
+    that pass the filter have values of lower rank than their count, and
+    characters raises instead of returning d or more characters."""
+
+    @pytest.mark.parametrize(
+        "blocks, seed, count",
+        [(((1.0, 3),), 1, 3), (((2.0, 4),), 1, 4), (((1.0, 3), (1.0, 2)), 2, 4)],
+        ids=["J3(1)", "J4(2)", "derogatory-jordan"],
+    )
+    def test_scattered_candidates_raise(self, blocks, seed, count):
+        alg = _commutative(_rotated(_jordan_sum(*blocks), seed))
+        with pytest.raises(NoConvergence, match=rf"{count} candidates .* rank 2"):
+            gelfand.characters(alg)
+        assert len(gelfand.characters(_commutative(_jordan_sum(*blocks)))) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rotated_j2_has_one_character(self, seed):
+        spec = gelfand.characters(_commutative(_rotated(_jordan_sum((1.0, 2)), seed)))
+        assert len(spec) == 1
+
+
 class TestStarClosedCharacters:
     """*-closed algebras get one character per joint eigenspace, drawing no random numbers."""
 
@@ -898,7 +935,7 @@ class TestCharacterSortKey:
 
 
 def _reference_multiplicative(alg, vals):
-    """gelfand._multiplicative as it was when it contracted the structure
+    """The multiplicativity verdict of gelfand as it was when it contracted the structure
     constants C[i, j, l] = <b_i b_j, b_l>: (verdicts, residuals)."""
     d = alg.dim
     structure = product_coords(alg.basis, alg.basis, alg.basis)
@@ -916,9 +953,9 @@ def _density_values(n, seed):
 
 
 class TestStructureFreeMultiplicativeEquivalence:
-    """Multiplicativity from the candidates' vectors, and from the densities of
-    all candidates at once, agrees to 1e-12 with the contraction of the
-    structure constants."""
+    """Multiplicativity from the candidates' vectors, and from the pivoted
+    factors of the densities of all candidates at once, agrees to 1e-12 with
+    the contraction of the structure constants."""
 
     @pytest.mark.parametrize(
         "make", [*STAR_ABELIAN.values(), *[lambda rng, f=f: f() for f in NOT_STAR_CLOSED.values()]],
@@ -929,10 +966,11 @@ class TestStructureFreeMultiplicativeEquivalence:
         vecs = np.linalg.eig(alg.from_coords(np.cos(np.arange(alg.dim))))[1]
         vals, prods = gelfand._candidate_values(alg, vecs)
         verdicts, resid = _reference_multiplicative(alg, vals)
-        for p in (prods, states._basis_products(alg, vals, alg.basis)):
+        for p in (prods, pivoted_products(alg, vals)):
             got = states._multiplicativity_residuals(vals, p)
             assert np.max(np.abs(got - resid), initial=0.0) <= 1e-12
-            assert np.array_equal(gelfand._multiplicative(vals, p), verdicts)
+        found, want = gelfand._consider(alg, vecs), gelfand._distinct(vals[verdicts])
+        assert len(found) == len(want) and all(map(np.array_equal, found, want))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_gkz_functionals(self, n):
@@ -940,8 +978,8 @@ class TestStructureFreeMultiplicativeEquivalence:
         for vals in (values, np.eye(n * n, dtype=complex)[0]):
             verdicts, resid = _reference_multiplicative(alg, vals[None])
             assert abs(states.functional(alg, vals).multiplicativity_residual() - resid[0]) <= 1e-12
-            prods = states._basis_products(alg, vals[None], alg.basis)
-            assert gelfand._multiplicative(vals[None], prods)[0] == verdicts[0]
+            got = states._multiplicativity_residuals(vals[None], pivoted_products(alg, vals[None]))
+            assert abs(got[0] - resid[0]) <= 1e-12
             assert gelfand.gkz_witness(alg, vals).is_character == verdicts[0]
 
     @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
@@ -961,14 +999,13 @@ class TestCharacterMemory:
     def test_cyclic_64_within_a_slice_budget(self):
         """characters of C[Z_64] (c = d = n = 64) and the residuals of all of them
         in one call: the candidates' products come from their vectors and the
-        density products in slices, so the peak stays far below the 268 MB
-        that one (c, d, n, n) stack of products alone takes."""
+        density products from the densities' factors, so the peak stays far
+        below the 268 MB that one (c, d, n, n) stack of products alone takes."""
         alg = gelfand.cyclic_group_algebra(64)
         tracemalloc.start()
         try:
-            vals = np.array([chi.values for chi in gelfand.characters(alg)])
-            prods = states._basis_products(alg, vals, alg.basis)
-            resid = states._multiplicativity_residuals(vals, prods)
+            spec = gelfand.characters(alg)
+            vals, resid = spec.values, spec.multiplicativity_residuals()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1311,12 +1348,12 @@ class TestFramedSamples:
 
     def test_without_a_frame_the_samples_take_their_own(self, monkeypatch):
         """An algebra that is not *-closed has no frame that certifies its
-        characters; its samples are still read in the one it derives."""
+        samples: the report derives none, and every sample takes eig_general."""
         alg = _similar_upper_triangular(4, 10)
         assert not alg.star_closed
         calls = _spy(monkeypatch, gelfand, "_joint_spectra")
         gelfand.gelfand_isometry_report(alg, samples=5, seed=1)
-        assert len(calls) == 1 and len(calls[0][0]) == 5 and calls[0][1] is alg.frame
+        assert calls == [] and "frame" not in vars(alg)
 
     @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
     def test_certified_samples_are_not_clustered(self, monkeypatch, label):
@@ -1401,10 +1438,15 @@ class TestFrameEquivalence:
         assert len(gelfand.characters(tied)) == tied.dim == 2
 
 
+def _step_rows(calls):
+    """The number of rows in each pivot step of the spied _factor_products calls."""
+    return [len(args[1]) for args in calls]
+
+
 class TestFactoredResidualEquivalence:
-    """Multiplicativity residuals from rank-one density factors agree with the
-    contraction of the structure constants to 1e-12, and only densities off
-    rank one take _basis_products."""
+    """Multiplicativity residuals from pivoted density factors agree with the
+    contraction of the structure constants to 1e-12, and each density takes
+    as many pivot steps as its rank."""
 
     @pytest.mark.parametrize("n", [6, 8, 16])
     @pytest.mark.parametrize("label", ["distinct", "doubled", "circulant"])
@@ -1412,60 +1454,136 @@ class TestFactoredResidualEquivalence:
         alg = algebra.algebra_from_generators([_benchmark_like(label, n, 3 * n)])
         spec = gelfand.characters(alg)
         want = _reference_multiplicative(alg, spec.values)[1]
-        calls = _spy(monkeypatch, states, "_basis_products")
+        calls = _spy(monkeypatch, states, "_factor_products")
         got = spec.multiplicativity_residuals()
         assert np.max(np.abs(got - want)) <= 1e-12
-        # doubled eigenvalues give rank-two densities, all taken in one call
-        assert [len(args[1]) for args in calls] == ([len(spec)] if label == "doubled" else [])
+        # doubled eigenvalues give rank-two densities: every row takes a second step
+        assert _step_rows(calls) == [len(spec)] * (2 if label == "doubled" else 1)
         for chi, g in zip(spec, got):
             assert chi.multiplicativity_residual() == g
 
     def test_zero_density(self, monkeypatch):
         alg = gelfand.cyclic_group_algebra(4)
-        monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
+        calls = _spy(monkeypatch, states, "_factor_products")
         assert states.functional(alg, np.zeros(4)).multiplicativity_residual() == 0.0
+        assert _step_rows(calls) == [1]
         zero = algebra.algebra_from_generators([np.zeros((2, 2))], include_identity=False)
         assert states._multiplicativity_bounds(zero, np.zeros((3, 0))).tolist() == [0.0] * 3
 
     def test_remainder_at_the_tolerance(self, monkeypatch):
         """A character perturbed by 1e-14: at a tolerance equal to its remainder
-        the factor gives a certified upper bound; one float below, the products."""
+        after one step the factor gives a certified upper bound; one float
+        below, the density takes another step."""
         alg = gelfand.cyclic_group_algebra(8)
         noise = np.random.default_rng(5).standard_normal(8)
         vals = gelfand.characters(alg).values[3] + 1e-14 * noise
-        rem = float(states._rank_one_factors(alg, vals[None])[2][0])
-        assert 0.0 < rem <= states.DENSITY_RANK_ONE_TOL
+        rem = float(states._pivot_step(densities(alg, vals[None]))[3][0])
+        assert 0.0 < rem <= states.DENSITY_FACTOR_TOL
         want = _reference_multiplicative(alg, vals[None])[1][0]
-        for tol, factored in ((rem, True), (np.nextafter(rem, 0.0), False)):
-            monkeypatch.setattr(states, "DENSITY_RANK_ONE_TOL", tol)
-            calls = _spy(monkeypatch, states, "_basis_products")
+        for tol, one_step in ((rem, True), (np.nextafter(rem, 0.0), False)):
+            monkeypatch.setattr(states, "DENSITY_FACTOR_TOL", tol)
+            calls = _spy(monkeypatch, states, "_factor_products")
             got = states.functional(alg, vals).multiplicativity_residual()
             monkeypatch.undo()
-            assert bool(calls) is not factored
+            assert (len(calls) == 1) is one_step
             assert abs(got - want) <= 1e-12
             assert got >= want - 1e-15
 
     def test_the_factor_bounds_the_residual_off_rank_one(self, monkeypatch):
-        """Characters perturbed by 1e-9, all taken through the factor: the
+        """Characters perturbed by 1e-9, all stopped after one step: the
         reported value lies within twice the remainder above the residual."""
         alg = gelfand.cyclic_group_algebra(8)
         rng = np.random.default_rng(19)
         vals = gelfand.characters(alg).values[3] + 1e-9 * (
             rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))
         )
-        rem = states._rank_one_factors(alg, vals)[2]
+        rem = states._pivot_step(densities(alg, vals))[3]
         want = _reference_multiplicative(alg, vals)[1]
-        monkeypatch.setattr(states, "DENSITY_RANK_ONE_TOL", 1.0)
-        monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
+        monkeypatch.setattr(states, "DENSITY_FACTOR_TOL", 1.0)
+        calls = _spy(monkeypatch, states, "_factor_products")
         got = states._multiplicativity_bounds(alg, vals)
+        assert _step_rows(calls) == [20]
         assert np.all(got >= want - 1e-15) and np.all(got <= want + 2.0 * rem + 1e-15)
 
     def test_cyclic_64_takes_the_factor_throughout(self, monkeypatch):
         alg = gelfand.cyclic_group_algebra(64)
         spec = gelfand.characters(alg)
-        monkeypatch.setattr(states, "_basis_products", _no_call("_basis_products"))
+        calls = _spy(monkeypatch, states, "_factor_products")
         resid = spec.multiplicativity_residuals()
+        assert _step_rows(calls) == [64]
         assert resid.shape == (64,) and resid.max() <= 1e-12
+
+
+def _mixed_rank_algebra():
+    """C* of a normal 5 x 5 with one doubled eigenvalue and three simple ones:
+    characters whose densities have ranks 2, 1, 1 and 1."""
+    rng = np.random.default_rng(41)
+    lam = np.array([1.0 + 1.0j, 1.0 + 1.0j, -1.0, 0.5j, 2.0])
+    u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    return algebra.algebra_from_generators([(u * lam) @ u.conj().T])
+
+
+class TestPivotedFactorEquivalence:
+    """One multiplicativity kernel: each density is factored to its own rank,
+    and its bound is the structure-constant residual to within 1e-12 above
+    and 1e-15 below, with the bits it gets alone."""
+
+    def test_a_density_of_rank_r_takes_r_steps(self, monkeypatch):
+        calls = _spy(monkeypatch, states, "_factor_products")
+
+        def steps(alg, vals):
+            calls.clear()
+            states._multiplicativity_bounds(alg, vals)
+            return _step_rows(calls)
+
+        cyclic = gelfand.cyclic_group_algebra(8)
+        assert steps(cyclic, gelfand.characters(cyclic).values) == [8]
+        doubled = algebra.algebra_from_generators([_benchmark_like("doubled", 8, 3)])
+        assert steps(doubled, gelfand.characters(doubled).values) == [4, 4]
+        m3, vals = _density_values(3, 7)
+        for f in (vals, np.random.default_rng(7).standard_normal(9) + 0j):
+            assert 1 <= len(steps(m3, f[None])) <= 3
+            want = _reference_multiplicative(m3, f[None])[1]
+            assert abs(states._multiplicativity_bounds(m3, f[None])[0] - want[0]) <= 1e-12
+        assert steps(cyclic, np.zeros((2, 8), dtype=complex)) == [2]
+        assert states._pivot_step(densities(cyclic, np.zeros((2, 8))))[3].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *STAR_ABELIAN.values(),
+            *[lambda rng, f=f: f() for f in NOT_STAR_CLOSED.values()],
+            *[
+                lambda rng, label=label, n=n: algebra.algebra_from_generators(
+                    [_benchmark_like(label, n, n)]
+                )
+                for label in ("distinct", "doubled", "circulant")
+                for n in (6, 8, 12)
+            ],
+        ],
+        ids=[
+            *STAR_ABELIAN,
+            *NOT_STAR_CLOSED,
+            *[f"{label}-{n}" for label in ("distinct", "doubled", "circulant") for n in (6, 8, 12)],
+        ],
+    )
+    def test_bounds_against_the_reference(self, make):
+        alg = make(np.random.default_rng(79))
+        vals = gelfand.characters(alg).values
+        want = _reference_multiplicative(alg, vals)[1]
+        got = states._multiplicativity_bounds(alg, vals)
+        assert np.all(got >= want - 1e-15) and np.all(got <= want + 1e-12)
+
+    def test_a_row_alone_has_its_bits_in_a_mixed_rank_stack(self, monkeypatch):
+        alg = _mixed_rank_algebra()
+        spec = gelfand.characters(alg)
+        calls = _spy(monkeypatch, states, "_factor_products")
+        stacked = states._multiplicativity_bounds(alg, spec.values)
+        assert _step_rows(calls) == [4, 1]
+        for c, chi in enumerate(spec):
+            alone = states._multiplicativity_bounds(alg, spec.values[c : c + 1])
+            assert alone.tobytes() == stacked[c : c + 1].tobytes()
+            assert chi.multiplicativity_residual() == stacked[c]
 
 
 def _reference_distinct(vals):

@@ -203,6 +203,11 @@ class TestInvert:
         with pytest.raises(Singular):
             linalg.invert([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_empty_and_non_square(self):
+        assert linalg.invert(np.zeros((0, 0))).shape == (0, 0)
+        with pytest.raises(ValueError, match="square"):
+            linalg.require_square(np.zeros((2, 3)))
+
 
 class TestEigGeneral:
     def test_integer_spectrum(self):

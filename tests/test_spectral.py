@@ -213,6 +213,11 @@ class TestPolyApply:
         assert np.allclose(p.matrix, 4.0 * np.eye(3), atol=1e-12)
         assert spectral.spectrum(p).points == (4.0 + 0j,)
 
+    def test_empty_polynomial_is_zero(self):
+        alg = algebra.full_matrix_algebra(2)
+        p = spectral.poly_apply(algebra.Element(alg, [[1.0, 2.0], [3.0, 4.0]]), [])
+        assert p.algebra is alg and np.array_equal(p.matrix, np.zeros((2, 2)))
+
     def test_spectral_mapping_on_random_normal(self):
         rng = np.random.default_rng(26)
         for _ in range(5):
@@ -289,6 +294,15 @@ class TestFuncCalc:
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormal):
             spectral.func_calc(amb([[0.0, 1.0], [0.0, 0.0]]), np.exp)
+
+    def test_a_result_outside_the_algebra_is_ambient(self):
+        """f = 1 on C diag(1, 0), whose unit is not I: f(a) = I lies outside it."""
+        alg = algebra.algebra_from_generators(
+            [np.diag([1.0, 0.0])], include_identity=False, include_adjoints=False
+        )
+        out = spectral.func_calc(algebra.Element(alg, np.diag([1.0, 0.0])), lambda z: 1.0)
+        assert out.algebra is None
+        assert np.max(np.abs(out.matrix - np.eye(2))) <= 1e-12
 
 
 def _normal(rng, lam, real=False):

@@ -766,12 +766,13 @@ class TestGnsMultiplicity:
 class TestGnsGram:
     @pytest.mark.parametrize("gens", [None, [_e12(3)]], ids=["M3", "M2+C"])
     def test_no_gram_matrix_built(self, monkeypatch, gens):
-        """make_state, gns and universal_rep build no d x d Gram matrix, on all
-        of M_3 and on M_2 + C (the algebra generated by E_12 in M_3)."""
+        """make_state, gns and universal_rep build no d x d Gram matrix and no
+        stack of basis products, on all of M_3 and on M_2 + C (the algebra
+        generated by E_12 in M_3)."""
         alg = algebra.algebra_from_generators(gens) if gens else algebra.full_matrix_algebra(3)
         assert alg.dim == (5 if gens else 9)
         calls = []
-        for name in ("gram_matrix", "_basis_products"):
+        for name in ("gram_matrix", "_factor_products"):
             monkeypatch.setattr(states, name, lambda *a, name=name: calls.append(name))
         rho = random_density(np.random.default_rng(12), 3)
         state = states.make_state(alg, states._trace_values(alg, rho))
