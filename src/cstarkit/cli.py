@@ -17,8 +17,8 @@ Reports hold their matrices and complex lists as complex numpy arrays.
 Report bytes are exactly ``json.dumps(report, indent=2, sort_keys=True)``
 of the report with each array in its list form (a 2-d array as its matrix
 document, a 1-d one as its [[re, im], ...] list), plus a newline, and the
-same input and ``--seed`` give byte-identical reports; only gelfand, gns
-and universal read the echoed ``--seed``.  :func:`emit_report` writes
+same input and ``--seed`` give byte-identical reports; only gelfand reads
+the echoed ``--seed``, for its samples.  :func:`emit_report` writes
 that layout with its own encoder, because the standard library falls back
 to its pure-Python encoder whenever ``indent`` is set, and writes each
 array straight from its reals without building per-entry lists.
@@ -353,51 +353,6 @@ def cmd_gkz(args) -> dict:
     }
 
 
-def _gns_sample_residuals(rep: states.GnsRepresentation, seed: int) -> tuple[float, float, float]:
-    """Worst *-homomorphism defect, contraction excess (at least 0) and state
-    reproduction error of rep over seeded samples.
-
-    20 pairs (a, b) are drawn interleaved, then 20 samples a for the state,
-    and each check runs on one stack of the samples' matrices and the images
-    a_1 in rep's one block.  A multiplicity m repeats the block, so
-    pi(a) = a_1 (x) I_m has a_1's norms, and with the cyclic vector as a
-    k x m matrix X, <pi(a) x, x> = tr(X* a_1 X); no image is formed at full size.
-
-    No norm is computed where the answer is fixed: an exactly zero defect reads 0
-    in _op_norm_each, and a sample whose image equals it in every bit (the
-    block of gns on all of M_n is the basis itself) has excess exactly 0.  Any
-    other sample, one differing in a single bit included, takes both norms.
-    """
-    alg, rng = rep.algebra, np.random.default_rng(seed)
-    norm = linalg._op_norm_each
-    pairs = algebra._random_matrices(alg, rng, 40)
-    a, b = pairs[0::2], pairs[1::2]
-    (images,) = rep._block_images_each(np.concatenate([a, b, a @ b, a.conj().swapaxes(1, 2)]))
-    pa, pb, pab, pstar = np.split(images, 4)
-    hom, star = pab - pa @ pb, pstar - pa.conj().swapaxes(1, 2)
-    hom_resid = max(0.0, *norm(hom).tolist(), *norm(star).tolist())
-    moved = ~_same_bits(pa, a)
-    contraction = max([0.0, *(norm(pa[moved]) - norm(a[moved])).tolist()])
-    state_resid = 0.0
-    if rep.cyclic_vector is not None:
-        a = algebra._random_matrices(alg, rng, 20)
-        (images,) = rep._block_images_each(a)
-        x = rep.cyclic_vector.reshape(images.shape[1], -1)
-        lhs = algebra._dot_each(x.conj().ravel(), (images @ x).reshape(len(a), -1))
-        rhs = algebra._dot_each(rep.state.values, algebra._pairing_each(a, alg.basis))
-        # Python abs: numpy's complex abs can round differently
-        state_resid = max(0.0, *(abs(p - q) for p, q in zip(lhs.tolist(), rhs.tolist())))
-    return hom_resid, contraction, state_resid
-
-
-def _same_bits(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack x has the shape and every bit of y's."""
-    if x.shape != y.shape:
-        return np.zeros(len(x), dtype=bool)
-    bits = np.ascontiguousarray(x).view(np.uint64) == np.ascontiguousarray(y).view(np.uint64)
-    return bits.all(axis=(1, 2))
-
-
 def cmd_gns(args) -> dict:
     rho = _square_input(parse_matrix(args.input))
     n = rho.shape[0]
@@ -409,7 +364,7 @@ def cmd_gns(args) -> dict:
     alg = algebra.full_matrix_algebra(n)
     state = states.make_state(alg, states._trace_values(alg, rho))
     rep = states.gns(alg, state)
-    hom_resid, contraction, state_resid = _gns_sample_residuals(rep, args.seed)
+    hom_resid, contraction, state_resid = states._gns_residuals(rep)
     return {
         "inputs": {"input": rho},
         "results": {"hilbert_dim": rep.hilbert_dim, "algebra_dim": alg.dim},
@@ -424,18 +379,18 @@ def cmd_gns(args) -> dict:
 def cmd_universal(args) -> dict:
     g = _square_input(parse_matrix(args.input))
     alg = algebra.algebra_from_generators([g])
-    report = states.universal_rep(alg, seed=args.seed)
+    report = states.universal_rep(alg)
     return {
         "inputs": {"input": g},
         "results": {
             "algebra_dim": alg.dim,
             "hilbert_dim": report.representation.hilbert_dim,
+            "injective": report.injective,
             "state_count": report.state_count,
         },
         "residuals": {
-            "max_isometry_residual": _residual(
-                report.max_isometry_residual, UNIVERSAL_REPORT_TOL
-            )
+            "max_isometry_residual": _residual(report.max_isometry_residual, UNIVERSAL_REPORT_TOL),
+            "star_homomorphism": _residual(report.star_homomorphism_residual, GNS_REPORT_TOL),
         },
     }
 

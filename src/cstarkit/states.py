@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Element, _combine_each, _dot_each, _pairing_each, _random_matrices
+from .algebra import Algebra, Element, _combine_each, _dot_each, _generic_coords, _pairing_each
 from .algebra import _require_members
 from .errors import (
     AlgebraMismatch,
@@ -35,6 +35,7 @@ from .tolerances import (
     CLASSIFY_TOL,
     DENSITY_FACTOR_TOL,
     GRAM_NULL_TOL,
+    INJECTIVITY_TOL,
     POSITIVITY_TOL,
     UNIT_VALUE_TOL,
     UNIT_VECTOR_TOL,
@@ -324,36 +325,34 @@ class Representation:
     def apply(self, a) -> np.ndarray:
         return self._apply_each(_matrix_of(a)[None])[0]
 
-    def _block_images_each(self, mats: np.ndarray) -> list[np.ndarray]:
-        """Each block's (k, k_r, k_r) images a_r of a (k, n, n) stack, without
-        its multiplicity."""
-        coords = _pairing_each(mats, self.algebra.basis)
-        return [_combine_each(coords, b) for b in self.blocks]
-
     def _apply_each(self, mats: np.ndarray) -> np.ndarray:
         """The image of each matrix of a (k, n, n) stack, each a_r (x) I_{m_r} in
         place; apply is the stack of one."""
+        coords = _pairing_each(mats, self.algebra.basis)
         out = np.zeros((len(mats), self.hilbert_dim, self.hilbert_dim), dtype=complex)
         start = 0
-        for img, m in zip(self._block_images_each(mats), self.multiplicities):
-            s, k = img.shape[:2]
+        for b, m in zip(self.blocks, self.multiplicities):
+            s, k = len(mats), b.shape[1]
             end = start + k * m
-            kron = img[:, :, None, :, None] * np.eye(m)[:, None, :]
+            kron = _combine_each(coords, b)[:, :, None, :, None] * np.eye(m)[:, None, :]
             out[:, start:end, start:end] = kron.reshape(s, k * m, k * m)
             start = end
         return out
 
+    def _distinct_images(self, coords: np.ndarray) -> list[np.ndarray]:
+        """The images, without multiplicities, of the elements whose coordinates are the rows
+        of an (s, d) array: an (s, m, k, k) stack of the m distinct block arrays of each size k."""
+        groups = {}
+        for b in {id(b): b for b in self.blocks}.values():
+            groups.setdefault(b.shape[1], []).append(b)
+        return [np.tensordot(coords, np.stack(g, axis=1), axes=1) for g in groups.values()]
+
     def _norm_each(self, mats: np.ndarray) -> np.ndarray:
-        """The norm of the image of each matrix of a stack: its largest block
-        norm (a multiplicity repeats a block's singular values), with each
-        distinct block taken once and those of one size in one op-norm stack."""
-        coords = _pairing_each(mats, self.algebra.basis)
-        distinct = list({id(b): b for b in self.blocks}.values())
+        """The norm of the image of each matrix of a stack: its largest block norm (a
+        multiplicity repeats a block's singular values), those of one size in one stack."""
         norms = np.zeros(len(mats))
-        for k in {b.shape[1] for b in distinct}:
-            group = np.stack([b for b in distinct if b.shape[1] == k], axis=1)
-            images = np.tensordot(coords, group, axes=1)
-            s, m = images.shape[:2]
+        for images in self._distinct_images(_pairing_each(mats, self.algebra.basis)):
+            s, m, k, _ = images.shape
             block_norms = linalg._op_norm_each(images.reshape(s * m, k, k)).reshape(s, m)
             norms = np.maximum(norms, block_norms.max(axis=1))
         return norms
@@ -417,14 +416,64 @@ def trace_state(alg: Algebra) -> State:
     return make_state(alg, _trace_values(alg, np.eye(alg.ambient_dim)) / denom)
 
 
+def _generic_pair_certificate(rep: Representation) -> tuple[float, float]:
+    """rep's *-homomorphism defect at the generic pair z = sum_k c_k b_k, y = sum_k w_k b_k
+    (algebra._generic_coords), and the gap ||pi(z)|| / ||z|| - 1 (0 with no norm when every
+    block is the basis).  The defect is the largest of ||pi(zy) - pi(z) pi(y)|| / (||pi(zy)|| +
+    ||pi(z)|| ||pi(y)||) and ||pi(z*) - pi(z)*|| / (||pi(z*)|| + ||pi(z)||) over the distinct
+    blocks: bilinear in (c, w) and conjugate-linear in c, zero only when every pi(b_i b_j) =
+    pi(b_i) pi(b_j) and pi(b_i*) = pi(b_i)*."""
+    alg = rep.algebra
+    c, w = _generic_coords(alg.dim)
+    z, y = _combine_each(np.stack([c, w]), alg.basis)
+    coords = np.stack([c, w, *_pairing_each(np.stack([z @ y, z.conj().T]), alg.basis)])
+    defect, norm = 0.0, linalg._op_norm_each
+    for pz, py, pzy, pzs in rep._distinct_images(coords):
+        num = norm(np.concatenate([pzy - pz @ py, pzs - pz.conj().swapaxes(1, 2)]))
+        if num.any():  # an exactly zero defect takes no norm
+            nzy, nzs, nz, ny = norm(np.concatenate([pzy, pzs, pz, py])).reshape(4, -1)
+            den = np.concatenate([nzy + nz * ny, nzs + nz])
+            defect = max(defect, float(np.max(num[num > 0] / den[num > 0])))
+    if all(b is alg.basis for b in rep.blocks):
+        return defect, 0.0
+    return defect, float(rep._norm_each(z[None])[0] / norm(z[None])[0] - 1.0)
+
+
+def _gns_residuals(rep: GnsRepresentation) -> tuple[float, float, float]:
+    """rep's *-homomorphism defect and max(0, gap) (_generic_pair_certificate), and
+    max_l |<pi(b_l) x, x> - f(b_l)| over the basis, complete as f is linear, 0 without a
+    cyclic vector x: with x as a k x m matrix X, <pi(b_l) x, x> = tr(b_l X X*)."""
+    defect, gap = _generic_pair_certificate(rep)
+    if rep.cyclic_vector is None:
+        return defect, max(0.0, gap), 0.0
+    (block,) = rep.blocks
+    x = rep.cyclic_vector.reshape(block.shape[1], -1)
+    values = block.reshape(len(block), -1) @ (x @ x.conj().T).T.ravel()
+    return defect, max(0.0, gap), float(np.max(np.abs(values - rep.state.values), initial=0.0))
+
+
 @dataclass(frozen=True)
 class UniversalReport:
     representation: Representation
-    max_isometry_residual: float
     state_count: int
+    star_homomorphism_residual: float
+    max_isometry_residual: float
+    injective: bool
 
 
-def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 100) -> UniversalReport:
+def _isometry_certificate(rep: Representation) -> tuple[float, float, bool]:
+    """rep's *-homomorphism defect, isometry residual and injectivity: whether its distinct
+    blocks' (d, sum_r k_r^2) basis images have rank d by INJECTIVITY_TOL.  The residual is
+    |gap| at z (_generic_pair_certificate), or 1, the gap at every kernel element, if not."""
+    d, distinct = rep.algebra.dim, {id(b): b for b in rep.blocks}.values()
+    images = np.concatenate([b.reshape(d, -1) for b in distinct], axis=1)
+    s = linalg._lapack(np.linalg.svd, images, compute_uv=False)
+    injective = len(s) == d and bool(s[-1] > INJECTIVITY_TOL * s[0])
+    defect, gap = _generic_pair_certificate(rep)
+    return defect, abs(gap) if injective else 1.0, injective
+
+
+def universal_rep(alg: Algebra, extra_states=()) -> UniversalReport:
     """Direct sum of GNS representations over a norming family of states.
 
     The family is the normalized trace, the supplied extra states, and a
@@ -433,9 +482,7 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     built as one stack (_require_members, algebra's one membership kernel on each
     square's own power-of-two scaling, then _norming_states), with the checks
     and bits of norming_state(Element(alg, (b b*)^2)) taken one at a time.
-    The report carries the max over sampled elements of | ||pi(a)|| - ||a|| |,
-    the samples drawn as successive random_element calls in one stack;
-    ||pi(a)|| is the largest norm of a's images in the blocks.
+    The report carries the sum's certificates (_isometry_certificate).
     """
     bbs = alg.basis @ alg.basis.conj().swapaxes(1, 2)
     squares = bbs @ bbs
@@ -443,6 +490,4 @@ def universal_rep(alg: Algebra, extra_states=(), seed: int = 0, samples: int = 1
     _require_members(alg, squares)
     family += [*extra_states, *_norming_states(alg, squares)]
     total = direct_sum_reps(gns(alg, f) for f in family)
-    mats = _random_matrices(alg, np.random.default_rng(seed), samples)
-    gaps = np.abs(total._norm_each(mats) - linalg._op_norm_each(mats))
-    return UniversalReport(total, float(np.max(gaps, initial=0.0)), len(family))
+    return UniversalReport(total, len(family), *_isometry_certificate(total))

@@ -77,6 +77,9 @@ UNIT_VECTOR_TOL = 1e-9
 # character's density on a commutative *-closed algebra has the rank of its eigenvalue's
 # multiplicity, to about 1e-16.
 DENSITY_FACTOR_TOL = 1e-13
+# Least relative singular value of a representation's basis images at or below which it has a
+# kernel (states._isometry_certificate); isometric ones read 1 / sqrt(n sum_r k_r) or more.
+INJECTIVITY_TOL = 1e-8
 
 # -- Particle in a box (qm)
 
@@ -99,9 +102,9 @@ CHARACTERS_REPORT_TOL = 1e-7
 GELFAND_REPORT_TOL = 1e-8
 # gkz: |phi| at the witness.
 GKZ_REPORT_TOL = 1e-9
-# gns: *-homomorphism defect, contraction excess and state reproduction error.
+# gns, universal: relative *-homomorphism defect; gns: ||pi(z)|| / ||z|| - 1, state error.
 GNS_REPORT_TOL = 1e-9
-# universal: the largest | ||pi(a)|| - ||a|| | over the samples.
+# universal: | ||pi(a)|| - ||a|| | / ||a|| at z and at the least singular combination of the basis.
 UNIVERSAL_REPORT_TOL = 1e-7
 # quotient-norm: excess of the quotient norm over ||a||.
 QUOTIENT_NORM_REPORT_TOL = 1e-9

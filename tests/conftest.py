@@ -50,6 +50,41 @@ def pivoted_products(alg, values) -> np.ndarray:
     return prods
 
 
+def _relative(num, den):
+    return num / den if num > 0 else 0.0
+
+
+def all_pairs_defect(rep):
+    """rep's *-homomorphism defect over every basis pair and element, each
+    term relative to the norms of its own terms: the largest, over the
+    distinct block arrays B, of ||pi(b_i b_j) - B_i B_j|| / (||pi(b_i b_j)|| +
+    ||B_i|| ||B_j||) over the d^2 pairs and ||pi(b_i*) - B_i*|| / (||pi(b_i*)|| +
+    ||B_i||) over the d elements, with SVD norms."""
+    alg, worst = rep.algebra, 0.0
+
+    def norm(m):
+        return float(np.linalg.norm(m, 2))
+
+    for block in {id(b): b for b in rep.blocks}.values():
+        image = lambda m: np.tensordot(_pairing(m, alg.basis), block, axes=1)  # noqa: E731
+        for i, b in enumerate(alg.basis):
+            for j, c in enumerate(alg.basis):
+                prod = image(b @ c)
+                den = norm(prod) + norm(block[i]) * norm(block[j])
+                worst = max(worst, _relative(norm(prod - block[i] @ block[j]), den))
+            adj = image(b.conj().T)
+            worst = max(worst, _relative(norm(adj - block[i].conj().T), norm(adj) + norm(block[i])))
+    return worst
+
+
+def basis_state_error(rep):
+    """max_l |<pi(b_l) x, x> - f(b_l)| of a GNS representation over the basis,
+    one dense image with its multiplicity at a time."""
+    x = rep.cyclic_vector
+    got = [complex(np.vdot(x, rep.apply(b) @ x)) for b in rep.algebra.basis]
+    return max(abs(g - f) for g, f in zip(got, rep.state.values.tolist()))
+
+
 def reference_gram_gns(alg, state):
     """states.gns as it was on every algebra before it took the density path:
     one eigh of the d x d Gram matrix and one (d, k, k) block.  Kept verbatim,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_matrix, reference_gram_gns
+from conftest import all_pairs_defect, basis_state_error, rand_matrix, reference_gram_gns
 from cstarkit import algebra, cli, gelfand, linalg, qm, spectral, states
 from cstarkit.errors import MalformedInput
 from cstarkit.tolerances import GKZ_REPORT_TOL, INVERTIBLE_TOL
@@ -172,12 +172,14 @@ class TestSubcommands:
         report = run_to_file(tmp_path, ["gkz", "--input", path])
         assert report["results"]["is_character"]
 
-    def test_gkz_reads_no_seed(self, tmp_path):
-        path = write_matrix(tmp_path / "rho.json", np.diag([0.25, 0.75]))
+    @pytest.mark.parametrize("command", ["characters", "gkz", "quotient-norm", "gns", "universal"])
+    def test_reads_no_seed(self, tmp_path, command):
+        """These commands accept and echo --seed but read nothing of it."""
+        argv = _seeded_argvs(tmp_path)[command][:-2]
         texts = []
         for seed in ("0", "9"):
             out = tmp_path / f"seed{seed}.json"
-            assert cli.run(["gkz", "--input", path, "--seed", seed, "--out", str(out)]) == 0
+            assert cli.run([command, *argv, "--seed", seed, "--out", str(out)]) == 0
             texts.append(out.read_text())
         assert '"seed": 0' in texts[0]
         assert texts[0].replace('"seed": 0', '"seed": 9') == texts[1]
@@ -196,17 +198,20 @@ class TestSubcommands:
     def test_universal_rep(self, tmp_path):
         path = write_matrix(tmp_path / "g.json", [[0.0, 1.0], [0.0, 0.0]])
         report = run_to_file(tmp_path, ["universal", "--input", path])
-        assert report["results"]["algebra_dim"] == 4
+        assert report["results"]["algebra_dim"] == 4 and report["results"]["injective"]
         assert report["residuals"]["max_isometry_residual"]["value"] <= 1e-7
+        assert report["residuals"]["star_homomorphism"]["value"] <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_universal_integers_on_real_gaussians(self, tmp_path, n):
         """The benchmark's universal inputs: M_n, the trace state's GNS space
-        C^n (x) C^n, and one rank-one norming state per basis element."""
+        C^n (x) C^n, and one rank-one norming state per basis element; the sum
+        is injective."""
         g = np.random.default_rng([n, 27]).standard_normal((n, n))
         path = write_matrix(tmp_path / "g.json", g)
         results = run_to_file(tmp_path, ["universal", "--input", path, "--seed", "7"])["results"]
-        assert results == {"algebra_dim": n * n, "hilbert_dim": n * n * (n + 1), "state_count": n * n + 1}
+        want = {"algebra_dim": n * n, "hilbert_dim": n * n * (n + 1), "state_count": n * n + 1}
+        assert results == {**want, "injective": True}
 
     def test_quotient_norm(self, tmp_path):
         doc = {
@@ -1113,27 +1118,19 @@ class TestArgvFuzz:
 # Reference implementations: the subcommands as they were before their
 # sampled checks were stacked and spectrum took one decomposition.  They are
 # kept verbatim, apart from the function names, so the new code is held to
-# their exact bytes.
+# their exact bytes; gns's residuals are its certificates taken one basis
+# pair and one basis element at a time.
 
 
-def _reference_gns_residuals(alg, state, rep, seed):
-    rng = np.random.default_rng(seed)
-    hom_resid = 0.0
-    contraction = 0.0
-    for _ in range(20):
-        a = algebra.random_element(alg, rng)
-        b = algebra.random_element(alg, rng)
-        pa, pb = rep.apply(a), rep.apply(b)
-        hom_resid = max(hom_resid, linalg.op_norm(rep.apply(a @ b) - pa @ pb))
-        hom_resid = max(hom_resid, linalg.op_norm(rep.apply(a.adjoint()) - pa.conj().T))
-        contraction = max(contraction, linalg.op_norm(pa) - a.norm())
-    state_resid = 0.0
-    if rep.cyclic_vector is not None:
-        for _ in range(20):
-            a = algebra.random_element(alg, rng)
-            lhs = complex(np.vdot(rep.cyclic_vector, rep.apply(a) @ rep.cyclic_vector))
-            state_resid = max(state_resid, abs(lhs - state(a)))
-    return hom_resid, contraction, state_resid
+def _reference_gns_residuals(rep):
+    """gns's certificates one basis pair and one dense image at a time: the
+    all-pairs *-homomorphism defect, the excess of ||pi(z)|| over ||z|| at the
+    generic z in SVD norms, and the state error on each basis element."""
+    alg = rep.algebra
+    z = alg.from_coords(algebra._generic_coords(alg.dim)[0])
+    excess = np.linalg.norm(rep.apply(z), 2) / np.linalg.norm(z, 2) - 1.0
+    state_resid = 0.0 if rep.cyclic_vector is None else basis_state_error(rep)
+    return all_pairs_defect(rep), max(0.0, excess), state_resid
 
 
 def _reference_cmd_gns(args) -> dict:
@@ -1145,13 +1142,13 @@ def _reference_cmd_gns(args) -> dict:
     values = [complex(np.trace(rho @ b)) for b in alg.basis]
     state = states.make_state(alg, values)
     rep = reference_gram_gns(alg, state)
-    hom_resid, contraction, state_resid = _reference_gns_residuals(alg, state, rep, args.seed)
+    hom_resid, contraction, state_resid = _reference_gns_residuals(rep)
     return {
         "inputs": {"input": cli.matrix_to_json(rho)},
         "results": {"hilbert_dim": rep.hilbert_dim, "algebra_dim": alg.dim},
         "residuals": {
             "star_homomorphism": cli._residual(hom_resid, 1e-9),
-            "contraction_excess": cli._residual(max(0.0, contraction), 1e-9),
+            "contraction_excess": cli._residual(contraction, 1e-9),
             "state_reproduction": cli._residual(state_resid, 1e-9),
         },
     }
@@ -1206,9 +1203,10 @@ def _density(rng, n, rank):
 
 
 class TestStackedGnsEquivalence:
-    """gns samples its checks in stacks on the n x n block of a (x) I_r, and
-    writes the bytes of the per-sample loop on the Gram path's (n r) x (n r)
-    images, apart from residual values within 1e-12."""
+    """gns checks its certificates on the n x n block of a (x) I_r, and writes
+    the bytes of the Gram path's (n r) x (n r) block with every certificate
+    taken one basis pair and one dense image at a time, apart from residual
+    values within 1e-12."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("rank", ["full", 2])
@@ -1222,32 +1220,34 @@ class TestStackedGnsEquivalence:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_residuals_without_cyclic_vector(self, n):
-        """The stacked checks give the per-sample loop's bits on a Gram-path
-        representation, and agree within 1e-12 on the multiplicity form."""
+        """The certificates agree within 1e-12 with the reference on a
+        Gram-path representation and on the multiplicity form; without a
+        cyclic vector the state error reads exactly 0 and the other two keep
+        their bits."""
         rng = np.random.default_rng(n)
         alg = algebra.full_matrix_algebra(n)
         rho = _density(rng, n, min(2, n))
         state = states.make_state(alg, [complex(np.trace(rho @ b)) for b in alg.basis])
-        for rep, tol in ((reference_gram_gns(alg, state), 0.0), (states.gns(alg, state), 1e-12)):
-            for r in (rep, dataclasses.replace(rep, cyclic_vector=None)):
-                for seed in (1, 44):
-                    got = cli._gns_sample_residuals(r, seed)
-                    hom, contraction, state_resid = _reference_gns_residuals(alg, state, r, seed)
-                    want = (hom, max(0.0, contraction), state_resid)
-                    assert np.max(np.abs(np.subtract(got, want))) <= tol
-            assert cli._gns_sample_residuals(dataclasses.replace(rep, cyclic_vector=None), 1)[2] == 0.0
+        for rep in (reference_gram_gns(alg, state), states.gns(alg, state)):
+            bare = dataclasses.replace(rep, cyclic_vector=None)
+            for r in (rep, bare):
+                got, want = states._gns_residuals(r), _reference_gns_residuals(r)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+            got, bare_got = states._gns_residuals(rep), states._gns_residuals(bare)
+            assert bare_got[:2] == got[:2] and bare_got[2] == 0.0
 
 
-def _gns_verdicts(rep, seed=4):
+def _gns_verdicts(rep):
     """Whether each gns residual of rep is within GNS_REPORT_TOL."""
-    return [value <= cli.GNS_REPORT_TOL for value in cli._gns_sample_residuals(rep, seed)]
+    return [value <= cli.GNS_REPORT_TOL for value in states._gns_residuals(rep)]
 
 
 class TestGnsResidualsFlip:
     """Each gns residual fails when the representation data is perturbed.  On
-    the matrix units the block is the basis itself, so the images are the
-    samples and the homomorphism and contraction checks read exactly 0, with
-    no norm computed; a block that differs in one bit takes the norms again."""
+    the matrix units the block is the basis itself, so the images at the
+    generic pair are its own matrices and the homomorphism and contraction
+    checks read exactly 0, with no norm computed; a block that differs in one
+    bit takes the norms again."""
 
     @pytest.fixture(params=[(2, 1), (3, 3), (4, 2), (6, 2)], ids=lambda p: f"n{p[0]}-rank{p[1]}")
     def rep(self, request):
@@ -1256,7 +1256,7 @@ class TestGnsResidualsFlip:
         alg = algebra.full_matrix_algebra(n)
         rep = states.gns(alg, states.make_state(alg, states._trace_values(alg, rho)))
         assert rep.hilbert_dim == n * rank
-        hom, contraction, state_resid = cli._gns_sample_residuals(rep, 4)
+        hom, contraction, state_resid = states._gns_residuals(rep)
         assert hom == contraction == 0.0 and state_resid <= cli.GNS_REPORT_TOL
         return rep
 
@@ -1275,18 +1275,19 @@ class TestGnsResidualsFlip:
         assert _gns_verdicts(scaled)[1] is False
 
     def test_one_ulp_block_takes_the_svd(self, rep, monkeypatch):
-        """With one block entry one ulp off, every sample's image moves: the
-        homomorphism defects and both sides of the contraction take the norm
-        kernel's eigvalsh again (the nudged E_11 stays Hermitian, so the
-        *-defects stay exactly 0), and each residual stays within tolerance."""
+        """With one block entry one ulp off, the product defect at the generic
+        pair moves: it takes the norm kernel's eigvalsh, then the four norms of
+        its terms, and the contraction takes ||z|| and ||pi(z)||.  The nudged
+        E_11 stays Hermitian, so the *-defect stays exactly 0 and takes no norm,
+        and each residual stays within tolerance."""
         block = rep.blocks[0].copy()
         block[0, 0, 0] = np.nextafter(block[0, 0, 0].real, 2.0)
         eigvalsh, stacks = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, **kw: stacks.append(len(a)) or eigvalsh(a, **kw))
-        cli._gns_sample_residuals(rep, 4)
+        states._gns_residuals(rep)
         assert stacks == []
-        residuals = cli._gns_sample_residuals(dataclasses.replace(rep, blocks=(block,)), 4)
-        assert stacks == [20, 20, 20]
+        residuals = states._gns_residuals(dataclasses.replace(rep, blocks=(block,)))
+        assert stacks == [1, 4, 1, 1]
         assert 0.0 < residuals[0] and all(r <= cli.GNS_REPORT_TOL for r in residuals)
 
     def test_perturbed_cyclic_vector_flips_state_reproduction(self, rep):
@@ -1510,20 +1511,22 @@ class TestNoStructureTensor:
 
     @pytest.mark.parametrize("command", list(cli._HANDLERS))
     def test_product_coords_unused(self, tmp_path, monkeypatch, command):
-        """Each subcommand applies representations one block at a time, and
-        none forms a full image with its multiplicities."""
-        blocks, full = [], []
-        block_images_each = states.Representation._block_images_each
+        """Each subcommand applies a representation's distinct block arrays,
+        here one each for gns and for universal on M_2, and none forms a full
+        image with its multiplicities."""
+        groups, full = [], []
+        distinct_images = states.Representation._distinct_images
 
-        def recording_block_images_each(self, mats):
-            blocks.append(len(self.blocks))
-            return block_images_each(self, mats)
+        def recording_distinct_images(self, coords):
+            images = distinct_images(self, coords)
+            groups.extend(img.shape[1] for img in images)
+            return images
 
-        monkeypatch.setattr(states.Representation, "_block_images_each", recording_block_images_each)
+        monkeypatch.setattr(states.Representation, "_distinct_images", recording_distinct_images)
         monkeypatch.setattr(states.Representation, "_apply_each", lambda *a: full.append(1))
         run_to_file(tmp_path, [command, *_seeded_argvs(tmp_path)[command]])
-        assert all(k == 1 for k in blocks) and not full
-        assert blocks or command != "gns"
+        assert all(m == 1 for m in groups) and not full
+        assert groups or command not in ("gns", "universal")
 
 
 def _reference_cmd_qm(args) -> dict:

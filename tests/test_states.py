@@ -1,5 +1,6 @@
 """States, positivity, Cauchy-Schwarz, the GNS construction, universal reps."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -7,7 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import product_coords, rand_matrix, reference_gram_gns
+from conftest import (
+    all_pairs_defect,
+    basis_state_error,
+    product_coords,
+    rand_matrix,
+    reference_gram_gns,
+)
 from cstarkit import algebra, cli, linalg, states
 from cstarkit.errors import (
     AlgebraMismatch,
@@ -18,6 +25,7 @@ from cstarkit.errors import (
     NotUnital,
     NotUnitVector,
 )
+from cstarkit.gelfand import cyclic_group_algebra
 
 
 def diag_algebra(entries):
@@ -365,8 +373,9 @@ class TestUniversalRep:
 
         spec = characters(alg)
         extra = [states.make_state(alg, chi.values) for chi in spec]
-        report = states.universal_rep(alg, extra_states=extra, seed=1)
+        report = states.universal_rep(alg, extra_states=extra)
         assert report.max_isometry_residual <= 1e-7
+        assert report.injective and report.star_homomorphism_residual <= 1e-9
 
     def test_zero_functional_is_not_a_state(self):
         m2 = algebra.full_matrix_algebra(2)
@@ -483,8 +492,11 @@ def _reference_direct_sum(alg, rep_matrices):
     return out
 
 
-def _reference_universal_rep(alg, extra_states=(), seed=0, samples=100):
-    """(dense (d, K, K) direct sum, max isometry residual, state count)."""
+def _reference_universal_rep(alg, extra_states=()):
+    """(dense (d, K, K) direct sum, isometry residual, state count, injectivity),
+    read off the dense sum: the rank of its basis images, and the gap
+    | ||pi(z)|| - ||z|| | / ||z|| in SVD norms at the generic z, or 1 without
+    full rank."""
     family = []
     if alg.unital:
         family.append(_reference_trace_state(alg))
@@ -493,11 +505,12 @@ def _reference_universal_rep(alg, extra_states=(), seed=0, samples=100):
         bb = b @ linalg.adjoint(b)
         family.append(states.norming_state(algebra.Element(alg, bb @ bb)))
     total = _reference_direct_sum(alg, [_reference_gns_matrices(alg, f) for f in family])
-    rng = np.random.default_rng(seed)
-    mats = algebra._random_matrices(alg, rng, samples)
-    images = algebra._combine_each(algebra._pairing_each(mats, alg.basis), total)
-    gaps = np.abs(linalg._op_norm_each(images) - linalg._op_norm_each(mats))
-    return total, float(np.max(gaps, initial=0.0)), len(family)
+    s = np.linalg.svd(total.reshape(alg.dim, -1), compute_uv=False)
+    injective = bool(len(s) == alg.dim and s[-1] > 1e-8 * s[0])
+    c = algebra._generic_coords(alg.dim)[0]
+    z = np.tensordot(c, alg.basis, axes=1)
+    gap = abs(np.linalg.norm(np.tensordot(c, total, axes=1), 2) / np.linalg.norm(z, 2) - 1.0)
+    return total, gap if injective else 1.0, len(family), injective
 
 
 def _generated(n, seed, real_field=False):
@@ -509,19 +522,22 @@ class TestStackedUniversalEquivalence:
     """universal_rep from blocks agrees to 1e-12 with the dense direct sum."""
 
     @staticmethod
-    def assert_same(alg, **kw):
+    def assert_same(alg, extra_states=(), seed=17, samples=10):
         """The GNS matrices are fixed only up to a unitary within each Gram
         eigenspace, so the sums are compared by what a unitary keeps: block
-        sizes, and norms of images of seeded samples."""
-        got = states.universal_rep(alg, **kw)
-        dense, worst, count = _reference_universal_rep(alg, **kw)
+        sizes, the certificate's verdicts and residuals, and norms of the
+        images of a stack of seeded samples of the given count."""
+        got = states.universal_rep(alg, extra_states)
+        dense, worst, count, injective = _reference_universal_rep(alg, extra_states)
         assert abs(got.max_isometry_residual - worst) <= 1e-12
+        assert got.injective == injective
+        assert abs(got.star_homomorphism_residual - all_pairs_defect(got.representation)) <= 1e-12
         assert got.state_count == count
         assert got.representation.hilbert_dim == dense.shape[1]
-        mats = algebra._random_matrices(alg, np.random.default_rng(17), 10)
+        mats = algebra._random_matrices(alg, np.random.default_rng(seed), samples)
         images = algebra._combine_each(algebra._pairing_each(mats, alg.basis), dense)
         norms = got.representation._norm_each(mats)
-        assert np.max(np.abs(norms - linalg._op_norm_each(images))) <= 1e-12
+        assert np.max(np.abs(norms - linalg._op_norm_each(images)), initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "alg",
@@ -542,7 +558,7 @@ class TestStackedUniversalEquivalence:
     @pytest.mark.parametrize("samples", [1, 20, 47])
     def test_hilbert_dim_80(self, samples):
         alg = _generated(4, 8)
-        assert states.universal_rep(alg, samples=0).representation.hilbert_dim == 80
+        assert states.universal_rep(alg).representation.hilbert_dim == 80
         self.assert_same(alg, seed=3, samples=samples)
 
     @pytest.mark.parametrize("samples", [0, 1, 3, 7, 15, 100])
@@ -608,7 +624,7 @@ class TestStackedNormingFamily:
             for got, want in zip(f._density_eigh, one._density_eigh):
                 assert np.array_equal(got, want)
             assert f._positivity == one._positivity and f._positivity.positive
-        assert states.universal_rep(alg, samples=0).state_count == alg.dim + 1
+        assert states.universal_rep(alg).state_count == alg.dim + 1
 
 
 class TestStackedTypedErrors:
@@ -687,6 +703,43 @@ def _assert_gram_integers_and_blocks(alg, f):
     return rep
 
 
+class TestUniversalFlips:
+    """universal's injectivity and isometry verdicts fail together when the
+    sum misses a block, and its *-homomorphism verdict when a block is
+    transposed."""
+
+    @staticmethod
+    def verdicts(rep):
+        defect, isometry, injective = states._isometry_certificate(rep)
+        return defect <= cli.GNS_REPORT_TOL, injective, isometry <= cli.UNIVERSAL_REPORT_TOL
+
+    def test_point_evaluation_on_c_plus_c_misses_a_block(self):
+        alg = diag_algebra([1.0, 2.0])
+        assert self.verdicts(states.universal_rep(alg).representation) == (True, True, True)
+        point = states.gns(alg, states.vector_state(alg, [1.0, 0.0]))  # a -> a_11
+        assert point.hilbert_dim == 1
+        assert self.verdicts(point) == (True, False, False)
+
+    def test_state_supported_on_m2_misses_c(self):
+        alg = algebra.algebra_from_generators([_e12(3)])
+        assert alg.dim == 5  # M_2 + C
+        assert self.verdicts(states.universal_rep(alg).representation) == (True, True, True)
+        on_m2 = states.gns(alg, states.vector_state(alg, [1.0, 0.0, 0.0]))
+        assert on_m2.hilbert_dim == 2
+        assert self.verdicts(on_m2) == (True, False, False)
+        rest = states.gns(alg, states.vector_state(alg, [0.0, 0.0, 1.0]))
+        assert self.verdicts(states.direct_sum_reps([on_m2, rest])) == (True, True, True)
+
+    @pytest.mark.parametrize("alg", [algebra.full_matrix_algebra(2), _generated(3, 6)], ids=["M2", "gen3"])
+    def test_transposed_block_flips_star_homomorphism(self, alg):
+        """Transposition keeps every norm, so only the *-homomorphism verdict
+        sees it."""
+        rep = states.universal_rep(alg).representation
+        flipped = {id(b): b.swapaxes(1, 2).copy() for b in rep.blocks}
+        transposed = dataclasses.replace(rep, blocks=tuple(flipped[id(b)] for b in rep.blocks))
+        assert self.verdicts(transposed) == (False, True, True)
+
+
 class TestGnsMultiplicity:
     """On all of M_n, gns is a -> a (x) I_r, and on every algebra it has the
     Gram path's integers."""
@@ -709,14 +762,14 @@ class TestGnsMultiplicity:
     def test_universal_on_generated_full_matrix_algebras(self, n):
         alg = _generated(n, 30 + n)
         assert alg.dim == n * n
-        report = states.universal_rep(alg, samples=3)
+        report = states.universal_rep(alg)
         got = (report.representation.hilbert_dim, report.state_count)
         assert got == _reference_universal_integers(alg)
 
     def test_universal_off_full_matrix_algebra_keeps_the_gram_integers(self):
         alg = algebra.algebra_from_generators([_e12(3)])
         assert alg.dim == 5  # M_2 + C
-        report = states.universal_rep(alg, samples=3)
+        report = states.universal_rep(alg)
         rep = report.representation
         assert (rep.hilbert_dim, report.state_count) == _reference_universal_integers(alg)
         assert set(rep.multiplicities) == {1}
@@ -777,7 +830,7 @@ class TestGnsGram:
         rho = random_density(np.random.default_rng(12), 3)
         state = states.make_state(alg, states._trace_values(alg, rho))
         states.gns(alg, state)
-        states.universal_rep(alg, samples=3)
+        states.universal_rep(alg)
         assert calls == []
 
     def test_not_positive_still_rejected(self):
@@ -1003,14 +1056,20 @@ def _unitary(rng, n):
     return q
 
 
+def _three_blocks():
+    """M_3 + M_2 + C in M_6, d = 14."""
+    m3, m2, m1 = (algebra.full_matrix_algebra(k) for k in (3, 2, 1))
+    return algebra.direct_sum_algebras(algebra.direct_sum_algebras(m3, m2), m1)
+
+
 class TestGnsRounding:
     @pytest.mark.parametrize("seed", range(6))
     def test_ill_conditioned_density_on_three_blocks(self, seed):
         """A state on M_3 + M_2 + C (d = 14) whose density has eigenvalues
         from 1 to 1e-9: the Gram path's pinv = V / sqrt(w) gave *-homomorphism
-        residuals up to 7e-12; the density path stays near rounding."""
-        m3, m2, m1 = (algebra.full_matrix_algebra(k) for k in (3, 2, 1))
-        alg = algebra.direct_sum_algebras(algebra.direct_sum_algebras(m3, m2), m1)
+        residuals up to 7e-12; the density path stays near rounding, at the
+        generic pair and on every basis pair."""
+        alg = _three_blocks()
         assert alg.dim == 14
         rng = np.random.default_rng(seed)
         w = rng.permutation(np.logspace(0, -9, 6))
@@ -1020,8 +1079,70 @@ class TestGnsRounding:
         state = states.make_state(alg, states._trace_values(alg, rho / np.trace(rho).real))
         rep = states.gns(alg, state)
         assert rep.hilbert_dim == reference_gram_gns(alg, state).hilbert_dim == 14
-        for sample_seed in (0, 1):
-            assert cli._gns_sample_residuals(rep, sample_seed)[0] <= 1e-12
+        assert states._gns_residuals(rep)[0] <= 1e-12
+        assert all_pairs_defect(rep) <= 1e-12
+
+
+def _gns_of_a_density(alg, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, alg.ambient_dim)
+    return states.gns(alg, states.make_state(alg, states._trace_values(alg, rho)))
+
+
+def _defective_maps(rep):
+    """rep with its one block replaced by a map that is not a *-homomorphism,
+    or with its cyclic vector moved, by name."""
+    (block,) = rep.blocks
+    d, k, _ = block.shape
+    s = np.diag(np.arange(1.0, k + 1))
+    one_image = block.copy()
+    one_image[-1] = one_image[-1] + 1e-6 * np.ones((k, k))
+    x = rep.cyclic_vector.copy()
+    x[0] += 1e-6
+    return {
+        "transposed": dataclasses.replace(rep, blocks=(block.swapaxes(1, 2),)),
+        "similar": dataclasses.replace(rep, blocks=(s @ block @ np.linalg.inv(s),)),
+        "scaled": dataclasses.replace(rep, blocks=(block * (1 + 1e-6),)),
+        "one-image": dataclasses.replace(rep, blocks=(one_image,)),
+        "cyclic-vector": dataclasses.replace(rep, cyclic_vector=x),
+    }
+
+
+_CERTIFIED_ALGEBRAS = {
+    **{f"M{n}": (lambda n=n: algebra.full_matrix_algebra(n)) for n in range(1, 5)},
+    "M3+M2+C": _three_blocks,
+    "C[Z5]": lambda: cyclic_group_algebra(5),
+}
+
+
+class TestGenericPairCertificateEquivalence:
+    """The generic-pair *-homomorphism verdict equals the verdict over every
+    basis pair and element (conftest.all_pairs_defect), and the state
+    reproduction verdict on the basis equals one dense image per basis element,
+    on the GNS representation of a density and on each defective map of it."""
+
+    @pytest.mark.parametrize("name", list(_CERTIFIED_ALGEBRAS))
+    def test_verdicts(self, name):
+        rep = _gns_of_a_density(_CERTIFIED_ALGEBRAS[name](), 3)
+        for label, r in {"gns": rep, **_defective_maps(rep)}.items():
+            hom, _, state_resid = states._gns_residuals(r)
+            assert (hom <= cli.GNS_REPORT_TOL) == (all_pairs_defect(r) <= cli.GNS_REPORT_TOL), label
+            want = basis_state_error(r) <= cli.GNS_REPORT_TOL
+            assert (state_resid <= cli.GNS_REPORT_TOL) == want, label
+
+    @pytest.mark.parametrize("name", list(_CERTIFIED_ALGEBRAS))
+    def test_each_defect_fails(self, name):
+        """Every defective map fails its certificate: a scaled block also
+        fails the contraction, a moved cyclic vector only the state."""
+        rep = _gns_of_a_density(_CERTIFIED_ALGEBRAS[name](), 3)
+        assert all(r <= cli.GNS_REPORT_TOL for r in states._gns_residuals(rep))
+        maps = _defective_maps(rep)
+        verdicts = {k: [r <= cli.GNS_REPORT_TOL for r in states._gns_residuals(m)] for k, m in maps.items()}
+        assert verdicts["scaled"][:2] == [False, False]
+        assert verdicts["one-image"][0] is False
+        assert verdicts["cyclic-vector"] == [True, True, False]
+        if name not in ("M1", "C[Z5]"):  # a commutative block stays a *-homomorphism
+            assert verdicts["transposed"][0] is verdicts["similar"][0] is False
 
 
 class TestTypedErrors:
