@@ -265,8 +265,8 @@ def cmd_exp(args) -> dict:
 
 def cmd_sqrt(args) -> dict:
     m = _square_input(parse_matrix(args.input))
-    root, scale = spectral._sqrt_and_scale(m, args.tol)
-    square_resid = linalg.op_norm(root @ root - m) / scale
+    root, norm = spectral._sqrt_and_norm(m, args.tol)
+    square_resid = linalg.op_norm(root @ root - m) / norm if norm else 0.0
     return {
         "inputs": {"input": m},
         "results": {"sqrt": root},

@@ -60,8 +60,6 @@ def _op_norm_each(mats: np.ndarray) -> np.ndarray:
     the bits the matrix gets alone.  NoConvergence for an entry that is not
     finite; Overflow when a finite matrix's norm leaves the float range.
     """
-    if not mats.size:
-        return np.zeros(len(mats))
     live = np.any(mats, axis=(1, 2))
     if live.all():
         return _gram_norms(mats)
@@ -72,16 +70,23 @@ def _op_norm_each(mats: np.ndarray) -> np.ndarray:
 
 
 def _gram_norms(mats: np.ndarray) -> np.ndarray:
-    """_op_norm_each of a (k, p, q) stack whose matrices are all nonzero."""
+    """_op_norm_each of a (k, p, q) stack, with LAPACK also on its zero matrices."""
+    if not mats.size:
+        return np.zeros(len(mats))
     if not np.isfinite(mats).all():
         raise NoConvergence("op_norm: a matrix entry is not finite")
     a, e = _unit_scaled_each(mats)
     adj = a.conj().swapaxes(1, 2)
     gram = a @ adj if a.shape[1] < a.shape[2] else adj @ a
-    root = np.sqrt(_lapack(np.linalg.eigvalsh, gram)[:, -1])
-    if (np.frexp(root)[1] + e[:, 0] > 1024).any():  # 2^e sqrt(lambda) is above the largest float
+    return _scaled_back(np.sqrt(_lapack(np.linalg.eigvalsh, gram)[:, -1]), e[:, 0])
+
+
+def _scaled_back(norms: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The norms of the matrices 2^e a_s, given those of their scalings a_s; Overflow
+    when one is above the largest float."""
+    if (np.frexp(norms)[1] + e > 1024).any():
         raise Overflow("op_norm leaves the float range")
-    return np.ldexp(root, e[:, 0])
+    return np.ldexp(norms, e)
 
 
 def ldexp(m, e: int) -> np.ndarray:
@@ -110,23 +115,25 @@ def _unit_scaled_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_residual(m: np.ndarray) -> float:
-    """Relative defect ||m - m*|| / ||m||, computed on unit_scaled(m)."""
-    return float(_hermitian_residual_each(np.asarray(m)[None])[0])
+    """Relative defect ||m - m*|| / ||m||, computed on unit_scaled(m): 0.0 with no
+    norm when m is exactly Hermitian."""
+    if np.array_equal(m, np.conj(m).T):
+        return 0.0
+    return float(_hermitian_residual_each(np.asarray(m)[None])[0][0])
 
 
-def _hermitian_residual_each(mats: np.ndarray) -> np.ndarray:
-    """hermitian_residual of each matrix of a (k, n, n) stack, each on its own
-    power-of-two scaling.  Exactly Hermitian matrices, the zero matrix
-    included, read 0.0 without computing a norm."""
-    scaled = _unit_scaled_each(mats)[0]
-    skew = scaled - scaled.conj().swapaxes(1, 2)
-    live = np.any(skew, axis=(1, 2))
-    if live.all():
-        return _op_norm_each(skew) / _op_norm_each(scaled)
-    out = np.zeros(len(mats))
-    if live.any():
-        out[live] = _op_norm_each(skew[live]) / _op_norm_each(scaled[live])
-    return out
+def _hermitian_residual_each(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """hermitian_residual of each matrix a of a (k, n, n) stack, ||a||, and the
+    Hermitian part (a + a*) / 2, all on a's power-of-two scaling: the norms have
+    the bits of _op_norm_each of a and of its skew part, from one _gram_norms,
+    and (a + a*) / 2 cannot overflow.  NoConvergence for an entry that is not
+    finite; Overflow when ||a|| leaves the float range."""
+    scaled, e = _unit_scaled_each(mats)
+    adj = scaled.conj().swapaxes(1, 2)
+    norms = _gram_norms(np.concatenate([scaled, scaled - adj]))
+    norms, skew_norms = norms[: len(mats)], norms[len(mats) :]
+    defects = np.divide(skew_norms, norms, out=np.zeros(len(mats)), where=norms > 0)
+    return defects, _scaled_back(norms, e[:, 0]), ldexp(scaled + adj, e[:, :, None] - 1)
 
 
 def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:

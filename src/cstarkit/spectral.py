@@ -6,6 +6,10 @@ spectral point, their mean, or the point itself when they are equal.  For
 elements of non-unital algebras this matches the convention of passing to
 the unitization.  The real field mode filters to (numerically) real
 eigenvalues and may yield the empty set.
+
+Positivity has one gate (_positivity_each), relative to ||a|| with no floor:
+sqrt_positive, classify, the norming states and every functional's density
+are judged by it, so s a and a get one verdict for every s > 0.
 """
 
 from __future__ import annotations
@@ -330,65 +334,55 @@ def poly_apply(a, coeffs) -> Element:
 
 
 def classify(a) -> ElementFlags:
-    """Hermitian / unitary / normal / positive flags by residual tests within CLASSIFY_TOL."""
+    """Hermitian / unitary / normal / positive flags within CLASSIFY_TOL: the positivity
+    gate's (_positivity_each) and _normal_and_norms's, which hold for s a as for a; and
+    ||a a* - 1||, ||a* a - 1|| <= CLASSIFY_TOL max(1, ||a||^2), as unitarity is not
+    homogeneous, formed only at ||a|| <= 2: past it they cannot hold, and may overflow."""
     m = _matrix_of(a)
-    scale = linalg.op_norm(m)
-    herm = linalg.hermitian_residual(m) <= CLASSIFY_TOL
-    adj = linalg.adjoint(m)
-    norm_res = linalg.op_norm(m @ adj - adj @ m)
-    normal = norm_res <= CLASSIFY_TOL * max(1.0, scale**2)
-    unitary = False
+    (positive,), _, (defect,), _, _, (norm,) = _positivity_each(m[None])
     has_unit = not (isinstance(a, Element) and a.algebra is not None and not a.algebra.unital)
-    if has_unit:
-        e = _identity_of(a)
-        unitary = (
-            linalg.op_norm(m @ adj - e) <= CLASSIFY_TOL * max(1.0, scale**2)
-            and linalg.op_norm(adj @ m - e) <= CLASSIFY_TOL * max(1.0, scale**2)
-        )
-    positive = herm
-    if herm:
-        try:
-            _positive_eig(m, CLASSIFY_TOL)
-        except NotPositive:
-            positive = False
-    return ElementFlags(herm, unitary, normal, positive)
+    u, adj, unit_test = _identity_of(a), m.conj().T, has_unit and norm <= 2.0
+    normal, unit_norms = _normal_and_norms(m, [m @ adj - u, adj @ m - u] if unit_test else [])
+    unitary = unit_test and max(unit_norms) <= CLASSIFY_TOL * max(1.0, norm**2)
+    return ElementFlags(bool(defect <= CLASSIFY_TOL), bool(unitary), normal, bool(positive))
 
 
-def _positive_eig(a, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """eigh of a positive element, and max(1, ||a||); NotPositive for any other."""
-    w, v, scale = _positive_eig_each(linalg.require_square(_matrix_of(a))[None], tol)
-    return w[0], v[0], float(scale[0])
+def _normal_and_norms(m: np.ndarray, extra=()) -> tuple[bool, np.ndarray]:
+    """Whether m is normal: ||s s* - s* s|| <= CLASSIFY_TOL ||s||^2 on m's power-of-two
+    scaling s (linalg.unit_scaled), so s m is normal as m is; and the norms of the
+    matrices of extra, from the same _op_norm_each stack."""
+    s = linalg.unit_scaled(m)
+    adj = s.conj().T
+    norms = linalg._op_norm_each(np.stack([s, s @ adj - adj @ s, *extra]))
+    return bool(norms[1] <= CLASSIFY_TOL * norms[0] ** 2), norms[2:]
 
 
-def _positive_eig_each(mats: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """eigh of each matrix of a (k, n, n) stack, and each max(1, ||a||), from one
-    Hermitian test, one eigh and one op-norm stack; NotPositive unless every
-    matrix is positive.
-
-    Positive is classify()'s test: Hermitian within tol, and no eigenvalue
-    below -tol * max(1, ||a||).  Each test fails when it reads NaN.  The
-    Hermitian test runs once, so eigh is called directly, not herm_eig.
+def _positivity_each(mats: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, ...]:
+    """The positivity gate, for each matrix a of a (k, n, n) stack: its Hermitian
+    defect ||a - a*|| / ||a||, its norm ||a|| and its Hermitian part (a + a*) / 2
+    (linalg._hermitian_residual_each), the eigenpairs (w, v) of one eigh of that
+    part, and the verdict: a is positive when the defect is at most tol and no
+    eigenvalue is below -tol ||a||.  Both tests are relative to ||a||, with no
+    floor, so s a gets a's verdict for every s > 0, up to the rounding of s a; each
+    fails when it reads NaN.  Returns (positive, least eigenvalue, defect, w, v, norm).
     """
-    message = "element is not positive (Hermitian with spectrum >= 0)"
-    if not np.all(linalg._hermitian_residual_each(mats) <= tol):
-        raise NotPositive(message)
-    w, v = np.linalg.eigh(mats)
-    scale = np.fmax(1.0, linalg._op_norm_each(mats))
-    if w.shape[-1] and not np.all(w.min(axis=1) >= -tol * scale):
-        raise NotPositive(message)
-    return w, v, scale
+    defect, norm, hermitian_part = linalg._hermitian_residual_each(mats)
+    w, v = np.linalg.eigh(hermitian_part)
+    least = w[:, 0] if w.shape[1] else np.zeros(len(mats))
+    return (defect <= tol) & (least >= -tol * norm), least, defect, w, v, norm
 
 
 def sqrt_positive(a, tol: float = CLASSIFY_TOL) -> Element:
     """Hermitian square root of a positive element via its eigendecomposition."""
-    root, _ = _sqrt_and_scale(a, tol)
-    return Element(a.algebra if isinstance(a, Element) else None, root)
+    return Element(a.algebra if isinstance(a, Element) else None, _sqrt_and_norm(a, tol)[0])
 
 
-def _sqrt_and_scale(a, tol: float) -> tuple[np.ndarray, float]:
-    """The matrix of sqrt_positive(a, tol), and the max(1, ||a||) of its positivity test."""
-    w, v, scale = _positive_eig(a, tol)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T, scale
+def _sqrt_and_norm(a, tol: float) -> tuple[np.ndarray, float]:
+    """The matrix of sqrt_positive(a, tol), and the norm ||a|| of its positivity test."""
+    (positive,), _, _, (w,), (v,), (norm,) = _positivity_each(_matrix_of(a)[None], tol)
+    if not positive:
+        raise NotPositive("element is not positive (Hermitian with spectrum >= 0)")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T, float(norm)
 
 
 def func_calc(a, f) -> Element:
@@ -403,7 +397,7 @@ def func_calc(a, f) -> Element:
     eps ||m|| over the gap between real parts.
     """
     m = _matrix_of(a)
-    if not classify(a).normal:
+    if not _normal_and_norms(m)[0]:
         raise NotNormal("functional calculus requires a normal element")
     w, v = linalg._lapack(np.linalg.eig, m)
     q, _ = np.linalg.qr(v)
@@ -428,9 +422,8 @@ def commutator_scalar_test(a: Element, b: Element) -> CommutatorReport:
     n = c.shape[0]
     trace = complex(np.trace(c))
     lam = trace / n
-    residual = linalg.op_norm(c - lam * np.eye(n))
-    scale = max(1.0, linalg.op_norm(ma) * linalg.op_norm(mb))
-    return CommutatorReport(trace, lam, residual, residual <= CLASSIFY_TOL * scale)
+    residual, na, nb = linalg._op_norm_each(np.stack([c - lam * np.eye(n), ma, mb])).tolist()
+    return CommutatorReport(trace, lam, residual, residual <= CLASSIFY_TOL * na * nb)
 
 
 def _hausdorff(p: list[complex], q: list[complex]) -> float:

@@ -4,7 +4,8 @@ A functional is stored by its values on the algebra's orthonormal basis,
 so functionals on proper subalgebras are intrinsic; on the algebra A it is
 f(a) = tr(D a) for the density D = sum_l f(b_l) b_l*, which lies in A when
 A is *-closed.  So f is positive exactly when D >= 0 (a negative eigenspace's
-projection p is a polynomial in D, with f(p) < 0), and with W = V diag(sqrt(w))
+projection p is a polynomial in D, with f(p) < 0), which spectral's positivity
+gate decides on the stack of densities; and with W = V diag(sqrt(w))
 over D's kept eigenpairs, f(b* a) = <a W, b W>: [a] -> a W maps the GNS space
 onto H = A W in C^n (x) C^r, r = rank D, and the GNS representation is
 a -> a (x) I_r on H.  A representation is its blocks with their
@@ -30,13 +31,12 @@ from .errors import (
     NotUnitVector,
 )
 from .linalg import _unit_scaled_each
-from .spectral import _matrix_of, _positive_eig_each
+from .spectral import _matrix_of, _positivity_each
 from .tolerances import (
     CLASSIFY_TOL,
     DENSITY_FACTOR_TOL,
     GRAM_NULL_TOL,
     INJECTIVITY_TOL,
-    POSITIVITY_TOL,
     UNIT_VALUE_TOL,
     UNIT_VECTOR_TOL,
 )
@@ -178,22 +178,16 @@ def is_positive_functional(alg: Algebra, f: Functional) -> PositivityReport:
 
 
 def _positivities(alg: Algebra, fs: list[Functional]) -> list[PositivityReport]:
-    """The positivity report of each functional of fs, from one stack of their
-    densities D and one eigh of the Hermitian parts; each f caches its report
-    and its eigenpairs (_density_eigh).  A report holds D's Hermitian defect
-    sqrt(n) ||D - D*||_F and least eigenvalue, relative to max(1, max|D_ij|):
-    on the matrix units, the Gram matrix's defect and scale."""
+    """The positivity report of each functional of fs: the positivity gate
+    (spectral._positivity_each) on one stack of their densities D, whose Hermitian
+    defect ||D - D*|| / ||D||, least eigenvalue and verdict make the report; each f
+    caches its report and its eigenpairs (_density_eigh)."""
     if not alg.star_closed:
         raise NotStarClosed("positivity needs a *-closed algebra (the density must lie in it)")
     values = np.array([f.values for f in fs]).reshape(len(fs), alg.dim)
     dens = _combine_each(values, alg.basis.conj().swapaxes(1, 2))
-    dens_h = dens.conj().swapaxes(1, 2)
-    w, v = np.linalg.eigh((dens + dens_h) / 2.0)
-    scale = np.fmax(1.0, np.abs(dens).max(axis=(1, 2), initial=0.0))
-    defect = np.sqrt(alg.ambient_dim) * np.linalg.norm(dens - dens_h, axis=(1, 2)) / scale
-    min_eig = w[:, 0] if w.shape[1] else np.zeros(len(fs))
-    positive = (defect <= POSITIVITY_TOL) & (min_eig >= -POSITIVITY_TOL * scale)
-    reports = [PositivityReport(*r) for r in zip(positive.tolist(), min_eig.tolist(), defect.tolist())]
+    positive, least, defect, w, v, _ = _positivity_each(dens)
+    reports = [PositivityReport(*r) for r in zip(positive.tolist(), least.tolist(), defect.tolist())]
     for f, wf, vf, report in zip(fs, w, v, reports):
         vars(f).update(_density_eigh=(wf, vf), _positivity=report)
     return reports
@@ -202,11 +196,11 @@ def _positivities(alg: Algebra, fs: list[Functional]) -> list[PositivityReport]:
 def _require_positive(report: PositivityReport) -> None:
     """NotPositive naming the failed test, unless the report is positive."""
     if not report.positive:
-        if not report.hermitian_defect <= POSITIVITY_TOL:
+        if not report.hermitian_defect <= CLASSIFY_TOL:
             test = f"density Hermitian defect {report.hermitian_defect:.3e} exceeds"
         else:
-            test = f"min density eigenvalue {report.min_gram_eigenvalue:.3e} is below -max(1, |D|) *"
-        raise NotPositive(f"{test} {POSITIVITY_TOL:.1e}")
+            test = f"min density eigenvalue {report.min_gram_eigenvalue:.3e} is below -||D|| *"
+        raise NotPositive(f"{test} {CLASSIFY_TOL:.1e}")
 
 
 def _positive_density(alg: Algebra, f: Functional) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +220,9 @@ def make_state(alg: Algebra, values) -> State:
 def _make_states(alg: Algebra, values: np.ndarray) -> list[State]:
     """make_state of each row of a complex (k, d) stack: each test over every row
     before the next (one density eigh and one f(1) pairing), in make_state's
-    order, and the first row that fails a test raises.  Every test fails on NaN;
-    an empty stack has nothing to test."""
+    order, and the first row that fails a test raises.  A NaN value is
+    NoConvergence at the positivity gate, and f(1) = NaN fails its test; an
+    empty stack has nothing to test."""
     fs = [State(alg, v) for v in values]
     if not fs:
         return fs
@@ -296,8 +291,10 @@ def norming_state(a: Element) -> State:
 
 def _norming_states(alg: Algebra, mats: np.ndarray) -> list[State]:
     """norming_state of each positive member of alg in a (k, n, n) stack: the
-    vector states of their top eigenvectors, from one _positive_eig_each."""
-    _, v, _ = _positive_eig_each(mats, CLASSIFY_TOL)
+    vector states of their top eigenvectors, from one positivity gate."""
+    positive, *_, v, _ = _positivity_each(mats)
+    if not positive.all():
+        raise NotPositive("a norming element is not positive (Hermitian with spectrum >= 0)")
     return _vector_states(alg, v[:, :, -1])
 
 

@@ -36,7 +36,8 @@ LINALG_TOL = 1e-9
 # Eigenvalues linked by a chain of gaps, each within r = CLUSTER_SCALE * (1 + max |eigenvalue|),
 # are one spectral point.
 CLUSTER_SCALE = 1e-7
-# Relative residual of classify's flags, of positivity (sqrt_positive) and of a scalar commutator.
+# Relative to ||a||, no floor: the positivity gate's Hermitian defect and least eigenvalue (every
+# element and density); relative to ||a||^2, normality; to ||a|| ||b||, a scalar commutator.
 CLASSIFY_TOL = 1e-9
 # Bound on the tail of neumann_inverse's series.
 NEUMANN_TOL = 1e-12
@@ -64,9 +65,6 @@ UNIT_VALUE_TOL = 1e-6
 
 # -- States and GNS (states)
 
-# Hermitian defect and negative eigenvalue of a positive functional's density D,
-# relative to max(1, max|D_ij|).
-POSITIVITY_TOL = 1e-9
 # Density eigenvalues, and squared singular values of the GNS coset matrix (the
 # Gram eigenvalues), at most this times the largest one span the GNS null space.
 GRAM_NULL_TOL = 1e-10
@@ -94,7 +92,7 @@ DENSITY_TOL = 1e-8
 RADIUS_REPORT_TOL = 1e-3
 # exp: ||e^m e^-m - I||, and the excess of ||e^m|| over e^||m||.
 EXP_REPORT_TOL = 1e-9
-# sqrt: ||root^2 - m|| / max(1, ||m||).
+# sqrt: ||root^2 - m||, relative to ||m|| (0 for m = 0).
 SQRT_REPORT_TOL = 1e-8
 # characters: the largest multiplicativity residual.
 CHARACTERS_REPORT_TOL = 1e-7

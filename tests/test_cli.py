@@ -829,6 +829,21 @@ class TestPositivityExits:
         root = np.array(report["results"]["sqrt"]["data"])[:, 0]
         assert np.allclose(root[[0, 3]], 1e150, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("value", [-1e-12, -1e-300])
+    def test_tiny_negative_is_not_positive(self, tmp_path, capsys, value):
+        """The gate is relative to ||m||: a negative 1 x 1 fails at any scale."""
+        path = write_matrix(tmp_path / "n.json", [[value]])
+        assert cli.run(["sqrt", "--input", path]) == 1
+        assert capsys.readouterr().err.startswith("error: NotPositive: ")
+
+    def test_tiny_positive_and_zero(self, tmp_path):
+        """The residual is relative to ||m||, and 0 for the zero matrix."""
+        report = run_to_file(tmp_path, ["sqrt", "--input", write_matrix(tmp_path / "p.json", [[1e-300]])])
+        assert report["results"]["sqrt"]["data"] == [[1e-150, 0.0]]
+        assert report["residuals"]["square_minus_input"]["value"] == 0.0
+        report = run_to_file(tmp_path, ["sqrt", "--input", write_matrix(tmp_path / "z.json", np.zeros((2, 2)))])
+        assert report["residuals"]["square_minus_input"]["value"] == 0.0
+
     def test_overflowing_non_hermitian_input_fails_closed(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "z.json", [[1e308 + 1e308j]])
         assert cli.run(["sqrt", "--input", path]) == 1

@@ -175,12 +175,29 @@ class TestHermitianResidual:
 
     def test_stack_rows_keep_their_bits(self):
         """Each matrix of a stack is scaled by its own power of two and read
-        as it is alone; Hermitian and zero ones read 0.0."""
+        as it is alone; Hermitian and zero ones read 0.0.  The norms beside the
+        defects have the bits of _op_norm_each, and the Hermitian parts those of
+        (a + a*) / 2, which here stays in range."""
         rng = np.random.default_rng(9)
         mats = [rand_matrix(rng, 5), rand_hermitian(rng, 5), 2.0**900 * rand_matrix(rng, 5), np.zeros((5, 5))]
-        got = linalg._hermitian_residual_each(np.array(mats, dtype=complex))
+        stack = np.array(mats, dtype=complex)
+        got, norms, parts = linalg._hermitian_residual_each(stack)
         assert got.tolist() == [linalg.hermitian_residual(m) for m in mats]
         assert got[1] == got[3] == 0.0 < got[0]
+        assert norms.tolist() == linalg._op_norm_each(stack).tolist()
+        assert np.array_equal(parts, (stack + stack.conj().swapaxes(1, 2)) / 2.0)
+
+    def test_hermitian_part_at_the_ends_of_the_float_range(self):
+        """(a + a*) / 2 is summed on a's power-of-two scaling: no overflow near
+        the largest float, and the smallest subnormal keeps its bit."""
+        for m in ([[1.7e308, 1e300], [1e300, -1.7e308]], [[-5e-324]]):
+            stack = np.array([m], dtype=complex)
+            *_, parts = linalg._hermitian_residual_each(stack)
+            assert np.array_equal(parts, stack)
+
+    def test_norm_past_the_float_range_is_overflow(self):
+        with pytest.raises(Overflow):
+            linalg._hermitian_residual_each(np.full((1, 2, 2), 1.7e308, dtype=complex))
 
     @pytest.mark.parametrize("k", [1000, -1000])
     def test_power_of_two_scale_keeps_every_bit(self, k):

@@ -245,6 +245,17 @@ class TestClassify:
         flags = spectral.classify(amb([[0.0, 1.0], [0.0, 0.0]]))
         assert not any([flags.hermitian, flags.unitary, flags.normal, flags.positive])
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-200, 2.0**-1000, 2.0**1000])
+    def test_small_nilpotent_is_not_normal(self, scale):
+        """||a a* - a* a|| is compared with ||a||^2, with no floor at 1."""
+        flags = spectral.classify(amb(scale * np.array([[0.0, 1.0], [0.0, 0.0]])))
+        assert not any([flags.hermitian, flags.unitary, flags.normal, flags.positive])
+
+    @pytest.mark.parametrize("scale", [2.0, 1e300])
+    def test_scaled_unitary_is_normal_not_unitary(self, scale):
+        flags = spectral.classify(amb(scale * np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert flags.hermitian and flags.normal and not flags.unitary and not flags.positive
+
 
 class TestSqrtPositive:
     def test_integer_square_root(self):
@@ -291,9 +302,10 @@ class TestFuncCalc:
         via_sqrt = spectral.sqrt_positive(amb(m)).matrix
         assert linalg.op_norm(via_calc - via_sqrt) <= 1e-9 * linalg.op_norm(via_sqrt)
 
-    def test_rejects_non_normal(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_rejects_non_normal(self, scale):
         with pytest.raises(NotNormal):
-            spectral.func_calc(amb([[0.0, 1.0], [0.0, 0.0]]), np.exp)
+            spectral.func_calc(amb(scale * np.array([[0.0, 1.0], [0.0, 0.0]])), np.exp)
 
     def test_a_result_outside_the_algebra_is_ambient(self):
         """f = 1 on C diag(1, 0), whose unit is not I: f(a) = I lies outside it."""
@@ -388,6 +400,26 @@ class TestCommutatorScalar:
         rep = spectral.commutator_scalar_test(a, b)
         assert not rep.scalar_commutator
         assert abs(rep.trace_value) <= 1e-12
+
+    def test_small_matrix_units_are_not_scalar(self):
+        """The residual is compared with ||a|| ||b||, with no floor at 1."""
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = spectral.commutator_scalar_test(amb(1e-6 * e12), amb(1e-6 * e12.T))
+        assert rep.scalar_residual == pytest.approx(1e-12) and not rep.scalar_commutator
+
+    @pytest.mark.parametrize("k", [500, -500])
+    def test_scaled_pairs_keep_their_verdict(self, k):
+        rng = np.random.default_rng(32)
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        pairs = [(np.diag([1.0, 2.0]), np.diag([5.0, -1.0])), (e12, e12.T)]
+        pairs += [(rand_matrix(rng, 3), rand_matrix(rng, 3)), (np.eye(3), rand_matrix(rng, 3))]
+        for a, b in pairs:
+            want = spectral.commutator_scalar_test(amb(a), amb(b)).scalar_commutator
+            got = spectral.commutator_scalar_test(amb(2.0**k * a), amb(2.0**k * b))
+            assert got.scalar_commutator == want
+        assert [spectral.commutator_scalar_test(amb(a), amb(b)).scalar_commutator for a, b in pairs] == [
+            True, False, False, True
+        ]
 
 
 class TestSpecSymmetry:
@@ -852,3 +884,72 @@ class TestPositiveEigendecomposition:
         monkeypatch.setattr(linalg.np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
             linalg.op_norm(np.eye(2))
+
+
+_SCALES = [2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000]
+
+
+def _gate_input(seed, n, kind):
+    """A seeded n x n matrix of one kind, and the flags (hermitian, normal, positive)
+    it must get: positive definite with eigenvalues in [0.1, 1]; positive of rank
+    about n / 2; Hermitian with an eigenvalue of -0.1 or less against a norm of at
+    most 1; normal with non-real eigenvalues; and, for n >= 2, strictly upper
+    triangular plus a positive diagonal, which is not normal."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rand_matrix(rng, n))
+    lam = {
+        "definite": rng.uniform(0.1, 1.0, n),
+        "semidefinite": np.r_[rng.uniform(0.1, 1.0, (n + 1) // 2), np.zeros(n // 2)],
+        "indefinite": np.r_[-rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0, n - 1)],
+        "normal": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    }
+    if kind in lam:
+        flags = (kind != "normal", True, kind in ("definite", "semidefinite"))
+        return (u * lam[kind]) @ u.conj().T, flags
+    m = np.triu(rand_matrix(rng, n), 1) + np.diag(rng.uniform(0.1, 1.0, n))
+    return m, (n == 1, n == 1, n == 1)
+
+
+class TestScaleFreePositivity:
+    """Every verdict of the positivity gate, and classify's normality, is the same
+    for s a as for a at s in _SCALES, with no floor at 1; and sqrt(s a) = sqrt(s)
+    sqrt(a) within 1e-12 on positive definite a.  Semidefinite a is left out of
+    that identity: sqrt is not Lipschitz at 0, so a rounding-level eigenvalue
+    moves the root by about 1e-8 relative."""
+
+    @staticmethod
+    def _verdicts(m):
+        flags = spectral.classify(amb(m))
+        try:
+            root = spectral.sqrt_positive(amb(m)).matrix
+        except NotPositive:
+            root = None
+        return (flags.hermitian, flags.normal, flags.positive, root is not None), root
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.sampled_from(["definite", "semidefinite", "indefinite", "normal", "non-normal"]),
+    )
+    def test_verdicts_do_not_depend_on_scale(self, seed, n, kind):
+        m, flags = _gate_input(seed, n, kind)
+        want, root = self._verdicts(m)
+        assert want == (*flags, flags[2])
+        for s in _SCALES:
+            got, scaled_root = self._verdicts(s * m)
+            assert got == want, s
+            if kind == "definite":
+                gap = linalg.op_norm(scaled_root / math.sqrt(s) - root)
+                assert gap <= 1e-12 * linalg.op_norm(root), s
+
+    def test_empty_matrix(self):
+        flags = spectral.classify(amb(np.zeros((0, 0))))
+        assert flags.hermitian and flags.normal and flags.positive and flags.unitary
+        assert spectral.sqrt_positive(amb(np.zeros((0, 0)))).matrix.shape == (0, 0)
+
+    @pytest.mark.parametrize("value", [-1e-12, -1e-300, -5e-324])
+    def test_tiny_negative_is_not_positive(self, value):
+        with pytest.raises(NotPositive):
+            spectral.sqrt_positive(amb([[value]]))
+        assert not spectral.classify(amb([[value]])).positive

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_pairs_defect,
@@ -19,6 +21,7 @@ from cstarkit import algebra, cli, linalg, states
 from cstarkit.errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    NoConvergence,
     NotInAlgebra,
     NotPositive,
     NotStarClosed,
@@ -99,6 +102,12 @@ class TestVectorState:
         monkeypatch.setattr(algebra.Algebra, "coords", lambda self, m: np.full(self.dim, np.nan))
         with pytest.raises(ValueError, match=r"f\(1\) = \(nan"):
             states.make_state(m2, values)
+
+    def test_nan_value_is_no_convergence(self):
+        """The positivity gate reads a NaN density as it reads a NaN element."""
+        m2 = algebra.full_matrix_algebra(2)
+        with pytest.raises(NoConvergence):
+            states.make_state(m2, [np.nan, 0.0, 0.0, 1.0])
 
     def test_stacked_kernels_share_the_tests(self):
         m2 = algebra.full_matrix_algebra(2)
@@ -607,8 +616,8 @@ _FAMILY_ALGEBRAS = {
 class TestStackedNormingFamily:
     """universal_rep's d norming states, built as one stack, have the bits of
     norming_state(Element(alg, (b b*)^2)) taken one at a time, and of the
-    per-element formula: the top eigenvector x of eigh((b b*)^2), and the
-    values <b_l x, x> = (b_l x) . conj(x)."""
+    per-element formula: the top eigenvector x of the eigh of the Hermitian
+    part of (b b*)^2, and the values <b_l x, x> = (b_l x) . conj(x)."""
 
     @pytest.mark.parametrize("name", list(_FAMILY_ALGEBRAS))
     def test_values_and_density_eigh_bitwise(self, name):
@@ -618,7 +627,7 @@ class TestStackedNormingFamily:
         assert len(family) == alg.dim
         for f, sq in zip(family, squares):
             one = states.norming_state(algebra.Element(alg, sq))
-            x = np.linalg.eigh(sq)[1][:, -1].copy()
+            x = np.linalg.eigh((sq + sq.conj().T) / 2.0)[1][:, -1].copy()
             assert np.array_equal(f.values, one.values)
             assert np.array_equal(f.values, alg.basis @ x @ x.conj())
             for got, want in zip(f._density_eigh, one._density_eigh):
@@ -880,6 +889,56 @@ class TestNotPositiveMessage:
                 call(m2, f if call is states.gns else f.values)
 
 
+def _scaled_density(seed, n, kind):
+    """A seeded n x n density of one kind, as in TestScaleFreePositivity: positive of
+    rank about n / 2 or more, Hermitian with an eigenvalue of -0.1 or less against a
+    norm of at most 1, or Gaussian (not Hermitian)."""
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        return rand_matrix(rng, n)
+    u, _ = np.linalg.qr(rand_matrix(rng, n))
+    lam = np.r_[-rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0, n - 1)]
+    if kind == "positive":
+        lam = np.r_[rng.uniform(0.1, 1.0, (n + 1) // 2), np.zeros(n // 2)]
+    return (u * lam) @ u.conj().T
+
+
+class TestScaleFreeFunctionalPositivity:
+    """A functional's positivity verdict is the same for s f as for f, with no
+    floor at 1, at every s of test_spectral's scale set, on M_n and on M_2 (+) C."""
+
+    SCALES = [2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000]
+
+    def test_small_indefinite_functional(self):
+        """a -> 1e-12 tr(diag(1, -0.5) a) on M_2: its density has the eigenvalue -5e-13."""
+        m2 = algebra.full_matrix_algebra(2)
+        f = states.functional(m2, states._trace_values(m2, 1e-12 * np.diag([1.0, -0.5])))
+        report = states.is_positive_functional(m2, f)
+        assert not report.positive and report.min_gram_eigenvalue == pytest.approx(-5e-13)
+        with pytest.raises(NotPositive, match="min density eigenvalue"):
+            states.gns(m2, f)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["M1", "M2", "M3", "M4", "M2+C"]),
+        st.sampled_from(["positive", "indefinite", "general"]),
+    )
+    def test_verdict_does_not_depend_on_scale(self, seed, name, kind):
+        if name == "M2+C":
+            alg = algebra.direct_sum_algebras(algebra.full_matrix_algebra(2), algebra.full_matrix_algebra(1))
+            rho = np.zeros((3, 3), dtype=complex)
+            rho[:2, :2] = _scaled_density(seed, 2, kind)
+            rho[2, 2] = _scaled_density(seed + 1, 1, kind)[0, 0]
+        else:
+            alg = algebra.full_matrix_algebra(int(name[1]))
+            rho = _scaled_density(seed, alg.ambient_dim, kind)
+        values = states._trace_values(alg, rho)
+        for s in self.SCALES:
+            report = states.is_positive_functional(alg, states.functional(alg, s * values))
+            assert report.positive == (kind == "positive"), s
+
+
 class TestFunctionalValues:
     def test_values_are_a_read_only_complex_array(self):
         m2 = algebra.full_matrix_algebra(2)
@@ -1006,49 +1065,38 @@ def _density_of(alg, values):
 
 class TestDensityPositivity:
     """The density's verdict against the Gram rule: the same verdict; the same
-    least eigenvalue whenever either is negative; and a Hermitian defect
-    sqrt(n) ||D - D*||_F at least ||G - G*||_F, equal on the matrix units, so
-    at least the Gram defect wherever max(1, max|D|) <= max(1, max|G|), as on
-    every state."""
+    least eigenvalue whenever either is negative; and the Hermitian defect of
+    the positivity gate, ||D - D*|| / ||D|| (linalg.hermitian_residual of D)."""
 
     @staticmethod
-    def assert_against_reference(alg, f, near_state):
+    def assert_against_reference(alg, f):
         got, want = states.is_positive_functional(alg, f), _reference_positivity(alg, f)
         assert got.positive == want.positive
         if min(got.min_gram_eigenvalue, want.min_gram_eigenvalue) < 0.0:
             assert abs(got.min_gram_eigenvalue - want.min_gram_eigenvalue) <= 1e-12
-        new_scale = max(1.0, float(np.max(np.abs(_density_of(alg, f.values)))))
-        old_scale = max(1.0, float(np.max(np.abs(states.gram_matrix(alg, f)))))
-        assert not near_state or new_scale == old_scale == 1.0
-        new, old = got.hermitian_defect * new_scale, want.hermitian_defect * old_scale
-        assert new >= old * (1.0 - 1e-12) - 1e-15
-        d, n = alg.dim, alg.ambient_dim
-        if d == n * n and np.array_equal(alg.basis.reshape(d, d), np.eye(d)):
-            assert new_scale == old_scale
-            assert abs(got.hermitian_defect - want.hermitian_defect) <= 1e-12 * old + 1e-15
-        elif new_scale <= old_scale:
-            assert got.hermitian_defect >= want.hermitian_defect * (1.0 - 1e-12) - 1e-15
+        defect = linalg.hermitian_residual(_density_of(alg, f.values))
+        assert abs(got.hermitian_defect - defect) <= 1e-12 * defect + 1e-15
 
     @pytest.mark.parametrize("alg, family", _algebras_with_states())
     def test_states_and_negative_eigenvalues(self, alg, family):
         for f in family:
-            self.assert_against_reference(alg, f, near_state=True)
+            self.assert_against_reference(alg, f)
             dens = _density_of(alg, f.values)
             shift = np.linalg.eigvalsh((dens + dens.conj().T) / 2.0)[0] + 1e-8
             shifted = states.functional(alg, states._trace_values(alg, dens - shift * alg.identity_matrix))
             report = states.is_positive_functional(alg, shifted)
             assert not report.positive and abs(report.min_gram_eigenvalue + 1e-8) <= 1e-12
-            self.assert_against_reference(alg, shifted, near_state=True)
+            self.assert_against_reference(alg, shifted)
 
     @pytest.mark.parametrize("alg, family", _algebras_with_states())
     def test_non_hermitian(self, alg, family):
         rng = np.random.default_rng(42)
         for f in family:
             raw = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-            for scale, near_state in ((1e-3, True), (1.0, False), (100.0, False)):
+            for scale in (1e-3, 1.0, 100.0):
                 g = states.functional(alg, 0.9 * f.values + scale * raw)
                 assert not states.is_positive_functional(alg, g).positive
-                self.assert_against_reference(alg, g, near_state)
+                self.assert_against_reference(alg, g)
 
 
 def _unitary(rng, n):
