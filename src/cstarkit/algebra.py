@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -123,8 +123,10 @@ def _extend_rows(rows: np.ndarray, cands, scale=None) -> np.ndarray:
     return np.concatenate([rows, block + (block - (block @ block.conj().T) @ block) / 2.0])
 
 
+@cache
 def _generic_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed coefficients c_k = cos k + i sqrt(2) sin k and w_k = cos((d + 1) k), k = 1..d.
+    """Fixed coefficients c_k = cos k + i sqrt(2) sin k and w_k = cos((d + 1) k), k = 1..d,
+    computed once per d, as read-only arrays.
 
     Each flag and ideal test below asks whether one vector v is zero, where
     v is conjugate-linear in c, or bilinear in c and w, with vector
@@ -151,7 +153,9 @@ def _generic_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
     test per basis element would give it.
     """
     k = np.arange(1, d + 1)
-    return np.cos(k) + 1j * np.sqrt(2.0) * np.sin(k), np.cos((d + 1) * k)
+    c, w = np.cos(k) + 1j * np.sqrt(2.0) * np.sin(k), np.cos((d + 1) * k)
+    c.flags.writeable = w.flags.writeable = False
+    return c, w
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,11 +86,9 @@ def matrix_from_json(doc) -> np.ndarray:
         pairs = np.array(entries, dtype=float)
     except OverflowError as exc:
         raise MalformedInput(f"matrix entries must be finite: {exc}") from exc
-    m = pairs.view(complex).reshape(rows, cols)
-    try:
-        return linalg.as_matrix(m)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+    if not np.isfinite(pairs).all():  # one pass over the real and imaginary parts
+        raise MalformedInput("matrix entries must be finite")
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def _load_json(path: str):
@@ -503,8 +501,13 @@ def _check_options(args) -> None:
         )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and the parser it hands each command's arguments to."""
     parser = argparse.ArgumentParser(
         prog="cstarkit",
         description="Finite-dimensional operator-algebra computations over JSON matrices.",
@@ -528,13 +531,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=int, default=2000)
             p.add_argument("--levels", type=int, default=5)
             p.add_argument("--length", type=float, default=1.0)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), from the named command's own parser alone
+    where argv names a command and that parser leaves nothing over: the full
+    parser hands every argument after the command to it unread.  Any other argv
+    goes to the full parser, whose usage and errors it then gets."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -58,33 +58,46 @@ def _op_norm_each(mats: np.ndarray) -> np.ndarray:
     whichever is smaller.  lambda_max is found within O(eps ||a||^2), so
     ||a|| keeps a relative error of O(n eps), as the SVD's.  Each norm has
     the bits the matrix gets alone.  NoConvergence for an entry that is not
-    finite; Overflow when a finite matrix's norm leaves the float range.
+    finite; Overflow when a finite matrix's norm leaves the float range.  One
+    pass over the parts finds each matrix's peak, which scales it, tests it for
+    finiteness and tells the zero matrices.
     """
-    live = np.any(mats, axis=(1, 2))
-    if live.all():
-        return _gram_norms(mats)
-    out = np.zeros(len(mats))
+    a, peaks, e = _unit_scaling(mats)
+    _require_finite(peaks)
+    if peaks.all():
+        return _scaled_back(_unit_norms(a), e)
+    live, out = peaks != 0.0, np.zeros(len(mats))
     if live.any():
-        out[live] = _gram_norms(mats[live])
+        out[live] = _scaled_back(_unit_norms(a[live]), e[live])
     return out
 
 
-def _gram_norms(mats: np.ndarray) -> np.ndarray:
-    """_op_norm_each of a (k, p, q) stack, with LAPACK also on its zero matrices."""
-    if not mats.size:
-        return np.zeros(len(mats))
-    if not np.isfinite(mats).all():
+def _require_finite(peaks: np.ndarray) -> None:
+    """NoConvergence when a peak of _unit_scaling, and so an entry, is not finite."""
+    if not np.isfinite(peaks).all():
         raise NoConvergence("op_norm: a matrix entry is not finite")
-    a, e = _unit_scaled_each(mats)
+
+
+def _unit_norms(a: np.ndarray) -> np.ndarray:
+    """The norm sqrt(lambda_max) of the smaller Gram matrix of each matrix of a finite
+    unit-scaled (k, p, q) stack.  Its parts are below 1 in modulus, so each
+    eigenvalue is at most 2pq and eigvalsh needs no scan of its output."""
+    if not a.size:
+        return np.zeros(len(a))
     adj = a.conj().swapaxes(1, 2)
     gram = a @ adj if a.shape[1] < a.shape[2] else adj @ a
-    return _scaled_back(np.sqrt(_lapack(np.linalg.eigvalsh, gram)[:, -1]), e[:, 0])
+    try:
+        return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigvalsh: {exc}") from exc
 
 
 def _scaled_back(norms: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The norms of the matrices 2^e a_s, given those of their scalings a_s; Overflow
-    when one is above the largest float."""
-    if (np.frexp(norms)[1] + e > 1024).any():
+    """The norms of the matrices 2^e a_s, given those of their unit scalings a_s;
+    Overflow when one is above the largest float.  ||a_s|| < sqrt(2pq) < 2^32 for
+    any array numpy can hold, so only an exponent above 1024 - 32 can reach the
+    end of the float range."""
+    if e.max(initial=0) > 1024 - 32 and (np.frexp(norms)[1] + e > 1024).any():
         raise Overflow("op_norm leaves the float range")
     return np.ldexp(norms, e)
 
@@ -109,9 +122,19 @@ def _unit_scaled_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each a_s of a (k, p, q) stack scaled by the power of two 2^-e_s that brings
     its largest real or imaginary part into [1/2, 1), exactly, so no norm below
     overflows or underflows; and the exponents e, shape (k, 1)."""
-    parts = np.abs(np.ascontiguousarray(mats, dtype=complex).view(float))
-    e = np.frexp(parts.max(axis=(1, 2), initial=0.0))[1][:, None]
-    return ldexp(mats, -e[:, :, None]), e
+    a, _, e = _unit_scaling(mats)
+    return a, e[:, None]
+
+
+def _unit_scaling(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_unit_scaled_each of a (k, p, q) stack with shape (k,) exponents, from one
+    pass over its parts, and each matrix's peak, the largest part in modulus: NaN
+    or inf for a matrix with an entry that is not finite.  The stack itself,
+    without ldexp, when every exponent is 0."""
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    peaks = np.abs(mats.view(float)).max(axis=(1, 2), initial=0.0)
+    e = np.frexp(peaks)[1]
+    return (ldexp(mats, -e[:, None, None]) if e.any() else mats), peaks, e
 
 
 def hermitian_residual(m: np.ndarray) -> float:
@@ -125,15 +148,20 @@ def hermitian_residual(m: np.ndarray) -> float:
 def _hermitian_residual_each(mats: np.ndarray) -> tuple[np.ndarray, ...]:
     """hermitian_residual of each matrix a of a (k, n, n) stack, ||a||, and the
     Hermitian part (a + a*) / 2, all on a's power-of-two scaling: the norms have
-    the bits of _op_norm_each of a and of its skew part, from one _gram_norms,
-    and (a + a*) / 2 cannot overflow.  NoConvergence for an entry that is not
-    finite; Overflow when ||a|| leaves the float range."""
-    scaled, e = _unit_scaled_each(mats)
+    the bits of _op_norm_each of a and of its skew part, from one stacked
+    eigvalsh, and (a + a*) / 2 cannot overflow.  The input is scaled and tested
+    for finiteness once; only the skew part is scaled again, to its own peak.
+    NoConvergence for an entry that is not finite; Overflow when ||a|| leaves the
+    float range."""
+    k = len(mats)
+    scaled, peaks, e = _unit_scaling(mats)
+    _require_finite(peaks)
     adj = scaled.conj().swapaxes(1, 2)
-    norms = _gram_norms(np.concatenate([scaled, scaled - adj]))
-    norms, skew_norms = norms[: len(mats)], norms[len(mats) :]
-    defects = np.divide(skew_norms, norms, out=np.zeros(len(mats)), where=norms > 0)
-    return defects, _scaled_back(norms, e[:, 0]), ldexp(scaled + adj, e[:, :, None] - 1)
+    skew, _, f = _unit_scaling(scaled - adj)
+    norms = _unit_norms(np.concatenate([scaled, skew]))
+    norms, skew_norms = norms[:k], np.ldexp(norms[k:], f)
+    defects = np.divide(skew_norms, norms, out=np.zeros(k), where=norms > 0)
+    return defects, _scaled_back(norms, e), ldexp(scaled + adj, e[:, None, None] - 1)
 
 
 def herm_eig(m, tol: float = LINALG_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -367,9 +367,22 @@ def _positivity_each(mats: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.nd
     fails when it reads NaN.  Returns (positive, least eigenvalue, defect, w, v, norm).
     """
     defect, norm, hermitian_part = linalg._hermitian_residual_each(mats)
-    w, v = np.linalg.eigh(hermitian_part)
+    w, v = _eigh_each(hermitian_part)
     least = w[:, 0] if w.shape[1] else np.zeros(len(mats))
     return (defect <= tol) & (least >= -tol * norm), least, defect, w, v, norm
+
+
+def _eigh_each(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a finite (k, n, n) Hermitian stack.  LAPACK can fail to
+    converge on a part whose entries near the end of the float range sit beside
+    far smaller ones; the stack's power-of-two unit scaling then takes the eigh,
+    and its eigenvalues are scaled back.  NoConvergence if that fails too."""
+    try:
+        return np.linalg.eigh(parts)
+    except np.linalg.LinAlgError:
+        scaled, _, e = linalg._unit_scaling(parts)
+        w, v = linalg._lapack(np.linalg.eigh, scaled)
+        return np.ldexp(w, e[:, None]), v
 
 
 def sqrt_positive(a, tol: float = CLASSIFY_TOL) -> Element:

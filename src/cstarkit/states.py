@@ -182,8 +182,7 @@ def _positivities(alg: Algebra, fs: list[Functional]) -> list[PositivityReport]:
     (spectral._positivity_each) on one stack of their densities D, whose Hermitian
     defect ||D - D*|| / ||D||, least eigenvalue and verdict make the report; each f
     caches its report and its eigenpairs (_density_eigh)."""
-    if not alg.star_closed:
-        raise NotStarClosed("positivity needs a *-closed algebra (the density must lie in it)")
+    _require_star_closed(alg)
     values = np.array([f.values for f in fs]).reshape(len(fs), alg.dim)
     dens = _combine_each(values, alg.basis.conj().swapaxes(1, 2))
     positive, least, defect, w, v, _ = _positivity_each(dens)
@@ -191,6 +190,11 @@ def _positivities(alg: Algebra, fs: list[Functional]) -> list[PositivityReport]:
     for f, wf, vf, report in zip(fs, w, v, reports):
         vars(f).update(_density_eigh=(wf, vf), _positivity=report)
     return reports
+
+
+def _require_star_closed(alg: Algebra) -> None:
+    if not alg.star_closed:
+        raise NotStarClosed("positivity needs a *-closed algebra (the density must lie in it)")
 
 
 def _require_positive(report: PositivityReport) -> None:
@@ -242,8 +246,13 @@ def vector_state(alg: Algebra, x) -> State:
 
 
 def _vector_states(alg: Algebra, xs: np.ndarray) -> list[State]:
-    """vector_state of each row x of a (k, m) stack: f(b_l) = <b_l x, x>, taken n
-    vectors at a time so that each product stack has the basis's size.
+    """vector_state of each row x of a (k, m) stack."""
+    return _make_states(alg, _vector_values(alg, xs))
+
+
+def _vector_values(alg: Algebra, xs: np.ndarray) -> np.ndarray:
+    """The values f(b_l) = <b_l x, x> of the vector state of each row x of a (k, m)
+    stack, taken n vectors at a time so that each product stack has the basis's size.
 
     ||x|| is read on x's power-of-two scaling, so a 1e200 entry gives its norm
     without overflow and a NaN entry gives NaN; either is NotUnitVector.
@@ -261,7 +270,7 @@ def _vector_states(alg: Algebra, xs: np.ndarray) -> list[State]:
     for s in range(0, len(xs), n):
         x = xs[s : s + n]
         values[s : s + n] = ((alg.basis @ x[:, None, :, None])[..., 0] @ x.conj()[:, :, None])[..., 0]
-    return _make_states(alg, values)
+    return values
 
 
 def functional_norm(alg: Algebra, f: Functional) -> float:
@@ -290,12 +299,17 @@ def norming_state(a: Element) -> State:
 
 
 def _norming_states(alg: Algebra, mats: np.ndarray) -> list[State]:
-    """norming_state of each positive member of alg in a (k, n, n) stack: the
-    vector states of their top eigenvectors, from one positivity gate."""
+    """norming_state of each positive member of alg in a (k, n, n) stack."""
+    return _make_states(alg, _norming_values(alg, mats))
+
+
+def _norming_values(alg: Algebra, mats: np.ndarray) -> np.ndarray:
+    """The values of _norming_states(alg, mats): the vector states of the members'
+    top eigenvectors, from one positivity gate."""
     positive, *_, v, _ = _positivity_each(mats)
     if not positive.all():
         raise NotPositive("a norming element is not positive (Hermitian with spectrum >= 0)")
-    return _vector_states(alg, v[:, :, -1])
+    return _vector_values(alg, v[:, :, -1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +356,12 @@ class Representation:
         groups = {}
         for b in {id(b): b for b in self.blocks}.values():
             groups.setdefault(b.shape[1], []).append(b)
-        return [np.tensordot(coords, np.stack(g, axis=1), axes=1) for g in groups.values()]
+        # np.tensordot(coords, blocks, axes=1), without its axis bookkeeping
+        s = len(coords)
+        return [
+            np.dot(coords, np.stack(g, axis=1).reshape(len(g[0]), -1)).reshape(s, len(g), k, k)
+            for k, g in groups.items()
+        ]
 
     def _norm_each(self, mats: np.ndarray) -> np.ndarray:
         """The norm of the image of each matrix of a stack: its largest block norm (a
@@ -407,10 +426,15 @@ def direct_sum_reps(reps) -> Representation:
 
 def trace_state(alg: Algebra) -> State:
     """The normalized trace f(a) = tr(a) / tr(1)."""
+    return make_state(alg, _normalized_trace(alg))
+
+
+def _normalized_trace(alg: Algebra) -> np.ndarray:
+    """The values of trace_state(alg)."""
     if not alg.unital:
         raise NotUnital("the normalized trace needs an identity")
     denom = complex(np.trace(alg.identity_matrix)).real
-    return make_state(alg, _trace_values(alg, np.eye(alg.ambient_dim)) / denom)
+    return _trace_values(alg, np.eye(alg.ambient_dim)) / denom
 
 
 def _generic_pair_certificate(rep: Representation) -> tuple[float, float]:
@@ -475,16 +499,20 @@ def universal_rep(alg: Algebra, extra_states=()) -> UniversalReport:
 
     The family is the normalized trace, the supplied extra states, and a
     norming state of (b b*)^2 for each basis element b; it is large enough
-    to make the sum isometric at finite dimension.  The d norming states are
-    built as one stack (_require_members, algebra's one membership kernel on each
-    square's own power-of-two scaling, then _norming_states), with the checks
-    and bits of norming_state(Element(alg, (b b*)^2)) taken one at a time.
-    The report carries the sum's certificates (_isometry_certificate).
+    to make the sum isometric at finite dimension.  The d norming vectors are
+    found as one stack (_require_members, algebra's one membership kernel on each
+    square's own power-of-two scaling, then _norming_values), and the trace state
+    and the d norming states pass one state test (_make_states), with the checks
+    and bits of trace_state(alg) and norming_state(Element(alg, (b b*)^2)) taken
+    one at a time.  The report carries the sum's certificates (_isometry_certificate).
     """
     bbs = alg.basis @ alg.basis.conj().swapaxes(1, 2)
     squares = bbs @ bbs
-    family = [trace_state(alg)] if alg.unital else []
+    trace = [_normalized_trace(alg)] if alg.unital else []  # the family's first state
+    if trace:
+        _require_star_closed(alg)  # trace_state's first test
     _require_members(alg, squares)
-    family += [*extra_states, *_norming_states(alg, squares)]
+    fs = _make_states(alg, np.vstack([*trace, _norming_values(alg, squares)]))
+    family = [*fs[: len(trace)], *extra_states, *fs[len(trace) :]]
     total = direct_sum_reps(gns(alg, f) for f in family)
     return UniversalReport(total, len(family), *_isometry_certificate(total))

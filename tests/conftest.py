@@ -4,6 +4,8 @@ import numpy as np
 
 from cstarkit import states
 from cstarkit.algebra import _combine_each, _pairing
+from cstarkit.errors import NoConvergence, Overflow
+from cstarkit.linalg import _lapack, ldexp
 
 
 def rand_matrix(rng, n, scale=1.0):
@@ -131,3 +133,72 @@ def match_multisets(xs, ys, tol):
             return False
         ys.pop(best)
     return not ys
+
+
+# The norm kernels of cstarkit.linalg as they were before their single scaling
+# and finiteness pass, kept verbatim apart from the reference_ names, as the
+# references of the linalg equivalence tests.
+
+
+def reference_op_norm_each(mats: np.ndarray) -> np.ndarray:
+    """op_norm of each matrix of a (k, p, q) stack, from one stacked eigvalsh.
+
+    A matrix with no nonzero entry reads 0.0 without LAPACK (a subnormal or
+    NaN entry is nonzero).  Each other a is scaled by the power of two 2^-e
+    that brings its largest real or imaginary part into [1/2, 1), exactly,
+    and ||a|| = 2^e sqrt(lambda_max) of its Gram matrix, a* a or a a*,
+    whichever is smaller.  lambda_max is found within O(eps ||a||^2), so
+    ||a|| keeps a relative error of O(n eps), as the SVD's.  Each norm has
+    the bits the matrix gets alone.  NoConvergence for an entry that is not
+    finite; Overflow when a finite matrix's norm leaves the float range.
+    """
+    live = np.any(mats, axis=(1, 2))
+    if live.all():
+        return reference_gram_norms(mats)
+    out = np.zeros(len(mats))
+    if live.any():
+        out[live] = reference_gram_norms(mats[live])
+    return out
+
+
+def reference_gram_norms(mats: np.ndarray) -> np.ndarray:
+    """_op_norm_each of a (k, p, q) stack, with LAPACK also on its zero matrices."""
+    if not mats.size:
+        return np.zeros(len(mats))
+    if not np.isfinite(mats).all():
+        raise NoConvergence("op_norm: a matrix entry is not finite")
+    a, e = reference_unit_scaled_each(mats)
+    adj = a.conj().swapaxes(1, 2)
+    gram = a @ adj if a.shape[1] < a.shape[2] else adj @ a
+    return reference_scaled_back(np.sqrt(_lapack(np.linalg.eigvalsh, gram)[:, -1]), e[:, 0])
+
+
+def reference_scaled_back(norms: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The norms of the matrices 2^e a_s, given those of their scalings a_s; Overflow
+    when one is above the largest float."""
+    if (np.frexp(norms)[1] + e > 1024).any():
+        raise Overflow("op_norm leaves the float range")
+    return np.ldexp(norms, e)
+
+
+def reference_unit_scaled_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each a_s of a (k, p, q) stack scaled by the power of two 2^-e_s that brings
+    its largest real or imaginary part into [1/2, 1), exactly, so no norm below
+    overflows or underflows; and the exponents e, shape (k, 1)."""
+    parts = np.abs(np.ascontiguousarray(mats, dtype=complex).view(float))
+    e = np.frexp(parts.max(axis=(1, 2), initial=0.0))[1][:, None]
+    return ldexp(mats, -e[:, :, None]), e
+
+
+def reference_hermitian_residual_each(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """hermitian_residual of each matrix a of a (k, n, n) stack, ||a||, and the
+    Hermitian part (a + a*) / 2, all on a's power-of-two scaling: the norms have
+    the bits of _op_norm_each of a and of its skew part, from one _gram_norms,
+    and (a + a*) / 2 cannot overflow.  NoConvergence for an entry that is not
+    finite; Overflow when ||a|| leaves the float range."""
+    scaled, e = reference_unit_scaled_each(mats)
+    adj = scaled.conj().swapaxes(1, 2)
+    norms = reference_gram_norms(np.concatenate([scaled, scaled - adj]))
+    norms, skew_norms = norms[: len(mats)], norms[len(mats) :]
+    defects = np.divide(skew_norms, norms, out=np.zeros(len(mats)), where=norms > 0)
+    return defects, reference_scaled_back(norms, e[:, 0]), ldexp(scaled + adj, e[:, :, None] - 1)

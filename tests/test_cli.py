@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_pairs_defect, basis_state_error, rand_matrix, reference_gram_gns
@@ -1048,6 +1048,12 @@ def _command_documents(draw):
 class TestMatrixDocumentFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_command_documents(), st.integers(0, 5))
+    @example(  # a finite Hermitian part on which LAPACK's eigh does not converge
+        ("sqrt", {"rows": 4, "cols": 4, "data": [
+            [0.0, x] for x in [0.0] * 9 + [149322179.0, 0.0, 0.0, 1e308, 0.0, 149322179.0, 0.0]
+        ]}),
+        0,
+    )
     def test_every_document_ends_in_an_exit_code(self, command_doc, seed):
         """Any matrix document ends in exit 0, 1 or 2, with no exception and no warning."""
         command, doc = command_doc
@@ -1127,6 +1133,107 @@ class TestArgvFuzz:
                 code = cli.run(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+def _run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv_table(tmp_path) -> list[list[str]]:
+    """A valid call of each subcommand, then the usage errors and help."""
+    rho = write_matrix(tmp_path / "rho.json", np.diag([0.25, 0.75]))
+    quotient = tmp_path / "quotient.json"
+    quotient.write_text(json.dumps({"element": json.loads(Path(rho).read_text()), "ideal": []}))
+    valid = [[name, "--input", rho] for name in cli._HANDLERS if name not in ("qm", "quotient-norm")]
+    return [
+        *valid,
+        ["quotient-norm", "--input", str(quotient), "--seed", "3"],
+        ["qm", "--grid", "40", "--levels", "2"],
+        ["spectrum", "--input", rho, "--field=real", "--seed=7"],
+        ["gns", "--seed", "1", "--input", rho, "--seed", "2"],
+        ["gns"],
+        ["gns", "--input", rho, "extra"],
+        ["gns", "--input", rho, "--bogus"],
+        ["gns", "--bogus", "--input", rho],
+        ["gns", "--inp", rho],
+        ["gns", "--input", rho, "--seed", "x"],
+        ["gns", "--input", rho, "--seed", "-1"],
+        ["-h"],
+        ["gns", "-h"],
+        ["gns", "--input", rho, "-h"],
+        [],
+        ["nope"],
+        ["nope", "--input", rho],
+        ["--input", rho, "gns"],
+        ["spectrum", "--input", rho, "--field", "bad"],
+        ["gns", "--", "--input", rho],
+        ["gns", "--input", rho, "--", "x"],
+        ["gns", "--input"],
+    ]
+
+
+class TestArgvParsingEquivalence:
+    """cli.run parses argv with the named command's own parser; each argv gives
+    the exit code, stdout and stderr of the full parser's parse_args, the path
+    that cli.run took before."""
+
+    def test_same_code_and_bytes_as_the_full_parser(self, tmp_path, monkeypatch):
+        table = _argv_table(tmp_path)
+        got = [_run_captured(argv) for argv in table]
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        want = [_run_captured(argv) for argv in table]
+        for argv, g, w in zip(table, got, want):
+            assert g == w, argv
+        codes = [g[0] for g in got]
+        assert codes[:14] == [0] * 14 and set(codes) == {0, 2}
+
+    def test_help_and_usage_errors(self, tmp_path):
+        """The help texts exit 0 on stdout; the errors exit 2 with the usage
+        line of the parser that read the bad argument."""
+        rho = write_matrix(tmp_path / "rho.json", np.diag([0.25, 0.75]))
+        code, out, err = _run_captured(["gns", "-h"])
+        assert code == 0 and out.startswith("usage: cstarkit gns [-h] --input INPUT") and err == ""
+        code, out, err = _run_captured(["gns", "--input", rho, "extra"])
+        assert (code, out) == (2, "") and err.startswith("usage: cstarkit [-h]")
+        assert err.endswith("cstarkit: error: unrecognized arguments: extra\n")
+        code, out, err = _run_captured(["gns", "--input", rho, "--seed", "x"])
+        assert err.endswith("cstarkit gns: error: argument --seed: invalid int value: 'x'\n")
+
+
+# The exact stderr of each malformed matrix document, all exit 2.
+MALFORMED_MATRICES = {
+    "nan": ("[[NaN, 0]]", "matrix entries must be finite"),
+    "infinity": ("[[Infinity, 0]]", "matrix entries must be finite"),
+    "-infinity-imag": ("[[0, -Infinity]]", "matrix entries must be finite"),
+    "1e400": ("[[1e400, 0]]", "matrix entries must be finite"),
+    "int-10**400": (f"[[{10**400}, 0]]", "matrix entries must be finite: int too large to convert to float"),
+    "true": ("[[true, 0]]", "matrix entries must be JSON numbers, not booleans, strings or null"),
+    "string": ('[["1.5", 0]]', "matrix entries must be JSON numbers, not booleans, strings or null"),
+    "null": ("[[null, 0]]", "matrix entries must be JSON numbers, not booleans, strings or null"),
+    "rows-1.9": (None, "matrix rows and cols must be JSON integers, got 1.9, 1"),
+    "short-data": ("[[1, 0]]", "a 2 x 2 matrix needs 4 [re, im] pairs"),
+    "three-numbers": ("[[1, 0, 2]]", "a 1 x 1 matrix needs 1 [re, im] pairs"),
+}
+
+
+class TestMalformedInputBytes:
+    @pytest.mark.parametrize("command", ["spectrum", "gns", "quotient-norm"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
+    def test_exact_stderr_and_exit_2(self, tmp_path, name, command):
+        data, message = MALFORMED_MATRICES[name]
+        if name == "rows-1.9":
+            text = '{"rows": 1.9, "cols": 1, "data": [[1, 0]]}'
+        else:
+            size = 2 if name == "short-data" else 1
+            text = f'{{"rows": {size}, "cols": {size}, "data": {data}}}'
+        if command == "quotient-norm":
+            text = f'{{"element": {text}, "ideal": []}}'
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert _run_captured([command, "--input", str(path)]) == (2, "", f"error: MalformedInput: {message}\n")
 
 
 # ------------------------------------------------------------------

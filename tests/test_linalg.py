@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import rand_hermitian, rand_matrix
+from conftest import (
+    rand_hermitian,
+    rand_matrix,
+    reference_gram_norms,
+    reference_hermitian_residual_each,
+    reference_op_norm_each,
+    reference_unit_scaled_each,
+)
 from cstarkit import linalg
 from cstarkit.errors import NoConvergence, NotHermitian, Overflow, Singular
 from cstarkit.tolerances import LINALG_TOL
@@ -77,6 +84,7 @@ class TestOpNormEach:
             raise AssertionError("LAPACK called on an all-zero stack")
 
         monkeypatch.setattr(linalg, "_lapack", no_svd)
+        monkeypatch.setattr(linalg, "_unit_norms", no_svd)
         assert linalg._op_norm_each(np.zeros((5, 3, 3), dtype=complex)).tolist() == [0.0] * 5
         assert linalg.op_norm(np.zeros((2, 2))) == 0.0
 
@@ -155,6 +163,99 @@ class TestGramOpNormEquivalence:
         with pytest.raises(Overflow):
             linalg._op_norm_each(np.stack([np.eye(m.shape[0], m.shape[1]), m]))
         assert linalg.op_norm(m / 4) == pytest.approx(np.linalg.svd(m / 4, compute_uv=False)[0], rel=1e-13)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _kernel_stacks():
+    """Named seeded stacks for the bit-equivalence of the norm kernels: zero
+    rows, empty stacks, subnormal entries, 2^+-1000 scalings, exactly Hermitian
+    matrices, and p < q and p > q shapes, besides the Gram stacks above."""
+    rng = np.random.default_rng(38)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    zero = np.zeros((4, 4), dtype=complex)
+    sub = np.zeros((4, 4), dtype=complex)
+    sub[0, 3], sub[2, 1] = 5e-324, -3e-320j
+    herm = gauss(5, 4, 4)
+    yield from GRAM_STACKS.items()
+    yield "zero-rows", np.stack([zero, gauss(4, 4), -zero, gauss(4, 4), zero])
+    yield "all-zero", np.zeros((3, 4, 4), dtype=complex)
+    yield "empty-k00", np.zeros((3, 0, 0), dtype=complex)
+    yield "empty-0nn", np.zeros((0, 4, 4), dtype=complex)
+    yield "subnormal", np.stack([sub, sub + 1e-310 * gauss(4, 4), 1e-320 * gauss(4, 4), sub.conj().T])
+    yield "2^1000", np.ldexp(1.0, 1000) * gauss(4, 4, 4)
+    yield "2^-1000", np.ldexp(1.0, -1000) * gauss(4, 4, 4)
+    yield "hermitian", herm + herm.conj().swapaxes(1, 2)
+    yield "real-symmetric", np.stack([np.eye(4), np.diag([1.0, -2.0, 3.0, 0.0]), np.ones((4, 4))])
+    yield "p<q", gauss(5, 2, 6)
+    yield "p>q", gauss(5, 6, 2)
+
+
+KERNEL_STACKS = dict(_kernel_stacks())
+NON_FINITE = {"nan": complex(np.nan, 0.0), "nan-imag": complex(0.0, np.nan), "inf": np.inf,
+              "-inf-imag": complex(0.0, -np.inf), "1.7e308": 1.7e308}
+
+
+class TestNormKernelBitsEquivalence:
+    """The norm kernels, with their single scaling and finiteness pass, give the
+    bits of the kernels they replace (tests/conftest.py's reference_ copies) on
+    every stack, and the same error type on entries that are not finite or
+    whose norm leaves the float range."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
+    def test_norms_and_scalings_keep_their_bits(self, name):
+        stack = np.asarray(KERNEL_STACKS[name], dtype=complex)
+        got = linalg._op_norm_each(stack)
+        assert got.dtype == float and _bits(got) == _bits(reference_op_norm_each(stack))
+        if stack.size and np.all(np.any(stack, axis=(1, 2))):
+            assert _bits(got) == _bits(reference_gram_norms(stack))
+        scaled, e = linalg._unit_scaled_each(stack)
+        want_scaled, want_e = reference_unit_scaled_each(stack)
+        assert scaled.dtype == complex and scaled.shape == stack.shape
+        assert _bits(scaled) == _bits(want_scaled) and _bits(e) == _bits(want_e)
+        assert e.shape == want_e.shape and e.dtype == want_e.dtype
+
+    @pytest.mark.parametrize("name", sorted(k for k, v in KERNEL_STACKS.items() if v.shape[1] == v.shape[2]))
+    def test_hermitian_residuals_keep_their_bits(self, name):
+        stack = np.asarray(KERNEL_STACKS[name], dtype=complex)
+        got = linalg._hermitian_residual_each(stack)
+        want = reference_hermitian_residual_each(stack)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and _bits(g) == _bits(w)
+
+    def test_unit_scaled_stack_is_passed_through(self):
+        """A stack whose every peak is already in [1/2, 1) needs no ldexp."""
+        stack = np.array([[[0.5, -0.25j], [0.75, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], dtype=complex)
+        scaled, e = linalg._unit_scaled_each(stack)
+        assert scaled is stack and e.tolist() == [[0], [0]]
+
+    @staticmethod
+    def _outcome(f, stack):
+        """The error type f raises on stack, or the bits of what it returns."""
+        with np.errstate(all="ignore"):
+            try:
+                out = f(stack)
+            except (NoConvergence, Overflow) as exc:
+                return type(exc)
+        return [_bits(x) for x in (out if isinstance(out, tuple) else (out,))]
+
+    @pytest.mark.parametrize("entry", sorted(NON_FINITE))
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)], ids=["square", "p<q", "p>q"])
+    def test_same_error_type_past_the_float_range(self, entry, shape):
+        """A stack with one such entry in one matrix, and one filled with it."""
+        rng = np.random.default_rng(39)
+        stack = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        stack[1, -1, 0] = NON_FINITE[entry]
+        stack[2] = np.full(shape, NON_FINITE[entry])
+        pairs = [(linalg._op_norm_each, reference_op_norm_each)]
+        if shape[0] == shape[1]:
+            pairs.append((linalg._hermitian_residual_each, reference_hermitian_residual_each))
+        for new, old in pairs:
+            assert self._outcome(old, stack) in (NoConvergence, Overflow)
+            for part in (stack, stack[1:2], stack[2:]):
+                assert self._outcome(new, part) == self._outcome(old, part)
 
 
 class TestHermitianResidual:

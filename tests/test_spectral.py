@@ -948,6 +948,21 @@ class TestScaleFreePositivity:
         assert flags.hermitian and flags.normal and flags.positive and flags.unitary
         assert spectral.sqrt_positive(amb(np.zeros((0, 0)))).matrix.shape == (0, 0)
 
+    def test_eigh_near_the_end_of_the_float_range(self):
+        """LAPACK's eigh does not converge on this finite Hermitian part, entries
+        5e307 beside 7e7; the gate reads it on its power-of-two unit scaling."""
+        m = np.zeros((4, 4), dtype=complex)
+        m[2, 1] = m[3, 2] = 149322179j
+        m[3, 0] = 1e308j
+        (positive,), _, _, (w,), (v,), _ = spectral._positivity_each(m[None])
+        part = (m + m.conj().T) / 2
+        assert not positive
+        assert linalg.op_norm(part @ v - v * w) <= 1e-12 * linalg.op_norm(part)
+        want = np.linalg.eigh(part * 2.0**-600)[0] * 2.0**600
+        assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+        with pytest.raises(NotPositive):
+            spectral.sqrt_positive(amb(m))
+
     @pytest.mark.parametrize("value", [-1e-12, -1e-300, -5e-324])
     def test_tiny_negative_is_not_positive(self, value):
         with pytest.raises(NotPositive):

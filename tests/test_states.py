@@ -1205,6 +1205,12 @@ class TestTypedErrors:
             states.make_state(t2, values)
         with pytest.raises(NotStarClosed):
             states.gns(t2, states.functional(t2, values))
+        # (b b*)^2 of the first element leaves T_2, but the trace state's test comes first
+        rotated = algebra.Algebra(np.array([_e12(2) + np.diag([0.0, 1.0]), _e12(2) - np.diag([0.0, 1.0]),
+                                            np.sqrt(2.0) * np.diag([1.0, 0.0])], dtype=complex) / np.sqrt(2.0))
+        for alg in (t2, rotated):
+            with pytest.raises(NotStarClosed):
+                states.universal_rep(alg)
 
     def test_not_unital_on_the_span_of_e12(self):
         alg = algebra.algebra_from_generators([_e12(2)], include_identity=False, include_adjoints=False)
